@@ -282,7 +282,6 @@ def cmd_suite(args) -> int:
         samples=args.samples,
         max_arity=args.max_arity,
         max_poly_degree=args.max_degree,
-        max_terms=args.max_terms,
         output="json" if args.json else "text",
     )
     report = run_suite(args.name, config)
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--max-arity", type=int, default=4)
     p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--max-terms", type=int, default=12)
     p.set_defaults(fn=cmd_suite)
 
     return parser

@@ -35,7 +35,6 @@ class RunConfig:
     samples: int = 25
     max_arity: int = 4
     max_poly_degree: int = 2
-    max_terms: int = 12
     output: str = "text"
 
     def __post_init__(self):

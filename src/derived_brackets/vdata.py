@@ -261,7 +261,20 @@ class BigElt:
 
 
 def big_algebra(v: VData) -> LInftyOne:
-    """The derived-bracket algebra on L[1] (+) a.  Requires Delta in Ker(P)."""
+    """The derived-bracket algebra on L[1] (+) a.  Requires Delta in Ker(P).
+
+    ``m_k`` splits its arguments into homogeneous pairs (x[1], a) and sums
+    over which component each slot contributes.  Only the patterns that can
+    be nonzero are built: at k = 1 the L[1] part and the a part; at k = 2
+    the (L[1], L[1]) pattern; one L[1] entry at each position with the
+    a parts elsewhere; and the all-a pattern.  Every other pattern has two
+    or more L[1] entries at arity >= 3, and the construction (the brackets
+    listed in the module docstring) sets those brackets to zero, so the
+    cost is O(k) chains instead of 2^k patterns.  The live terms are summed
+    in the order of the full enumeration, so results are identical term for
+    term.  Within one call a slot that repeats its left neighbour (as in
+    m_n(phi, .., phi)) reuses that neighbour's projected chain.
+    """
     if v.curved or not v.project(v.delta).is_zero():
         raise ValueError("the big construction needs a genuine (non-curved) quadruple")
 
@@ -292,11 +305,6 @@ def big_algebra(v: VData) -> LInftyOne:
             by[d] = by.get(d, zero_pair) + BigElt(v.zero, part)
         return sorted(by.items())
 
-    def unary(kind: str, value: Elt) -> BigElt:
-        if kind == "L":
-            return BigElt(-v.adjoint_delta(value), v.project(value))
-        return BigElt(v.zero, v.project(v.adjoint_delta(value)))
-
     def projected_chain(x: Elt, rest: Sequence[Elt]) -> Elt:
         current = x
         for a in rest:
@@ -309,9 +317,14 @@ def big_algebra(v: VData) -> LInftyOne:
         if k == 0:
             raise ValueError("the big construction is never curved")
         total = zero_pair
-        # decompose arguments into homogeneous pairs, then into (L|a) parts
+        # decompose arguments into homogeneous pairs; a repeated argument
+        # shares the decomposition of its left neighbour, so its parts stay
+        # the identical objects
         comps = []
-        for arg in args:
+        for i, arg in enumerate(args):
+            if i and arg is args[i - 1]:
+                comps.append(comps[-1])
+                continue
             if arg.is_zero():
                 return zero_pair
             if pair_degree(arg) is not None:
@@ -319,44 +332,44 @@ def big_algebra(v: VData) -> LInftyOne:
             else:
                 comps.append([part for _, part in pair_components(arg)])
         for combo in itertools.product(*comps):
-            degs = [pair_degree(e) for e in combo]
-            options = []
-            for e in combo:
-                opts = []
-                if not e.x.is_zero():
-                    opts.append(("L", e.x))
-                if not e.a.is_zero():
-                    opts.append(("a", e.a))
-                options.append(opts)
-            for pattern in itertools.product(*options):
-                kinds = [kind for kind, _ in pattern]
-                n_l = kinds.count("L")
-                if k == 1:
-                    total = total + unary(*pattern[0])
-                    continue
-                if n_l == 0:
-                    first = v.adjoint_delta(pattern[0][1])
-                    value = projected_chain(first, [p[1] for p in pattern[1:]])
-                    if not value.is_zero():
-                        total = total + BigElt(v.zero, value)
-                elif n_l == 1:
-                    pos = kinds.index("L")
-                    sign = 1
-                    if degs[pos] % 2 == 1 and sum(degs[:pos]) % 2 == 1:
-                        sign = -1
-                    x = pattern[pos][1]
-                    rest = [p[1] for i, p in enumerate(pattern) if i != pos]
-                    value = projected_chain(x, rest)
-                    if not value.is_zero():
-                        total = total + BigElt(v.zero, value.scale(sign))
-                elif n_l == 2 and k == 2:
-                    x, y = pattern[0][1], pattern[1][1]
-                    dx = v.degree(x)
+            if k == 1:
+                x, a = combo[0].x, combo[0].a
+                if not x.is_zero():
+                    total = total + BigElt(-v.adjoint_delta(x), v.project(x))
+                if not a.is_zero():
+                    total = total + BigElt(v.zero, v.project(v.adjoint_delta(a)))
+                continue
+            if k == 2:
+                x, y = combo[0].x, combo[1].x
+                if not x.is_zero() and not y.is_zero():
                     crochet = v.bracket(x, y)
                     if not crochet.is_zero():
-                        sign = -1 if dx % 2 else 1
+                        sign = -1 if v.degree(x) % 2 else 1
                         total = total + BigElt(crochet.scale(sign), v.zero)
-                # two or more L[1] entries at arity >= 3: vanishes
+            a_parts = [e.a for e in combo]
+            a_zero = [a.is_zero() for a in a_parts]
+            n_zero = sum(a_zero)
+            if n_zero > 1:
+                continue
+            # one L[1] entry at pos, subalgebra entries in every other slot
+            prefix = 0
+            for pos, e in enumerate(combo):
+                # a slot repeating its left neighbour has identical chain
+                # inputs, so it reuses that chain; only its sign is new
+                if not (pos and e is combo[pos - 1]):
+                    deg = pair_degree(e)
+                    value = None
+                    if not e.x.is_zero() and (n_zero == 0 or a_zero[pos]):
+                        value = projected_chain(e.x, a_parts[:pos] + a_parts[pos + 1:])
+                if value is not None and not value.is_zero():
+                    sign = -1 if deg % 2 == 1 and prefix % 2 == 1 else 1
+                    total = total + BigElt(v.zero, value.scale(sign))
+                prefix += deg
+            if n_zero == 0:
+                first = v.adjoint_delta(a_parts[0])
+                value = projected_chain(first, a_parts[1:])
+                if not value.is_zero():
+                    total = total + BigElt(v.zero, value)
         return total
 
     def pair_series_bound(e: BigElt) -> int:

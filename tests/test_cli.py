@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -162,10 +163,17 @@ def test_unknown_vdata_kind(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the package from where this process found it
+    import derived_brackets
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(derived_brackets.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "derived_brackets.cli", "suite", "truc", "--samples", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "PASS" in result.stdout
@@ -180,3 +188,48 @@ def test_run_config_invariants():
         RunConfig(max_arity=7)
     with pytest.raises(ValueError):
         RunConfig(max_poly_degree=9)
+
+
+def test_suite_rejects_removed_max_terms_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "truc", "--samples", "2", "--max-terms", "5"])
+    assert exc.value.code == 2
+    assert "--max-terms" in capsys.readouterr().err
+
+
+# -- golden output ------------------------------------------------------------------
+#
+# tests/data/golden/NAME.json holds the exact --json output of each command on
+# the fixed inputs in tests/data/, recorded with the full L[1]/a pattern
+# enumeration of the big algebra.
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def _data(name):
+    return os.path.join(DATA, name)
+
+
+GOLDEN = {
+    "derived_big_2": (0, ["derived", _data("vdata_fixture.json"), "--big",
+                          "--arg", _data("pair_p.json"), "--arg", _data("pair_q.json")]),
+    "derived_big_3": (0, ["derived", _data("vdata_fixture.json"), "--big",
+                          "--arg", _data("pair_p.json"), "--arg", _data("pair_q.json"),
+                          "--arg", _data("pair_p.json")]),
+    "mc_big_flat": (0, ["mc", _data("vdata_fixture.json"), _data("alpha_mc.json"), "--big"]),
+    "mc_big_not_flat": (1, ["mc", _data("vdata_fixture.json"), _data("pair_not_mc.json"),
+                            "--big"]),
+    "mc_big_coiso": (1, ["mc", _data("vdata_coiso.json"), _data("coiso_pair.json"), "--big"]),
+    "twist": (0, ["twist", _data("vdata_fixture.json"), _data("alpha_mc.json")]),
+    "suite_machine": (0, ["suite", "machine", "--seed", "1", "--samples", "5"]),
+    "suite_jacobi": (0, ["suite", "jacobi", "--seed", "1", "--samples", "5"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_json_output_matches_golden(name, capsys):
+    code, argv = GOLDEN[name]
+    assert main(["--json"] + argv) == code
+    with open(os.path.join(DATA, "golden", f"{name}.json"), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert capsys.readouterr().out == expected

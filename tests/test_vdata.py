@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -5,14 +7,19 @@ import pytest
 
 from derived_brackets.graded import GradedSpace, HomElt
 from derived_brackets.linfty import MCError, NonTerminatingSeriesError, mc_residual
+from derived_brackets.polygeo import coiso_vdata, mv
 from derived_brackets.sampling import (
     fixture_gla,
     fixture_mc_big,
     fixture_mc_small,
     fixture_vdata,
+    random_base_poly,
+    random_coiso_poisson,
     random_fixture_a_element,
     random_fixture_element,
     random_fixture_pair,
+    random_multivector,
+    random_vertical_section,
 )
 from derived_brackets.vdata import (
     BigElt,
@@ -428,3 +435,167 @@ def test_curved_coisotropic_relations_and_curvature():
 
     report = mc_residual(small, PolyMultivector.zero(dims))
     assert report.residual == cv.project(pi)
+
+
+# -- big-algebra brackets against the full pattern enumeration ------------------------
+
+
+def _reference_big_m(v, k, args):
+    """m_k of the big algebra by enumerating all 2^k L[1]/a patterns of each
+    homogeneous combination, the brackets of the module docstring applied
+    to every pattern."""
+    big = big_algebra(v)
+    zero_pair = BigElt(v.zero, v.zero)
+
+    def chain(x, rest):
+        for a in rest:
+            x = v.bracket(x, a)
+        return v.project(x)
+
+    comps = []
+    for arg in args:
+        if arg.is_zero():
+            return zero_pair
+        if big.degree(arg) is not None:
+            comps.append([arg])
+        else:
+            comps.append([part for _, part in big.components(arg)])
+    total = zero_pair
+    for combo in itertools.product(*comps):
+        degs = [big.degree(e) for e in combo]
+        options = [
+            [(kind, part) for kind, part in (("L", e.x), ("a", e.a)) if not part.is_zero()]
+            for e in combo
+        ]
+        for pattern in itertools.product(*options):
+            kinds = [kind for kind, _ in pattern]
+            parts = [part for _, part in pattern]
+            n_l = kinds.count("L")
+            if k == 1:
+                if n_l:
+                    total = total + BigElt(-v.adjoint_delta(parts[0]), v.project(parts[0]))
+                else:
+                    total = total + BigElt(v.zero, v.project(v.adjoint_delta(parts[0])))
+            elif n_l == 0:
+                total = total + BigElt(v.zero, chain(v.adjoint_delta(parts[0]), parts[1:]))
+            elif n_l == 1:
+                pos = kinds.index("L")
+                sign = -1 if degs[pos] % 2 and sum(degs[:pos]) % 2 else 1
+                value = chain(parts[pos], parts[:pos] + parts[pos + 1:])
+                total = total + BigElt(v.zero, value.scale(sign))
+            elif n_l == 2 and k == 2:
+                sign = -1 if v.degree(parts[0]) % 2 else 1
+                total = total + BigElt(v.bracket(parts[0], parts[1]).scale(sign), v.zero)
+    return total
+
+
+def _oracle_argument_lists(rng, pair, zero):
+    """Argument tuples of arity 1..6: inhomogeneous sums, a pair repeated in
+    adjacent and in non-adjacent slots, and pairs with a zero component."""
+    for k in range(1, 7):
+        p, q, odd = pair(0), pair(rng.choice([-1, 0, 1])), pair(-1)
+        mixed = pair(0) + pair(1)
+        yield tuple(pair(rng.choice([-1, 0, 1])) for _ in range(k))
+        yield (mixed,) + tuple(pair(0) for _ in range(k - 1))
+        yield (p,) * k
+        # adjacent odd slots share a chain but not a sign
+        yield (odd,) * min(k, 2) + (p,) * (k - 2)
+        yield (p,) * (k - 2) + (odd,) * min(k, 2)
+        yield tuple(p if i % 2 == 0 else q for i in range(k))
+        yield (p,) * (k - 1) + (BigElt(zero, p.a),)
+        yield (BigElt(p.x, zero),) + (p,) * (k - 1)
+        yield (q,) + (BigElt(zero, p.a),) * (k - 1)
+
+
+def _assert_matches_reference(v, args_lists):
+    big = big_algebra(v)
+    checked = nonzero = 0
+    for args in args_lists:
+        value = big.m(len(args), args)
+        assert value == _reference_big_m(v, len(args), args), args
+        checked += 1
+        nonzero += not value.is_zero()
+    assert nonzero > checked // 4
+
+
+def test_big_m_matches_full_enumeration_on_fixture():
+    rng = random.Random(31)
+    v = fixture_vdata()
+    _assert_matches_reference(
+        v, _oracle_argument_lists(rng, lambda d: random_fixture_pair(rng, d), v.zero)
+    )
+
+
+def test_big_m_matches_full_enumeration_on_deformed_fixture():
+    rng = random.Random(32)
+    v = fixture_vdata()
+    deformed = deform_vdata(v, fixture_mc_small(rng))
+    assert not deformed.curved
+    _assert_matches_reference(
+        deformed,
+        _oracle_argument_lists(rng, lambda d: random_fixture_pair(rng, d), v.zero),
+    )
+
+
+def test_big_m_matches_full_enumeration_on_coisotropic():
+    rng = random.Random(33)
+    dims = (1, 2)
+    cv = coiso_vdata(random_coiso_poisson(rng, dims, 2, require_flat=True))
+
+    def pair(d):
+        # x[1] of degree d is a (d + 2)-vector field; a is a vertical (d + 1)-vector.
+        # Fiber monomials of degree 1..5 keep chains of every length alive.
+        x = cv.zero
+        if d + 2 <= 3:
+            x = random_multivector(rng, dims, d + 2, 1)
+            wedge = rng.choice(list(itertools.combinations(range(3), d + 2)))
+            for mono in ((0, 1, 0), (0, 1, 1), (0, 2, 1), (0, 2, 2), (0, 3, 2)):
+                x = x + mv(dims, 1, mono, wedge)
+        a = cv.zero
+        for wedge in itertools.combinations(range(1, 3), d + 1):
+            a = a + mv(dims, 1, (1, 0, 0), wedge)
+            for mono, coef in random_base_poly(rng, dims, 1).items():
+                a = a + mv(dims, coef, mono, wedge)
+        return BigElt(x, a)
+
+    _assert_matches_reference(cv, _oracle_argument_lists(rng, pair, cv.zero))
+
+
+# -- the declared arity bound of the coisotropic big algebra --------------------------
+
+
+def test_coisotropic_big_algebra_exceeds_its_declared_max_arity():
+    # big_algebra declares max_arity = v.max_arity + 1, which is 3 for pol <= 0;
+    # x = p1^3 p2^2 d_p1 against d_p1 (three times) and d_p2 (twice) survives
+    # at arity 6
+    dims = (1, 2)
+    cv = coiso_vdata(mv(dims, 1, None, (0, 1)))
+    big = big_algebra(cv)
+    assert big.max_arity == 3
+    zero = cv.zero
+    x = mv(dims, 1, (0, 3, 2), (1,))
+    d_p1, d_p2 = mv(dims, 1, None, (1,)), mv(dims, 1, None, (2,))
+    args = (BigElt(x, zero),) + tuple(BigElt(zero, a) for a in (d_p1,) * 3 + (d_p2,) * 2)
+    assert big.m(6, args) == BigElt(zero, mv(dims, -12, None, (1,)))
+
+
+def test_coisotropic_mc_series_runs_past_the_declared_max_arity():
+    rng = random.Random(34)
+    dims = (1, 2)
+    cv = coiso_vdata(mv(dims, 1, None, (0, 1)))
+    dtilde = mv(dims, 2, (0, 3, 2), (0, 1)) + random_multivector(rng, dims, 2, 1)
+    # the x1-dependent d_p2 leg turns the d_x1 leg of dtilde vertical, at the
+    # sixth insertion
+    ptilde = random_vertical_section(rng, dims, 1) + mv(dims, 1, (1, 0, 0), (2,))
+    assert machine_check(cv, cv.zero, dtilde, ptilde).agree
+
+    big = big_algebra(deform_vdata(cv, cv.zero))
+    alpha = BigElt(dtilde, ptilde)
+    report = mc_residual(big, alpha)
+    assert report.terminated_by == "filtration"
+    assert report.terms_evaluated > 7
+    assert not big.m(7, (alpha,) * 7).is_zero()
+    truncated = big.zero
+    for n in range(1, big.max_arity + 1):
+        truncated = truncated + big.m(n, (alpha,) * n).scale(Fraction(1, math.factorial(n)))
+    assert report.residual != truncated
