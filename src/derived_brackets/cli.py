@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: verify-gla, derived, mc, twist, gauge, flow, suite.
-Exit codes: 0 success, 1 mathematical failure, 2 input error.
-Reports are deterministic: the same seed and configuration produce
-byte-identical JSON.  The environment variable DB_MAX_TERMS overrides the
-term-count safety cap of the polynomial layer.
+Exit codes: 0 success, 1 mathematical failure, 2 input error, 3 resource
+limit (a term count over the DB_MAX_TERMS cap, or a series whose termination
+cannot be certified).  Reports are deterministic: the same seed and
+configuration produce byte-identical JSON.  The environment variable
+DB_MAX_TERMS overrides the term-count safety cap of the polynomial layer.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import sys
 
 from .gla import element_from_json, element_to_json, gla_from_json, verify_gla
 from .graded import HomElt
-from .linfty import Filtration, MCError, mc_residual
+from .linfty import Filtration, MCError, NonTerminatingSeriesError, mc_residual
 from .polygeo import (
     PolyMultivector,
+    TermExplosionError,
     coiso_vdata,
     element_to_json as poly_to_json,
     form_from_json,
@@ -282,7 +284,6 @@ def cmd_suite(args) -> int:
         samples=args.samples,
         max_arity=args.max_arity,
         max_poly_degree=args.max_degree,
-        output="json" if args.json else "text",
     )
     report = run_suite(args.name, config)
     if args.json:
@@ -363,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KeyError, ValueError, TypeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except (TermExplosionError, NonTerminatingSeriesError) as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

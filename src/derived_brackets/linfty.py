@@ -54,7 +54,6 @@ class Filtration:
 
     degree: Callable[[Elt], int]
     series_bound: Callable[[Elt], int]
-    complete_by_construction: bool = True
 
 
 @dataclass(frozen=True)
@@ -325,7 +324,7 @@ def to_antisymmetric(algebra: LInftyOne) -> LInfty:
 
     def l(k: int, args: tuple) -> Elt:
         total = algebra.zero
-        for combo in _homogeneous_combinations_shifted(algebra, args):
+        for combo in _homogeneous_combinations(algebra, args):
             degrees = [algebra.degree(a) + 1 for a in combo]
             value = algebra.m(k, tuple(combo))
             if not value.is_zero():
@@ -342,21 +341,7 @@ def to_antisymmetric(algebra: LInftyOne) -> LInfty:
     )
 
 
-def _homogeneous_combinations(v_algebra: LInfty, args: tuple):
-    import itertools
-
-    parts = []
-    for a in args:
-        if a.is_zero():
-            return
-        if v_algebra.degree(a) is not None:
-            parts.append([a])
-        else:
-            parts.append([p for _, p in v_algebra.components(a)])
-    yield from itertools.product(*parts)
-
-
-def _homogeneous_combinations_shifted(algebra: LInftyOne, args: tuple):
+def _homogeneous_combinations(algebra: LInfty | LInftyOne, args: tuple):
     import itertools
 
     parts = []

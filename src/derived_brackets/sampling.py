@@ -35,7 +35,6 @@ class RunConfig:
     samples: int = 25
     max_arity: int = 4
     max_poly_degree: int = 2
-    output: str = "text"
 
     def __post_init__(self):
         if self.samples < 1:
@@ -126,10 +125,6 @@ def fixture_vdata() -> VData:
         max_arity=3,
         name="nilpotent-fixture",
     )
-
-
-def fixture_algebra() -> StructureGLA:
-    return fixture_gla()
 
 
 def random_fixture_element(rng: random.Random, degree: int) -> HomElt:

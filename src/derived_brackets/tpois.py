@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import ZERO, as_fraction
+from .graded import as_fraction
 from .linfty import LInftyOne
 from .polygeo import (
     Mono,
@@ -39,11 +39,8 @@ from .polygeo import (
     PolyMultivector,
     contract_form,
     de_rham,
-    form,
     multi_sharp,
-    mv,
     poly_add,
-    poly_diff,
     poly_mul,
     poly_scale,
     schouten,
@@ -251,20 +248,7 @@ def tpois_linfty(m: int, max_relation_arity: int = 5) -> LInftyOne:
     def m_eval(k: int, args: tuple) -> TPoisElement:
         if k == 0:
             raise ValueError("the twisted-Poisson algebra is not curved")
-        split: list[TPoisElement] = []
-        for arg in args:
-            if arg.is_zero():
-                return zero
-            split.append(arg)
-        # decompose inhomogeneous arguments (multilinearity)
-        expanded = [
-            [part for _, part in a.components()] if a.degree() is None else [a]
-            for a in split
-        ]
-        total = zero
-        for combo in itertools.product(*expanded):
-            total = total + tpois_bracket(k, tuple(combo))
-        return total
+        return tpois_bracket(k, args)
 
     return LInftyOne(
         degree=lambda e: e.degree(),
@@ -328,20 +312,57 @@ def gauge_Y(
     return -de_rham(b), schouten(x, pi) + wedge2_tilde(pi, moved)
 
 
-# -- e^B graph transform -------------------------------------------------------------
-
-# Matrices are m x m lists of "curve scalars": dict[t_power -> poly dict].
-# The static case is the t-degree-0 slice.
+# -- polynomials in t ------------------------------------------------------------------
+#
+# Everything that moves with the flow time t is a polynomial in t, stored as
+# dict[t_power -> coefficient] with zero coefficients dropped: a curve of forms
+# or multivectors, a scalar curve (Fraction coefficients, such as a
+# determinant), or a matrix entry of the graph transform (a Curve, whose
+# coefficients are spatial polynomials).  Static geometry is the t^0 case of
+# the same code.
 
 Curve = dict[int, dict[Mono, Fraction]]
 
 
+def _t_add(a: dict, b: dict) -> dict:
+    """Sum of two curves of forms or multivectors."""
+    out = dict(a)
+    for p, v in b.items():
+        merged = out[p] + v if p in out else v
+        if merged.is_zero():
+            out.pop(p, None)
+        else:
+            out[p] = merged
+    return out
+
+
+def _t_scale(curve: dict, scalar: dict[int, Fraction]) -> dict:
+    """Product of a curve of forms or multivectors with a scalar curve."""
+    out: dict = {}
+    for p, v in curve.items():
+        for q, s in scalar.items():
+            out = _t_add(out, {p + q: v.scale(s)})
+    return out
+
+
+def _t_ddt(curve: dict) -> dict:
+    return {p - 1: v * p for p, v in curve.items() if p}
+
+
+def _t_integrate(curve: dict) -> dict:
+    """int_0^t: shift powers up and divide."""
+    return {p + 1: v * Fraction(1, p + 1) for p, v in curve.items()}
+
+
+def _t_eval(curve: dict, t: Fraction, zero):
+    total = zero
+    for p, v in curve.items():
+        total = total + v * t**p
+    return total
+
+
 def _c_zero() -> Curve:
     return {}
-
-
-def _c_const(poly: dict[Mono, Fraction]) -> Curve:
-    return {0: dict(poly)} if poly else {}
 
 
 def _c_add(a: Curve, b: Curve) -> Curve:
@@ -380,6 +401,13 @@ def _c_is_zero(a: Curve) -> bool:
     return not a
 
 
+# -- e^B graph transform -------------------------------------------------------------
+#
+# One code path for the static transform e^B pi, the flow curve e^{C_t} pi and
+# the generator curve e^{tB} pi_t: the static transform is the t^0 curve
+# ({0: B}, {0: pi}).  Matrices are m x m lists of Curves.
+
+
 def _mat_mul(a: list[list[Curve]], b: list[list[Curve]]) -> list[list[Curve]]:
     n = len(a)
     out = [[_c_zero() for _ in range(n)] for _ in range(n)]
@@ -390,13 +418,6 @@ def _mat_mul(a: list[list[Curve]], b: list[list[Curve]]) -> list[list[Curve]]:
                 acc = _c_add(acc, _c_mul(a[i][k], b[k][j]))
             out[i][j] = acc
     return out
-
-
-def _mat_identity(n: int, nvars: int) -> list[list[Curve]]:
-    one = {(0,) * nvars: Fraction(1)}
-    return [
-        [_c_const(one) if i == j else _c_zero() for j in range(n)] for i in range(n)
-    ]
 
 
 def _det(matrix: list[list[Curve]]) -> Curve:
@@ -422,14 +443,8 @@ def _det(matrix: list[list[Curve]]) -> Curve:
 def _adjugate(matrix: list[list[Curve]]) -> list[list[Curve]]:
     n = len(matrix)
     if n == 1:
-        nvars = None
-        for row in matrix:
-            for entry in row:
-                for poly in entry.values():
-                    for mono in poly:
-                        nvars = len(mono)
-        one = {(0,) * (nvars or 0): Fraction(1)}
-        return [[_c_const(one)]]
+        # an m x m matrix over the polynomials in m variables: here m = 1
+        return [[{0: {(0,): Fraction(1)}}]]
     out = [[_c_zero() for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -449,28 +464,15 @@ class GraphTransformError(ValueError):
     pass
 
 
-def _sharp_matrix(pi: PolyMultivector) -> list[list[Curve]]:
-    """M[j][b]: the coefficient of d_b in pi^sharp(dx_j)."""
-    m = pi.dims[0]
-    nvars = m
+def _wedge2_matrix(curve: dict, m: int) -> list[list[Curve]]:
+    """M[a][c]: the coefficient of e_c in the contraction of a curve of
+    bivectors or 2-forms with e_a, so pi^sharp(dx_a) = sum_c M[a][c] d_c and
+    i_{d_a} B = sum_c M[a][c] dx_c; antisymmetric by construction."""
     out = [[_c_zero() for _ in range(m)] for _ in range(m)]
-    for (mono, wedge), coef in pi.terms.items():
-        if len(wedge) != 2:
-            raise ValueError("sharp matrices are for bivectors")
-        a, b = wedge
-        out[a][b] = _c_add(out[a][b], _c_const({mono: coef}))
-        out[b][a] = _c_add(out[b][a], _c_const({mono: -coef}))
-    del nvars
-    return out
-
-
-def _flat_matrix_curve(b_curve: dict[int, PolyForm], m: int) -> list[list[Curve]]:
-    """F[j][c]: the coefficient of dx_c in i_{d_j}(B_t) for a 2-form curve."""
-    out = [[_c_zero() for _ in range(m)] for _ in range(m)]
-    for power, b_form in b_curve.items():
-        for (mono, wedge), coef in b_form.terms.items():
+    for power, element in curve.items():
+        for (mono, wedge), coef in element.terms.items():
             if len(wedge) != 2:
-                raise ValueError("flat matrices are for 2-forms")
+                raise ValueError("graph transforms apply to bivectors and 2-forms")
             a, c = wedge
             out[a][c] = _c_add(out[a][c], {power: {mono: coef}})
             out[c][a] = _c_add(out[c][a], {power: {mono: -coef}})
@@ -499,6 +501,47 @@ def _bivector_from_sharp(matrix: list[list[Curve]], m: int) -> dict[int, PolyMul
     }
 
 
+def _graph_transform(
+    b_curve: dict[int, PolyForm], pi_curve: dict[int, PolyMultivector], m: int
+) -> tuple[dict[int, PolyMultivector], dict[int, Fraction]]:
+    """Numerator curve and scalar determinant curve of e^{B_t} pi_t on R^m.
+
+    The true transform is numerator / det.  The determinant must be free of the
+    spatial variables (else the transform leaves the polynomial category) and
+    not identically zero (else the sheared graph is not a graph).
+    """
+    sharp = _wedge2_matrix(pi_curve, m)
+    # K[j][c] = sum_b sharp[j][b] flat[b][c];  N = 1 + K acting on covectors
+    k_mat = _mat_mul(sharp, _wedge2_matrix(b_curve, m))
+    unit_mono = (0,) * m
+    one = {0: {unit_mono: Fraction(1)}}
+    n_mat = [
+        [_c_add(one if i == j else _c_zero(), k_mat[i][j]) for j in range(m)]
+        for i in range(m)
+    ]
+    det = _det(n_mat)
+    if _c_is_zero(det):
+        raise GraphTransformError("sheared graph is not a graph (determinant vanishes)")
+    if any(set(poly) - {unit_mono} for poly in det.values()):
+        raise GraphTransformError(
+            "graph transform leaves the polynomial category "
+            "(determinant depends on the spatial variables)"
+        )
+    # rho^sharp = pi^sharp o (N^{-1}); numerator uses the adjugate
+    rho = _mat_mul(_adjugate(n_mat), sharp)
+    return _bivector_from_sharp(rho, m), {p: poly[unit_mono] for p, poly in det.items()}
+
+
+def _derivative_at_zero(
+    numerator: dict[int, PolyMultivector], det: dict[int, Fraction], dims
+) -> PolyMultivector:
+    """d/dt at t = 0 of numerator / det, for a determinant with det(0) = 1."""
+    if det.get(0) != 1:
+        raise GraphTransformError("graph-transform curve not normalized at t = 0")
+    zero = PolyMultivector.zero(dims)
+    return numerator.get(1, zero) - numerator.get(0, zero).scale(det.get(1, Fraction(0)))
+
+
 def e_b_pi(b: PolyForm, pi: PolyMultivector) -> PolyMultivector:
     """The bivector whose graph is the B-field shear of graph(pi): the unique
     solution of (e^B pi)^sharp = pi^sharp (1 + B^flat pi^sharp)^{-1}.
@@ -507,52 +550,66 @@ def e_b_pi(b: PolyForm, pi: PolyMultivector) -> PolyMultivector:
     is a nonzero rational constant; the determinant and inverse are computed
     through the adjugate, and antisymmetry of the result is asserted.
     """
-    numerator, det = _graph_transform_curve({0: b}, pi)
-    if set(det) - {0}:
-        raise GraphTransformError("unexpected t-dependence in a static transform")
-    const = det.get(0, {}).get((0,) * pi.dims[0], Fraction(0))
-    result = numerator.get(0, PolyMultivector.zero(pi.dims))
-    return result.scale(Fraction(1) / const)
+    numerator, det = _graph_transform({0: b}, {0: pi}, pi.dims[0])
+    return numerator.get(0, PolyMultivector.zero(pi.dims)).scale(Fraction(1) / det[0])
 
 
-def _graph_transform_curve(
-    b_curve: dict[int, PolyForm], pi: PolyMultivector
-) -> tuple[dict[int, PolyMultivector], Curve]:
-    """Numerator curve and scalar determinant of e^{B_t} pi.
-
-    The true transform is numerator / det; the determinant must be free of the
-    spatial variables (else the transform leaves the polynomial category) and
-    not identically zero (else the sheared graph is not a graph).
-    """
-    m = pi.dims[0]
-    if not pi.is_zero() and pi.arities() != {2}:
-        raise ValueError("graph transforms apply to bivectors")
-    sharp = _sharp_matrix(pi)
-    flat = _flat_matrix_curve(b_curve, m)
-    # K[j][c] = sum_b sharp[j][b] flat[b][c];  N = 1 + K acting on covectors
-    k_mat = _mat_mul(sharp, flat)
-    n_mat = _mat_identity(m, m)
-    for i in range(m):
-        for j in range(m):
-            n_mat[i][j] = _c_add(n_mat[i][j], k_mat[i][j])
-    det = _det(n_mat)
-    if _c_is_zero(det):
-        raise GraphTransformError("sheared graph is not a graph (determinant vanishes)")
-    unit_mono = (0,) * m
-    for power, poly in det.items():
-        if set(poly) - {unit_mono}:
-            raise GraphTransformError(
-                "graph transform leaves the polynomial category "
-                "(determinant depends on the spatial variables)"
-            )
-    adj = _adjugate(n_mat)
-    # rho^sharp = pi^sharp o (N^{-1}); numerator uses the adjugate
-    rho = _mat_mul(adj, sharp)
-    numerator = _bivector_from_sharp(rho, m)
-    return numerator, det
+# -- affine maps and the 2-form semidirect action --------------------------------------
 
 
-# -- affine diffeomorphisms and the 2-form semidirect action -------------------------
+@dataclass(frozen=True)
+class TimeAffine:
+    """x -> M(t) x + c(t), entries Curves with constant coefficients: the flow of
+    an affine vector field, or an AffineDiffeo as the t^0 case."""
+
+    matrix: list[list[Curve]]
+    translation: list[Curve]
+
+    def transposed(self) -> list[list[Curve]]:
+        return [list(column) for column in zip(*self.matrix)]
+
+
+def _coordinate_images(phi: TimeAffine) -> list[Curve]:
+    """The substitution x_i -> sum_j M_ij(t) x_j + c_i(t), one Curve per x_i."""
+    m = len(phi.matrix)
+    coordinates = [{0: {tuple(int(v == j) for v in range(m)): Fraction(1)}} for j in range(m)]
+    images = []
+    for row, image in zip(phi.matrix, phi.translation):
+        for entry, x_j in zip(row, coordinates):
+            image = _c_add(image, _c_mul(entry, x_j))
+        images.append(image)
+    return images
+
+
+def _transport(curve: dict, phi: TimeAffine, legs: list[list[Curve]]) -> dict:
+    """Carry a curve of forms or multivectors along an affine map: every
+    coefficient f(x) becomes f(phi(x)) and every leg e_i becomes
+    sum_j legs[i][j] e_j.  The pull-back by phi passes phi and phi.matrix; the
+    push-forward by phi passes its inverse and phi.transposed()."""
+    m = len(legs)
+    images = _coordinate_images(phi)
+    raw: dict[int, list] = {}
+    for power, u in curve.items():
+        if u.dims != (m, 0):
+            raise ValueError("dimension mismatch")
+        kind = type(u)
+        for (mono, wedge), coef in u.terms.items():
+            value: Curve = {power: {(0,) * m: coef}}
+            for var, e in enumerate(mono):
+                for _ in range(e):
+                    value = _c_mul(value, images[var])
+            choices = [
+                [(j, entry) for j, entry in enumerate(legs[leg]) if entry] for leg in wedge
+            ]
+            for choice in itertools.product(*choices):
+                product = value
+                for _, entry in choice:
+                    product = _c_mul(product, entry)
+                new_wedge = tuple(j for j, _ in choice)
+                for p, poly in product.items():
+                    raw.setdefault(p, []).extend((c, mo, new_wedge) for mo, c in poly.items())
+    moved = {p: kind.from_terms((m, 0), terms) for p, terms in raw.items()}
+    return {p: e for p, e in moved.items() if not e.is_zero()}
 
 
 class AffineDiffeo:
@@ -608,70 +665,26 @@ class AffineDiffeo:
             and self.translation == other.translation
         )
 
-    def _substitute(self, poly: dict[Mono, Fraction], matrix, translation) -> dict[Mono, Fraction]:
-        """x_i -> sum_j matrix[i][j] x_j + translation[i] inside a polynomial."""
-        m = self.dim
-        out: dict[Mono, Fraction] = {}
-        for mono, coef in poly.items():
-            acc = {(0,) * m: coef}
-            for var, e in enumerate(mono):
-                if e == 0:
-                    continue
-                linear = {}
-                for j in range(m):
-                    if matrix[var][j] != 0:
-                        key = tuple(1 if t == j else 0 for t in range(m))
-                        linear[key] = matrix[var][j]
-                if translation[var] != 0:
-                    linear[(0,) * m] = linear.get((0,) * m, ZERO) + translation[var]
-                for _ in range(e):
-                    acc = poly_mul(acc, linear) if linear else {}
-            out = poly_add(out, acc)
-        return out
+    def _at_t0(self) -> TimeAffine:
+        unit = (0,) * self.dim
+
+        def constant(e: Fraction) -> Curve:
+            return {0: {unit: e}} if e else {}
+
+        return TimeAffine(
+            [[constant(e) for e in row] for row in self.matrix],
+            [constant(e) for e in self.translation],
+        )
 
     def pullback_form(self, w: PolyForm) -> PolyForm:
         """phi^* w: coefficients at phi(x), legs dx_i -> sum_j A_ij dx_j."""
-        if w.dims != (self.dim, 0):
-            raise ValueError("dimension mismatch")
-        out = PolyForm.zero(w.dims)
-        for (mono, wedge), coef in w.terms.items():
-            poly = self._substitute({mono: coef}, self.matrix, self.translation)
-            legs = []
-            for leg in wedge:
-                legs.append(
-                    [(self.matrix[leg][j], j) for j in range(self.dim) if self.matrix[leg][j] != 0]
-                )
-            for mono2, coef2 in poly.items():
-                for choice in itertools.product(*legs):
-                    scalar = coef2
-                    for c, _ in choice:
-                        scalar *= c
-                    out = out + form(w.dims, scalar, mono2, tuple(j for _, j in choice))
-        return out
+        phi = self._at_t0()
+        return _transport({0: w}, phi, phi.matrix).get(0, PolyForm.zero(w.dims))
 
     def pushforward_mv(self, u: PolyMultivector) -> PolyMultivector:
         """phi_* u: coefficients at phi^{-1}(x), legs d_i -> sum_j A_ji d_j."""
-        if u.dims != (self.dim, 0):
-            raise ValueError("dimension mismatch")
-        inverse = self.inverse()
-        out = PolyMultivector.zero(u.dims)
-        for (mono, wedge), coef in u.terms.items():
-            poly = self._substitute({mono: coef}, inverse.matrix, inverse.translation)
-            legs = []
-            for leg in wedge:
-                legs.append(
-                    [(self.matrix[j][leg], j) for j in range(self.dim) if self.matrix[j][leg] != 0]
-                )
-            for mono2, coef2 in poly.items():
-                for choice in itertools.product(*legs):
-                    scalar = coef2
-                    for c, _ in choice:
-                        scalar *= c
-                    out = out + mv(u.dims, scalar, mono2, tuple(j for _, j in choice))
-        return out
-
-    def pushforward_form(self, w: PolyForm) -> PolyForm:
-        return self.inverse().pullback_form(w)
+        moved = _transport({0: u}, self.inverse()._at_t0(), self._at_t0().transposed())
+        return moved.get(0, PolyMultivector.zero(u.dims))
 
 
 def _rational_det(matrix) -> Fraction:
@@ -729,20 +742,16 @@ def group_act(
 
 # -- symbolic-in-t flow curves --------------------------------------------------------
 
-ScalarCurve = dict[int, Fraction]
-FormCurve = dict[int, PolyForm]
-MvCurve = dict[int, PolyMultivector]
-
 
 class UnsupportedVectorFieldError(ValueError):
     pass
 
 
-def _linear_parts(x_field: PolyMultivector) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Split a vector field into A x + b; error beyond affine or when the
-    matrix part is not nilpotent (the flow would leave the polynomial world)."""
+def _flow(x_field: PolyMultivector, time_sign: int) -> TimeAffine:
+    """The time-(sign * t) flow of a vector field A x + b; error beyond affine
+    or when A is not nilpotent (the flow would leave the polynomial world)."""
     m = x_field.dims[0]
-    matrix = [[Fraction(0)] * m for _ in range(m)]
+    a_mat = [[Fraction(0)] * m for _ in range(m)]
     const = [Fraction(0)] * m
     for (mono, wedge), coef in x_field.terms.items():
         if len(wedge) != 1:
@@ -753,202 +762,58 @@ def _linear_parts(x_field: PolyMultivector) -> tuple[list[list[Fraction]], list[
             const[i] += coef
         elif total == 1:
             j = next(v for v, e in enumerate(mono) if e)
-            matrix[i][j] += coef
+            a_mat[i][j] += coef
         else:
             raise UnsupportedVectorFieldError(
                 "flow directions must be constant or linear with nilpotent matrix part"
             )
-    power = [row[:] for row in matrix]
-    for _ in range(m):
-        if all(e == 0 for row in power for e in row):
-            break
+    # the nonzero powers 1, A, A^2, ..; a nilpotent A has A^m = 0
+    powers = [[[Fraction(int(i == j)) for j in range(m)] for i in range(m)]]
+    while True:
+        last = powers[-1]
         power = [
-            [sum(power[i][k] * matrix[k][j] for k in range(m)) for j in range(m)]
+            [sum(last[i][r] * a_mat[r][j] for r in range(m)) for j in range(m)]
             for i in range(m)
         ]
-    else:
-        if any(e != 0 for row in power for e in row):
+        if all(e == 0 for row in power for e in row):
+            break
+        if len(powers) == m:
             raise UnsupportedVectorFieldError("matrix part of the flow is not nilpotent")
-    return matrix, const
-
-
-class TimeAffine:
-    """x -> M(t) x + c(t) with polynomial-in-t entries (nilpotent generators)."""
-
-    __slots__ = ("dim", "matrix", "translation")
-
-    def __init__(self, dim: int, matrix: list[list[ScalarCurve]], translation: list[ScalarCurve]):
-        self.dim = dim
-        self.matrix = matrix
-        self.translation = translation
-
-    @staticmethod
-    def flow(x_field: PolyMultivector, time_sign: int) -> "TimeAffine":
-        """The time-(sign * t) flow of an admissible vector field A x + b."""
-        m = x_field.dims[0]
-        a_mat, const = _linear_parts(x_field)
-        sign = Fraction(time_sign)
-        # exp(sign t A) = sum_k (sign t)^k A^k / k!
-        matrix: list[list[ScalarCurve]] = [
-            [({0: Fraction(1)} if i == j else {}) for j in range(m)] for i in range(m)
+        powers.append(power)
+    unit = (0,) * m
+    sign = Fraction(time_sign)
+    # exp(sign t A) = sum_k (sign t)^k A^k / k!
+    matrix = [
+        [
+            {
+                k: {unit: sign**k / math.factorial(k) * a_k[i][j]}
+                for k, a_k in enumerate(powers)
+                if a_k[i][j]
+            }
+            for j in range(m)
         ]
-        power = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-        for k in range(1, m + 1):
-            power = [
-                [sum(power[i][r] * a_mat[r][j] for r in range(m)) for j in range(m)]
-                for i in range(m)
-            ]
-            if all(e == 0 for row in power for e in row):
-                break
-            coef = sign**k / math.factorial(k)
-            for i in range(m):
-                for j in range(m):
-                    if power[i][j] != 0:
-                        matrix[i][j][k] = matrix[i][j].get(k, Fraction(0)) + coef * power[i][j]
-        # integral of exp(sign u A) b du from 0 to (sign t):
-        # translation(t) = sum_k sign^{k+1} t^{k+1} A^k b / (k+1)!
-        translation: list[ScalarCurve] = [{} for _ in range(m)]
-        vec = const[:]
-        for k in range(0, m + 1):
-            if all(e == 0 for e in vec):
-                break
-            coef = sign ** (k + 1) / math.factorial(k + 1)
-            for i in range(m):
-                if vec[i] != 0:
-                    translation[i][k + 1] = translation[i].get(k + 1, Fraction(0)) + coef * vec[i]
-            vec = [sum(a_mat[i][r] * vec[r] for r in range(m)) for i in range(m)]
-        return TimeAffine(m, matrix, translation)
-
-    def _subst_curve(self, poly: dict[Mono, Fraction]) -> Curve:
-        """x_i -> sum_j M_ij(t) x_j + c_i(t) inside a spatial polynomial."""
-        m = self.dim
-        out: Curve = {}
-        for mono, coef in poly.items():
-            acc: Curve = {0: {(0,) * m: coef}}
-            for var, e in enumerate(mono):
-                for _ in range(e):
-                    linear: Curve = {}
-                    for power, value in self.translation[var].items():
-                        linear = _c_add(linear, {power: {(0,) * m: value}})
-                    for j in range(m):
-                        for power, value in self.matrix[var][j].items():
-                            key = tuple(1 if t == j else 0 for t in range(m))
-                            linear = _c_add(linear, {power: {key: value}})
-                    acc = _c_mul(acc, linear)
-            out = _c_add(out, acc)
-        return out
-
-    def pullback_form(self, w: PolyForm) -> FormCurve:
-        """phi^* w as a polynomial curve of forms."""
-        m = self.dim
-        out: FormCurve = {}
-        for (mono, wedge), coef in w.terms.items():
-            coeff_curve = self._subst_curve({mono: coef})
-            leg_choices = []
-            for leg in wedge:
-                choices = []
-                for j in range(m):
-                    entry = self.matrix[leg][j]
-                    if entry:
-                        choices.append((j, entry))
-                leg_choices.append(choices)
-            for choice in itertools.product(*leg_choices):
-                legs = tuple(j for j, _ in choice)
-                scalar: ScalarCurve = {0: Fraction(1)}
-                for _, entry in choice:
-                    nxt: ScalarCurve = {}
-                    for pa, va in scalar.items():
-                        for pb, vb in entry.items():
-                            nxt[pa + pb] = nxt.get(pa + pb, Fraction(0)) + va * vb
-                    scalar = nxt
-                for power_c, poly in coeff_curve.items():
-                    for power_s, value in scalar.items():
-                        target = power_c + power_s
-                        for mono2, coef2 in poly.items():
-                            piece = form(w.dims, coef2 * value, mono2, legs)
-                            if piece.is_zero():
-                                continue
-                            out[target] = out.get(target, PolyForm.zero(w.dims)) + piece
-        return {p: f for p, f in out.items() if not f.is_zero()}
-
-    def pushforward_mv(self, u: PolyMultivector, inverse: "TimeAffine") -> MvCurve:
-        """phi_* u: coefficients composed with the inverse map, legs through d(phi)."""
-        m = self.dim
-        out: MvCurve = {}
-        for (mono, wedge), coef in u.terms.items():
-            coeff_curve = inverse._subst_curve({mono: coef})
-            leg_choices = []
-            for leg in wedge:
-                choices = []
-                for j in range(m):
-                    entry = self.matrix[j][leg]
-                    if entry:
-                        choices.append((j, entry))
-                leg_choices.append(choices)
-            for choice in itertools.product(*leg_choices):
-                legs = tuple(j for j, _ in choice)
-                scalar: ScalarCurve = {0: Fraction(1)}
-                for _, entry in choice:
-                    nxt: ScalarCurve = {}
-                    for pa, va in scalar.items():
-                        for pb, vb in entry.items():
-                            nxt[pa + pb] = nxt.get(pa + pb, Fraction(0)) + va * vb
-                    scalar = nxt
-                for power_c, poly in coeff_curve.items():
-                    for power_s, value in scalar.items():
-                        target = power_c + power_s
-                        for mono2, coef2 in poly.items():
-                            piece = mv(u.dims, coef2 * value, mono2, legs)
-                            if piece.is_zero():
-                                continue
-                            out[target] = out.get(target, PolyMultivector.zero(u.dims)) + piece
-        return {p: e for p, e in out.items() if not e.is_zero()}
+        for i in range(m)
+    ]
+    # integral of exp(sign u A) b du from 0 to (sign t):
+    # translation(t) = sum_k sign^{k+1} t^{k+1} A^k b / (k+1)!
+    translation: list[Curve] = [{} for _ in range(m)]
+    for k, a_k in enumerate(powers):
+        for i in range(m):
+            value = sum(a_k[i][r] * const[r] for r in range(m))
+            if value:
+                coef = sign ** (k + 1) / math.factorial(k + 1)
+                translation[i][k + 1] = {unit: coef * value}
+    return TimeAffine(matrix, translation)
 
 
-def _curve_integrate(curve: FormCurve) -> FormCurve:
-    """int_0^t: shift powers up and divide."""
-    return {p + 1: f.scale(Fraction(1, p + 1)) for p, f in curve.items()}
-
-
-def _curve_shift(curve: FormCurve, by: int) -> FormCurve:
-    return {p + by: f for p, f in curve.items()}
-
-
-def _curve_add(a: dict, b: dict, zero) -> dict:
-    out = dict(a)
-    for p, v in b.items():
-        merged = out.get(p, zero) + v
-        if merged.is_zero():
-            out.pop(p, None)
-        else:
-            out[p] = merged
-    return out
-
-
-def _curve_scale_mv(curve: MvCurve, scalar_curve: ScalarCurve, dims) -> MvCurve:
-    out: MvCurve = {}
-    for p, e in curve.items():
-        for q, s in scalar_curve.items():
-            piece = e.scale(s)
-            if piece.is_zero():
-                continue
-            out[p + q] = out.get(p + q, PolyMultivector.zero(dims)) + piece
-    return {p: e for p, e in out.items() if not e.is_zero()}
-
-
-def _curve_ddt_mv(curve: MvCurve) -> MvCurve:
-    out = {}
-    for p, e in curve.items():
-        if p >= 1:
-            out[p - 1] = e.scale(p)
-    return out
-
-
-def _curve_eval(curve: dict, t: Fraction, zero):
-    total = zero
-    for p, e in curve.items():
-        total = total + e.scale(t**p)
-    return total
+def _gauge_form_curve(
+    b: PolyForm, x_field: PolyMultivector, h: PolyForm
+) -> dict[int, PolyForm]:
+    """E_t = B + i_X H - t i_X dB: the 2-form that shears pi along the flow of
+    the gauge field of (B, X) through (H, pi), whose form part is H - t dB."""
+    return _t_add(
+        {0: b + contract_form(x_field, h)}, {1: -contract_form(x_field, de_rham(b))}
+    )
 
 
 @dataclass(frozen=True)
@@ -957,29 +822,29 @@ class FlowCurve:
 
         t |-> ( H - t dB , pushforward by the time-(-t) flow of e^{C_t} pi )
 
-    with C_t = D_t + int_0^t (flow_{-s})^* (B + i_X H) ds and
-    dD_t/dt = -t (flow_{-t})^* (i_X dB).  The multivector component is stored
-    as a polynomial numerator curve over a t-polynomial determinant."""
+    with C_t = int_0^t (flow_{-s})^* E_s ds and E_s = B + i_X H - s i_X dB.
+    The multivector component is stored as a polynomial numerator curve over a
+    t-polynomial determinant."""
 
     dims: tuple[int, int]
     b_form: PolyForm
     x_field: PolyMultivector
     h_form: PolyForm
     pi: PolyMultivector
-    form_curve: FormCurve
-    mv_numerator: MvCurve
-    denominator: ScalarCurve
-    c_curve: FormCurve
+    form_curve: dict[int, PolyForm]
+    mv_numerator: dict[int, PolyMultivector]
+    denominator: dict[int, Fraction]
+    c_curve: dict[int, PolyForm]
 
     def form_at(self, t: Fraction) -> PolyForm:
-        return _curve_eval(self.form_curve, as_fraction(t), PolyForm.zero(self.dims))
+        return _t_eval(self.form_curve, as_fraction(t), PolyForm.zero(self.dims))
 
     def mv_at(self, t: Fraction) -> PolyMultivector:
         t = as_fraction(t)
-        den = sum((s * t**p for p, s in self.denominator.items()), Fraction(0))
+        den = _t_eval(self.denominator, t, Fraction(0))
         if den == 0:
             raise GraphTransformError(f"flow leaves the polynomial category at t = {t}")
-        num = _curve_eval(self.mv_numerator, t, PolyMultivector.zero(self.dims))
+        num = _t_eval(self.mv_numerator, t, PolyMultivector.zero(self.dims))
         return num.scale(Fraction(1) / den)
 
     def at(self, t: Fraction) -> tuple[PolyForm, PolyMultivector]:
@@ -987,15 +852,9 @@ class FlowCurve:
 
     def derivative_at_zero(self) -> tuple[PolyForm, PolyMultivector]:
         form_prime = self.form_curve.get(1, PolyForm.zero(self.dims))
-        n0 = self.mv_numerator.get(0, PolyMultivector.zero(self.dims))
-        n1 = self.mv_numerator.get(1, PolyMultivector.zero(self.dims))
-        d0 = self.denominator.get(0, Fraction(0))
-        d1 = self.denominator.get(1, Fraction(0))
-        if d0 != 1:
-            raise GraphTransformError("flow curve not normalized at t = 0")
-        return form_prime, n1 - n0.scale(d1)
+        return form_prime, _derivative_at_zero(self.mv_numerator, self.denominator, self.dims)
 
-    def ode_residual(self) -> MvCurve:
+    def ode_residual(self) -> dict[int, PolyMultivector]:
         """Cross-multiplied tangency identity, a polynomial identity in t:
 
             N' d - N d' - d [X, N] - wedge2(N)(E_t)  with
@@ -1003,44 +862,20 @@ class FlowCurve:
 
         (N the numerator curve, d the determinant).  Empty dict iff satisfied.
         """
-        dims = self.dims
         n_curve = self.mv_numerator
-        d_curve = self.denominator
-        d_prime = {p - 1: s * p for p, s in d_curve.items() if p >= 1}
-        lhs = _curve_scale_mv(_curve_ddt_mv(n_curve), d_curve, dims)
-        lhs = _curve_add(
-            lhs,
-            {p: e.scale(-1) for p, e in _curve_scale_mv(n_curve, d_prime, dims).items()},
-            PolyMultivector.zero(dims),
+        minus_d = {p: -s for p, s in self.denominator.items()}
+        residual = _t_add(
+            _t_scale(_t_ddt(n_curve), self.denominator), _t_scale(n_curve, _t_ddt(minus_d))
         )
-        bracket_term = {p: schouten(self.x_field, e) for p, e in n_curve.items()}
-        bracket_term = _curve_scale_mv(bracket_term, d_curve, dims)
-        e_curve: FormCurve = {0: self.b_form + contract_form(self.x_field, self.h_form)}
-        exh = contract_form(self.x_field, de_rham(self.b_form))
-        if not exh.is_zero():
-            e_curve = _curve_add(e_curve, {1: -exh}, PolyForm.zero(dims))
-        sharp_term: MvCurve = {}
+        bracket = {p: schouten(self.x_field, e) for p, e in n_curve.items()}
+        residual = _t_add(residual, _t_scale(bracket, minus_d))
+        e_curve = _gauge_form_curve(self.b_form, self.x_field, self.h_form)
         for p1, e1 in n_curve.items():
             for p2, e2 in n_curve.items():
                 for p3, ef in e_curve.items():
-                    piece = multi_sharp([e1, e2], ef).scale(ONE_HALF)
-                    if piece.is_zero():
-                        continue
-                    target = p1 + p2 + p3
-                    sharp_term[target] = (
-                        sharp_term.get(target, PolyMultivector.zero(dims)) + piece
-                    )
-        residual = _curve_add(
-            lhs,
-            {p: e.scale(-1) for p, e in bracket_term.items()},
-            PolyMultivector.zero(dims),
-        )
-        residual = _curve_add(
-            residual,
-            {p: e.scale(-1) for p, e in sharp_term.items()},
-            PolyMultivector.zero(dims),
-        )
-        return {p: e for p, e in residual.items() if not e.is_zero()}
+                    piece = multi_sharp([e1, e2], ef).scale(-ONE_HALF)
+                    residual = _t_add(residual, {p1 + p2 + p3: piece})
+        return residual
 
     def emit(self) -> dict:
         from .polygeo import element_to_json
@@ -1070,31 +905,15 @@ def flow_curve(
         raise ValueError("flow starts at a 3-form / bivector pair")
     if not pi.is_zero() and pi.arities() != {2}:
         raise ValueError("flow starts at a 3-form / bivector pair")
-    flow_minus = TimeAffine.flow(x_field, -1)
-    flow_plus = TimeAffine.flow(x_field, +1)
+    flow_minus = _flow(x_field, -1)
+    flow_plus = _flow(x_field, +1)
 
-    b_moved = b + contract_form(x_field, h)
-    integrand = flow_minus.pullback_form(b_moved)
-    c_curve = _curve_integrate(integrand)
-    exh = contract_form(x_field, de_rham(b))
-    if not exh.is_zero():
-        d_integrand = _curve_shift(flow_minus.pullback_form(exh), 1)  # s * pullback
-        d_curve = {p: f.scale(-1) for p, f in _curve_integrate(d_integrand).items()}
-        c_curve = _curve_add(c_curve, d_curve, PolyForm.zero(dims))
+    e_curve = _gauge_form_curve(b, x_field, h)
+    c_curve = _t_integrate(_transport(e_curve, flow_minus, flow_minus.matrix))
+    numerator, det = _graph_transform(c_curve, {0: pi}, dims[0])
+    pushed = _transport(numerator, flow_plus, flow_minus.transposed())
 
-    numerator, det = _graph_transform_curve(c_curve, pi)
-    det_scalar: ScalarCurve = {
-        p: poly.get((0,) * dims[0], Fraction(0)) for p, poly in det.items()
-    }
-
-    pushed: MvCurve = {}
-    for p, e in numerator.items():
-        moved = flow_minus.pushforward_mv(e, inverse=flow_plus)
-        for q, piece in moved.items():
-            pushed[p + q] = pushed.get(p + q, PolyMultivector.zero(dims)) + piece
-    pushed = {p: e for p, e in pushed.items() if not e.is_zero()}
-
-    form_curve: FormCurve = {0: h}
+    form_curve = {0: h}
     db = de_rham(b)
     if not db.is_zero():
         form_curve[1] = -db
@@ -1107,7 +926,7 @@ def flow_curve(
         pi=pi,
         form_curve=form_curve,
         mv_numerator=pushed,
-        denominator=det_scalar,
+        denominator=det,
         c_curve=c_curve,
     )
 
@@ -1134,54 +953,15 @@ def action_generator(
 ) -> tuple[PolyForm, PolyMultivector]:
     """d/dt at 0 of (tB, flow_t of X) . (H, pi), computed symbolically in t."""
     dims = pi.dims
-    flow_minus = TimeAffine.flow(x_field, -1)
-    flow_plus = TimeAffine.flow(x_field, +1)
+    flow_minus = _flow(x_field, -1)
+    flow_plus = _flow(x_field, +1)
     # form component: (flow_t^{-1})^* H - t dB
-    h_curve = flow_minus.pullback_form(h)
+    h_curve = _transport({0: h}, flow_minus, flow_minus.matrix)
     form_prime = h_curve.get(1, PolyForm.zero(dims)) - de_rham(b)
     # multivector component: e^{tB} (flow_t)_* pi
-    pi_curve = flow_plus.pushforward_mv(pi, inverse=flow_minus)
-    numerator, det = _graph_transform_curve_timedep({1: b}, pi_curve, dims)
-    det_scalar = {p: poly.get((0,) * dims[0], Fraction(0)) for p, poly in det.items()}
-    n0 = numerator.get(0, PolyMultivector.zero(dims))
-    n1 = numerator.get(1, PolyMultivector.zero(dims))
-    if det_scalar.get(0, Fraction(0)) != 1:
-        raise GraphTransformError("generator curve not normalized at t = 0")
-    mv_prime = n1 - n0.scale(det_scalar.get(1, Fraction(0)))
-    return form_prime, mv_prime
-
-
-def _graph_transform_curve_timedep(
-    b_curve: FormCurve, pi_curve: MvCurve, dims
-) -> tuple[MvCurve, Curve]:
-    """Graph transform where the bivector itself is a curve: the sharp matrix
-    entries become t-dependent."""
-    m = dims[0]
-    sharp = [[_c_zero() for _ in range(m)] for _ in range(m)]
-    for power, pi in pi_curve.items():
-        for (mono, wedge), coef in pi.terms.items():
-            if len(wedge) != 2:
-                raise ValueError("graph transforms apply to bivectors")
-            a, c = wedge
-            sharp[a][c] = _c_add(sharp[a][c], {power: {mono: coef}})
-            sharp[c][a] = _c_add(sharp[c][a], {power: {mono: -coef}})
-    flat = _flat_matrix_curve(b_curve, m)
-    k_mat = _mat_mul(sharp, flat)
-    n_mat = _mat_identity(m, m)
-    for i in range(m):
-        for j in range(m):
-            n_mat[i][j] = _c_add(n_mat[i][j], k_mat[i][j])
-    det = _det(n_mat)
-    unit_mono = (0,) * m
-    for power, poly in det.items():
-        if set(poly) - {unit_mono}:
-            raise GraphTransformError(
-                "graph transform leaves the polynomial category"
-            )
-    adj = _adjugate(n_mat)
-    rho = _mat_mul(adj, sharp)
-    numerator = _bivector_from_sharp(rho, m)
-    return numerator, det
+    pi_curve = _transport({0: pi}, flow_minus, flow_plus.transposed())
+    numerator, det = _graph_transform({1: b}, pi_curve, dims[0])
+    return form_prime, _derivative_at_zero(numerator, det, dims)
 
 
 def generator_match(

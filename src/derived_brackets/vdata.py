@@ -204,7 +204,6 @@ def small_algebra(v: VData) -> LInftyOne:
         filtration = Filtration(
             degree=v.filtration.degree,
             series_bound=v.series_bound,
-            complete_by_construction=v.filtration.complete_by_construction,
         )
 
     return LInftyOne(
@@ -394,7 +393,6 @@ def big_algebra(v: VData) -> LInftyOne:
         filtration = Filtration(
             degree=pair_fdeg,
             series_bound=pair_series_bound,
-            complete_by_construction=v.filtration.complete_by_construction,
         )
 
     max_arity = None if v.max_arity is None else v.max_arity + 1

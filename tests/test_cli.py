@@ -179,6 +179,39 @@ def test_console_entry_point_runs():
     assert "PASS" in result.stdout
 
 
+def _assert_resource_limit(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_term_cap_exits_with_resource_limit(monkeypatch, capsys):
+    monkeypatch.setenv("DB_MAX_TERMS", "1")
+    assert main(["--json", "suite", "gauge", "--samples", "1"]) == 3
+    _assert_resource_limit(capsys)
+
+
+def test_violated_series_bound_exits_with_resource_limit(files, tmp_path, capsys):
+    # the fixture as a "gla" quadruple whose declared series bound is too small
+    desc = {
+        "kind": "gla",
+        "gla_file": files["fixture_gla.json"],
+        "a_basis": ["a", "c", "b"],
+        "delta": [{"coef_num": 1, "coef_den": 1, "basis": "u"}],
+        "filtration": {"a": 1, "c": 1, "b": 2, "u": 0, "v": 1, "w": 2},
+        "series_bound": 0,
+    }
+    vdata = tmp_path / "vdata_bound0.json"
+    vdata.write_text(json.dumps(desc))
+    with open(_data("alpha_mc.json"), encoding="utf-8") as fh:
+        alpha = json.load(fh)
+    alpha["a"] = [{"coef_num": -2, "coef_den": 1, "basis": "a"}]
+    alpha_path = tmp_path / "alpha.json"
+    alpha_path.write_text(json.dumps(alpha))
+    assert main(["twist", str(vdata), str(alpha_path)]) == 3
+    _assert_resource_limit(capsys)
+
+
 def test_run_config_invariants():
     from derived_brackets.sampling import RunConfig
 
@@ -201,7 +234,8 @@ def test_suite_rejects_removed_max_terms_flag(capsys):
 #
 # tests/data/golden/NAME.json holds the exact --json output of each command on
 # the fixed inputs in tests/data/, recorded with the full L[1]/a pattern
-# enumeration of the big algebra.
+# enumeration of the big algebra and with separate static and t-dependent
+# graph transforms in tpois.
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -223,6 +257,10 @@ GOLDEN = {
     "twist": (0, ["twist", _data("vdata_fixture.json"), _data("alpha_mc.json")]),
     "suite_machine": (0, ["suite", "machine", "--seed", "1", "--samples", "5"]),
     "suite_jacobi": (0, ["suite", "jacobi", "--seed", "1", "--samples", "5"]),
+    "flow": (0, ["flow", _data("tpois_flow.json")]),
+    "gauge_check_series": (0, ["gauge", _data("tpois_gauge.json"), "--check-series"]),
+    "suite_flow": (0, ["suite", "flow", "--seed", "1", "--samples", "5"]),
+    "suite_gauge": (0, ["suite", "gauge", "--seed", "1", "--samples", "5"]),
 }
 
 

@@ -321,6 +321,37 @@ def test_action_preserves_mc():
         assert is_twisted_poisson(nh, np_)
 
 
+def test_group_act_fixed_value():
+    # recorded with separate static and t-dependent transport code; the
+    # translation, the shear and the polynomial coefficients all contribute
+    h = (
+        form(D3, 1, None, (0, 1, 2))
+        + form(D3, 2, (0, 1, 0), (0, 1, 2))
+        + form(D3, 1, (0, 0, 2), (0, 1, 2))
+    )
+    pi = mv(D3, 1, None, (0, 1)) + mv(D3, 3, (1, 0, 0), (1, 2))
+    b = (
+        form(D3, Fraction(1, 2), None, (0, 1))
+        + form(D3, 1, (0, 1, 0), (0, 2))
+        - form(D3, 1, (0, 1, 0), (1, 2))
+    )
+    phi = AffineDiffeo([[1, 1, 0], [0, 1, 0], [0, 0, 2]], [0, 0, 1])
+    nh, np_ = group_act(b, phi, h, pi)
+    assert nh == (
+        form(D3, Fraction(13, 8), None, (0, 1, 2))
+        + form(D3, Fraction(-1, 4), (0, 0, 1), (0, 1, 2))
+        + form(D3, Fraction(1, 8), (0, 0, 2), (0, 1, 2))
+        + form(D3, 1, (0, 1, 0), (0, 1, 2))
+    )
+    assert np_ == (
+        mv(D3, 2, None, (0, 1))
+        + mv(D3, -12, (0, 1, 0), (0, 2))
+        + mv(D3, -12, (0, 1, 0), (1, 2))
+        + mv(D3, 12, (1, 0, 0), (0, 2))
+        + mv(D3, 12, (1, 0, 0), (1, 2))
+    )
+
+
 def test_affine_diffeo_push_pull_inverse():
     rng = random.Random(10)
     phi = AffineDiffeo([[2, 1, 0], [0, 1, 0], [0, 1, 1]], [3, 0, 1])
