@@ -361,10 +361,6 @@ def _t_eval(curve: dict, t: Fraction, zero):
     return total
 
 
-def _c_zero() -> Curve:
-    return {}
-
-
 def _c_add(a: Curve, b: Curve) -> Curve:
     out = {k: dict(v) for k, v in a.items()}
     for power, poly in b.items():
@@ -397,10 +393,6 @@ def _c_scale(a: Curve, s: Fraction) -> Curve:
     return {p: poly_scale(q, s) for p, q in a.items()}
 
 
-def _c_is_zero(a: Curve) -> bool:
-    return not a
-
-
 # -- e^B graph transform -------------------------------------------------------------
 #
 # One code path for the static transform e^B pi, the flow curve e^{C_t} pi and
@@ -408,55 +400,62 @@ def _c_is_zero(a: Curve) -> bool:
 # ({0: B}, {0: pi}).  Matrices are m x m lists of Curves.
 
 
+def _dot(row: list[Curve], col: list[Curve]) -> Curve:
+    """Sum of entrywise products; zero factors are skipped, not multiplied."""
+    acc: Curve = {}
+    for x, y in zip(row, col):
+        if x and y:
+            acc = _c_add(acc, _c_mul(x, y))
+    return acc
+
+
 def _mat_mul(a: list[list[Curve]], b: list[list[Curve]]) -> list[list[Curve]]:
-    n = len(a)
-    out = [[_c_zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = _c_zero()
-            for k in range(n):
-                acc = _c_add(acc, _c_mul(a[i][k], b[k][j]))
-            out[i][j] = acc
-    return out
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
-def _det(matrix: list[list[Curve]]) -> Curve:
-    n = len(matrix)
-    total = _c_zero()
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = None
-        for i in range(n):
-            entry = matrix[i][perm[i]]
-            prod = entry if prod is None else _c_mul(prod, entry)
-            if _c_is_zero(prod):
-                break
-        if prod and not _c_is_zero(prod):
-            total = _c_add(total, _c_scale(prod, Fraction(sign)))
-    return total
+def _charpoly(matrix: list[list[Curve]], one: Curve) -> list[Curve]:
+    """Coefficients [1, c_1, .., c_m] of det(lambda - N), by Berkowitz's
+    division-free algorithm (Inf. Proc. Lett. 18, 1984): O(m^4) ring products.
+
+    The trailing principal submatrices are taken from the smallest up; the
+    one with top-left entry a, top row R, left column C and rest A multiplies
+    the vector of the one below by the Toeplitz matrix whose first column is
+    (1, -a, -RC, -RAC, .., -RA^{s-2}C)."""
+    m = len(matrix)
+    vec = [one]
+    for k in range(m - 1, -1, -1):
+        row = matrix[k][k + 1:]
+        rest = [r[k + 1:] for r in matrix[k + 1:]]
+        col = [r[k] for r in matrix[k + 1:]]
+        toeplitz = [matrix[k][k]]  # negated: a, RC, RAC, ..
+        for i in range(m - 1 - k):
+            if i:
+                col = [_dot(r, col) for r in rest]
+            toeplitz.append(_dot(row, col))
+        vec.append({})
+        vec = [
+            _c_add(v, _c_scale(_dot(toeplitz[:i][::-1], vec[:i]), Fraction(-1)))
+            for i, v in enumerate(vec)
+        ]
+    return vec
 
 
-def _adjugate(matrix: list[list[Curve]]) -> list[list[Curve]]:
-    n = len(matrix)
-    if n == 1:
-        # an m x m matrix over the polynomials in m variables: here m = 1
-        return [[{0: {(0,): Fraction(1)}}]]
-    out = [[_c_zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [matrix[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = _det(minor)
-            if (i + j) % 2:
-                cof = _c_scale(cof, Fraction(-1))
-            out[j][i] = cof  # adj = transpose of cofactors
+def _adjugate_times(
+    matrix: list[list[Curve]], coeffs: list[Curve], rhs: list[list[Curve]]
+) -> list[list[Curve]]:
+    """adj(N) R from the characteristic coefficients of N, with no minors: by
+    Cayley-Hamilton adj(N) = (-1)^{m-1} (N^{m-1} + c_1 N^{m-2} + .. + c_{m-1}),
+    applied to R by Horner's rule."""
+    m = len(matrix)
+    out = rhs
+    for c in coeffs[1:m]:
+        out = [
+            [_c_add(x, _dot([c], [r])) for x, r in zip(out_row, rhs_row)]
+            for out_row, rhs_row in zip(_mat_mul(matrix, out), rhs)
+        ]
+    if m % 2 == 0:
+        out = [[_c_scale(x, Fraction(-1)) for x in row] for row in out]
     return out
 
 
@@ -468,7 +467,7 @@ def _wedge2_matrix(curve: dict, m: int) -> list[list[Curve]]:
     """M[a][c]: the coefficient of e_c in the contraction of a curve of
     bivectors or 2-forms with e_a, so pi^sharp(dx_a) = sum_c M[a][c] d_c and
     i_{d_a} B = sum_c M[a][c] dx_c; antisymmetric by construction."""
-    out = [[_c_zero() for _ in range(m)] for _ in range(m)]
+    out = [[{} for _ in range(m)] for _ in range(m)]
     for power, element in curve.items():
         for (mono, wedge), coef in element.terms.items():
             if len(wedge) != 2:
@@ -483,22 +482,19 @@ def _bivector_from_sharp(matrix: list[list[Curve]], m: int) -> dict[int, PolyMul
     """Rebuild a bivector curve from its sharp matrix, asserting antisymmetry."""
     by_power: dict[int, dict] = {}
     for j in range(m):
-        diag = matrix[j][j]
-        if not _c_is_zero(diag):
+        if matrix[j][j]:
             raise GraphTransformError("graph transform produced a non-antisymmetric matrix")
         for b in range(j + 1, m):
             upper = matrix[j][b]
             lower = matrix[b][j]
-            if not _c_is_zero(_c_add(upper, lower)):
+            if _c_add(upper, lower):
                 raise GraphTransformError(
                     "graph transform produced a non-antisymmetric matrix"
                 )
             for power, poly in upper.items():
                 for mono, coef in poly.items():
                     by_power.setdefault(power, {})[(mono, (j, b))] = coef
-    return {
-        power: PolyMultivector((m, 0), terms) for power, terms in by_power.items()
-    }
+    return {p: PolyMultivector((m, 0), terms) for p, terms in by_power.items()}
 
 
 def _graph_transform(
@@ -508,7 +504,9 @@ def _graph_transform(
 
     The true transform is numerator / det.  The determinant must be free of the
     spatial variables (else the transform leaves the polynomial category) and
-    not identically zero (else the sheared graph is not a graph).
+    not identically zero (else the sheared graph is not a graph).  Both come
+    from the characteristic polynomial of N = 1 + pi^sharp B^flat, so the
+    cost is O(m^4) ring products; at m = 0 the determinant is 1.
     """
     sharp = _wedge2_matrix(pi_curve, m)
     # K[j][c] = sum_b sharp[j][b] flat[b][c];  N = 1 + K acting on covectors
@@ -516,19 +514,20 @@ def _graph_transform(
     unit_mono = (0,) * m
     one = {0: {unit_mono: Fraction(1)}}
     n_mat = [
-        [_c_add(one if i == j else _c_zero(), k_mat[i][j]) for j in range(m)]
+        [_c_add(one if i == j else {}, k_mat[i][j]) for j in range(m)]
         for i in range(m)
     ]
-    det = _det(n_mat)
-    if _c_is_zero(det):
+    coeffs = _charpoly(n_mat, one)
+    det = _c_scale(coeffs[m], Fraction((-1) ** m))
+    if not det:
         raise GraphTransformError("sheared graph is not a graph (determinant vanishes)")
     if any(set(poly) - {unit_mono} for poly in det.values()):
         raise GraphTransformError(
             "graph transform leaves the polynomial category "
             "(determinant depends on the spatial variables)"
         )
-    # rho^sharp = pi^sharp o (N^{-1}); numerator uses the adjugate
-    rho = _mat_mul(_adjugate(n_mat), sharp)
+    # rho^sharp = pi^sharp o (N^{-1}) = adj(N) pi^sharp / det, no minors built
+    rho = _adjugate_times(n_mat, coeffs, sharp)
     return _bivector_from_sharp(rho, m), {p: poly[unit_mono] for p, poly in det.items()}
 
 
@@ -547,8 +546,9 @@ def e_b_pi(b: PolyForm, pi: PolyMultivector) -> PolyMultivector:
     solution of (e^B pi)^sharp = pi^sharp (1 + B^flat pi^sharp)^{-1}.
 
     Well-defined in the polynomial category only when det(1 + B^flat pi^sharp)
-    is a nonzero rational constant; the determinant and inverse are computed
-    through the adjugate, and antisymmetry of the result is asserted.
+    is a nonzero rational constant.  The determinant is Berkowitz's, and the
+    inverse is adj / det with adj(N) pi^sharp applied through Cayley-Hamilton,
+    in O(m^4) ring products; antisymmetry of the result is asserted.
     """
     numerator, det = _graph_transform({0: b}, {0: pi}, pi.dims[0])
     return numerator.get(0, PolyMultivector.zero(pi.dims)).scale(Fraction(1) / det[0])
