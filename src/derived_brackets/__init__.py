@@ -2,7 +2,8 @@
 
 Subpackages by layer:
 
-  graded    Koszul signs, unshuffles, degree shifts, sparse rational elements
+  graded    Koszul signs, unshuffles, degree shifts, sparse rational elements,
+            two-part direct sums
   gla       structure-constant graded Lie algebras and their validation
   linfty    the generic L-infinity[1] interface (relations, Maurer-Cartan,
             twisting, gauge fields, degree-shift converter)

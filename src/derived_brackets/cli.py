@@ -3,9 +3,11 @@
 Subcommands: verify-gla, derived, mc, twist, gauge, flow, suite.
 Exit codes: 0 success, 1 mathematical failure, 2 input error, 3 resource
 limit (a term count over the DB_MAX_TERMS cap, or a series whose termination
-cannot be certified).  Reports are deterministic: the same seed and
-configuration produce byte-identical JSON.  The environment variable
-DB_MAX_TERMS overrides the term-count safety cap of the polynomial layer.
+cannot be certified; ``mc`` on an algebra with neither a structural bound nor
+a filtration prints its truncated report and exits 3, flat or not).  Reports
+are deterministic: the same seed and configuration produce byte-identical
+JSON.  The environment variable DB_MAX_TERMS overrides the term-count safety
+cap of the polynomial layer.
 """
 
 from __future__ import annotations
@@ -206,6 +208,16 @@ def cmd_mc(args) -> int:
         "flat": report.residual.is_zero(),
     }
     _emit(payload, args.json)
+    if report.terminated_by == "truncation":
+        # a series cut at the term cap certifies neither a zero nor a
+        # nonzero residual
+        print(
+            f"resource limit: Maurer-Cartan series truncated after "
+            f"{report.terms_evaluated} terms without a structural bound or "
+            f"filtration",
+            file=sys.stderr,
+        )
+        return 3
     return 0 if report.residual.is_zero() else 1
 
 

@@ -1,5 +1,6 @@
 """Graded-vector-space substrate: Koszul signs, unshuffles, degree shifts,
-and sparse exact-rational elements of a finitely generated graded space.
+sparse exact-rational elements of a finitely generated graded space, and the
+two-part direct sums that carry the big and twisted-Poisson algebras.
 
 All scalars are ``fractions.Fraction`` (always reduced, positive denominator);
 no floating point appears anywhere in this package.
@@ -69,24 +70,24 @@ class Permutation:
         return Permutation(self(other(i)) for i in range(1, len(self) + 1))
 
     def sign(self) -> int:
-        seen = [False] * len(self.images)
-        sign = 1
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        return -1 if inversion_parity(self.images) else 1
 
 
 def identity_permutation(n: int) -> Permutation:
     return Permutation(range(1, n + 1))
+
+
+def inversion_parity(seq) -> int:
+    """Parity (0 or 1) of the number of inversions of ``seq``: pairs i < j
+    with seq[i] > seq[j].  Sorting ``seq`` by adjacent transpositions takes
+    exactly that many swaps, so (-1)^parity is the sign of the reordering;
+    every permutation and reordering sign in the package is computed here."""
+    parity = 0
+    for i, x in enumerate(seq):
+        for y in seq[i + 1:]:
+            if x > y:
+                parity ^= 1
+    return parity
 
 
 def koszul_sign(sigma: Permutation, degrees: list[int] | tuple[int, ...]) -> Fraction:
@@ -94,22 +95,13 @@ def koszul_sign(sigma: Permutation, degrees: list[int] | tuple[int, ...]) -> Fra
 
     The transposition of two adjacent elements u, w contributes (-1)^{|u||w|};
     the sign of an arbitrary permutation is the product over any decomposition
-    into adjacent transpositions (computed here by bubble sort, O(n^2)).
+    into adjacent transpositions.  Only swaps of two odd elements count, so
+    the sign is the inversion parity of the odd-degree entries of sigma.
     """
     if len(degrees) != len(sigma):
         raise ValueError("degrees/permutation size mismatch")
-    seq = list(sigma.images)
-    sign = 1
-    # Bubble-sort seq to the identity; swapping entries i, j transposes v_i, v_j.
-    for k in range(len(seq)):
-        for pos in range(len(seq) - 1 - k):
-            if seq[pos] > seq[pos + 1]:
-                di = degrees[seq[pos] - 1]
-                dj = degrees[seq[pos + 1] - 1]
-                if (di * dj) % 2 == 1:
-                    sign = -sign
-                seq[pos], seq[pos + 1] = seq[pos + 1], seq[pos]
-    return Fraction(sign)
+    odd = [i for i in sigma.images if degrees[i - 1] % 2]
+    return MINUS_ONE if inversion_parity(odd) else ONE
 
 
 def chi_sign(sigma: Permutation, degrees: list[int] | tuple[int, ...]) -> Fraction:
@@ -277,3 +269,94 @@ class HomElt:
             else:
                 parts.append(f"{coef}*{name}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+class DirectSum:
+    """An element of a two-part direct sum V (+) W, held as its two parts.
+
+    Arithmetic is componentwise.  Subclasses name the parts by aliasing the
+    two slots and may validate in their own ``__init__``; sums, negatives and
+    scalings of valid elements are valid, so they are built by :meth:`_of`
+    without that check.  Elements of different subclasses are never equal.
+    The grading comes from :func:`direct_sum_grading`.
+    """
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second):
+        self.first = first
+        self.second = second
+
+    @classmethod
+    def _of(cls, first, second) -> "DirectSum":
+        new = object.__new__(cls)
+        new.first = first
+        new.second = second
+        return new
+
+    def is_zero(self) -> bool:
+        return self.first.is_zero() and self.second.is_zero()
+
+    def __add__(self, other: "DirectSum") -> "DirectSum":
+        return self._of(self.first + other.first, self.second + other.second)
+
+    def __sub__(self, other: "DirectSum") -> "DirectSum":
+        return self._of(self.first - other.first, self.second - other.second)
+
+    def __neg__(self) -> "DirectSum":
+        return self._of(-self.first, -self.second)
+
+    def scale(self, scalar) -> "DirectSum":
+        return self._of(self.first.scale(scalar), self.second.scale(scalar))
+
+    __mul__ = scale
+    __rmul__ = scale
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.first == other.first
+            and self.second == other.second
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.first, self.second))
+
+
+def direct_sum_grading(cls: type, first: tuple, second: tuple):
+    """The ``(degree, components)`` pair of a :class:`DirectSum` subclass.
+
+    ``first`` and ``second`` are ``(degree, components, offset)`` for the
+    two parts: a part of degree d sits in degree d + offset of the sum.
+    ``degree`` is None on inhomogeneous and zero elements; ``components``
+    lists (degree, homogeneous element) by ascending degree, and pairs a
+    part with the zero of the other part's space where only one part has
+    that degree.
+    """
+    (deg1, comps1, off1), (deg2, comps2, off2) = first, second
+
+    def degree(e: DirectSum) -> int | None:
+        degs = set()
+        if not e.first.is_zero():
+            d = deg1(e.first)
+            if d is None:
+                return None
+            degs.add(d + off1)
+        if not e.second.is_zero():
+            d = deg2(e.second)
+            if d is None:
+                return None
+            degs.add(d + off2)
+        if len(degs) == 1:
+            return degs.pop()
+        return None
+
+    def components(e: DirectSum) -> list[tuple[int, DirectSum]]:
+        by: dict[int, list] = {}
+        for d, part in comps1(e.first):
+            by[d + off1] = [part, e.second.scale(0)]
+        for d, part in comps2(e.second):
+            by.setdefault(d + off2, [e.first.scale(0), None])[1] = part
+        return [(d, cls._of(p, q)) for d, (p, q) in sorted(by.items())]
+
+    return degree, components

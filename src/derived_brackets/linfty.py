@@ -20,6 +20,7 @@ fields, super-polynomial oracles and direct sums thereof.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,6 +89,30 @@ class MCReport:
 
     def is_flat(self) -> bool:
         return self.residual.is_zero()
+
+
+def homogeneous_combinations(args: tuple, degree: Callable, components: Callable):
+    """Expand inhomogeneous arguments multilinearly.
+
+    Yields the tuples of homogeneous parts, one part per slot, whose values
+    sum to the value on ``args``; nothing is yielded when an argument is
+    zero.  An argument that is the identical object as its left neighbour
+    shares that neighbour's decomposition, so the repeated slots of
+    m_n(phi, .., phi) hold identical part objects and evaluators can reuse
+    work across them.
+    """
+    parts: list[list[Elt]] = []
+    for i, a in enumerate(args):
+        if i and a is args[i - 1]:
+            parts.append(parts[-1])
+            continue
+        if a.is_zero():
+            return
+        if degree(a) is not None:
+            parts.append([a])
+        else:
+            parts.append([p for _, p in components(a)])
+    yield from itertools.product(*parts)
 
 
 def _require_homogeneous(algebra: LInftyOne, args: tuple) -> list[int]:
@@ -287,7 +312,7 @@ def from_antisymmetric(v_algebra: LInfty) -> LInftyOne:
 
     def m(k: int, args: tuple) -> Elt:
         total = v_algebra.zero
-        for combo in _homogeneous_combinations(v_algebra, args):
+        for combo in homogeneous_combinations(args, v_algebra.degree, v_algebra.components):
             degrees = [v_algebra.degree(a) for a in combo]
             value = v_algebra.l(k, tuple(combo))
             if value.is_zero():
@@ -324,7 +349,7 @@ def to_antisymmetric(algebra: LInftyOne) -> LInfty:
 
     def l(k: int, args: tuple) -> Elt:
         total = algebra.zero
-        for combo in _homogeneous_combinations(algebra, args):
+        for combo in homogeneous_combinations(args, algebra.degree, algebra.components):
             degrees = [algebra.degree(a) + 1 for a in combo]
             value = algebra.m(k, tuple(combo))
             if not value.is_zero():
@@ -339,17 +364,3 @@ def to_antisymmetric(algebra: LInftyOne) -> LInfty:
         max_arity=algebra.max_arity,
         name=algebra.name,
     )
-
-
-def _homogeneous_combinations(algebra: LInfty | LInftyOne, args: tuple):
-    import itertools
-
-    parts = []
-    for a in args:
-        if a.is_zero():
-            return
-        if algebra.degree(a) is not None:
-            parts.append([a])
-        else:
-            parts.append([p for _, p in algebra.components(a)])
-    yield from itertools.product(*parts)

@@ -24,7 +24,7 @@ import json
 import os
 from fractions import Fraction
 
-from .graded import ZERO, Fraction as _Frac, as_fraction
+from .graded import ZERO, as_fraction, inversion_parity
 
 Mono = tuple[int, ...]
 Wedge = tuple[int, ...]
@@ -112,14 +112,7 @@ def _sort_wedge(wedge: tuple[int, ...]) -> tuple[int, Wedge] | None:
     """Sort wedge indices, returning (sign, sorted) or None when repeated."""
     if len(set(wedge)) != len(wedge):
         return None
-    items = list(wedge)
-    sign = 1
-    for i in range(len(items)):
-        for j in range(len(items) - 1 - i):
-            if items[j] > items[j + 1]:
-                items[j], items[j + 1] = items[j + 1], items[j]
-                sign = -sign
-    return sign, tuple(items)
+    return (-1 if inversion_parity(wedge) else 1), tuple(sorted(wedge))
 
 
 class _WedgeElement:
@@ -473,7 +466,7 @@ def multi_sharp(pis: list[PolyMultivector], w: PolyForm) -> PolyMultivector:
     for (mono, wedge), coef in w.terms.items():
         covectors = [form(dims, 1, None, (leg,)) for leg in wedge]
         for perm in itertools.permutations(range(n)):
-            sign = _perm_sign(perm)
+            sign = -1 if inversion_parity(perm) else 1
             product = mv(dims, coef * sign, mono, ())
             for i in range(n):
                 product = wedge_mv(product, sharp(pis[i], covectors[perm[i]]))
@@ -481,15 +474,6 @@ def multi_sharp(pis: list[PolyMultivector], w: PolyForm) -> PolyMultivector:
                     break
             out = out + product
     return out
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 # -- coisotropic model C = {p = 0} in R^m x R^k ----------------------------------

@@ -22,10 +22,9 @@ evaluated inside this model and translated back.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import ZERO, as_fraction
+from .graded import ZERO, as_fraction, inversion_parity
 from .linfty import Filtration, LInftyOne
 from .polygeo import PolyForm, PolyMultivector
 from .vdata import BigElt, VData, big_algebra, restrict
@@ -51,11 +50,9 @@ def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, 
         return 1, a
     if set(a) & set(b):
         return None
-    inversions = 0
-    for x in b:
-        inversions += sum(1 for y in a if y > x)
-    merged = tuple(sorted(a + b))
-    return (-1 if inversions % 2 else 1), merged
+    # a and b are ascending, so every inversion of a + b pairs an entry of a
+    # with a smaller entry of b
+    return (-1 if inversion_parity(a + b) else 1), tuple(sorted(a + b))
 
 
 class SuperPoly:

@@ -1,8 +1,11 @@
 """The twisted-Poisson homotopy algebra on R^m and its gauge geometry.
 
 Carrier: pairs (form part in Omega^{>=1}[3], multivector part in X^*[2]), so a
-q-form sits in degree q-3 and an arity-s multivector in degree s-2.  The only
-non-vanishing multibrackets are
+q-form sits in degree q-3 and an arity-s multivector in degree s-2.  A pair is
+a :class:`TPoisElement`, the two-part direct sum of graded that also carries
+the big derived-bracket algebra's L[1] (+) a; the coordinate-model oracle
+evaluates these brackets on exactly that carrier, as BigElt(form image,
+multivector image).  The only non-vanishing multibrackets are
 
   a) unary: (H, pi) -> (-dH, 0),
   b) binary on multivectors: {pi1, pi2} = [pi1, pi2] (-1)^{a1+1},
@@ -31,8 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import as_fraction
-from .linfty import LInftyOne
+from .graded import DirectSum, as_fraction, direct_sum_grading
+from .linfty import LInftyOne, homogeneous_combinations
 from .polygeo import (
     Mono,
     PolyForm,
@@ -49,18 +52,19 @@ from .polygeo import (
 ONE_HALF = Fraction(1, 2)
 
 
-class TPoisElement:
+class TPoisElement(DirectSum):
     """Pair (form part, multivector part); forms must have degree >= 1."""
 
-    __slots__ = ("form_part", "mv_part")
+    __slots__ = ()
+    form_part = DirectSum.first
+    mv_part = DirectSum.second
 
     def __init__(self, form_part: PolyForm, mv_part: PolyMultivector):
         if form_part.dims != mv_part.dims or form_part.dims[1] != 0:
             raise ValueError("both parts must live on the same plain base R^m")
         if 0 in form_part.form_degrees():
             raise ValueError("the form part lives in degrees >= 1")
-        self.form_part = form_part
-        self.mv_part = mv_part
+        super().__init__(form_part, mv_part)
 
     @staticmethod
     def zero(m: int) -> "TPoisElement":
@@ -78,95 +82,20 @@ class TPoisElement:
     def dims(self):
         return self.form_part.dims
 
-    def is_zero(self) -> bool:
-        return self.form_part.is_zero() and self.mv_part.is_zero()
-
-    def degree(self) -> int | None:
-        degs = set()
-        for q in self.form_part.form_degrees():
-            degs.add(q - 3)
-        for (_, w) in self.mv_part.terms:
-            degs.add(len(w) - 2)
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def components(self) -> list[tuple[int, "TPoisElement"]]:
-        m = self.dims[0]
-        by: dict[int, TPoisElement] = {}
-        for q, part in self.form_part.components():
-            d = q - 3
-            prev = by.get(d, TPoisElement.zero(m))
-            by[d] = TPoisElement(prev.form_part + part, prev.mv_part)
-        for s, part in self.mv_part.components():
-            d = s + 1 - 2  # components() of multivectors reports arity - 1
-            prev = by.get(d, TPoisElement.zero(m))
-            by[d] = TPoisElement(prev.form_part, prev.mv_part + part)
-        return sorted(by.items())
-
-    def __add__(self, other: "TPoisElement") -> "TPoisElement":
-        return TPoisElement(self.form_part + other.form_part, self.mv_part + other.mv_part)
-
-    def __sub__(self, other: "TPoisElement") -> "TPoisElement":
-        return TPoisElement(self.form_part - other.form_part, self.mv_part - other.mv_part)
-
-    def __neg__(self) -> "TPoisElement":
-        return TPoisElement(-self.form_part, -self.mv_part)
-
-    def scale(self, scalar) -> "TPoisElement":
-        return TPoisElement(self.form_part.scale(scalar), self.mv_part.scale(scalar))
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TPoisElement)
-            and self.form_part == other.form_part
-            and self.mv_part == other.mv_part
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.form_part, self.mv_part))
-
     def __repr__(self) -> str:
         return f"({self.form_part!r} ; {self.mv_part!r})"
 
 
+# a q-form sits in degree q - 3; an arity-s multivector, graded s - 1 by the
+# Schouten bracket, sits in degree s - 2
+_degree, _components = direct_sum_grading(
+    TPoisElement,
+    (PolyForm.degree, PolyForm.components, -3),
+    (PolyMultivector.degree, PolyMultivector.components, -1),
+)
+
+
 # -- the direct multibrackets -----------------------------------------------------
-
-
-def _family_c(h: PolyForm, pis: list[PolyMultivector]) -> PolyMultivector:
-    """{H, pi_1, .., pi_n} for homogeneous inputs: nonzero only when the form
-    degree equals the number of multivector arguments."""
-    n = len(pis)
-    dims = h.dims
-    out = PolyMultivector.zero(dims)
-    h_part = h.degree_part(n)
-    if h_part.is_zero():
-        return out
-    arity_lists = [sorted(pi.arities()) for pi in pis]
-    for arities in itertools.product(*arity_lists):
-        parts = [pi.arity_part(a) for pi, a in zip(pis, arities)]
-        if any(a < 1 for a in arities):
-            continue  # functions contract to zero
-        exponent = sum(a * (n - i) for i, a in enumerate(arities, start=1))
-        sign = -1 if exponent % 2 else 1
-        value = multi_sharp(parts, h_part)
-        if not value.is_zero():
-            out = out + value.scale(sign)
-    return out
-
-
-def _family_b(p1: PolyMultivector, p2: PolyMultivector) -> PolyMultivector:
-    """{pi1, pi2} = [pi1, pi2] (-1)^{a1 + 1} summed over the arities of pi1."""
-    out = PolyMultivector.zero(p1.dims)
-    for arity in sorted(p1.arities()):
-        sign = 1 if (arity + 1) % 2 == 0 else -1
-        value = schouten(p1.arity_part(arity), p2)
-        if not value.is_zero():
-            out = out + value.scale(sign)
-    return out
 
 
 def tpois_bracket(n: int, args: tuple[TPoisElement, ...]) -> TPoisElement:
@@ -186,56 +115,48 @@ def tpois_bracket(n: int, args: tuple[TPoisElement, ...]) -> TPoisElement:
             raise ValueError("ambient space mismatch")
     if n == 1:
         return TPoisElement.of_form(-de_rham(args[0].form_part))
-    expanded = []
-    for arg in args:
-        if arg.is_zero():
-            return zero
-        if arg.degree() is not None:
-            expanded.append([arg])
-        else:
-            expanded.append([part for _, part in arg.components()])
     total = zero
-    for combo in itertools.product(*expanded):
-        total = total + _bracket_homogeneous(n, combo)
+    for combo in homogeneous_combinations(args, _degree, _components):
+        total = total + _bracket_homogeneous(combo)
     return total
 
 
-def _bracket_homogeneous(n: int, combo: tuple[TPoisElement, ...]) -> TPoisElement:
-    """Bracket of homogeneous elements; each slot may still mix a form and a
-    multivector constituent of the same degree."""
-    m = combo[0].dims[0]
-    zero = TPoisElement.zero(m)
-    degrees = [e.degree() for e in combo]
-    options = []
-    for e in combo:
-        opts = []
-        if not e.form_part.is_zero():
-            opts.append(("form", e.form_part))
-        if not e.mv_part.is_zero():
-            opts.append(("mv", e.mv_part))
-        options.append(opts)
-    total = zero
-    for pattern in itertools.product(*options):
-        kinds = [k for k, _ in pattern]
-        n_forms = kinds.count("form")
-        if n_forms >= 2:
+def _bracket_homogeneous(combo: tuple[TPoisElement, ...]) -> TPoisElement:
+    """Bracket of n >= 2 homogeneous elements; each slot may still hold both a
+    form and a multivector of the same degree.
+
+    Only the live patterns are built, in the order of the full (form,
+    multivector) enumeration: the form of slot ``pos`` with the multivectors
+    of every other slot (family c), for each pos, then at n = 2 the two
+    multivectors (family b).  Every other pattern has two forms, or three or
+    more multivectors and no form, and vanishes.
+    """
+    n = len(combo)
+    total = TPoisElement.zero(combo[0].dims[0])
+    degrees = [_degree(e) for e in combo]
+    mvs = [e.mv_part for e in combo]
+    mv_zero = [u.is_zero() for u in mvs]
+    n_zero = sum(mv_zero)
+    for pos, e in enumerate(combo):
+        h = e.form_part
+        # c) {H, pi_1, .., pi_{n-1}} needs a form of degree n - 1 at pos,
+        # multivectors of arity >= 1 elsewhere (functions contract to zero)
+        if h.is_zero() or n_zero > mv_zero[pos] or h.degree() != n - 1:
             continue
-        if n_forms == 0:
-            if n == 2:
-                total = total + TPoisElement.of_mv(
-                    _family_b(pattern[0][1], pattern[1][1])
-                )
+        pis = mvs[:pos] + mvs[pos + 1:]
+        arities = [u.degree() + 1 for u in pis]
+        if 0 in arities:
             continue
-        pos = kinds.index("form")
-        h = pattern[pos][1]
-        pis = [p for k, p in pattern if k == "mv"]
-        # Koszul sign for moving the form to the front of the tuple
-        sign = 1
-        if degrees[pos] % 2 == 1 and sum(degrees[:pos]) % 2 == 1:
-            sign = -1
-        value = _family_c(h, pis)
+        exponent = sum(a * (n - 1 - i) for i, a in enumerate(arities, start=1))
+        # and the Koszul sign for moving the form to the front of the tuple
+        exponent += degrees[pos] % 2 * sum(degrees[:pos])
+        value = multi_sharp(pis, h)
         if not value.is_zero():
-            total = total + TPoisElement.of_mv(value.scale(sign))
+            total = total + TPoisElement.of_mv(value.scale(-1 if exponent % 2 else 1))
+    if n == 2 and not n_zero:
+        # b) {pi1, pi2} = [pi1, pi2] (-1)^{a1 + 1}
+        sign = 1 if mvs[0].degree() % 2 == 0 else -1
+        total = total + TPoisElement.of_mv(schouten(mvs[0], mvs[1]).scale(sign))
     return total
 
 
@@ -251,8 +172,8 @@ def tpois_linfty(m: int, max_relation_arity: int = 5) -> LInftyOne:
         return tpois_bracket(k, args)
 
     return LInftyOne(
-        degree=lambda e: e.degree(),
-        components=lambda e: e.components(),
+        degree=_degree,
+        components=_components,
         m=m_eval,
         zero=zero,
         curved=False,

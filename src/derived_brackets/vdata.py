@@ -19,6 +19,13 @@ and all remaining multibrackets vanish.  Both constructions are delivered as
 :class:`~derived_brackets.linfty.LInftyOne` handles whose higher-Jacobi
 relations are property-tested rather than assumed.
 
+Elements of L[1] (+) a are :class:`BigElt`, the two-part direct sum of
+:mod:`~derived_brackets.graded` with degree offsets (-1, 0).  The
+twisted-Poisson carrier Omega[3] (+) X[2] is the same type
+(:class:`~derived_brackets.tpois.TPoisElement`), which is how the coordinate
+model's oracle already evaluates it: as a BigElt(form image, multivector
+image) of its big algebra.
+
 The backend is abstract: brackets, degrees and projections are supplied as
 callables, so structure-constant algebras, polynomial multivector fields and
 super-polynomial models all plug in here.
@@ -28,11 +35,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .linfty import Filtration, LInftyOne, MCError, NonTerminatingSeriesError, mc_residual
+from .graded import DirectSum, direct_sum_grading
+from .linfty import (
+    Filtration,
+    LInftyOne,
+    MCError,
+    NonTerminatingSeriesError,
+    homogeneous_combinations,
+    mc_residual,
+)
 
 Elt = Any
 
@@ -221,39 +236,13 @@ def small_algebra(v: VData) -> LInftyOne:
 # -- the big algebra ---------------------------------------------------------------
 
 
-class BigElt:
+class BigElt(DirectSum):
     """An element of L[1] (+) a: ``x`` is the unshifted representative of the
     L[1] component, ``a`` the subalgebra component."""
 
-    __slots__ = ("x", "a")
-
-    def __init__(self, x: Elt, a: Elt):
-        self.x = x
-        self.a = a
-
-    def is_zero(self) -> bool:
-        return self.x.is_zero() and self.a.is_zero()
-
-    def __add__(self, other: "BigElt") -> "BigElt":
-        return BigElt(self.x + other.x, self.a + other.a)
-
-    def __sub__(self, other: "BigElt") -> "BigElt":
-        return BigElt(self.x - other.x, self.a - other.a)
-
-    def __neg__(self) -> "BigElt":
-        return BigElt(-self.x, -self.a)
-
-    def scale(self, scalar) -> "BigElt":
-        return BigElt(self.x.scale(scalar), self.a.scale(scalar))
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BigElt) and self.x == other.x and self.a == other.a
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.a))
+    __slots__ = ()
+    x = DirectSum.first
+    a = DirectSum.second
 
     def __repr__(self) -> str:
         return f"({self.x!r})[1] + ({self.a!r})"
@@ -278,31 +267,10 @@ def big_algebra(v: VData) -> LInftyOne:
         raise ValueError("the big construction needs a genuine (non-curved) quadruple")
 
     zero_pair = BigElt(v.zero, v.zero)
-
-    def pair_degree(e: BigElt) -> int | None:
-        degs = set()
-        if not e.x.is_zero():
-            dx = v.degree(e.x)
-            if dx is None:
-                return None
-            degs.add(dx - 1)
-        if not e.a.is_zero():
-            da = v.degree(e.a)
-            if da is None:
-                return None
-            degs.add(da)
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def pair_components(e: BigElt) -> list[tuple[int, BigElt]]:
-        by: dict[int, BigElt] = {}
-        for d, part in v.components(e.x):
-            w = d - 1
-            by[w] = by.get(w, zero_pair) + BigElt(part, v.zero)
-        for d, part in v.components(e.a):
-            by[d] = by.get(d, zero_pair) + BigElt(v.zero, part)
-        return sorted(by.items())
+    # x[1] sits one degree below x; the a part keeps its degree
+    degree, components = direct_sum_grading(
+        BigElt, (v.degree, v.components, -1), (v.degree, v.components, 0)
+    )
 
     def projected_chain(x: Elt, rest: Sequence[Elt]) -> Elt:
         current = x
@@ -316,21 +284,7 @@ def big_algebra(v: VData) -> LInftyOne:
         if k == 0:
             raise ValueError("the big construction is never curved")
         total = zero_pair
-        # decompose arguments into homogeneous pairs; a repeated argument
-        # shares the decomposition of its left neighbour, so its parts stay
-        # the identical objects
-        comps = []
-        for i, arg in enumerate(args):
-            if i and arg is args[i - 1]:
-                comps.append(comps[-1])
-                continue
-            if arg.is_zero():
-                return zero_pair
-            if pair_degree(arg) is not None:
-                comps.append([arg])
-            else:
-                comps.append([part for _, part in pair_components(arg)])
-        for combo in itertools.product(*comps):
+        for combo in homogeneous_combinations(args, degree, components):
             if k == 1:
                 x, a = combo[0].x, combo[0].a
                 if not x.is_zero():
@@ -356,7 +310,7 @@ def big_algebra(v: VData) -> LInftyOne:
                 # a slot repeating its left neighbour has identical chain
                 # inputs, so it reuses that chain; only its sign is new
                 if not (pos and e is combo[pos - 1]):
-                    deg = pair_degree(e)
+                    deg = degree(e)
                     value = None
                     if not e.x.is_zero() and (n_zero == 0 or a_zero[pos]):
                         value = projected_chain(e.x, a_parts[:pos] + a_parts[pos + 1:])
@@ -398,8 +352,8 @@ def big_algebra(v: VData) -> LInftyOne:
     max_arity = None if v.max_arity is None else v.max_arity + 1
 
     return LInftyOne(
-        degree=pair_degree,
-        components=pair_components,
+        degree=degree,
+        components=components,
         m=m,
         zero=zero_pair,
         curved=False,

@@ -1,0 +1,46 @@
+"""The benchmark's per-layer tracer patches library callables by name.
+
+``perfbench/tracing.py`` wraps, among others, ``tpois.tpois_bracket`` and
+``graded.koszul_sign`` in every module that bound them.  A refactor that
+renames or stops calling a hooked attribute leaves ``--trace 1`` silently
+empty; this test runs the tracer against the checkout and requires spans
+for both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import run, tracing
+
+lib = run.fresh_import()
+tracer = tracing.Tracer()
+tracing.instrument(lib, tracer)
+P, T = lib.polygeo, lib.tpois
+dims = (2, 0)
+h = T.TPoisElement.of_form(P.form(dims, 1, (1, 0), (0,)))
+pi = T.TPoisElement.of_mv(P.mv(dims, 1, None, (0, 1)))
+T.tpois_bracket(2, (h, pi))
+lib.linfty.relations_residual(T.tpois_linfty(2), 2, (pi, pi))
+print(json.dumps(tracer.self_times()[2]))
+"""
+
+
+def test_tracer_records_spans_for_hooked_callables():
+    script = SCRIPT.format(
+        perfbench=os.path.join(ROOT, "perfbench"), src=os.path.join(ROOT, "src")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert calls.get("tpois.tpois_bracket", 0) >= 2
+    assert calls.get("graded.koszul_sign", 0) >= 1
+    assert calls.get("linfty.relations_residual", 0) == 1

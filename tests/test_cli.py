@@ -212,6 +212,44 @@ def test_violated_series_bound_exits_with_resource_limit(files, tmp_path, capsys
     _assert_resource_limit(capsys)
 
 
+def test_uncertified_mc_exits_with_resource_limit(tmp_path, capsys):
+    # a "gla" quadruple without a filtration: the series is cut at --max-terms,
+    # which certifies neither a zero nor a nonzero residual
+    vdata = _data("vdata_gla_unfiltered.json")
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps({"element": [{"coef_num": 1, "coef_den": 1, "basis": "a"}]}))
+    cases = ((_data("alpha_mc.json"), True), (_data("pair_not_mc.json"), False),
+             (str(element), False))
+    for path, flat in cases:
+        assert main(["--json", "mc", vdata, path]) == 3
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["terminated_by"] == "truncation"
+        assert report["terms_evaluated"] == 12
+        assert report["flat"] is flat
+        assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
+
+
+def test_element_payload_shapes():
+    from derived_brackets.cli import _element_payload
+    from derived_brackets.polygeo import element_to_json as poly_to_json, form, mv
+    from derived_brackets.sampling import fixture_vdata
+    from derived_brackets.tpois import TPoisElement
+    from derived_brackets.vdata import BigElt
+
+    space = fixture_vdata().zero.space
+    pair = BigElt(space.gen("u"), space.gen("a", 2))
+    assert _element_payload(pair) == {
+        "x": element_to_json(space.gen("u")),
+        "a": element_to_json(space.gen("a", 2)),
+    }
+    h, u = form((2, 0), 1, None, (0, 1)), mv((2, 0), 3, (1, 0), (1,))
+    assert _element_payload(TPoisElement(h, u)) == {
+        "form": poly_to_json(h),
+        "mv": poly_to_json(u),
+    }
+
+
 def test_run_config_invariants():
     from derived_brackets.sampling import RunConfig
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from derived_brackets.graded import (
     chi_sign,
     decalage_sign,
     identity_permutation,
+    inversion_parity,
     koszul_sign,
     unshuffles,
 )
@@ -38,6 +40,33 @@ def test_chi_examples():
 def test_koszul_size_mismatch():
     with pytest.raises(ValueError):
         koszul_sign(Permutation([2, 1]), [1, 1, 1])
+
+
+def _adjacent_transposition_signs(images, degrees):
+    """Sort by adjacent transpositions, recording the parity of the number of
+    swaps and the Koszul sign (-1)^{|u||w|} of each swap of u past w."""
+    seq, swaps, koszul = list(images), 0, 1
+    for k in range(len(seq)):
+        for pos in range(len(seq) - 1 - k):
+            if seq[pos] > seq[pos + 1]:
+                swaps += 1
+                if degrees[seq[pos] - 1] * degrees[seq[pos + 1] - 1] % 2:
+                    koszul = -koszul
+                seq[pos], seq[pos + 1] = seq[pos + 1], seq[pos]
+    return swaps % 2, koszul
+
+
+def test_inversion_parity_matches_adjacent_transpositions():
+    rng = random.Random(7)
+    for n in range(7):
+        for images in itertools.permutations(range(1, n + 1)):
+            degrees = [rng.randint(-3, 4) for _ in range(n)]
+            parity, koszul = _adjacent_transposition_signs(images, degrees)
+            sigma = Permutation(images)
+            assert inversion_parity(images) == parity
+            assert sigma.sign() == (-1) ** parity
+            assert koszul_sign(sigma, degrees) == koszul
+            assert chi_sign(sigma, degrees) == koszul * (-1) ** parity
 
 
 perm_and_degrees = st.integers(min_value=1, max_value=6).flatmap(

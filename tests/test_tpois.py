@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from derived_brackets.polygeo import (
     contract_form,
     de_rham,
     form,
+    multi_sharp,
     mv,
     schouten,
 )
@@ -136,6 +138,157 @@ def test_relations_hold():
                 for _ in range(n)
             )
             assert relations_residual(algebra, n, args).is_zero()
+
+
+# -- the live patterns against the full (form, multivector) enumeration ----------------
+
+
+def _reference_degree(e):
+    degs = {q - 3 for q in e.form_part.form_degrees()}
+    degs |= {s - 2 for s in e.mv_part.arities()}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def _reference_components(e):
+    m = e.dims[0]
+    by = {}
+    for q, part in e.form_part.components():
+        prev = by.get(q - 3, TPoisElement.zero(m))
+        by[q - 3] = TPoisElement(prev.form_part + part, prev.mv_part)
+    for s, part in e.mv_part.components():
+        prev = by.get(s - 1, TPoisElement.zero(m))  # components() reports arity - 1
+        by[s - 1] = TPoisElement(prev.form_part, prev.mv_part + part)
+    return sorted(by.items())
+
+
+def _reference_family_c(h, pis):
+    n = len(pis)
+    out = PolyMultivector.zero(h.dims)
+    h_part = h.degree_part(n)
+    if h_part.is_zero():
+        return out
+    for arities in itertools.product(*[sorted(pi.arities()) for pi in pis]):
+        if any(a < 1 for a in arities):
+            continue  # functions contract to zero
+        parts = [pi.arity_part(a) for pi, a in zip(pis, arities)]
+        exponent = sum(a * (n - i) for i, a in enumerate(arities, start=1))
+        out = out + multi_sharp(parts, h_part).scale(-1 if exponent % 2 else 1)
+    return out
+
+
+def _reference_family_b(p1, p2):
+    out = PolyMultivector.zero(p1.dims)
+    for arity in sorted(p1.arities()):
+        out = out + schouten(p1.arity_part(arity), p2).scale(1 if arity % 2 else -1)
+    return out
+
+
+def _reference_bracket(n, args):
+    """tpois_bracket by expanding every argument into homogeneous parts and
+    every slot into its form or its multivector: all 2^k patterns."""
+    m = args[0].dims[0]
+    if n == 1:
+        return TPoisElement.of_form(-de_rham(args[0].form_part))
+    total = TPoisElement.zero(m)
+    if any(a.is_zero() for a in args):
+        return total
+    expanded = [
+        [a] if _reference_degree(a) is not None else [p for _, p in _reference_components(a)]
+        for a in args
+    ]
+    for combo in itertools.product(*expanded):
+        degrees = [_reference_degree(e) for e in combo]
+        options = [
+            [(kind, part) for kind, part in (("form", e.form_part), ("mv", e.mv_part))
+             if not part.is_zero()]
+            for e in combo
+        ]
+        for pattern in itertools.product(*options):
+            kinds = [kind for kind, _ in pattern]
+            if kinds.count("form") == 0 and n == 2:
+                total = total + T(_reference_family_b(pattern[0][1], pattern[1][1]))
+            elif kinds.count("form") == 1:
+                pos = kinds.index("form")
+                pis = [p for kind, p in pattern if kind == "mv"]
+                sign = -1 if degrees[pos] % 2 and sum(degrees[:pos]) % 2 else 1
+                total = total + T(_reference_family_c(pattern[pos][1], pis).scale(sign))
+    return total
+
+
+def _pattern_argument_lists(rng, m, n):
+    """Tuples of n arguments on R^m: inhomogeneous sums, a form of degree n - 1
+    beside multivectors, slots with a zero form or multivector part,
+    arguments repeated in adjacent slots, and functions (arity-0 parts)."""
+    dims = (m, 0)
+
+    def element(w=None):
+        return random_tpois_element(rng, m, rng.choice([-1, -1, 0, 1]) if w is None else w, 1)
+
+    def mixed():
+        return element(-1) + element(0) + T(random_multivector(rng, dims, 0, 1))
+
+    def with_form(args):
+        args = list(args)
+        if 1 <= n - 1 <= m:
+            pos = rng.randrange(n)
+            args[pos] = args[pos] + T(random_form(rng, dims, n - 1, 1))
+        return tuple(args)
+
+    p, f = mixed(), T(random_multivector(rng, dims, 0, 2))
+    yield tuple(element() for _ in range(n))
+    yield with_form(element() + element() for _ in range(n))
+    yield with_form(mixed() for _ in range(n))
+    yield with_form(T(e.mv_part) if rng.random() < 0.5 else e for e in (mixed() for _ in range(n)))
+    yield with_form((p,) * n)
+    yield with_form((p,) * (n - 1) + (T(p.form_part),))
+    yield with_form((f,) + tuple(element(-1) for _ in range(n - 1)))
+    yield with_form(tuple(element(-1) for _ in range(n - 1)) + (f + element(-1),))
+
+
+def test_bracket_matches_full_pattern_enumeration():
+    rng = random.Random(41)
+    checked = nonzero = 0
+    for m in (2, 3, 4):
+        for n in range(1, 6):
+            for args in _pattern_argument_lists(rng, m, n):
+                value = tpois_bracket(n, args)
+                assert value == _reference_bracket(n, args), (m, args)
+                checked += 1
+                nonzero += not value.is_zero()
+    assert nonzero > checked // 3
+
+
+# -- the two-part element type ----------------------------------------------------------
+
+
+def test_element_rejects_zero_forms_and_mismatched_dims():
+    with pytest.raises(ValueError):
+        TPoisElement(form(D3, 1, (1, 0, 0), ()), PolyMultivector.zero(D3))
+    with pytest.raises(ValueError):
+        TPoisElement(PolyForm.zero((2, 0)), PolyMultivector.zero(D3))
+    with pytest.raises(ValueError):
+        TPoisElement(PolyForm.zero((3, 1)), PolyMultivector.zero((3, 1)))
+
+
+def test_element_arithmetic_stays_in_the_type():
+    rng = random.Random(42)
+    e = random_tpois_element(rng, 3, 0, 2)
+    g = random_tpois_element(rng, 3, -1, 2)
+    for value in (e + g, e - g, -e, e.scale(Fraction(2, 3)), 3 * e):
+        assert type(value) is TPoisElement
+    assert (e + g).form_part == e.form_part + g.form_part
+    assert (e + g).mv_part == e.mv_part + g.mv_part
+    assert e.scale(0).is_zero() and e.scale(0) == TPoisElement.zero(3)
+    assert e - e == TPoisElement.zero(3) and hash(e + g) == hash(g + e)
+
+
+def test_element_is_not_equal_to_a_big_algebra_pair():
+    from derived_brackets.vdata import BigElt
+
+    h, u = form(D3, 1, None, (0, 1)), mv(D3, 1, None, (2,))
+    assert TPoisElement(h, u) != BigElt(h, u)
+    assert BigElt(h, u) != TPoisElement(h, u)
+    assert BigElt(h, u) == BigElt(h, u)
 
 
 # -- Maurer-Cartan ------------------------------------------------------------------
@@ -480,7 +633,7 @@ def test_graded_symmetry_of_the_brackets():
             images = list(range(1, n + 1))
             rng.shuffle(images)
             sigma = Permutation(images)
-            degrees = [a.degree() if not a.is_zero() else 0 for a in args]
+            degrees = [algebra.degree(a) if not a.is_zero() else 0 for a in args]
             permuted = tuple(args[sigma(i) - 1] for i in range(1, n + 1))
             eps = koszul_sign(sigma, degrees)
             assert algebra.m(n, permuted) == base.scale(eps)
