@@ -40,7 +40,7 @@ as_family = LInfty(
     components=lambda x: x.components(),
     l=lambda k, args: g.bracket(args[0], args[1]) if k == 2 else g.zero(),
     zero=g.zero(),
-    max_arity=2,
+    arity_bound=2,
 )
 shifted = from_antisymmetric(as_family)
 h, e = g.gen("h"), g.gen("e")

@@ -27,7 +27,6 @@ from .graded import (
 )
 from .gla import DGLA, StructureGLA, adjoint, gla_from_json, gla_to_json, verify_gla
 from .linfty import (
-    Filtration,
     LInfty,
     LInftyOne,
     MCError,
@@ -66,6 +65,7 @@ from .tpois import (
 )
 from .vdata import (
     BigElt,
+    Filtration,
     VData,
     big_algebra,
     machine_check,

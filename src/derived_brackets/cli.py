@@ -3,8 +3,9 @@
 Subcommands: verify-gla, derived, mc, twist, gauge, flow, suite.
 Exit codes: 0 success, 1 mathematical failure, 2 input error, 3 resource
 limit (a term count over the DB_MAX_TERMS cap, or a series whose termination
-cannot be certified; ``mc`` on an algebra with neither a structural bound nor
-a filtration prints its truncated report and exits 3, flat or not).  Reports
+cannot be certified: a nonzero term past its arity bound, or no bound at
+all; ``mc`` on a quadruple without a filtration prints its truncated report
+and exits 3, flat or not, and ``twist`` exits 3 there too).  Reports
 are deterministic: the same seed and configuration produce byte-identical
 JSON.  The environment variable DB_MAX_TERMS overrides the term-count safety
 cap of the polynomial layer.
@@ -16,9 +17,9 @@ import argparse
 import json
 import sys
 
-from .gla import element_from_json, element_to_json, gla_from_json, verify_gla
+from .gla import basis_filtration, element_from_json, element_to_json, gla_from_json, verify_gla
 from .graded import HomElt
-from .linfty import Filtration, MCError, NonTerminatingSeriesError, mc_residual
+from .linfty import MCError, NonTerminatingSeriesError, mc_residual
 from .polygeo import (
     PolyMultivector,
     TermExplosionError,
@@ -30,7 +31,15 @@ from .polygeo import (
 from .sampling import RunConfig, fixture_vdata
 from .suites import SUITE_NAMES, run_suite
 from .tpois import TPoisElement, flow_curve, gauge_Y, tpois_linfty
-from .vdata import BigElt, VData, big_algebra, small_algebra, twist_vdata, validate_vdata
+from .vdata import (
+    BigElt,
+    Filtration,
+    VData,
+    big_algebra,
+    small_algebra,
+    twist_vdata,
+    validate_vdata,
+)
 
 
 class InputError(Exception):
@@ -83,19 +92,10 @@ def _gla_backed_vdata(desc: dict, base_dir: str) -> VData:
         return out
 
     delta = element_from_json(space, desc["delta"])
-    filtration = None
-    series_bound = None
+    filtration = depth = None
     if "filtration" in desc:
-        fdeg_map = {k: int(vv) for k, vv in desc["filtration"].items()}
-        bound = int(desc.get("series_bound", 8))
-
-        def fdeg(x: HomElt) -> int:
-            if x.is_zero():
-                return 2**30
-            return min(fdeg_map[n] for n in x.terms)
-
-        filtration = Filtration(degree=fdeg, series_bound=lambda phi: bound)
-        series_bound = lambda phi: bound  # noqa: E731
+        fdeg, depth = basis_filtration({k: int(vv) for k, vv in desc["filtration"].items()})
+        filtration = Filtration(degree=fdeg)
 
     return VData(
         bracket=algebra.bracket,
@@ -109,8 +109,7 @@ def _gla_backed_vdata(desc: dict, base_dir: str) -> VData:
         a_basis=tuple(space.gen(n) for n in a_names),
         curved=bool(desc.get("curved", False)),
         filtration=filtration,
-        series_bound=series_bound,
-        max_arity=desc.get("max_arity"),
+        depth=depth,
         name=desc.get("name", "gla-backed"),
     )
 
@@ -208,16 +207,7 @@ def cmd_mc(args) -> int:
         "flat": report.residual.is_zero(),
     }
     _emit(payload, args.json)
-    if report.terminated_by == "truncation":
-        # a series cut at the term cap certifies neither a zero nor a
-        # nonzero residual
-        print(
-            f"resource limit: Maurer-Cartan series truncated after "
-            f"{report.terms_evaluated} terms without a structural bound or "
-            f"filtration",
-            file=sys.stderr,
-        )
-        return 3
+    report.certified()  # a truncated report is printed, then exits 3
     return 0 if report.residual.is_zero() else 1
 
 
@@ -336,13 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vdata")
     p.add_argument("element")
     p.add_argument("--big", action="store_true", default=False)
-    p.add_argument("--max-terms", type=int, default=12)
+    p.add_argument("--max-terms", type=int, default=12,
+                   help="term cap when the quadruple has no filtration")
     p.set_defaults(fn=cmd_mc)
 
     p = sub.add_parser("twist", help="twist a quadruple by a Maurer-Cartan pair")
     p.add_argument("vdata")
     p.add_argument("alpha")
-    p.add_argument("--max-terms", type=int, default=12)
+    p.add_argument("--max-terms", type=int, default=12,
+                   help="term cap when the quadruple has no filtration")
     p.set_defaults(fn=cmd_twist)
 
     p = sub.add_parser("gauge", help="gauge vector field at a twisted-Poisson point")

@@ -8,11 +8,11 @@ even diagonal, graded Jacobi) is report-based, never exception-based.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
-from .graded import GradedSpace, HomElt, as_fraction
+from .graded import GradedSpace, HomElt
 
 
 @dataclass(frozen=True)
@@ -252,6 +252,30 @@ class DGLA:
         return GlaReport(ok=not violations, violations=tuple(violations))
 
 
+def basis_filtration(fdeg: dict[str, int]) -> tuple[Callable[[HomElt], int], Callable[[HomElt], int]]:
+    """Filtration degree and depth of elements when basis element n sits in
+    filtration degree fdeg[n].
+
+    An element's filtration degree is the least over its basis terms (large
+    on zero).  With N = 1 + max fdeg, F^N = 0; if [F^i, F^j] lies in F^{i+j}
+    and the subalgebra lies in F^1, each insertion into a chain raises the
+    degree by at least one, so the depth of x is N - 1 - fdeg(x) (Getzler,
+    math/0404003).  A filtration that contradicts the bracket is caught by
+    the certificate term of the series it bounds.
+    """
+    top = max(fdeg.values(), default=0)
+
+    def degree(x: HomElt) -> int:
+        if x.is_zero():
+            return 2**30
+        return min(fdeg[n] for n in x.terms)
+
+    def depth(x: HomElt) -> int:
+        return max(top - degree(x), 0)
+
+    return degree, depth
+
+
 # -- JSON interchange ---------------------------------------------------------
 #
 # { "basis": [{"name": .., "degree": ..}, ..],
@@ -323,17 +347,6 @@ def gla_from_json(data: dict) -> StructureGLA:
     algebra = StructureGLA(space, table)
     algebra.input_conflicts = tuple(conflicts)
     return algebra
-
-
-def load_gla(path: str) -> StructureGLA:
-    with open(path, "r", encoding="utf-8") as fh:
-        return gla_from_json(json.load(fh))
-
-
-def save_gla(algebra: StructureGLA, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(gla_to_json(algebra), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def sample_gla() -> StructureGLA:

@@ -5,9 +5,9 @@ every ``m_k`` has degree +1 and is graded symmetric for the Koszul sign of the
 carrier's grading.  On top of the evaluator this module provides
 
   * higher-Jacobi relation residuals,
-  * Maurer-Cartan residuals with termination bookkeeping,
-  * twisting by a Maurer-Cartan element,
-  * gauge vector fields of degree -1 elements,
+  * Maurer-Cartan residuals, twisting by a Maurer-Cartan element and gauge
+    vector fields of degree -1 elements, each a series summed by one routine
+    up to the algebra's arity bound and closed by a vanishing certificate,
   * the degree-shift converter between antisymmetric (degree 2-k) bracket
     families and symmetric degree-1 ones.
 
@@ -20,6 +20,7 @@ fields, super-polynomial oracles and direct sums thereof.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,31 +45,23 @@ class NonTerminatingSeriesError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Filtration:
-    """A complete filtration certificate.
-
-    ``degree`` maps elements to their filtration degree.  ``series_bound(phi)``
-    returns an N such that every multibracket with more than N arguments equal
-    to ``phi`` vanishes; this is what makes Maurer-Cartan, twisting and gauge
-    series finite.
-    """
-
-    degree: Callable[[Elt], int]
-    series_bound: Callable[[Elt], int]
-
-
-@dataclass(frozen=True)
 class LInftyOne:
-    """Handle for an L-infinity[1] algebra (possibly curved)."""
+    """Handle for an L-infinity[1] algebra (possibly curved).
+
+    ``arity_bound`` is what makes the Maurer-Cartan, twisting and gauge
+    series finite.  An int n means every m_k with k > n vanishes.  A callable
+    maps a tuple of elements to such an n for the brackets whose arguments
+    are drawn from those elements (repetitions allowed); the derived-bracket
+    algebras read it off the depth of their quadruple.  None means no bound
+    is known, and series over the algebra cannot be certified.
+    """
 
     degree: Callable[[Elt], int | None]
     components: Callable[[Elt], list[tuple[int, Elt]]]
     m: Callable[[int, tuple], Elt]
     zero: Elt
     curved: bool = False
-    termination_bound: int | None = None
-    filtration: Filtration | None = None
-    max_arity: int | None = None
+    arity_bound: int | Callable[[tuple], int] | None = None
     max_relation_arity: int = 5
     name: str = ""
 
@@ -83,12 +76,28 @@ class LInftyOne:
 
 @dataclass(frozen=True)
 class MCReport:
+    """A Maurer-Cartan residual and how its series ended: "bound" (an int
+    arity bound) or "filtration" (an argument-dependent one), each closed by
+    a vanishing certificate term, or "truncation" (no bound, cut at the term
+    cap).  ``terms_evaluated`` counts the certificate term too."""
+
     residual: Elt
     terms_evaluated: int
     terminated_by: str  # "bound" | "filtration" | "truncation"
 
     def is_flat(self) -> bool:
         return self.residual.is_zero()
+
+    def certified(self) -> "MCReport":
+        """This report, or NonTerminatingSeriesError if it is truncated: a
+        series cut at the term cap certifies neither a zero nor a nonzero
+        residual."""
+        if self.terminated_by == "truncation":
+            raise NonTerminatingSeriesError(
+                f"Maurer-Cartan series truncated after {self.terms_evaluated} "
+                f"terms without an arity bound"
+            )
+        return self
 
 
 def homogeneous_combinations(args: tuple, degree: Callable, components: Callable):
@@ -163,52 +172,67 @@ def relations_residual(algebra: LInftyOne, n: int, args: tuple) -> Elt:
     return total
 
 
-def _mc_bound(algebra: LInftyOne, phi: Elt, max_terms: int) -> tuple[int, str]:
-    if algebra.termination_bound is not None:
-        return algebra.termination_bound, "bound"
-    if algebra.filtration is not None:
-        fdeg = algebra.filtration.degree(phi)
-        if not phi.is_zero() and fdeg < 1:
-            raise ValueError(
-                f"Maurer-Cartan input must have filtration degree >= 1, got {fdeg}"
+def _series(
+    algebra: LInftyOne, phi: Elt, fixed: tuple = (), start: int = 0, max_terms: int | None = None
+) -> tuple[Elt, int, str]:
+    """sum_{j >= start} (1/j!) m_{j+f}(phi, .., phi, fixed_1, .., fixed_f).
+
+    Returns (sum, terms evaluated, how it ended).  Under an arity bound n
+    the sum runs to arity n, and then the next term, which the bound says
+    vanishes, is evaluated as a certificate: NonTerminatingSeriesError if it
+    does not.  Without a bound the sum is cut at j = ``max_terms`` and flagged
+    "truncation", or raises when no cap is given.
+    """
+    bound = algebra.arity_bound
+    if bound is None:
+        if max_terms is None:
+            raise NonTerminatingSeriesError(
+                f"cannot certify termination of a series: "
+                f"{algebra.name or 'the algebra'} has no arity bound"
             )
-        return algebra.filtration.series_bound(phi), "filtration"
-    return max_terms, "truncation"
+        last, how = max_terms, "truncation"
+    else:
+        if isinstance(bound, int):
+            n, how = bound, "bound"
+        else:
+            n, how = bound((phi,) + fixed), "filtration"
+        last = n - len(fixed)
+
+    def term(j: int) -> Elt:
+        return algebra.m(j + len(fixed), (phi,) * j + fixed)
+
+    total = algebra.zero
+    count = 0
+    for j in range(start, last + 1):
+        value = term(j)
+        count += 1
+        if not value.is_zero():
+            total = total + value.scale(Fraction(1, math.factorial(j)))
+    if how != "truncation":
+        j = max(last + 1, start)
+        count += 1
+        if not term(j).is_zero():
+            raise NonTerminatingSeriesError(
+                f"arity bound {n} of {algebra.name or 'the algebra'} violated "
+                f"by a nonzero series term of arity {j + len(fixed)}"
+            )
+    return total, count, how
 
 
 def mc_residual(algebra: LInftyOne, phi: Elt, max_terms: int = 12) -> MCReport:
     """Maurer-Cartan residual sum_n (1/n!) m_n(phi, .., phi), starting at n = 0
-    for curved algebras.  Termination is by the algebra's structural bound, by
-    its filtration, or (flagged) by the requested term cap."""
+    for curved algebras.  The algebra's arity bound ends the sum with a
+    certificate; without one the sum is cut (and flagged) at ``max_terms``."""
     if not phi.is_zero() and algebra.degree(phi) != 0:
         raise ValueError("Maurer-Cartan candidates must be homogeneous of degree 0")
-    bound, terminated_by = _mc_bound(algebra, phi, max_terms)
-    total = algebra.zero
-    start = 0 if algebra.curved else 1
-    count = 0
-    for n in range(start, bound + 1):
-        term = algebra.m(n, (phi,) * n)
-        count += 1
-        if not term.is_zero():
-            total = total + term.scale(Fraction(1, math.factorial(n)))
+    total, count, terminated_by = _series(
+        algebra, phi, start=0 if algebra.curved else 1, max_terms=max_terms
+    )
     if not total.is_zero() and algebra.degree(total) != 1:
         raise AssertionError(
             "internal: Maurer-Cartan residuals are homogeneous of degree 1"
         )
     return MCReport(residual=total, terms_evaluated=count, terminated_by=terminated_by)
-
-
-def _insert_bound(algebra: LInftyOne, alpha: Elt, arity: int, max_terms: int) -> tuple[int, bool]:
-    """How many alpha-insertions can contribute to an arity-``arity`` bracket.
-
-    Returns (bound, provable).  Not provable only when the algebra carries
-    neither a structural arity bound nor a filtration.
-    """
-    if algebra.max_arity is not None:
-        return max(algebra.max_arity - arity, 0), True
-    if algebra.filtration is not None:
-        return algebra.filtration.series_bound(alpha), True
-    return max_terms, False
 
 
 def twist(
@@ -221,65 +245,50 @@ def twist(
     algebra is sum_k (1/k!) m_{n+k}(alpha, .., alpha, args).
 
     With ``check`` enabled the Maurer-Cartan membership of alpha is verified
-    first and an :class:`MCError` carrying the residual is raised on failure.
+    first: an :class:`MCError` carrying the residual is raised on failure, and
+    a NonTerminatingSeriesError when the check is truncated.
     """
     if not alpha.is_zero() and algebra.degree(alpha) != 0:
         raise ValueError("twisting elements must be homogeneous of degree 0")
     verified = False
     if check:
-        report = mc_residual(algebra, alpha, max_terms=max_terms)
+        report = mc_residual(algebra, alpha, max_terms=max_terms).certified()
         if not report.residual.is_zero():
             raise MCError("twist by a non-Maurer-Cartan element", report.residual)
         verified = True
 
     def twisted_m(k: int, args: tuple) -> Elt:
-        bound, provable = _insert_bound(algebra, alpha, k, max_terms)
-        if not provable:
-            raise NonTerminatingSeriesError(
-                "cannot certify termination of the twisting series; "
-                "supply a filtration or structural arity bound"
-            )
-        total = algebra.zero
-        for j in range(0, bound + 1):
-            term = algebra.m(k + j, (alpha,) * j + tuple(args))
-            if not term.is_zero():
-                total = total + term.scale(Fraction(1, math.factorial(j)))
-        return total
+        return _series(algebra, alpha, tuple(args))[0]
 
-    return LInftyOne(
-        degree=algebra.degree,
-        components=algebra.components,
+    # a twisted bracket is a sum of brackets on alpha and its arguments
+    bound = algebra.arity_bound
+    if callable(bound):
+        def twisted_bound(elements: tuple) -> int:
+            return bound((alpha,) + tuple(elements))
+    else:
+        twisted_bound = bound
+
+    return dataclasses.replace(
+        algebra,
         m=twisted_m,
-        zero=algebra.zero,
         curved=algebra.curved and not verified,
-        termination_bound=algebra.termination_bound,
-        filtration=algebra.filtration,
-        max_arity=algebra.max_arity,
-        max_relation_arity=algebra.max_relation_arity,
+        arity_bound=twisted_bound,
         name=f"twist({algebra.name})" if algebra.name else "twisted",
     )
 
 
-def gauge_field(algebra: LInftyOne, z: Elt, at: Elt, max_terms: int = 12) -> Elt:
+def gauge_field(algebra: LInftyOne, z: Elt, at: Elt) -> Elt:
     """Value at ``at`` of the gauge vector field of the degree -1 element z:
 
-        Y^z|_at = m_1(z) + m_2(z, at) + (1/2!) m_3(z, at, at) + ...
+        Y^z|_at = m_1(z) + m_2(at, z) + (1/2!) m_3(at, at, z) + ...
+
+    (the degree-0 base point commutes past z with no sign).
     """
     if not z.is_zero() and algebra.degree(z) != -1:
         raise ValueError("gauge directions must be homogeneous of degree -1")
     if not at.is_zero() and algebra.degree(at) != 0:
         raise ValueError("gauge base points must be homogeneous of degree 0")
-    bound, provable = _insert_bound(algebra, at, 1, max_terms)
-    if not provable:
-        raise NonTerminatingSeriesError(
-            "cannot certify termination of the gauge series"
-        )
-    total = algebra.zero
-    for k in range(0, bound + 1):
-        term = algebra.m(k + 1, (z,) + (at,) * k)
-        if not term.is_zero():
-            total = total + term.scale(Fraction(1, math.factorial(k)))
-    return total
+    return _series(algebra, at, (z,))[0]
 
 
 # -- degree-shift converter -----------------------------------------------------
@@ -294,7 +303,7 @@ class LInfty:
     components: Callable[[Elt], list[tuple[int, Elt]]]
     l: Callable[[int, tuple], Elt]
     zero: Elt
-    max_arity: int | None = None
+    arity_bound: int | Callable[[tuple], int] | None = None
     name: str = ""
 
 
@@ -332,7 +341,7 @@ def from_antisymmetric(v_algebra: LInfty) -> LInftyOne:
         m=m,
         zero=v_algebra.zero,
         curved=False,
-        max_arity=v_algebra.max_arity,
+        arity_bound=v_algebra.arity_bound,
         name=f"{v_algebra.name}[1]" if v_algebra.name else "shifted",
     )
 
@@ -361,6 +370,6 @@ def to_antisymmetric(algebra: LInftyOne) -> LInfty:
         components=unshifted_components,
         l=l,
         zero=algebra.zero,
-        max_arity=algebra.max_arity,
+        arity_bound=algebra.arity_bound,
         name=algebra.name,
     )

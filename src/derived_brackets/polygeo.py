@@ -20,7 +20,6 @@ tuple of m+k exponents.  Wedge factors are direction indices 0..m+k-1
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from fractions import Fraction
 
@@ -609,11 +608,6 @@ def element_to_json(u: _WedgeElement) -> dict:
     return {"dims": {"base": m, "fiber": k}, "terms": terms}
 
 
-def mv_load(path: str) -> PolyMultivector:
-    with open(path, "r", encoding="utf-8") as fh:
-        return mv_from_json(json.load(fh))
-
-
 # -- the coisotropic quadruple -------------------------------------------------------
 
 
@@ -647,6 +641,17 @@ def multivector_sample_basis(dims: tuple[int, int], max_arity: int = 2) -> list[
     return out
 
 
+def _coiso_depth(u: PolyMultivector) -> int:
+    """Depth of u in the coisotropic quadruple: the maximum over terms of
+    (p-degree of the coefficient + number of base legs), which is
+    pol + arity.  Proof in :func:`coiso_vdata`."""
+    m = u.dims[0]
+    return max(
+        (sum(mono[m:]) + sum(1 for w in wedge if w < m) for mono, wedge in u.terms),
+        default=0,
+    )
+
+
 def coiso_vdata(pi: PolyMultivector, name: str = ""):
     """Quadruple for simultaneous deformations of a fiberwise polynomial
     Poisson bivector and of the zero section C = {p = 0}:
@@ -656,9 +661,19 @@ def coiso_vdata(pi: PolyMultivector, name: str = ""):
 
     Raises when [pi, pi] != 0 (the residual is attached to the error); curved
     exactly when the projection of pi survives, i.e. when C fails to be
-    coisotropic."""
-    from .linfty import Filtration
-    from .vdata import VData
+    coisotropic.
+
+    Depth (:func:`_coiso_depth`): a subalgebra element a = f(x) @p_J has only
+    fiber legs and a p-free coefficient.  Each term of the Schouten bracket
+    [u, a] of a term u = g @_I either lets a fiber leg of a differentiate g
+    along some p_j, which lowers the p-degree by one and keeps the base legs,
+    or lets a leg of u differentiate f, which needs a base leg (f is p-free)
+    and uses it up at the same p-degree.  So mu = p-degree + base legs drops
+    by exactly one per insertion, and a chain of more than max mu insertions
+    vanishes (Cattaneo-Felder, math/0309180).  On a bivector mu = pol + 2,
+    the bound of the small algebra's Maurer-Cartan series.
+    """
+    from .vdata import Filtration, VData
 
     jacobiator = schouten(pi, pi)
     if not jacobiator.is_zero():
@@ -668,18 +683,10 @@ def coiso_vdata(pi: PolyMultivector, name: str = ""):
     dims = pi.dims
     if dims[1] == 0:
         raise ValueError("the coisotropic model needs a positive fiber dimension")
-    pol = pi.pol_degree()
-    pol = 0 if pol is None else max(pol, 0)
-    max_arity = pol + 2
 
     def fdeg(u: PolyMultivector) -> int:
         p = u.pol_degree()
         return 2**30 if p is None else -p
-
-    filtration = Filtration(
-        degree=fdeg,
-        series_bound=lambda phi: pol + 14,
-    )
 
     return VData(
         bracket=schouten,
@@ -692,8 +699,7 @@ def coiso_vdata(pi: PolyMultivector, name: str = ""):
         sample_basis=tuple(multivector_sample_basis(dims)),
         a_basis=tuple(vertical_sample_basis(dims)),
         curved=not coiso_projection(pi).is_zero(),
-        filtration=filtration,
-        series_bound=lambda phi: pol + 14,
-        max_arity=max_arity,
+        filtration=Filtration(degree=fdeg),
+        depth=_coiso_depth,
         name=name or f"coisotropic-R{dims[0]}xR{dims[1]}",
     )

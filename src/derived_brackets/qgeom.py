@@ -25,9 +25,9 @@ import itertools
 from fractions import Fraction
 
 from .graded import ZERO, as_fraction, inversion_parity
-from .linfty import Filtration, LInftyOne
+from .linfty import LInftyOne
 from .polygeo import PolyForm, PolyMultivector
-from .vdata import BigElt, VData, big_algebra, restrict
+from .vdata import BigElt, Filtration, VData, big_algebra, restrict
 
 # term key: (x exponents, P exponents, ascending p indices, ascending v indices)
 Key = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -351,8 +351,22 @@ def _filtration_degree(f: SuperPoly) -> int:
     return min(len(p_idx) + sum(P_exp) for (_, P_exp, p_idx, _v) in f.terms)
 
 
+def _depth(f: SuperPoly) -> int:
+    """P-degree + number of v's, maximized over terms (0 on the zero element)."""
+    return max((sum(P_exp) + len(v_idx) for (_, P_exp, _p, v_idx) in f.terms), default=0)
+
+
 def standard_courant_vdata(dim: int) -> VData:
-    """Quadruple (C(model)[2], multivector image, eval_on_base, sum P_i v_i)."""
+    """Quadruple (C(model)[2], multivector image, eval_on_base, sum P_i v_i).
+
+    Depth (:func:`_depth`): subalgebra elements are polynomials in x and p
+    alone.  The bracket is a biderivation whose only nonzero letter pairings
+    are {P_j, x_k} and {p_j, v_k}, so each term of {f, g} with g in the
+    subalgebra consumes exactly one P or one v of f and adds none.  Each
+    insertion lowers mu = P-degree + #v by one, and a chain of more than
+    max mu insertions vanishes (Roytenberg, math/0203110).  On
+    Delta = sum P_i v_i, mu = 2.
+    """
     delta = canonical_delta(dim)
     zero = SuperPoly.zero(dim)
 
@@ -366,11 +380,6 @@ def standard_courant_vdata(dim: int) -> VData:
     sample = _sample_monomials(dim)
     a_basis = tuple(s for s in sample if in_base_image(s) and not s.is_zero())
 
-    filtration = Filtration(
-        degree=lambda f: _filtration_degree(f) - 1,
-        series_bound=lambda phi: dim + 4,
-    )
-
     return VData(
         bracket=super_bracket,
         degree=degree,
@@ -382,9 +391,8 @@ def standard_courant_vdata(dim: int) -> VData:
         sample_basis=tuple(sample),
         a_basis=a_basis,
         curved=False,
-        filtration=filtration,
-        series_bound=lambda phi: dim + 4,
-        max_arity=dim + 4,
+        filtration=Filtration(degree=lambda f: _filtration_degree(f) - 1),
+        depth=_depth,
         name=f"standard-courant-R{dim}",
     )
 

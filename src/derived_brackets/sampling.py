@@ -12,21 +12,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gla import StructureGLA
+from .gla import StructureGLA, basis_filtration
 from .graded import GradedSpace, HomElt
-from .linfty import Filtration
-from .polygeo import (
-    PolyForm,
-    PolyMultivector,
-    coiso_vdata,
-    fiber_translate,
-    form,
-    mv,
-    schouten,
-    unit_mono,
-)
+from .polygeo import PolyForm, PolyMultivector, fiber_translate, form, mv, schouten
 from .tpois import TPoisElement
-from .vdata import BigElt, VData
+from .vdata import BigElt, Filtration, VData
 
 
 @dataclass(frozen=True)
@@ -95,6 +85,10 @@ _FIXTURE_FDEG = {"a": 1, "c": 1, "b": 2, "u": 0, "v": 1, "w": 2}
 
 
 def fixture_vdata() -> VData:
+    """The fixture quadruple with Delta = u.  Depth: the filtration above puts
+    a, c, b in F^1 and F^3 = 0, so a chain from x dies after 2 - fdeg(x)
+    insertions (:func:`~derived_brackets.gla.basis_filtration`); Delta attains
+    2, as [[u, a], a] = b."""
     algebra = fixture_gla()
     space = algebra.space
     a_names = ("a", "c", "b")
@@ -102,12 +96,7 @@ def fixture_vdata() -> VData:
     def project(x: HomElt) -> HomElt:
         return HomElt(space, {n: cf for n, cf in x.terms.items() if n in a_names})
 
-    def fdeg(x: HomElt) -> int:
-        if x.is_zero():
-            return 2**30
-        return min(_FIXTURE_FDEG[n] for n in x.terms)
-
-    filtration = Filtration(degree=fdeg, series_bound=lambda phi: 6)
+    fdeg, depth = basis_filtration(_FIXTURE_FDEG)
 
     return VData(
         bracket=algebra.bracket,
@@ -120,9 +109,8 @@ def fixture_vdata() -> VData:
         sample_basis=tuple(algebra.basis_elements()),
         a_basis=tuple(space.gen(n) for n in a_names),
         curved=False,
-        filtration=filtration,
-        series_bound=lambda phi: 6,
-        max_arity=3,
+        filtration=Filtration(degree=fdeg),
+        depth=depth,
         name="nilpotent-fixture",
     )
 

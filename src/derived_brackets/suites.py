@@ -10,14 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .linfty import gauge_field, mc_residual, relations_residual, twist
-from .polygeo import (
-    PolyMultivector,
-    coiso_projection,
-    coiso_vdata,
-    fiber_translate,
-    mv,
-)
+from .linfty import gauge_field, relations_residual, twist
+from .polygeo import PolyMultivector, coiso_vdata, mv
 from .qgeom import oracle_bracket
 from .sampling import (
     RunConfig,
@@ -35,7 +29,6 @@ from .sampling import (
     random_gauge_direction,
     random_multivector,
     random_tpois_element,
-    random_twisted_pair,
     random_vertical_section,
 )
 from .tpois import (
@@ -43,11 +36,9 @@ from .tpois import (
     flow_curve,
     gauge_Y,
     generator_match,
-    is_twisted_poisson,
     mc_residual_derivative,
     tpois_bracket,
     tpois_linfty,
-    tpois_mc_residual,
 )
 from .vdata import BigElt, big_algebra, machine_check, small_algebra, twist_vdata
 
@@ -282,12 +273,6 @@ def suite_oracle(config: RunConfig) -> dict:
                     }
                 )
     return _report("oracle", config, checks, failures)
-
-
-def _mc_point(rng, m, degree) -> tuple:
-    h, pi = random_twisted_pair(rng, m, degree, flavor="positive")
-    assert is_twisted_poisson(h, pi)
-    return h, pi
 
 
 def suite_gauge(config: RunConfig) -> dict:

@@ -164,7 +164,6 @@ def tpois_linfty(m: int, max_relation_arity: int = 5) -> LInftyOne:
     """Handle for the twisted-Poisson algebra on R^m.  Forms on R^m die above
     degree m, so brackets of arity > m+1 vanish and every series is finite."""
     zero = TPoisElement.zero(m)
-    bound = max(m + 1, 2)
 
     def m_eval(k: int, args: tuple) -> TPoisElement:
         if k == 0:
@@ -177,8 +176,7 @@ def tpois_linfty(m: int, max_relation_arity: int = 5) -> LInftyOne:
         m=m_eval,
         zero=zero,
         curved=False,
-        termination_bound=bound,
-        max_arity=bound,
+        arity_bound=m + 1,
         max_relation_arity=max_relation_arity,
         name=f"twisted-poisson-R{m}",
     )

@@ -33,6 +33,7 @@ super-polynomial models all plug in here.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +42,6 @@ from typing import Any, Callable, Sequence
 
 from .graded import DirectSum, direct_sum_grading
 from .linfty import (
-    Filtration,
     LInftyOne,
     MCError,
     NonTerminatingSeriesError,
@@ -53,14 +53,25 @@ Elt = Any
 
 
 @dataclass(frozen=True)
+class Filtration:
+    """A complete filtration of L: ``degree`` maps elements to their
+    filtration degree (large on zero), with [F^i, F^j] in F^{i+j}."""
+
+    degree: Callable[[Elt], int]
+
+
+@dataclass(frozen=True)
 class VData:
     """The quadruple, plus enough backend metadata to validate and to bound
     the series appearing downstream.
 
     ``degree`` is the grading of L.  ``sample_basis`` spans (a sufficient
     sample of) L for validation; ``a_basis`` spans the relevant part of a.
-    ``series_bound(phi)``, when provided, certifies that any iterated bracket
-    containing more than series_bound(phi) insertions of phi vanishes.
+    ``depth(x)``, when provided, is the largest n for which a chain
+    [..[x, a_1], .., a_n] of subalgebra elements can be nonzero; each backend
+    proves its depth.  It bounds every series downstream (see
+    :func:`_arity_bound`) and depends only on L and a, so deforming or
+    twisting the quadruple keeps it.
     """
 
     bracket: Callable[[Elt, Elt], Elt]
@@ -74,8 +85,7 @@ class VData:
     a_basis: tuple = ()
     curved: bool = False
     filtration: Filtration | None = None
-    series_bound: Callable[[Elt], int] | None = None
-    max_arity: int | None = None
+    depth: Callable[[Elt], int] | None = None
     name: str = ""
 
     def adjoint_delta(self, x: Elt) -> Elt:
@@ -130,12 +140,13 @@ def validate_vdata(v: VData) -> VDataReport:
 
 
 def exp_ad(v: VData, phi: Elt, x: Elt, cap: int = 64) -> Elt:
-    """e^{[., phi]} x = sum_n (1/n!) [..[x, phi], .., phi].
+    """e^{[., phi]} x = sum_n (1/n!) [..[x, phi], .., phi] for phi in a.
 
-    Terminates via the declared series bound or by exact nilpotency (once an
-    iterated bracket hits zero it stays zero); raises after ``cap`` live terms.
+    Terminates by exact nilpotency (once an iterated bracket hits zero it
+    stays zero), which must happen by the depth of x; without a depth it
+    raises after ``cap`` live terms.
     """
-    bound = v.series_bound(phi) if v.series_bound is not None else None
+    bound = v.depth(x) if v.depth is not None else None
     total = x
     current = x
     n = 0
@@ -146,7 +157,7 @@ def exp_ad(v: VData, phi: Elt, x: Elt, cap: int = 64) -> Elt:
             return total
         if bound is not None and n > bound:
             raise NonTerminatingSeriesError(
-                f"declared series bound {bound} violated by a surviving term: {current!r}"
+                f"depth {bound} of {x!r} violated by a surviving term: {current!r}"
             )
         total = total + current.scale(Fraction(1, math.factorial(n)))
         if n >= cap:
@@ -177,21 +188,11 @@ def deform_vdata(v: VData, phi: Elt, extra_delta: Elt | None = None, name: str =
     """The quadruple with projection P_phi and optionally a shifted Delta."""
     projection = p_phi(v, phi)
     delta = v.delta if extra_delta is None else v.delta + extra_delta
-    curved = not projection(delta).is_zero()
-    return VData(
-        bracket=v.bracket,
-        degree=v.degree,
-        components=v.components,
+    return dataclasses.replace(
+        v,
         project=projection,
         delta=delta,
-        zero=v.zero,
-        in_a=v.in_a,
-        sample_basis=v.sample_basis,
-        a_basis=v.a_basis,
-        curved=curved,
-        filtration=v.filtration,
-        series_bound=v.series_bound,
-        max_arity=v.max_arity,
+        curved=not projection(delta).is_zero(),
         name=name or (f"{v.name}@deformed" if v.name else "deformed"),
     )
 
@@ -214,23 +215,52 @@ def small_algebra(v: VData) -> LInftyOne:
                 return v.zero
         return v.project(current)
 
-    filtration = None
-    if v.filtration is not None and v.series_bound is not None:
-        filtration = Filtration(
-            degree=v.filtration.degree,
-            series_bound=v.series_bound,
-        )
-
     return LInftyOne(
         degree=v.degree,
         components=v.components,
         m=m,
         zero=v.zero,
         curved=v.curved,
-        filtration=filtration,
-        max_arity=v.max_arity,
+        arity_bound=_arity_bound(v, big=False),
         name=f"small({v.name})" if v.name else "small",
     )
+
+
+def _arity_bound(v: VData, big: bool) -> Callable[[tuple], int] | None:
+    """The arity bound of the small (or big) algebra over given elements,
+    from the depth of the quadruple; None without a depth.
+
+    Every bracket is a projected chain of subalgebra insertions, and the
+    projection (P, or P_phi = P e^{[., phi]} with phi in a) only appends
+    further ones.  A small m_n inserts n elements into Delta, so it vanishes
+    for n > depth(Delta).  A big m_n is m_1, the binary crochet, the all-a
+    chain from Delta (n <= depth(Delta)), or the chain from one L-part x with
+    the n - 1 remaining slots in a (n <= depth(x) + 1), so it vanishes for n
+    above max(2, depth(Delta), depth(x) + 1 over the L-parts x).
+
+    A filtration's depth (:func:`~derived_brackets.gla.basis_filtration`)
+    needs the inserted elements in F^1, so a degree-0 subalgebra part (a
+    Maurer-Cartan input) outside F^1 is rejected as an input error.
+    """
+    depth = v.depth
+    if depth is None:
+        return None
+    fdeg = v.filtration.degree if v.filtration is not None else None
+    base = depth(v.delta)
+
+    def bound(elements: tuple) -> int:
+        n = max(base, 2) if big else base
+        for e in elements:
+            a = e.a if big else e
+            if fdeg is not None and not a.is_zero() and v.degree(a) == 0 and fdeg(a) < 1:
+                raise ValueError(
+                    f"Maurer-Cartan input must have filtration degree >= 1, got {fdeg(a)}"
+                )
+            if big and not e.x.is_zero():
+                n = max(n, depth(e.x) + 1)
+        return n
+
+    return bound
 
 
 # -- the big algebra ---------------------------------------------------------------
@@ -325,40 +355,13 @@ def big_algebra(v: VData) -> LInftyOne:
                     total = total + BigElt(v.zero, value)
         return total
 
-    def pair_series_bound(e: BigElt) -> int:
-        # a nonzero bracket holds at most two L[1] entries, so insertions of
-        # the pair beyond (bound for the a-part) + 2 all die
-        if e.a.is_zero():
-            return 2
-        assert v.series_bound is not None
-        return v.series_bound(e.a) + 2
-
-    filtration = None
-    if v.filtration is not None and v.series_bound is not None:
-        base_fdeg = v.filtration.degree
-
-        def pair_fdeg(e: BigElt) -> int:
-            # only the subalgebra component governs series convergence here:
-            # nonzero brackets accept at most two L[1] entries
-            if e.a.is_zero():
-                return 2**30
-            return base_fdeg(e.a)
-
-        filtration = Filtration(
-            degree=pair_fdeg,
-            series_bound=pair_series_bound,
-        )
-
-    max_arity = None if v.max_arity is None else v.max_arity + 1
-
     return LInftyOne(
         degree=degree,
         components=components,
         m=m,
         zero=zero_pair,
         curved=False,
-        filtration=filtration,
-        max_arity=max_arity,
+        arity_bound=_arity_bound(v, big=True),
         name=f"big({v.name})" if v.name else "big",
     )
 
@@ -368,9 +371,10 @@ def big_algebra(v: VData) -> LInftyOne:
 
 def twist_vdata(v: VData, alpha: BigElt, check: bool = True, max_terms: int = 12) -> VData:
     """Twisted quadruple (L, a, P_{Phi'}, Delta + Delta') for a Maurer-Cartan
-    element alpha = (Delta'[1], Phi') of the big algebra."""
+    element alpha = (Delta'[1], Phi') of the big algebra.  A truncated
+    Maurer-Cartan check raises NonTerminatingSeriesError."""
     if check:
-        report = mc_residual(big_algebra(v), alpha, max_terms=max_terms)
+        report = mc_residual(big_algebra(v), alpha, max_terms=max_terms).certified()
         if not report.residual.is_zero():
             raise MCError("twisting requires a Maurer-Cartan element", report.residual)
     deformed = deform_vdata(v, alpha.a, extra_delta=alpha.x,
@@ -421,7 +425,7 @@ def machine_check(v: VData, phi: Elt, dtilde: Elt, ptilde: Elt,
     The two sides vanish together; the report carries both residual pairs.
     """
     small = small_algebra(v)
-    phi_report = mc_residual(small, phi, max_terms=max_terms)
+    phi_report = mc_residual(small, phi, max_terms=max_terms).certified()
     if not phi_report.residual.is_zero():
         raise MCError("base deformation direction is not Maurer-Cartan",
                       phi_report.residual)
@@ -432,7 +436,7 @@ def machine_check(v: VData, phi: Elt, dtilde: Elt, ptilde: Elt,
 
     deformed = deform_vdata(v, phi)
     big = big_algebra(deformed)
-    right = mc_residual(big, BigElt(dtilde, ptilde), max_terms=max_terms)
+    right = mc_residual(big, BigElt(dtilde, ptilde), max_terms=max_terms).certified()
 
     left_vanishes = square.is_zero() and exp_residual.is_zero()
     right_vanishes = right.residual.is_zero()
@@ -472,14 +476,4 @@ def restrict(
                 raise ValueError(f"argument outside the restricted subspace: {arg!r}")
         return big.m(k, args)
 
-    return LInftyOne(
-        degree=big.degree,
-        components=big.components,
-        m=m,
-        zero=big.zero,
-        curved=big.curved,
-        termination_bound=big.termination_bound,
-        filtration=big.filtration,
-        max_arity=big.max_arity,
-        name=f"{big.name}|L'",
-    )
+    return dataclasses.replace(big, m=m, name=f"{big.name}|L'")

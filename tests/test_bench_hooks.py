@@ -1,10 +1,11 @@
 """The benchmark's per-layer tracer patches library callables by name.
 
 ``perfbench/tracing.py`` wraps, among others, ``tpois.tpois_bracket`` and
-``graded.koszul_sign`` in every module that bound them.  A refactor that
-renames or stops calling a hooked attribute leaves ``--trace 1`` silently
-empty; this test runs the tracer against the checkout and requires spans
-for both.
+``graded.koszul_sign`` in every module that bound them, and reads series
+counters off ``mc_residual``'s report and the big algebra's ``m``.  A
+refactor that renames or stops calling a hooked attribute leaves ``--trace 1``
+silently empty; this test runs the tracer against the checkout and requires
+spans and counters for both layers.
 """
 
 import json
@@ -15,7 +16,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = """
-import json, sys
+import json, random, sys
 sys.path[:0] = [{perfbench!r}, {src!r}]
 import run, tracing
 
@@ -28,7 +29,11 @@ h = T.TPoisElement.of_form(P.form(dims, 1, (1, 0), (0,)))
 pi = T.TPoisElement.of_mv(P.mv(dims, 1, None, (0, 1)))
 T.tpois_bracket(2, (h, pi))
 lib.linfty.relations_residual(T.tpois_linfty(2), 2, (pi, pi))
-print(json.dumps(tracer.self_times()[2]))
+S = lib.sampling
+v = S.fixture_vdata()
+report = lib.linfty.mc_residual(lib.vdata.big_algebra(v), S.fixture_mc_big(random.Random(1)))
+print(json.dumps({{"calls": tracer.self_times()[2], "counters": tracer.counters,
+                  "terms": report.terms_evaluated}}))
 """
 
 
@@ -40,7 +45,14 @@ def test_tracer_records_spans_for_hooked_callables():
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    calls = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    calls, counters = out["calls"], out["counters"]
     assert calls.get("tpois.tpois_bracket", 0) >= 2
     assert calls.get("graded.koszul_sign", 0) >= 1
     assert calls.get("linfty.relations_residual", 0) == 1
+    # the series counters perfbench reports come from the MC report and the
+    # big algebra's m
+    assert calls.get("linfty.mc_residual", 0) == 1
+    assert out["terms"] > 0
+    assert counters.get("linfty.mc_residual.terms") == out["terms"]
+    assert counters.get("vdata.big.m.max_arity", 0) > 0

@@ -107,7 +107,6 @@ def test_derived_zero_delta_small(files, tmp_path, capsys):
         "gla_file": files["fixture_gla.json"],
         "a_basis": ["a", "c", "b"],
         "delta": [],
-        "max_arity": 3,
     }
     p = tmp_path / "vdata_zero.json"
     p.write_text(json.dumps(desc))
@@ -192,14 +191,15 @@ def test_term_cap_exits_with_resource_limit(monkeypatch, capsys):
 
 
 def test_violated_series_bound_exits_with_resource_limit(files, tmp_path, capsys):
-    # the fixture as a "gla" quadruple whose declared series bound is too small
+    # the fixture as a "gla" quadruple whose filtration contradicts the bracket:
+    # u in F^2, yet [u, a] = v + b has a part in F^1.  The depth it gives is
+    # too small, and the series' certificate term catches that.
     desc = {
         "kind": "gla",
         "gla_file": files["fixture_gla.json"],
         "a_basis": ["a", "c", "b"],
         "delta": [{"coef_num": 1, "coef_den": 1, "basis": "u"}],
-        "filtration": {"a": 1, "c": 1, "b": 2, "u": 0, "v": 1, "w": 2},
-        "series_bound": 0,
+        "filtration": {"a": 1, "c": 1, "b": 2, "u": 2, "v": 1, "w": 2},
     }
     vdata = tmp_path / "vdata_bound0.json"
     vdata.write_text(json.dumps(desc))
@@ -227,6 +227,17 @@ def test_uncertified_mc_exits_with_resource_limit(tmp_path, capsys):
         assert report["terminated_by"] == "truncation"
         assert report["terms_evaluated"] == 12
         assert report["flat"] is flat
+        assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
+
+
+def test_twist_with_uncertified_mc_check_exits_with_resource_limit(capsys):
+    # the same quadruple: twisting needs a certified Maurer-Cartan check, and a
+    # series cut at --max-terms is none, flat or not
+    vdata = _data("vdata_gla_unfiltered.json")
+    for path in (_data("alpha_mc.json"), _data("pair_not_mc.json")):
+        assert main(["--json", "twist", vdata, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
 
 

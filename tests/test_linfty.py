@@ -39,7 +39,7 @@ def gla_as_linfty(algebra):
         components=lambda x: x.components(),
         l=l,
         zero=algebra.zero(),
-        max_arity=2,
+        arity_bound=2,
         name="gla",
     )
 
@@ -80,7 +80,7 @@ def test_zero_structure_shifts_to_zero_structure():
         components=lambda x: x.components(),
         l=lambda k, args: g.zero(),
         zero=g.zero(),
-        max_arity=3,
+        arity_bound=3,
     )
     shifted = from_antisymmetric(silent)
     assert shifted.m(2, (g.gen("h"), g.gen("e"))).is_zero()
@@ -157,7 +157,7 @@ def test_corrupted_binary_bracket_breaks_relations():
         m=corrupted,
         zero=algebra.zero,
         curved=False,
-        max_arity=algebra.max_arity,
+        arity_bound=algebra.arity_bound,
     )
     rng = random.Random(5)
     hit = False
@@ -193,7 +193,7 @@ def test_mc_residual_degree_and_curved_start():
         m=lambda k, args: space.gen("b") if k == 0 else small.m(k, args),
         zero=small.zero,
         curved=True,
-        filtration=small.filtration,
+        arity_bound=small.arity_bound,
     )
     report = mc_residual(curved, space.zero())
     assert report.residual == space.gen("b")  # only the curvature survives

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from derived_brackets.graded import GradedSpace, HomElt
-from derived_brackets.linfty import MCError, NonTerminatingSeriesError, mc_residual
+from derived_brackets.linfty import MCError, NonTerminatingSeriesError, mc_residual, twist
 from derived_brackets.polygeo import coiso_vdata, mv
 from derived_brackets.sampling import (
     fixture_gla,
@@ -178,8 +179,7 @@ def test_small_brackets_vanish_for_zero_delta():
         a_basis=v.a_basis,
         curved=False,
         filtration=v.filtration,
-        series_bound=v.series_bound,
-        max_arity=v.max_arity,
+        depth=v.depth,
     )
     small = small_algebra(trivial)
     space = v.zero.space
@@ -203,8 +203,7 @@ def test_big_unary_with_zero_delta_projects():
         a_basis=v.a_basis,
         curved=False,
         filtration=v.filtration,
-        series_bound=v.series_bound,
-        max_arity=v.max_arity,
+        depth=v.depth,
     )
     big = big_algebra(no_delta)
     x = space.element({"u": 2, "b": 3})
@@ -273,8 +272,7 @@ def test_curved_small_algebra_has_curvature():
         a_basis=v.a_basis,
         curved=True,
         filtration=v.filtration,
-        series_bound=v.series_bound,
-        max_arity=v.max_arity,
+        depth=v.depth,
     )
     small = small_algebra(curved)
     assert small.m(0, ()) == space.gen("b", 2)
@@ -343,8 +341,7 @@ def test_twist_of_zero_delta_recovers_delta():
         a_basis=v.a_basis,
         curved=False,
         filtration=v.filtration,
-        series_bound=v.series_bound,
-        max_arity=v.max_arity,
+        depth=v.depth,
     )
     twisted = twist_vdata(no_delta, BigElt(v.delta, v.zero))
     assert twisted.delta == v.delta
@@ -356,6 +353,18 @@ def test_twist_of_zero_delta_recovers_delta():
     for n in range(1, 4):
         args = tuple(random_fixture_pair(rng, rng.choice([-1, 0, 1])) for _ in range(n))
         assert lhs.m(n, args) == rhs.m(n, args)
+
+
+def test_truncated_mc_checks_raise():
+    # without a depth nothing bounds the series, so no check can certify alpha
+    v = dataclasses.replace(fixture_vdata(), depth=None)
+    alpha = fixture_mc_big(random.Random(9))
+    with pytest.raises(NonTerminatingSeriesError, match="truncated"):
+        twist_vdata(v, alpha)
+    with pytest.raises(NonTerminatingSeriesError, match="truncated"):
+        twist(big_algebra(v), alpha)
+    with pytest.raises(NonTerminatingSeriesError, match="truncated"):
+        machine_check(v, v.zero, alpha.x, alpha.a)
 
 
 def test_twist_vdata_requires_mc():
@@ -561,25 +570,27 @@ def test_big_m_matches_full_enumeration_on_coisotropic():
     _assert_matches_reference(cv, _oracle_argument_lists(rng, pair, cv.zero))
 
 
-# -- the declared arity bound of the coisotropic big algebra --------------------------
+# -- the derived arity bound of the coisotropic big algebra ---------------------------
 
 
-def test_coisotropic_big_algebra_exceeds_its_declared_max_arity():
-    # big_algebra declares max_arity = v.max_arity + 1, which is 3 for pol <= 0;
-    # x = p1^3 p2^2 d_p1 against d_p1 (three times) and d_p2 (twice) survives
-    # at arity 6
+def test_coisotropic_big_algebra_attains_its_derived_bound():
+    # x = p1^3 p2^2 d_p1 has depth 5 (p-degree 5, no base legs), so the big
+    # algebra's bound over it is 6: against d_p1 (three times) and d_p2
+    # (twice) it survives at arity 6, and every further insertion kills it
     dims = (1, 2)
     cv = coiso_vdata(mv(dims, 1, None, (0, 1)))
     big = big_algebra(cv)
-    assert big.max_arity == 3
     zero = cv.zero
     x = mv(dims, 1, (0, 3, 2), (1,))
+    assert big.arity_bound((BigElt(x, zero),)) == 6
     d_p1, d_p2 = mv(dims, 1, None, (1,)), mv(dims, 1, None, (2,))
     args = (BigElt(x, zero),) + tuple(BigElt(zero, a) for a in (d_p1,) * 3 + (d_p2,) * 2)
     assert big.m(6, args) == BigElt(zero, mv(dims, -12, None, (1,)))
+    for extra in (d_p1, d_p2, mv(dims, 1, (1, 0, 0), (1,)), mv(dims, 1, None, (1, 2))):
+        assert big.m(7, args + (BigElt(zero, extra),)).is_zero()
 
 
-def test_coisotropic_mc_series_runs_past_the_declared_max_arity():
+def test_coisotropic_mc_series_attains_its_derived_bound():
     rng = random.Random(34)
     dims = (1, 2)
     cv = coiso_vdata(mv(dims, 1, None, (0, 1)))
@@ -591,11 +602,14 @@ def test_coisotropic_mc_series_runs_past_the_declared_max_arity():
 
     big = big_algebra(deform_vdata(cv, cv.zero))
     alpha = BigElt(dtilde, ptilde)
+    # 2 p1^3 p2^2 d_x1 ^ d_p1 has depth 5 + 1, so the bound is 7
+    assert big.arity_bound((alpha,)) == 7
     report = mc_residual(big, alpha)
     assert report.terminated_by == "filtration"
-    assert report.terms_evaluated > 7
+    assert report.terms_evaluated == 8  # m_1 .. m_7 and the certificate m_8
     assert not big.m(7, (alpha,) * 7).is_zero()
-    truncated = big.zero
-    for n in range(1, big.max_arity + 1):
-        truncated = truncated + big.m(n, (alpha,) * n).scale(Fraction(1, math.factorial(n)))
-    assert report.residual != truncated
+    assert big.m(8, (alpha,) * 8).is_zero()
+    series = big.zero
+    for n in range(1, 13):
+        series = series + big.m(n, (alpha,) * n).scale(Fraction(1, math.factorial(n)))
+    assert report.residual == series
