@@ -2,8 +2,12 @@
 sparse exact-rational elements of a finitely generated graded space, and the
 two-part direct sums that carry the big and twisted-Poisson algebras.
 
-All scalars are ``fractions.Fraction`` (always reduced, positive denominator);
-no floating point appears anywhere in this package.
+Scalars are exact rationals, held as ``int`` while they are integral and as a
+reduced ``fractions.Fraction`` only where a division leaves a remainder; no
+floating point appears anywhere in this package.  ``int == Fraction`` holds
+and the hashes agree, so the two forms of one value are interchangeable in
+equality, hashing, ``str`` and JSON output.  A division keeps a ``Fraction``
+operand (``Fraction(a, b)``), never ``/`` between two ints.
 """
 
 from __future__ import annotations
@@ -13,22 +17,56 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
-ZERO = Fraction(0)
+ONE = 1
+MINUS_ONE = -1
+ZERO = 0
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction."""
-    if isinstance(value, Fraction):
+def as_fraction(value) -> int | Fraction:
+    """Coerce an int, Fraction, 'p/q' string or (num, den) pair to an exact
+    scalar: an ``int`` when the value is integral (``Fraction(n, 1)``
+    included), else a reduced Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return as_fraction(Fraction(value))
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return Fraction(int(value[0]), int(value[1]))
+        return as_fraction(Fraction(int(value[0]), int(value[1])))
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def add_terms(acc: dict, terms: Mapping) -> dict:
+    """Add the sparse combination ``terms`` into ``acc`` in place and return
+    it: coefficients that cancel are dropped, integral sums become ints."""
+    for key, coef in terms.items():
+        new = acc.get(key, 0) + coef
+        if not new:
+            acc.pop(key, None)
+        elif type(new) is int or new.denominator != 1:
+            acc[key] = new
+        else:
+            acc[key] = new.numerator
+    return acc
+
+
+def settle(acc: dict) -> dict:
+    """The nonzero entries of an accumulated combination, integral
+    coefficients as ints."""
+    return {
+        key: coef if type(coef) is int or coef.denominator != 1 else coef.numerator
+        for key, coef in acc.items()
+        if coef
+    }
+
+
+def scale_terms(terms: Mapping, scalar) -> dict:
+    """The sparse combination ``terms`` times a nonzero scalar, integral
+    products as ints."""
+    return settle({key: coef * scalar for key, coef in terms.items()})
 
 
 class Permutation:
@@ -90,7 +128,7 @@ def inversion_parity(seq) -> int:
     return parity
 
 
-def koszul_sign(sigma: Permutation, degrees: list[int] | tuple[int, ...]) -> Fraction:
+def koszul_sign(sigma: Permutation, degrees: list[int] | tuple[int, ...]) -> int:
     """Koszul sign eps(sigma; v_1..v_n) for elements of the given degrees.
 
     The transposition of two adjacent elements u, w contributes (-1)^{|u||w|};
@@ -104,7 +142,7 @@ def koszul_sign(sigma: Permutation, degrees: list[int] | tuple[int, ...]) -> Fra
     return MINUS_ONE if inversion_parity(odd) else ONE
 
 
-def chi_sign(sigma: Permutation, degrees: list[int] | tuple[int, ...]) -> Fraction:
+def chi_sign(sigma: Permutation, degrees: list[int] | tuple[int, ...]) -> int:
     """chi(sigma) = eps(sigma) * sign(sigma)."""
     return koszul_sign(sigma, degrees) * sigma.sign()
 
@@ -121,7 +159,7 @@ def unshuffles(i: int, n: int) -> list[Permutation]:
     return out
 
 
-def decalage_sign(degrees: list[int] | tuple[int, ...]) -> Fraction:
+def decalage_sign(degrees: list[int] | tuple[int, ...]) -> int:
     """Degree-shift sign (-1)^{(n-1)|v_1| + (n-2)|v_2| + ... + |v_{n-1}|}.
 
     ``degrees`` are the degrees before the shift.  This is the sign relating
@@ -188,6 +226,15 @@ class HomElt:
         self.space = space
         self.terms = clean
 
+    @classmethod
+    def _of(cls, space: GradedSpace, terms: dict) -> "HomElt":
+        """Sums, negatives and scalings of valid elements are valid, so they
+        are built from their zero-free terms without the key check."""
+        new = object.__new__(cls)
+        new.space = space
+        new.terms = terms
+        return new
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -217,26 +264,19 @@ class HomElt:
 
     def __add__(self, other: "HomElt") -> "HomElt":
         self._require_same_space(other)
-        terms = dict(self.terms)
-        for name, coef in other.terms.items():
-            new = terms.get(name, ZERO) + coef
-            if new == 0:
-                terms.pop(name, None)
-            else:
-                terms[name] = new
-        return HomElt(self.space, terms)
+        return self._of(self.space, add_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other: "HomElt") -> "HomElt":
         return self + (-other)
 
     def __neg__(self) -> "HomElt":
-        return HomElt(self.space, {n: -c for n, c in self.terms.items()})
+        return self._of(self.space, {n: -c for n, c in self.terms.items()})
 
     def scale(self, scalar) -> "HomElt":
         scalar = as_fraction(scalar)
         if scalar == 0:
-            return HomElt(self.space, {})
-        return HomElt(self.space, {n: c * scalar for n, c in self.terms.items()})
+            return self._of(self.space, {})
+        return self._of(self.space, scale_terms(self.terms, scalar))
 
     def __mul__(self, scalar) -> "HomElt":
         return self.scale(scalar)

@@ -12,10 +12,11 @@ carrier's grading.  On top of the evaluator this module provides
     families and symmetric degree-1 ones.
 
 Element objects are duck-typed: they must support +, unary -, scalar
-multiplication by Fraction, ``is_zero()`` and equality.  Degrees and
-homogeneous decompositions are supplied by the algebra handle, so the same
-machinery runs over structure-constant algebras, polynomial multivector
-fields, super-polynomial oracles and direct sums thereof.
+multiplication by an exact scalar (int or Fraction), ``is_zero()`` and
+equality.  Degrees and homogeneous decompositions are supplied by the
+algebra handle, so the same machinery runs over structure-constant algebras,
+polynomial multivector fields, super-polynomial oracles and direct sums
+thereof.
 """
 
 from __future__ import annotations

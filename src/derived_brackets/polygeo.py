@@ -22,8 +22,9 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
+from operator import add
 
-from .graded import ZERO, as_fraction, inversion_parity
+from .graded import ZERO, add_terms, as_fraction, inversion_parity, scale_terms, settle
 
 Mono = tuple[int, ...]
 Wedge = tuple[int, ...]
@@ -45,52 +46,38 @@ def _check_size(terms: dict) -> dict:
     return terms
 
 
-# -- scalar polynomial helpers (mono-dict -> Fraction) -------------------------
+# -- scalar polynomial helpers (mono-dict -> exact scalar) ----------------------
+#
+# Coefficients follow the scalar rule of graded: ints while integral.
 
 
 def poly_add(a: dict[Mono, Fraction], b: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
-    out = dict(a)
-    for mono, coef in b.items():
-        new = out.get(mono, ZERO) + coef
-        if new == 0:
-            out.pop(mono, None)
-        else:
-            out[mono] = new
-    return out
+    return add_terms(dict(a), b)
 
 
-def poly_scale(a: dict[Mono, Fraction], c: Fraction) -> dict[Mono, Fraction]:
+def poly_scale(a: dict[Mono, Fraction], c) -> dict[Mono, Fraction]:
+    c = as_fraction(c)
     if c == 0:
         return {}
-    return {m: v * c for m, v in a.items()}
+    return scale_terms(a, c)
 
 
 def poly_mul(a: dict[Mono, Fraction], b: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
     out: dict[Mono, Fraction] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            mono = tuple(e1 + e2 for e1, e2 in zip(ma, mb))
-            new = out.get(mono, ZERO) + ca * cb
-            if new == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = new
-    return _check_size(out)
+            mono = tuple(map(add, ma, mb))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return _check_size(settle(out))
 
 
 def poly_diff(a: dict[Mono, Fraction], var: int) -> dict[Mono, Fraction]:
     out: dict[Mono, Fraction] = {}
     for mono, coef in a.items():
         e = mono[var]
-        if e == 0:
-            continue
-        lowered = mono[:var] + (e - 1,) + mono[var + 1 :]
-        new = out.get(lowered, ZERO) + coef * e
-        if new == 0:
-            out.pop(lowered, None)
-        else:
-            out[lowered] = new
-    return out
+        if e:
+            out[mono[:var] + (e - 1,) + mono[var + 1 :]] = coef * e
+    return settle(out)
 
 
 def _subst_mono(
@@ -101,7 +88,7 @@ def _subst_mono(
     base = {mono[:var] + (0,) + mono[var + 1 :]: coef}
     if e == 0:
         return base
-    power = {(0,) * nvars: Fraction(1)}
+    power = {(0,) * nvars: 1}
     for _ in range(e):
         power = poly_mul(power, repl)
     return poly_mul(base, power)
@@ -142,20 +129,43 @@ class _WedgeElement:
     # construction helpers ----------------------------------------------------
 
     @classmethod
+    def _of(cls, dims: tuple[int, int], terms: dict) -> "_WedgeElement":
+        """Trusted construction from valid, zero-free terms: the results of
+        arithmetic on valid elements, which need no key check."""
+        new = object.__new__(cls)
+        new.dims = dims
+        new.terms = terms
+        return new
+
+    @classmethod
+    def _from_raw(cls, dims: tuple[int, int], raw) -> "_WedgeElement":
+        """Collect (coef, mono, wedge) triples built from the keys of valid
+        elements: each wedge is sorted with its sign, repeated legs and
+        cancelled terms drop, and only the term count is checked."""
+        acc: dict[tuple[Mono, Wedge], Fraction] = {}
+        for coef, mono, wedge in raw:
+            if len(wedge) > 1:
+                normalized = _sort_wedge(wedge)
+                if normalized is None:
+                    continue
+                sign, wedge = normalized
+                if sign < 0:
+                    coef = -coef
+            key = (mono, wedge)
+            acc[key] = acc.get(key, 0) + coef
+        return cls._of(dims, _check_size(settle(acc)))
+
+    @classmethod
     def zero(cls, dims):
         return cls(dims, {})
 
     @classmethod
     def from_terms(cls, dims, raw: list[tuple[object, Mono, Wedge]]):
-        terms: dict[tuple[Mono, Wedge], Fraction] = {}
-        for coef, mono, wedge in raw:
-            normalized = _sort_wedge(tuple(wedge))
-            if normalized is None:
-                continue
-            sign, sw = normalized
-            key = (tuple(mono), sw)
-            terms[key] = terms.get(key, ZERO) + as_fraction(coef) * sign
-        return cls(dims, terms)
+        """Collect caller-supplied (coef, mono, wedge) triples, then validate."""
+        collected = cls._from_raw(
+            dims, [(as_fraction(c), tuple(mono), tuple(wedge)) for c, mono, wedge in raw]
+        )
+        return cls(dims, collected.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -166,26 +176,19 @@ class _WedgeElement:
 
     def __add__(self, other):
         self._same_kind(other)
-        terms = dict(self.terms)
-        for key, coef in other.terms.items():
-            new = terms.get(key, ZERO) + coef
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
-        return type(self)(self.dims, terms)
+        return self._of(self.dims, _check_size(add_terms(dict(self.terms), other.terms)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.dims, {k: -c for k, c in self.terms.items()})
+        return self._of(self.dims, {k: -c for k, c in self.terms.items()})
 
     def scale(self, scalar):
         scalar = as_fraction(scalar)
         if scalar == 0:
-            return type(self)(self.dims, {})
-        return type(self)(self.dims, {k: c * scalar for k, c in self.terms.items()})
+            return self._of(self.dims, {})
+        return self._of(self.dims, scale_terms(self.terms, scalar))
 
     __mul__ = scale
     __rmul__ = scale
@@ -327,24 +330,22 @@ def coordinate_vector(dims, direction: int) -> PolyMultivector:
     return mv(dims, 1, None, (direction,))
 
 
-def wedge_mv(u: PolyMultivector, v: PolyMultivector) -> PolyMultivector:
+def _wedge(u: _WedgeElement, v: _WedgeElement) -> _WedgeElement:
     u._same_kind(v)
-    raw = []
-    for (mu, wu), cu in u.terms.items():
-        for (mv_, wv), cv in v.terms.items():
-            mono = tuple(a + b for a, b in zip(mu, mv_))
-            raw.append((cu * cv, mono, wu + wv))
-    return PolyMultivector.from_terms(u.dims, raw)
+    raw = [
+        (cu * cv, tuple(map(add, mu, mv_)), wu + wv)
+        for (mu, wu), cu in u.terms.items()
+        for (mv_, wv), cv in v.terms.items()
+    ]
+    return type(u)._from_raw(u.dims, raw)
+
+
+def wedge_mv(u: PolyMultivector, v: PolyMultivector) -> PolyMultivector:
+    return _wedge(u, v)
 
 
 def wedge_form(a: PolyForm, b: PolyForm) -> PolyForm:
-    a._same_kind(b)
-    raw = []
-    for (ma, wa), ca in a.terms.items():
-        for (mb, wb), cb in b.terms.items():
-            mono = tuple(e1 + e2 for e1, e2 in zip(ma, mb))
-            raw.append((ca * cb, mono, wa + wb))
-    return PolyForm.from_terms(a.dims, raw)
+    return _wedge(a, b)
 
 
 # -- Schouten bracket -----------------------------------------------------------
@@ -360,46 +361,42 @@ def schouten(u: PolyMultivector, v: PolyMultivector) -> PolyMultivector:
                  + (-1)^{a(b-1)} g sum_j (-1)^j (df/dq_j) (Q\\q_j)^P
     """
     u._same_kind(v)
-    dims = u.dims
     raw: list[tuple[Fraction, Mono, Wedge]] = []
     for (fm, P), fc in u.terms.items():
         a = len(P)
         for (gm, Q), gc in v.terms.items():
             b = len(Q)
+            fg = tuple(map(add, fm, gm))
+            # d/dx_w of the monomial x^e is e x^(e - 1): lower the sum fg at w
             for i, w in enumerate(P, start=1):
-                dg = poly_diff({gm: gc}, w)
-                if not dg:
+                e = gm[w]
+                if not e:
                     continue
-                sign = 1 if (a - i) % 2 == 0 else -1
-                rest = P[:i - 1] + P[i:]
-                for mono_g, coef_g in dg.items():
-                    mono = tuple(e1 + e2 for e1, e2 in zip(fm, mono_g))
-                    raw.append((fc * coef_g * sign, mono, rest + Q))
+                sign = e if (a - i) % 2 == 0 else -e
+                mono = fg[:w] + (fg[w] - 1,) + fg[w + 1:]
+                raw.append((fc * gc * sign, mono, P[:i - 1] + P[i:] + Q))
             outer = 1 if (a * (b - 1)) % 2 == 0 else -1
             for j, q in enumerate(Q, start=1):
-                df = poly_diff({fm: fc}, q)
-                if not df:
+                e = fm[q]
+                if not e:
                     continue
-                sign = outer * (1 if j % 2 == 0 else -1)
-                rest = Q[:j - 1] + Q[j:]
-                for mono_f, coef_f in df.items():
-                    mono = tuple(e1 + e2 for e1, e2 in zip(mono_f, gm))
-                    raw.append((gc * coef_f * sign, mono, rest + P))
-    return PolyMultivector.from_terms(dims, raw)
+                sign = outer * (e if j % 2 == 0 else -e)
+                mono = fg[:q] + (fg[q] - 1,) + fg[q + 1:]
+                raw.append((gc * fc * sign, mono, Q[:j - 1] + Q[j:] + P))
+    return PolyMultivector._from_raw(u.dims, raw)
 
 
 # -- de Rham, contractions --------------------------------------------------------
 
 
 def de_rham(w: PolyForm) -> PolyForm:
-    m, k = w.dims
-    raw = []
-    for (mono, wedge), coef in w.terms.items():
-        for var in range(m + k):
-            d = poly_diff({mono: coef}, var)
-            for mono2, coef2 in d.items():
-                raw.append((coef2, mono2, (var,) + wedge))
-    return PolyForm.from_terms(w.dims, raw)
+    raw = [
+        (coef * e, mono[:var] + (e - 1,) + mono[var + 1:], (var,) + wedge)
+        for (mono, wedge), coef in w.terms.items()
+        for var, e in enumerate(mono)
+        if e
+    ]
+    return PolyForm._from_raw(w.dims, raw)
 
 
 def contract_form(x: PolyMultivector, w: PolyForm) -> PolyForm:
@@ -416,9 +413,9 @@ def contract_form(x: PolyMultivector, w: PolyForm) -> PolyForm:
                 if leg != direction:
                     continue
                 sign = 1 if pos % 2 == 0 else -1
-                mono = tuple(a + b for a, b in zip(mx, mw))
+                mono = tuple(map(add, mx, mw))
                 raw.append((cx * cw * sign, mono, ww[:pos] + ww[pos + 1 :]))
-    return PolyForm.from_terms(w.dims, raw)
+    return PolyForm._from_raw(w.dims, raw)
 
 
 def sharp(pi: PolyMultivector, xi: PolyForm) -> PolyMultivector:
@@ -438,16 +435,20 @@ def sharp(pi: PolyMultivector, xi: PolyForm) -> PolyMultivector:
                 if leg != direction:
                     continue
                 sign = 1 if pos % 2 == 0 else -1
-                mono = tuple(a + b for a, b in zip(mxi, mpi))
+                mono = tuple(map(add, mxi, mpi))
                 raw.append((cxi * cpi * sign, mono, wpi[:pos] + wpi[pos + 1 :]))
-    return PolyMultivector.from_terms(pi.dims, raw)
+    return PolyMultivector._from_raw(pi.dims, raw)
 
 
 def multi_sharp(pis: list[PolyMultivector], w: PolyForm) -> PolyMultivector:
     """Antisymmetrized multi-contraction
     (pi_1^sharp ^ ... ^ pi_n^sharp)(xi_1^..^xi_n)
       = sum_{sigma in S_n} sign(sigma) pi_1^sharp(xi_sigma(1)) ^ ... ^ pi_n^sharp(xi_sigma(n)),
-    extended bilinearly from decomposable forms."""
+    extended bilinearly from decomposable forms.
+
+    The terms of w are grouped by wedge dx_J: the signed sum over S_n is
+    formed once per wedge from the contractions pi_i^sharp(dx_leg), each
+    built once, and then multiplied by the polynomial coefficient of dx_J."""
     n = len(pis)
     if n == 0:
         raise ValueError("multi_sharp needs at least one multivector")
@@ -461,18 +462,31 @@ def multi_sharp(pis: list[PolyMultivector], w: PolyForm) -> PolyMultivector:
         raise ValueError("ambient space mismatch in multi_sharp")
     if not w.is_zero() and w.form_degrees() != {n}:
         raise ValueError(f"multi_sharp of {n} multivectors expects a {n}-form")
-    out = PolyMultivector.zero(dims)
+    by_wedge: dict[Wedge, dict[Mono, Fraction]] = {}
     for (mono, wedge), coef in w.terms.items():
-        covectors = [form(dims, 1, None, (leg,)) for leg in wedge]
-        for perm in itertools.permutations(range(n)):
-            sign = -1 if inversion_parity(perm) else 1
-            product = mv(dims, coef * sign, mono, ())
-            for i in range(n):
-                product = wedge_mv(product, sharp(pis[i], covectors[perm[i]]))
+        by_wedge.setdefault(wedge, {})[mono] = coef
+    sharps: dict[tuple[int, int], PolyMultivector] = {}
+
+    def sharp_of(i: int, leg: int) -> PolyMultivector:
+        if (i, leg) not in sharps:
+            sharps[i, leg] = sharp(pis[i], form(dims, 1, None, (leg,)))
+        return sharps[i, leg]
+
+    acc: dict[tuple[Mono, Wedge], Fraction] = {}
+    for wedge, poly in by_wedge.items():
+        contracted = PolyMultivector.zero(dims)
+        for perm in itertools.permutations(wedge):
+            product = sharp_of(0, perm[0])
+            for i in range(1, n):
                 if product.is_zero():
                     break
-            out = out + product
-    return out
+                product = wedge_mv(product, sharp_of(i, perm[i]))
+            contracted = contracted - product if inversion_parity(perm) else contracted + product
+        for (cmono, cwedge), ccoef in contracted.terms.items():
+            for mono, coef in poly.items():
+                key = (tuple(map(add, mono, cmono)), cwedge)
+                acc[key] = acc.get(key, 0) + coef * ccoef
+    return PolyMultivector._of(dims, _check_size(settle(acc)))
 
 
 # -- coisotropic model C = {p = 0} in R^m x R^k ----------------------------------
@@ -526,8 +540,8 @@ def fiber_translate(u: PolyMultivector, phi: PolyMultivector) -> PolyMultivector
         for j, phi_j in comp.items():
             var = m + j
             repl = poly_add(
-                {tuple(1 if t == var else 0 for t in range(nvars)): Fraction(1)},
-                poly_scale(phi_j, Fraction(-1)),
+                {tuple(1 if t == var else 0 for t in range(nvars)): 1},
+                poly_scale(phi_j, -1),
             )
             new_poly: dict[Mono, Fraction] = {}
             for mono2, coef2 in poly.items():

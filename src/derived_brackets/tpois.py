@@ -235,7 +235,7 @@ def gauge_Y(
 #
 # Everything that moves with the flow time t is a polynomial in t, stored as
 # dict[t_power -> coefficient] with zero coefficients dropped: a curve of forms
-# or multivectors, a scalar curve (Fraction coefficients, such as a
+# or multivectors, a scalar curve (exact scalar coefficients, such as a
 # determinant), or a matrix entry of the graph transform (a Curve, whose
 # coefficients are spatial polynomials).  Static geometry is the t^0 case of
 # the same code.
@@ -354,7 +354,7 @@ def _charpoly(matrix: list[list[Curve]], one: Curve) -> list[Curve]:
             toeplitz.append(_dot(row, col))
         vec.append({})
         vec = [
-            _c_add(v, _c_scale(_dot(toeplitz[:i][::-1], vec[:i]), Fraction(-1)))
+            _c_add(v, _c_scale(_dot(toeplitz[:i][::-1], vec[:i]), -1))
             for i, v in enumerate(vec)
         ]
     return vec
@@ -374,7 +374,7 @@ def _adjugate_times(
             for out_row, rhs_row in zip(_mat_mul(matrix, out), rhs)
         ]
     if m % 2 == 0:
-        out = [[_c_scale(x, Fraction(-1)) for x in row] for row in out]
+        out = [[_c_scale(x, -1) for x in row] for row in out]
     return out
 
 
@@ -431,13 +431,13 @@ def _graph_transform(
     # K[j][c] = sum_b sharp[j][b] flat[b][c];  N = 1 + K acting on covectors
     k_mat = _mat_mul(sharp, _wedge2_matrix(b_curve, m))
     unit_mono = (0,) * m
-    one = {0: {unit_mono: Fraction(1)}}
+    one = {0: {unit_mono: 1}}
     n_mat = [
         [_c_add(one if i == j else {}, k_mat[i][j]) for j in range(m)]
         for i in range(m)
     ]
     coeffs = _charpoly(n_mat, one)
-    det = _c_scale(coeffs[m], Fraction((-1) ** m))
+    det = _c_scale(coeffs[m], (-1) ** m)
     if not det:
         raise GraphTransformError("sheared graph is not a graph (determinant vanishes)")
     if any(set(poly) - {unit_mono} for poly in det.values()):
@@ -457,7 +457,7 @@ def _derivative_at_zero(
     if det.get(0) != 1:
         raise GraphTransformError("graph-transform curve not normalized at t = 0")
     zero = PolyMultivector.zero(dims)
-    return numerator.get(1, zero) - numerator.get(0, zero).scale(det.get(1, Fraction(0)))
+    return numerator.get(1, zero) - numerator.get(0, zero).scale(det.get(1, 0))
 
 
 def e_b_pi(b: PolyForm, pi: PolyMultivector) -> PolyMultivector:
@@ -470,7 +470,7 @@ def e_b_pi(b: PolyForm, pi: PolyMultivector) -> PolyMultivector:
     in O(m^4) ring products; antisymmetry of the result is asserted.
     """
     numerator, det = _graph_transform({0: b}, {0: pi}, pi.dims[0])
-    return numerator.get(0, PolyMultivector.zero(pi.dims)).scale(Fraction(1) / det[0])
+    return numerator.get(0, PolyMultivector.zero(pi.dims)).scale(Fraction(1, det[0]))
 
 
 # -- affine maps and the 2-form semidirect action --------------------------------------
@@ -491,7 +491,7 @@ class TimeAffine:
 def _coordinate_images(phi: TimeAffine) -> list[Curve]:
     """The substitution x_i -> sum_j M_ij(t) x_j + c_i(t), one Curve per x_i."""
     m = len(phi.matrix)
-    coordinates = [{0: {tuple(int(v == j) for v in range(m)): Fraction(1)}} for j in range(m)]
+    coordinates = [{0: {tuple(int(v == j) for v in range(m)): 1}} for j in range(m)]
     images = []
     for row, image in zip(phi.matrix, phi.translation):
         for entry, x_j in zip(row, coordinates):
@@ -670,8 +670,8 @@ def _flow(x_field: PolyMultivector, time_sign: int) -> TimeAffine:
     """The time-(sign * t) flow of a vector field A x + b; error beyond affine
     or when A is not nilpotent (the flow would leave the polynomial world)."""
     m = x_field.dims[0]
-    a_mat = [[Fraction(0)] * m for _ in range(m)]
-    const = [Fraction(0)] * m
+    a_mat = [[0] * m for _ in range(m)]
+    const = [0] * m
     for (mono, wedge), coef in x_field.terms.items():
         if len(wedge) != 1:
             raise UnsupportedVectorFieldError("flow directions must be vector fields")
@@ -687,7 +687,7 @@ def _flow(x_field: PolyMultivector, time_sign: int) -> TimeAffine:
                 "flow directions must be constant or linear with nilpotent matrix part"
             )
     # the nonzero powers 1, A, A^2, ..; a nilpotent A has A^m = 0
-    powers = [[[Fraction(int(i == j)) for j in range(m)] for i in range(m)]]
+    powers = [[[int(i == j) for j in range(m)] for i in range(m)]]
     while True:
         last = powers[-1]
         power = [
@@ -700,12 +700,11 @@ def _flow(x_field: PolyMultivector, time_sign: int) -> TimeAffine:
             raise UnsupportedVectorFieldError("matrix part of the flow is not nilpotent")
         powers.append(power)
     unit = (0,) * m
-    sign = Fraction(time_sign)
     # exp(sign t A) = sum_k (sign t)^k A^k / k!
     matrix = [
         [
             {
-                k: {unit: sign**k / math.factorial(k) * a_k[i][j]}
+                k: {unit: as_fraction(Fraction(time_sign**k, math.factorial(k)) * a_k[i][j])}
                 for k, a_k in enumerate(powers)
                 if a_k[i][j]
             }
@@ -720,8 +719,8 @@ def _flow(x_field: PolyMultivector, time_sign: int) -> TimeAffine:
         for i in range(m):
             value = sum(a_k[i][r] * const[r] for r in range(m))
             if value:
-                coef = sign ** (k + 1) / math.factorial(k + 1)
-                translation[i][k + 1] = {unit: coef * value}
+                coef = Fraction(time_sign ** (k + 1), math.factorial(k + 1))
+                translation[i][k + 1] = {unit: as_fraction(coef * value)}
     return TimeAffine(matrix, translation)
 
 
@@ -760,11 +759,11 @@ class FlowCurve:
 
     def mv_at(self, t: Fraction) -> PolyMultivector:
         t = as_fraction(t)
-        den = _t_eval(self.denominator, t, Fraction(0))
+        den = _t_eval(self.denominator, t, 0)
         if den == 0:
             raise GraphTransformError(f"flow leaves the polynomial category at t = {t}")
         num = _t_eval(self.mv_numerator, t, PolyMultivector.zero(self.dims))
-        return num.scale(Fraction(1) / den)
+        return num.scale(Fraction(1, den))
 
     def at(self, t: Fraction) -> tuple[PolyForm, PolyMultivector]:
         return self.form_at(t), self.mv_at(t)

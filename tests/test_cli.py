@@ -154,6 +154,16 @@ def test_suite_runs_all_names(files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("samples", [1, 3, 5])
+def test_suite_flow_runs_the_requested_number_of_curves(samples, capsys):
+    assert main(["--json", "suite", "flow", "--seed", "1", "--samples", str(samples)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # ceil(N/2) curves with a zero flow direction carry four checks each,
+    # floor(N/2) with a random direction three each
+    assert report["samples"] == samples
+    assert report["checks"] == 4 * ((samples + 1) // 2) + 3 * (samples // 2)
+
+
 def test_unknown_vdata_kind(tmp_path, capsys):
     p = tmp_path / "vd.json"
     p.write_text(json.dumps({"kind": "mystery"}))
