@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .graded import GradedSpace, HomElt
+from .graded import GradedSpace, HomElt, settle
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,20 @@ class StructureGLA:
     Reversed entries are folded in through the antisymmetry sign, so the
     stored table cannot be antisymmetry-inconsistent; loaders may attach
     ``input_conflicts`` describing contradictions found in raw input, which
-    :func:`verify_gla` then reports."""
+    :func:`verify_gla` then reports.
+
+    ``table`` holds the folded pairs i <= j (JSON output, equality and
+    hashing read it).  Construction also unfolds it once into signed rows
+    ``left -> right -> ((basis, coef), ...)`` that :meth:`bracket` reads: the
+    entry for (j, i) carries the antisymmetry sign -(-1)^{|b_i||b_j|}, and a
+    diagonal entry is stored as given, so an even-diagonal violation stays
+    visible to :func:`verify_gla`."""
 
     input_conflicts: tuple = ()
 
     def __init__(self, space: GradedSpace, table: dict[tuple[str, str], HomElt]):
         self.space = space
         index = {name: k for k, name in enumerate(space.names())}
-        self._index = index
         stored: dict[tuple[str, str], HomElt] = {}
         for (left, right), value in table.items():
             if left not in index or right not in index:
@@ -71,6 +77,15 @@ class StructureGLA:
             else:
                 stored[(left, right)] = stored.get((left, right), space.zero()) + value
         self.table = {k: v for k, v in stored.items() if not v.is_zero()}
+        rows: dict[str, dict[str, tuple]] = {}
+        for (left, right), value in self.table.items():
+            terms = tuple(value.terms.items())
+            rows.setdefault(left, {})[right] = terms
+            if left != right:
+                odd = space.degree_of(left) * space.degree_of(right) % 2
+                sign = 1 if odd else -1
+                rows.setdefault(right, {})[left] = tuple((n, sign * c) for n, c in terms)
+        self._rows = rows
 
     # -- basics --------------------------------------------------------------
 
@@ -86,27 +101,30 @@ class StructureGLA:
     def basis_elements(self) -> list[HomElt]:
         return [self.space.gen(n) for n in self.space.names()]
 
-    def _pair_bracket(self, left: str, right: str) -> HomElt:
-        i, j = self._index[left], self._index[right]
-        if i <= j:
-            return self.table.get((left, right), self.space.zero())
-        dl = self.space.degree_of(left)
-        dr = self.space.degree_of(right)
-        base = self.table.get((right, left), self.space.zero())
-        sign = -(Fraction(-1) ** ((dl * dr) % 2))
-        return base.scale(sign)
-
     def bracket(self, x: HomElt, y: HomElt) -> HomElt:
-        """Bilinear extension of the structure-constant table."""
-        if x.space != self.space or y.space != self.space:
+        """Bilinear extension of the structure-constant table: every product
+        c_x c_y v of a term of x, a term of y and a term of their row entry is
+        summed into one dict, whose nonzero entries are the result."""
+        space = self.space
+        if (x.space is not space and x.space != space) or (
+            y.space is not space and y.space != space
+        ):
             raise ValueError("bracket arguments belong to a different algebra")
-        out = self.space.zero()
+        rows = self._rows
+        right_terms = y.terms.items()
+        acc: dict = {}
         for ln, lc in x.terms.items():
-            for rn, rc in y.terms.items():
-                base = self._pair_bracket(ln, rn)
-                if not base.is_zero():
-                    out = out + base.scale(lc * rc)
-        return out
+            row = rows.get(ln)
+            if row is None:
+                continue
+            for rn, rc in right_terms:
+                entry = row.get(rn)
+                if entry is None:
+                    continue
+                c = lc * rc
+                for name, v in entry:
+                    acc[name] = acc.get(name, 0) + c * v
+        return HomElt._of(space, settle(acc))
 
     def __eq__(self, other) -> bool:
         return (
@@ -125,10 +143,13 @@ def verify_gla(algebra: StructureGLA) -> GlaReport:
     space = algebra.space
     violations: list[Violation] = []
     names = space.names()
+    # the generators and the pair brackets [g_i, g_j], each built once
+    gens = {n: space.gen(n) for n in names}
+    pairs = {(ln, rn): algebra.bracket(gens[ln], gens[rn]) for ln in names for rn in names}
 
     for ln in names:
         for rn in names:
-            value = algebra._pair_bracket(ln, rn)
+            value = pairs[(ln, rn)]
             if value.is_zero():
                 continue
             expected = space.degree_of(ln) + space.degree_of(rn)
@@ -143,7 +164,7 @@ def verify_gla(algebra: StructureGLA) -> GlaReport:
     # is the diagonal in even degree, where [b, b] = -[b, b] forces zero
     for name in names:
         if space.degree_of(name) % 2 == 0:
-            diag = algebra._pair_bracket(name, name)
+            diag = pairs[(name, name)]
             if not diag.is_zero():
                 violations.append(Violation("antisymmetry", (name, name), repr(diag)))
 
@@ -151,16 +172,15 @@ def verify_gla(algebra: StructureGLA) -> GlaReport:
 
     for an in names:
         da = space.degree_of(an)
-        a = space.gen(an)
+        a = gens[an]
         for bn in names:
-            db = space.degree_of(bn)
-            b = space.gen(bn)
+            sign = -1 if da * space.degree_of(bn) % 2 else 1
+            b = gens[bn]
+            ab = pairs[(an, bn)]
             for cn in names:
-                c = space.gen(cn)
-                lhs = algebra.bracket(a, algebra.bracket(b, c))
-                rhs = algebra.bracket(algebra.bracket(a, b), c) + algebra.bracket(
-                    b, algebra.bracket(a, c)
-                ).scale(Fraction(-1) ** ((da * db) % 2))
+                c = gens[cn]
+                lhs = algebra.bracket(a, pairs[(bn, cn)])
+                rhs = algebra.bracket(ab, c) + algebra.bracket(b, pairs[(an, cn)]).scale(sign)
                 residual = lhs - rhs
                 if not residual.is_zero():
                     violations.append(Violation("jacobi", (an, bn, cn), repr(residual)))
@@ -177,7 +197,7 @@ class LinearMap:
     degree_shift: int = 0
 
     def __call__(self, x: HomElt) -> HomElt:
-        if x.space != self.space:
+        if x.space is not self.space and x.space != self.space:
             raise ValueError("argument belongs to a different space")
         out = self.space.zero()
         for name, coef in x.terms.items():
@@ -294,8 +314,11 @@ def element_to_json(x: HomElt) -> list[dict]:
 def element_from_json(space: GradedSpace, data: list[dict]) -> HomElt:
     terms: dict[str, Fraction] = {}
     for item in data:
-        coef = Fraction(int(item["coef_num"]), int(item.get("coef_den", 1)))
+        num, den = int(item["coef_num"]), int(item.get("coef_den", 1))
         name = item["basis"]
+        if den == 0:
+            raise ValueError(f"coefficient {num}/{den} of {name!r} has a zero denominator")
+        coef = Fraction(num, den)
         terms[name] = terms.get(name, Fraction(0)) + coef
     return HomElt(space, terms)
 

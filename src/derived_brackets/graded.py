@@ -25,17 +25,21 @@ ZERO = 0
 def as_fraction(value) -> int | Fraction:
     """Coerce an int, Fraction, 'p/q' string or (num, den) pair to an exact
     scalar: an ``int`` when the value is integral (``Fraction(n, 1)``
-    included), else a reduced Fraction."""
+    included), else a reduced Fraction.  A zero denominator is a
+    ``ValueError`` naming the coefficient."""
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
         return int(value)
-    if isinstance(value, str):
-        return as_fraction(Fraction(value))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return as_fraction(Fraction(int(value[0]), int(value[1])))
+    try:
+        if isinstance(value, str):
+            return as_fraction(Fraction(value))
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return as_fraction(Fraction(int(value[0]), int(value[1])))
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -287,7 +291,7 @@ class HomElt:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HomElt)
-            and self.space == other.space
+            and (self.space is other.space or self.space == other.space)
             and self.terms == other.terms
         )
 

@@ -64,10 +64,15 @@ def _nonzero_coef(rng: random.Random) -> Fraction:
 # branches r = 0 and r = -2.
 
 
+# One space for the algebra and every fixture draw (a GradedSpace is frozen,
+# so sharing it is safe and spares each element a copy of its own).
+_FIXTURE_SPACE = GradedSpace.of(
+    [("a", 0), ("c", 0), ("b", 1), ("u", 1), ("v", 1), ("w", 2)]
+)
+
+
 def fixture_gla() -> StructureGLA:
-    space = GradedSpace.of(
-        [("a", 0), ("c", 0), ("b", 1), ("u", 1), ("v", 1), ("w", 2)]
-    )
+    space = _FIXTURE_SPACE
     table = {
         ("u", "a"): space.element({"v": 1, "b": 1}),
         ("u", "c"): space.element({"v": 2, "b": 2}),
@@ -94,7 +99,7 @@ def fixture_vdata() -> VData:
     a_names = ("a", "c", "b")
 
     def project(x: HomElt) -> HomElt:
-        return HomElt(space, {n: cf for n, cf in x.terms.items() if n in a_names})
+        return HomElt._of(space, {n: cf for n, cf in x.terms.items() if n in a_names})
 
     fdeg, depth = basis_filtration(_FIXTURE_FDEG)
 
@@ -116,20 +121,20 @@ def fixture_vdata() -> VData:
 
 
 def random_fixture_element(rng: random.Random, degree: int) -> HomElt:
-    space = fixture_gla().space
+    space = _FIXTURE_SPACE
     names = [n for n, d in space.basis if d == degree]
     return space.element({n: _coef(rng) for n in names})
 
 
 def random_fixture_a_element(rng: random.Random, degree: int = 0) -> HomElt:
-    space = fixture_gla().space
+    space = _FIXTURE_SPACE
     names = [n for n in ("a", "c", "b") if space.degree_of(n) == degree]
     return space.element({n: _coef(rng) for n in names})
 
 
 def random_fixture_pair(rng: random.Random, degree: int) -> BigElt:
     """Homogeneous element of L[1] (+) a of the given shifted degree."""
-    space = fixture_gla().space
+    space = _FIXTURE_SPACE
     x_names = [n for n, d in space.basis if d == degree + 1]
     a_names = [n for n in ("a", "c", "b") if space.degree_of(n) == degree]
     x = space.element({n: _coef(rng) for n in x_names})
@@ -141,7 +146,7 @@ def fixture_mc_small(rng: random.Random) -> HomElt:
     """Engineered Maurer-Cartan element t a + s c of the fixture small algebra:
     the residual is (r + r^2/2) b with r = t + 2s, so s = (r - t)/2 on either
     branch r = 0 or r = -2."""
-    space = fixture_gla().space
+    space = _FIXTURE_SPACE
     t = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     r = Fraction(rng.choice([0, -2]))
     s = (r - t) / 2
@@ -157,7 +162,7 @@ def fixture_mc_big(rng: random.Random) -> BigElt:
     fixes gamma, and the exponential residual then factors with discriminant
     (1+alpha)^2, giving the exact branches r = -beta/(1+alpha) and
     r = -2 - beta/(1+alpha) for r = t + 2s."""
-    space = fixture_gla().space
+    space = _FIXTURE_SPACE
     alpha = Fraction(rng.randint(-3, 3))
     while alpha == -1:
         alpha = Fraction(rng.randint(-3, 3))

@@ -1,8 +1,9 @@
 """The benchmark's per-layer tracer patches library callables by name.
 
 ``perfbench/tracing.py`` wraps, among others, ``tpois.tpois_bracket`` and
-``graded.koszul_sign`` in every module that bound them, and reads series
-counters off ``mc_residual``'s report and the big algebra's ``m``.  A
+``graded.koszul_sign`` in every module that bound them, patches the method
+``gla.StructureGLA.bracket`` on its class, and reads series counters off
+``mc_residual``'s report and the big algebra's ``m``.  A
 refactor that renames or stops calling a hooked attribute leaves ``--trace 1``
 silently empty; this test runs the tracer against the checkout and requires
 spans and counters for both layers.
@@ -32,8 +33,12 @@ lib.linfty.relations_residual(T.tpois_linfty(2), 2, (pi, pi))
 S = lib.sampling
 v = S.fixture_vdata()
 report = lib.linfty.mc_residual(lib.vdata.big_algebra(v), S.fixture_mc_big(random.Random(1)))
+before = tracer.self_times()[2].get("gla.bracket", 0)
+a, c = v.a_basis[0], v.a_basis[1]
+lib.vdata.small_algebra(v).m(2, (a, c))
+small_brackets = tracer.self_times()[2].get("gla.bracket", 0) - before
 print(json.dumps({{"calls": tracer.self_times()[2], "counters": tracer.counters,
-                  "terms": report.terms_evaluated}}))
+                  "terms": report.terms_evaluated, "small_brackets": small_brackets}}))
 """
 
 
@@ -56,3 +61,6 @@ def test_tracer_records_spans_for_hooked_callables():
     assert out["terms"] > 0
     assert counters.get("linfty.mc_residual.terms") == out["terms"]
     assert counters.get("vdata.big.m.max_arity", 0) > 0
+    # the kernel is patched as gla.StructureGLA.bracket: a small-algebra m_2
+    # on the fixture, P[[Delta, a], c], is two spans of it
+    assert out["small_brackets"] >= 2

@@ -171,6 +171,40 @@ def test_unknown_vdata_kind(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _assert_zero_denominator_input_error(capsys, coefficient):
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "zero denominator" in err and coefficient in err
+
+
+def test_gla_file_with_zero_denominator_is_an_input_error(tmp_path, capsys):
+    data = gla_to_json(sample_gla())
+    data["brackets"][0]["result"][0]["coef_den"] = 0
+    p = tmp_path / "gla.json"
+    p.write_text(json.dumps(data))
+    assert main(["verify-gla", str(p)]) == 2
+    _assert_zero_denominator_input_error(capsys, "1/0 of 'e'")
+
+
+def test_mc_element_with_zero_denominator_is_an_input_error(files, tmp_path, capsys):
+    p = tmp_path / "phi.json"
+    p.write_text(json.dumps({"element": [{"coef_num": 2, "coef_den": 0, "basis": "a"}]}))
+    assert main(["mc", files["vdata_fixture.json"], str(p)]) == 2
+    _assert_zero_denominator_input_error(capsys, "2/0 of 'a'")
+
+
+@pytest.mark.parametrize("command, coef", [("flow", "1/0"), ("gauge", [1, 0])])
+def test_polynomial_literal_with_zero_denominator_is_an_input_error(
+    command, coef, tmp_path, capsys
+):
+    pi = {"dims": {"base": 3}, "terms": [{"coef": coef, "monomial": {}, "wedge": [1, 2]}]}
+    h = {"dims": {"base": 3}, "terms": [{"coef": 1, "monomial": {}, "wedge": [1, 2, 3]}]}
+    p = tmp_path / "point.json"
+    p.write_text(json.dumps({"H": h, "pi": pi}))
+    assert main([command, str(p)]) == 2
+    _assert_zero_denominator_input_error(capsys, repr(coef))
+
+
 def test_console_entry_point_runs():
     # the child imports the package from where this process found it
     import derived_brackets

@@ -1,0 +1,283 @@
+"""`StructureGLA.bracket` against the bilinear extension of its stored table.
+
+The oracle below is the pair-by-pair evaluation the signed rows replaced: it
+reads ``algebra.table`` (pairs i <= j in basis order), produces a reversed
+pair through the antisymmetry sign -(-1)^{|b_i||b_j|}, and sums scaled
+elements one at a time.  The kernel must agree with it exactly, in value, in
+``repr`` and in the type of every coefficient (``int`` while integral).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from derived_brackets.gla import (
+    GlaReport,
+    StructureGLA,
+    Violation,
+    gla_from_json,
+    sample_gla,
+    verify_gla,
+)
+from derived_brackets.graded import GradedSpace
+from derived_brackets.sampling import (
+    fixture_gla,
+    fixture_mc_big,
+    fixture_mc_small,
+    random_fixture_a_element,
+    random_fixture_element,
+    random_fixture_pair,
+)
+
+
+def oracle_pair(algebra, left, right):
+    space = algebra.space
+    index = {name: k for k, name in enumerate(space.names())}
+    if index[left] <= index[right]:
+        return algebra.table.get((left, right), space.zero())
+    dl, dr = space.degree_of(left), space.degree_of(right)
+    base = algebra.table.get((right, left), space.zero())
+    return base.scale(-(Fraction(-1) ** ((dl * dr) % 2)))
+
+
+def oracle_bracket(algebra, x, y):
+    out = algebra.space.zero()
+    for ln, lc in x.terms.items():
+        for rn, rc in y.terms.items():
+            base = oracle_pair(algebra, ln, rn)
+            if not base.is_zero():
+                out = out + base.scale(lc * rc)
+    return out
+
+
+def oracle_verify(algebra):
+    """The triple loop of verify_gla that rebuilds every generator and inner
+    bracket per triple."""
+    space = algebra.space
+    violations = []
+    names = space.names()
+    for ln in names:
+        for rn in names:
+            value = oracle_pair(algebra, ln, rn)
+            if value.is_zero():
+                continue
+            expected = space.degree_of(ln) + space.degree_of(rn)
+            for mono in value.terms:
+                if space.degree_of(mono) != expected:
+                    violations.append(Violation("degree", (ln, rn), repr(value)))
+                    break
+    for name in names:
+        if space.degree_of(name) % 2 == 0:
+            diag = oracle_pair(algebra, name, name)
+            if not diag.is_zero():
+                violations.append(Violation("antisymmetry", (name, name), repr(diag)))
+    violations.extend(getattr(algebra, "input_conflicts", ()))
+    for an in names:
+        da = space.degree_of(an)
+        a = space.gen(an)
+        for bn in names:
+            db = space.degree_of(bn)
+            b = space.gen(bn)
+            for cn in names:
+                c = space.gen(cn)
+                lhs = algebra.bracket(a, algebra.bracket(b, c))
+                rhs = algebra.bracket(algebra.bracket(a, b), c) + algebra.bracket(
+                    b, algebra.bracket(a, c)
+                ).scale(Fraction(-1) ** ((da * db) % 2))
+                residual = lhs - rhs
+                if not residual.is_zero():
+                    violations.append(Violation("jacobi", (an, bn, cn), repr(residual)))
+    return GlaReport(ok=not violations, violations=tuple(violations))
+
+
+def assert_same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+    assert {n: type(c) for n, c in got.terms.items()} == {
+        n: type(c) for n, c in want.terms.items()
+    }
+    assert got.space is want.space
+
+
+def random_element(rng, space):
+    names = space.names()
+    return space.element(
+        {rng.choice(names): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+         for _ in range(rng.randint(1, 4))}
+    )
+
+
+def random_table_json(rng):
+    """A structure-constant file with random entries (degrees are not
+    respected, so verify_gla has violations to report).  It always has an odd
+    degree-1 basis element with a diagonal entry, a pair listed in both orders
+    and Fraction coefficients; in about half of them a degree-0 basis element
+    also has a diagonal entry, which verify_gla must report."""
+    n = rng.randint(3, 5)
+    degrees = [1, 0] + [rng.randint(-1, 2) for _ in range(n - 2)]
+    rng.shuffle(degrees)
+    basis = [{"name": f"e{i}", "degree": d} for i, d in enumerate(degrees)]
+    names = [b["name"] for b in basis]
+    odd = names[degrees.index(1)]
+    even = names[degrees.index(0)]
+
+    def result():
+        return [
+            {"coef_num": rng.randint(-3, 3), "coef_den": rng.randint(1, 3),
+             "basis": rng.choice(names)}
+            for _ in range(rng.randint(1, 3))
+        ]
+
+    brackets = [{"left": odd, "right": odd, "result": result()}]
+    if rng.randrange(2):
+        brackets.append({"left": even, "right": even, "result": result()})
+    for _ in range(rng.randint(n, 3 * n)):
+        left, right = rng.choice(names), rng.choice(names)
+        brackets.append({"left": left, "right": right, "result": result()})
+    # one pair listed in both orders, consistently or not
+    left, right = odd, even
+    value = result()
+    sign = -1 if rng.randrange(3) else 1  # -(-1)^{1*0} = -1 is consistent
+    brackets.append({"left": left, "right": right, "result": value})
+    brackets.append({
+        "left": right, "right": left,
+        "result": [dict(item, coef_num=sign * item["coef_num"]) for item in value],
+    })
+    return {"basis": basis, "brackets": brackets}
+
+
+def random_tables(seed, count):
+    rng = random.Random(seed)
+    return [gla_from_json(random_table_json(rng)) for _ in range(count)]
+
+
+def test_bracket_matches_oracle_on_fixture_and_sample():
+    rng = random.Random(11)
+    for algebra in (fixture_gla(), sample_gla()):
+        basis = algebra.basis_elements()
+        for x in basis:
+            for y in basis:
+                assert_same(algebra.bracket(x, y), oracle_bracket(algebra, x, y))
+        for _ in range(200):
+            x, y = random_element(rng, algebra.space), random_element(rng, algebra.space)
+            assert_same(algebra.bracket(x, y), oracle_bracket(algebra, x, y))
+
+
+def test_bracket_matches_oracle_on_fixture_draws():
+    rng = random.Random(12)
+    algebra = fixture_gla()
+    for _ in range(50):
+        phi = fixture_mc_small(rng)
+        alpha = fixture_mc_big(rng)
+        pair = random_fixture_pair(rng, rng.choice([-1, 0, 1]))
+        elements = [
+            phi, alpha.x, alpha.a, pair.x, pair.a,
+            random_fixture_element(rng, rng.choice([0, 1, 2])),
+            random_fixture_a_element(rng, rng.choice([0, 1])),
+        ]
+        for x in elements:
+            for y in elements:
+                assert_same(algebra.bracket(x, y), oracle_bracket(algebra, x, y))
+
+
+def test_bracket_matches_oracle_on_random_tables():
+    rng = random.Random(13)
+    seen = {"fraction": 0, "even_diagonal": 0, "odd_diagonal": 0, "conflict": 0, "cancel": 0}
+    for algebra in random_tables(14, 40):
+        space = algebra.space
+        if any(type(c) is Fraction for v in algebra.table.values() for c in v.terms.values()):
+            seen["fraction"] += 1
+        for (left, right), value in algebra.table.items():
+            if left == right:
+                key = "odd_diagonal" if space.degree_of(left) % 2 else "even_diagonal"
+                seen[key] += 1
+        seen["conflict"] += bool(algebra.input_conflicts)
+        basis = algebra.basis_elements()
+        for x in basis:
+            for y in basis:
+                assert_same(algebra.bracket(x, y), oracle_bracket(algebra, x, y))
+        for _ in range(40):
+            x, y = random_element(rng, space), random_element(rng, space)
+            got = algebra.bracket(x, y)
+            assert_same(got, oracle_bracket(algebra, x, y))
+            reachable = {
+                n for ln in x.terms for rn in y.terms
+                for n in oracle_pair(algebra, ln, rn).terms
+            }
+            seen["cancel"] += len(got.terms) < len(reachable)
+    assert all(seen.values()), seen
+
+
+def test_bracket_products_that_cancel_leave_no_terms():
+    space = GradedSpace.of([("x", 0), ("y", 0), ("z", 0), ("w", 0)])
+    algebra = StructureGLA(space, {("x", "z"): space.gen("w"), ("y", "z"): space.gen("w")})
+    x = space.element({"x": 1, "y": -1})
+    value = algebra.bracket(x, space.gen("z"))
+    assert value.terms == {} and repr(value) == "0"
+    assert_same(value, oracle_bracket(algebra, x, space.gen("z")))
+    # [z, x] comes from the reversed rows, with sign -(-1)^0 = -1
+    half = space.element({"x": Fraction(1, 2), "y": Fraction(3, 2)})
+    value = algebra.bracket(space.gen("z"), half)
+    assert value.terms == {"w": -2} and type(value.terms["w"]) is int
+    assert_same(value, oracle_bracket(algebra, space.gen("z"), half))
+
+
+def test_odd_reversed_pair_keeps_its_sign_and_even_diagonal_is_reported():
+    space = GradedSpace.of([("h", 0), ("p", 1), ("q", 1), ("r", 2)])
+    algebra = StructureGLA(
+        space,
+        {("p", "q"): space.gen("r"), ("p", "p"): space.gen("r", 2), ("h", "h"): space.gen("h")},
+    )
+    p, q = space.gen("p"), space.gen("q")
+    assert algebra.bracket(q, p) == space.gen("r")  # -(-1)^{1*1} = +1
+    assert algebra.bracket(p, p) == space.gen("r", 2)
+    assert algebra.bracket(space.gen("h"), space.gen("h")) == space.gen("h")
+    report = verify_gla(algebra)
+    assert Violation("antisymmetry", ("h", "h"), "h") in report.violations
+
+
+def test_bracket_accepts_an_equal_space_and_rejects_a_foreign_one():
+    algebra = fixture_gla()
+    twin = GradedSpace.of(list(algebra.space.basis))
+    assert twin is not algebra.space and twin == algebra.space
+    x, y = twin.gen("u"), twin.gen("a")
+    value = algebra.bracket(x, y)
+    assert value == algebra.space.element({"v": 1, "b": 1})
+    assert value.space is algebra.space
+    assert twin.gen("u") == algebra.space.gen("u")
+    foreign = GradedSpace.of(list(algebra.space.basis) + [("extra", 3)])
+    with pytest.raises(ValueError):
+        algebra.bracket(foreign.gen("u"), algebra.gen("a"))
+    with pytest.raises(ValueError):
+        algebra.bracket(algebra.gen("u"), foreign.gen("a"))
+
+
+def test_fixture_draws_share_the_algebra_space():
+    rng = random.Random(1)
+    space = fixture_gla().space
+    assert random_fixture_element(rng, 1).space is space
+    assert random_fixture_a_element(rng, 0).space is space
+    pair = random_fixture_pair(rng, 0)
+    assert pair.x.space is space and pair.a.space is space
+    assert fixture_mc_small(rng).space is space
+    alpha = fixture_mc_big(rng)
+    assert alpha.x.space is space and alpha.a.space is space
+
+
+def test_verify_gla_matches_the_triple_loop():
+    space = GradedSpace.of([("x", 0), ("y", 0), ("z", 0)])
+    cyclic = StructureGLA(
+        space,
+        {("x", "y"): space.gen("x"), ("y", "z"): space.gen("y"), ("x", "z"): space.gen("z", -1)},
+    )
+    algebras = [cyclic, fixture_gla(), sample_gla()] + random_tables(15, 3)
+    reports = []
+    for algebra in algebras:
+        report = verify_gla(algebra)
+        assert report == oracle_verify(algebra)
+        assert report.as_dict() == oracle_verify(algebra).as_dict()
+        reports.append(report)
+    assert not reports[0].ok and any(v.kind == "jacobi" for v in reports[0].violations)
+    assert reports[1].ok
+    assert not reports[3].ok
