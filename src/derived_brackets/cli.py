@@ -8,7 +8,8 @@ all; ``mc`` on a quadruple without a filtration prints its truncated report
 and exits 3, flat or not, and ``twist`` exits 3 there too).  Reports
 are deterministic: the same seed and configuration produce byte-identical
 JSON.  The environment variable DB_MAX_TERMS overrides the term-count safety
-cap of the polynomial layer.
+cap of the polynomial layer; it is read once per process, at the first check,
+and a malformed value exits 2.
 """
 
 from __future__ import annotations

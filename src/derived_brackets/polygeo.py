@@ -34,12 +34,20 @@ class TermExplosionError(RuntimeError):
     pass
 
 
-def _term_cap() -> int:
-    return int(os.environ.get("DB_MAX_TERMS", "200000"))
+_term_cap: int | None = None
 
 
 def _check_size(terms: dict) -> dict:
-    if len(terms) > _term_cap():
+    """Cap the term count at DB_MAX_TERMS, which is read once per process, at
+    the first check; a malformed value is an input error (ValueError)."""
+    global _term_cap
+    if _term_cap is None:
+        raw = os.environ.get("DB_MAX_TERMS", "200000")
+        try:
+            _term_cap = int(raw)
+        except ValueError:
+            raise ValueError(f"DB_MAX_TERMS must be an integer, got {raw!r}") from None
+    if len(terms) > _term_cap:
         raise TermExplosionError(
             f"term count {len(terms)} exceeds safety cap (set DB_MAX_TERMS to raise)"
         )
@@ -399,23 +407,34 @@ def de_rham(w: PolyForm) -> PolyForm:
     return PolyForm._from_raw(w.dims, raw)
 
 
+def _without_leg(u: _WedgeElement, leg: int) -> list:
+    """Raw terms of i_{e_leg} u (first slot): the terms of u with leg ``leg``,
+    which is removed with the sign of moving it to the front."""
+    return [
+        (-coef if pos % 2 else coef, mono, wedge[:pos] + wedge[pos + 1:])
+        for (mono, wedge), coef in u.terms.items()
+        for pos, at in enumerate(wedge)
+        if at == leg
+    ]
+
+
+def _contract(legs: _WedgeElement, u: _WedgeElement) -> list:
+    """Raw terms of sum f i_{e_leg} u over the terms f e_leg of ``legs``, a
+    vector field or a 1-form."""
+    return [
+        (cl * coef, tuple(map(add, ml, mono)), wedge)
+        for (ml, (leg,)), cl in legs.terms.items()
+        for coef, mono, wedge in _without_leg(u, leg)
+    ]
+
+
 def contract_form(x: PolyMultivector, w: PolyForm) -> PolyForm:
     """Interior product i_X w of a vector field into a form (first slot)."""
     if x.dims != w.dims:
         raise ValueError("ambient space mismatch in contraction")
     if not x.is_zero() and x.arities() != {1}:
         raise ValueError("contract_form expects a vector field (arity 1)")
-    raw = []
-    for (mx, wx), cx in x.terms.items():
-        direction = wx[0]
-        for (mw, ww), cw in w.terms.items():
-            for pos, leg in enumerate(ww):
-                if leg != direction:
-                    continue
-                sign = 1 if pos % 2 == 0 else -1
-                mono = tuple(map(add, mx, mw))
-                raw.append((cx * cw * sign, mono, ww[:pos] + ww[pos + 1 :]))
-    return PolyForm._from_raw(w.dims, raw)
+    return PolyForm._from_raw(w.dims, _contract(x, w))
 
 
 def sharp(pi: PolyMultivector, xi: PolyForm) -> PolyMultivector:
@@ -427,17 +446,7 @@ def sharp(pi: PolyMultivector, xi: PolyForm) -> PolyMultivector:
         raise ValueError("ambient space mismatch in sharp")
     if not xi.is_zero() and xi.form_degrees() != {1}:
         raise ValueError("sharp expects a 1-form")
-    raw = []
-    for (mxi, wxi), cxi in xi.terms.items():
-        direction = wxi[0]
-        for (mpi, wpi), cpi in pi.terms.items():
-            for pos, leg in enumerate(wpi):
-                if leg != direction:
-                    continue
-                sign = 1 if pos % 2 == 0 else -1
-                mono = tuple(map(add, mxi, mpi))
-                raw.append((cxi * cpi * sign, mono, wpi[:pos] + wpi[pos + 1 :]))
-    return PolyMultivector._from_raw(pi.dims, raw)
+    return PolyMultivector._from_raw(pi.dims, _contract(xi, pi))
 
 
 def multi_sharp(pis: list[PolyMultivector], w: PolyForm) -> PolyMultivector:
@@ -469,7 +478,7 @@ def multi_sharp(pis: list[PolyMultivector], w: PolyForm) -> PolyMultivector:
 
     def sharp_of(i: int, leg: int) -> PolyMultivector:
         if (i, leg) not in sharps:
-            sharps[i, leg] = sharp(pis[i], form(dims, 1, None, (leg,)))
+            sharps[i, leg] = PolyMultivector._from_raw(dims, _without_leg(pis[i], leg))
         return sharps[i, leg]
 
     acc: dict[tuple[Mono, Wedge], Fraction] = {}

@@ -33,19 +33,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .graded import DirectSum, as_fraction, direct_sum_grading
+from .graded import DirectSum, as_fraction, direct_sum_grading, settle
 from .linfty import LInftyOne, homogeneous_combinations
 from .polygeo import (
     Mono,
     PolyForm,
     PolyMultivector,
+    _check_size,
     contract_form,
     de_rham,
     multi_sharp,
-    poly_add,
-    poly_mul,
-    poly_scale,
     schouten,
 )
 
@@ -241,6 +240,7 @@ def gauge_Y(
 # the same code.
 
 Curve = dict[int, dict[Mono, Fraction]]
+Matrix = list[list[Curve]]  # a list of rows, {} for a zero entry
 
 
 def _t_add(a: dict, b: dict) -> dict:
@@ -280,60 +280,67 @@ def _t_eval(curve: dict, t: Fraction, zero):
     return total
 
 
-def _c_add(a: Curve, b: Curve) -> Curve:
-    out = {k: dict(v) for k, v in a.items()}
-    for power, poly in b.items():
-        merged = poly_add(out.get(power, {}), poly)
-        if merged:
-            out[power] = merged
-        else:
-            out.pop(power, None)
-    return out
-
-
-def _c_mul(a: Curve, b: Curve) -> Curve:
-    out: Curve = {}
+def _mac(acc: dict, a: Curve, b: Curve) -> dict:
+    """acc += a b in place, on an unsettled accumulator of the Curve's shape:
+    coefficients may be zero or integral Fractions until :func:`_settled`."""
     for pa, qa in a.items():
         for pb, qb in b.items():
-            prod = poly_mul(qa, qb)
-            if not prod:
-                continue
-            merged = poly_add(out.get(pa + pb, {}), prod)
-            if merged:
-                out[pa + pb] = merged
-            else:
-                out.pop(pa + pb, None)
+            out = acc.setdefault(pa + pb, {})
+            for ma, ca in qa.items():
+                for mb, cb in qb.items():
+                    mono = tuple(map(add, ma, mb))
+                    out[mono] = out.get(mono, 0) + ca * cb
+    return acc
+
+
+def _settled(acc: dict) -> Curve:
+    """The Curve of an accumulator: zeros dropped, integral coefficients as
+    ints, each polynomial size-checked once."""
+    out: Curve = {}
+    for power, poly in acc.items():
+        poly = _check_size(settle(poly))
+        if poly:
+            out[power] = poly
     return out
 
 
-def _c_scale(a: Curve, s: Fraction) -> Curve:
-    if s == 0:
-        return {}
-    return {p: poly_scale(q, s) for p, q in a.items()}
+def _mul(a: Curve, b: Curve) -> Curve:
+    return _settled(_mac({}, a, b))
+
+
+def _neg(a: Curve) -> Curve:
+    return {p: {mono: -c for mono, c in q.items()} for p, q in a.items()}
 
 
 # -- e^B graph transform -------------------------------------------------------------
 #
 # One code path for the static transform e^B pi, the flow curve e^{C_t} pi and
 # the generator curve e^{tB} pi_t: the static transform is the t^0 curve
-# ({0: B}, {0: pi}).  Matrices are m x m lists of Curves.
+# ({0: B}, {0: pi}).
 
 
-def _dot(row: list[Curve], col: list[Curve]) -> Curve:
-    """Sum of entrywise products; zero factors are skipped, not multiplied."""
-    acc: Curve = {}
-    for x, y in zip(row, col):
-        if x and y:
-            acc = _c_add(acc, _c_mul(x, y))
-    return acc
+def _mat_mul(a: Matrix, b: Matrix, c: Curve | None = None, r: Matrix | None = None) -> Matrix:
+    """a b, plus c r when the addend is given (c a Curve, r shaped like the
+    product).  Only the nonzero entries of each row of b are visited, and each
+    entry of the result is accumulated in place and settled once."""
+    width = len(r[0]) if r else len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for i, a_row in enumerate(a):
+        accs: dict[int, dict] = {}
+        for x, b_row in zip(a_row, b_rows):
+            if x:
+                for j, y in b_row:
+                    _mac(accs.setdefault(j, {}), x, y)
+        if c:
+            for j, y in enumerate(r[i]):
+                if y:
+                    _mac(accs.setdefault(j, {}), c, y)
+        out.append([_settled(accs[j]) if j in accs else {} for j in range(width)])
+    return out
 
 
-def _mat_mul(a: list[list[Curve]], b: list[list[Curve]]) -> list[list[Curve]]:
-    cols = list(zip(*b))
-    return [[_dot(row, col) for col in cols] for row in a]
-
-
-def _charpoly(matrix: list[list[Curve]], one: Curve) -> list[Curve]:
+def _charpoly(matrix: Matrix, one: Curve) -> list[Curve]:
     """Coefficients [1, c_1, .., c_m] of det(lambda - N), by Berkowitz's
     division-free algorithm (Inf. Proc. Lett. 18, 1984): O(m^4) ring products.
 
@@ -342,39 +349,37 @@ def _charpoly(matrix: list[list[Curve]], one: Curve) -> list[Curve]:
     the vector of the one below by the Toeplitz matrix whose first column is
     (1, -a, -RC, -RAC, .., -RA^{s-2}C)."""
     m = len(matrix)
-    vec = [one]
+    vec = [[one]]  # a column
     for k in range(m - 1, -1, -1):
-        row = matrix[k][k + 1:]
+        row = [matrix[k][k + 1:]]
         rest = [r[k + 1:] for r in matrix[k + 1:]]
-        col = [r[k] for r in matrix[k + 1:]]
-        toeplitz = [matrix[k][k]]  # negated: a, RC, RAC, ..
+        col = [[r[k]] for r in matrix[k + 1:]]
+        column = [_neg(matrix[k][k])]  # below the 1: -a, -RC, -RAC, ..
         for i in range(m - 1 - k):
             if i:
-                col = [_dot(r, col) for r in rest]
-            toeplitz.append(_dot(row, col))
-        vec.append({})
-        vec = [
-            _c_add(v, _c_scale(_dot(toeplitz[:i][::-1], vec[:i]), -1))
-            for i, v in enumerate(vec)
+                col = _mat_mul(rest, col)
+            column.append(_neg(_mat_mul(row, col)[0][0]))
+        # the Toeplitz product (1 + lower) vec as (1 | lower) times (vec; vec),
+        # so that each entry starts from the terms of vec
+        s = len(vec)
+        toeplitz = [
+            [one if j == i else {} for j in range(s)]
+            + [column[i - 1 - j] if j < i else {} for j in range(s)]
+            for i in range(s + 1)
         ]
-    return vec
+        vec = _mat_mul(toeplitz, vec + vec)
+    return [entry for entry, in vec]
 
 
-def _adjugate_times(
-    matrix: list[list[Curve]], coeffs: list[Curve], rhs: list[list[Curve]]
-) -> list[list[Curve]]:
+def _adjugate_times(matrix: Matrix, coeffs: list[Curve], rhs: Matrix) -> Matrix:
     """adj(N) R from the characteristic coefficients of N, with no minors: by
     Cayley-Hamilton adj(N) = (-1)^{m-1} (N^{m-1} + c_1 N^{m-2} + .. + c_{m-1}),
-    applied to R by Horner's rule."""
+    applied to R by Horner's rule, R <- N R + c_k (-1)^{m-1} R, one pass each."""
     m = len(matrix)
-    out = rhs
+    signed = rhs if m % 2 else [[_neg(x) for x in row] for row in rhs]
+    out = signed
     for c in coeffs[1:m]:
-        out = [
-            [_c_add(x, _dot([c], [r])) for x, r in zip(out_row, rhs_row)]
-            for out_row, rhs_row in zip(_mat_mul(matrix, out), rhs)
-        ]
-    if m % 2 == 0:
-        out = [[_c_scale(x, -1) for x in row] for row in out]
+        out = _mat_mul(matrix, out, c, signed)
     return out
 
 
@@ -382,38 +387,35 @@ class GraphTransformError(ValueError):
     pass
 
 
-def _wedge2_matrix(curve: dict, m: int) -> list[list[Curve]]:
+def _wedge2_matrix(curve: dict, m: int) -> Matrix:
     """M[a][c]: the coefficient of e_c in the contraction of a curve of
     bivectors or 2-forms with e_a, so pi^sharp(dx_a) = sum_c M[a][c] d_c and
     i_{d_a} B = sum_c M[a][c] dx_c; antisymmetric by construction."""
-    out = [[{} for _ in range(m)] for _ in range(m)]
+    out: Matrix = [[{} for _ in range(m)] for _ in range(m)]
     for power, element in curve.items():
         for (mono, wedge), coef in element.terms.items():
             if len(wedge) != 2:
                 raise ValueError("graph transforms apply to bivectors and 2-forms")
-            a, c = wedge
-            out[a][c] = _c_add(out[a][c], {power: {mono: coef}})
-            out[c][a] = _c_add(out[c][a], {power: {mono: -coef}})
+            a, c = wedge  # each (power, mono) meets each entry at most once
+            out[a][c].setdefault(power, {})[mono] = coef
+            out[c][a].setdefault(power, {})[mono] = -coef
     return out
 
 
-def _bivector_from_sharp(matrix: list[list[Curve]], m: int) -> dict[int, PolyMultivector]:
-    """Rebuild a bivector curve from its sharp matrix, asserting antisymmetry."""
+def _bivector_from_sharp(matrix: Matrix, m: int) -> dict[int, PolyMultivector]:
+    """Rebuild a bivector curve from its sharp matrix, asserting antisymmetry
+    entry by entry, with no sum built (a nonzero diagonal entry is not its
+    own negative)."""
     by_power: dict[int, dict] = {}
     for j in range(m):
-        if matrix[j][j]:
-            raise GraphTransformError("graph transform produced a non-antisymmetric matrix")
-        for b in range(j + 1, m):
+        for b in range(j, m):
             upper = matrix[j][b]
-            lower = matrix[b][j]
-            if _c_add(upper, lower):
-                raise GraphTransformError(
-                    "graph transform produced a non-antisymmetric matrix"
-                )
+            if matrix[b][j] != _neg(upper):
+                raise GraphTransformError("graph transform produced a non-antisymmetric matrix")
             for power, poly in upper.items():
                 for mono, coef in poly.items():
                     by_power.setdefault(power, {})[(mono, (j, b))] = coef
-    return {p: PolyMultivector((m, 0), terms) for p, terms in by_power.items()}
+    return {p: PolyMultivector._of((m, 0), _check_size(t)) for p, t in by_power.items()}
 
 
 def _graph_transform(
@@ -428,16 +430,15 @@ def _graph_transform(
     cost is O(m^4) ring products; at m = 0 the determinant is 1.
     """
     sharp = _wedge2_matrix(pi_curve, m)
-    # K[j][c] = sum_b sharp[j][b] flat[b][c];  N = 1 + K acting on covectors
-    k_mat = _mat_mul(sharp, _wedge2_matrix(b_curve, m))
     unit_mono = (0,) * m
     one = {0: {unit_mono: 1}}
-    n_mat = [
-        [_c_add(one if i == j else {}, k_mat[i][j]) for j in range(m)]
-        for i in range(m)
-    ]
+    # N[j][c] = delta_jc + sum_b sharp[j][b] flat[b][c] acting on covectors,
+    # as (1 | sharp) times (1; flat), so that each entry starts from the 1
+    identity = [[one if i == j else {} for j in range(m)] for i in range(m)]
+    augmented = [i_row + s_row for i_row, s_row in zip(identity, sharp)]
+    n_mat = _mat_mul(augmented, identity + _wedge2_matrix(b_curve, m))
     coeffs = _charpoly(n_mat, one)
-    det = _c_scale(coeffs[m], (-1) ** m)
+    det = _neg(coeffs[m]) if m % 2 else coeffs[m]
     if not det:
         raise GraphTransformError("sheared graph is not a graph (determinant vanishes)")
     if any(set(poly) - {unit_mono} for poly in det.values()):
@@ -481,26 +482,24 @@ class TimeAffine:
     """x -> M(t) x + c(t), entries Curves with constant coefficients: the flow of
     an affine vector field, or an AffineDiffeo as the t^0 case."""
 
-    matrix: list[list[Curve]]
+    matrix: Matrix
     translation: list[Curve]
 
-    def transposed(self) -> list[list[Curve]]:
+    def transposed(self) -> Matrix:
         return [list(column) for column in zip(*self.matrix)]
 
 
 def _coordinate_images(phi: TimeAffine) -> list[Curve]:
     """The substitution x_i -> sum_j M_ij(t) x_j + c_i(t), one Curve per x_i."""
     m = len(phi.matrix)
-    coordinates = [{0: {tuple(int(v == j) for v in range(m)): 1}} for j in range(m)]
-    images = []
-    for row, image in zip(phi.matrix, phi.translation):
-        for entry, x_j in zip(row, coordinates):
-            image = _c_add(image, _c_mul(entry, x_j))
-        images.append(image)
-    return images
+    # (c | M) times the column (1, x_1, .., x_m): each image starts from c
+    column = [[{0: {(0,) * m: 1}}]]
+    column += [[{0: {tuple(int(v == j) for v in range(m)): 1}}] for j in range(m)]
+    affine = [[c, *row] for c, row in zip(phi.translation, phi.matrix)]
+    return [image for image, in _mat_mul(affine, column)]
 
 
-def _transport(curve: dict, phi: TimeAffine, legs: list[list[Curve]]) -> dict:
+def _transport(curve: dict, phi: TimeAffine, legs: Matrix) -> dict:
     """Carry a curve of forms or multivectors along an affine map: every
     coefficient f(x) becomes f(phi(x)) and every leg e_i becomes
     sum_j legs[i][j] e_j.  The pull-back by phi passes phi and phi.matrix; the
@@ -516,18 +515,18 @@ def _transport(curve: dict, phi: TimeAffine, legs: list[list[Curve]]) -> dict:
             value: Curve = {power: {(0,) * m: coef}}
             for var, e in enumerate(mono):
                 for _ in range(e):
-                    value = _c_mul(value, images[var])
+                    value = _mul(value, images[var])
             choices = [
                 [(j, entry) for j, entry in enumerate(legs[leg]) if entry] for leg in wedge
             ]
             for choice in itertools.product(*choices):
                 product = value
                 for _, entry in choice:
-                    product = _c_mul(product, entry)
+                    product = _mul(product, entry)
                 new_wedge = tuple(j for j, _ in choice)
                 for p, poly in product.items():
                     raw.setdefault(p, []).extend((c, mo, new_wedge) for mo, c in poly.items())
-    moved = {p: kind.from_terms((m, 0), terms) for p, terms in raw.items()}
+    moved = {p: kind._from_raw((m, 0), terms) for p, terms in raw.items()}
     return {p: e for p, e in moved.items() if not e.is_zero()}
 
 
@@ -542,8 +541,7 @@ class AffineDiffeo:
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix) or len(self.translation) != n:
             raise ValueError("inconsistent affine data")
-        if _rational_det(self.matrix) == 0:
-            raise ValueError("affine map must be invertible")
+        _rational_inverse(self.matrix)  # raises unless A is invertible
 
     @staticmethod
     def identity(m: int) -> "AffineDiffeo":
@@ -606,25 +604,6 @@ class AffineDiffeo:
         return moved.get(0, PolyMultivector.zero(u.dims))
 
 
-def _rational_det(matrix) -> Fraction:
-    n = len(matrix)
-    rows = [list(map(Fraction, row)) for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] / rows[col][col]
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-    return det
-
-
 def _rational_inverse(matrix):
     n = len(matrix)
     rows = [list(map(Fraction, row)) + [Fraction(1 if i == j else 0) for j in range(n)]
@@ -632,7 +611,7 @@ def _rational_inverse(matrix):
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pivot is None:
-            raise ValueError("matrix not invertible")
+            raise ValueError("affine map must be invertible")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         scale = rows[col][col]
         rows[col] = [e / scale for e in rows[col]]

@@ -193,6 +193,26 @@ def test_mc_element_with_zero_denominator_is_an_input_error(files, tmp_path, cap
     _assert_zero_denominator_input_error(capsys, "2/0 of 'a'")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("coef_num", 1.5), ("coef_num", 0.5), ("coef_den", 2.0), ("coef_num", True),
+     ("coef_num", "1"), ("degree", 0.7), ("degree", False)],
+)
+def test_gla_file_with_non_integer_number_is_an_input_error(field, value, tmp_path, capsys):
+    # [h, e] = 1.5 e would otherwise load as [h, e] = e, and 0.5 e as 0
+    data = gla_to_json(sample_gla())
+    if field == "degree":
+        data["basis"][0][field] = value
+    else:
+        data["brackets"][0]["result"][0][field] = value
+    p = tmp_path / "gla.json"
+    p.write_text(json.dumps(data))
+    assert main(["--json", "verify-gla", str(p)]) == 2
+    err = capsys.readouterr().err
+    _assert_one_line(err, "input error: ")
+    assert f"{field} of " in err and "must be an integer" in err and repr(value) in err
+
+
 @pytest.mark.parametrize("command, coef", [("flow", "1/0"), ("gauge", [1, 0])])
 def test_polynomial_literal_with_zero_denominator_is_an_input_error(
     command, coef, tmp_path, capsys
@@ -205,33 +225,49 @@ def test_polynomial_literal_with_zero_denominator_is_an_input_error(
     _assert_zero_denominator_input_error(capsys, repr(coef))
 
 
-def test_console_entry_point_runs():
-    # the child imports the package from where this process found it
+def _dbrack(argv, **env_vars):
+    """Run ``dbrack argv`` in a new process, which imports the package from
+    where this process found it, with ``env_vars`` added to its environment."""
     import derived_brackets
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(derived_brackets.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "derived_brackets.cli", "suite", "truc", "--samples", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "derived_brackets.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_console_entry_point_runs():
+    result = _dbrack(["suite", "truc", "--samples", "2"])
     assert result.returncode == 0
     assert "PASS" in result.stdout
 
 
-def _assert_resource_limit(capsys):
-    err = capsys.readouterr().err
-    assert err.startswith("resource limit: ") and err.count("\n") == 1
+def _assert_one_line(err, prefix):
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in err
 
 
-def test_term_cap_exits_with_resource_limit(monkeypatch, capsys):
-    monkeypatch.setenv("DB_MAX_TERMS", "1")
-    assert main(["--json", "suite", "gauge", "--samples", "1"]) == 3
-    _assert_resource_limit(capsys)
+def _assert_resource_limit(capsys):
+    _assert_one_line(capsys.readouterr().err, "resource limit: ")
+
+
+def test_term_cap_exits_with_resource_limit():
+    # the cap is read once per process, so it is set before the process starts
+    result = _dbrack(["--json", "suite", "gauge", "--samples", "1"], DB_MAX_TERMS="1")
+    assert result.returncode == 3
+    _assert_one_line(result.stderr, "resource limit: ")
+
+
+def test_malformed_term_cap_is_an_input_error():
+    result = _dbrack(["--json", "suite", "gauge", "--samples", "1"], DB_MAX_TERMS="abc")
+    assert result.returncode == 2
+    _assert_one_line(result.stderr, "input error: ")
+    assert "DB_MAX_TERMS" in result.stderr and "'abc'" in result.stderr
 
 
 def test_violated_series_bound_exits_with_resource_limit(files, tmp_path, capsys):

@@ -1,31 +1,69 @@
-"""The e^B graph transform: Berkowitz determinant and Cayley-Hamilton adjugate.
+"""The e^B graph transform: the sparse Curve-matrix kernel, the Berkowitz
+determinant and the Cayley-Hamilton adjugate.
 
-The Leibniz expansion below is the former implementation (m! products for the
+The dense Curve arithmetic and the Leibniz expansion below are the former
+implementation (a copying sum and product per entry, m! products for the
 determinant, m^2 minors for the adjugate), kept here only as an exact oracle.
 """
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
-from derived_brackets import tpois
-from derived_brackets.polygeo import PolyForm, PolyMultivector, form, mv
-from derived_brackets.sampling import gauge_safe_data
+import pytest
+
+from derived_brackets import polygeo, tpois
+from derived_brackets.graded import as_fraction
+from derived_brackets.linfty import relations_residual
+from derived_brackets.polygeo import (
+    PolyForm,
+    PolyMultivector,
+    TermExplosionError,
+    form,
+    mv,
+    poly_add,
+    poly_mul,
+    poly_scale,
+)
+from derived_brackets.sampling import gauge_safe_data, random_tpois_element
 from derived_brackets.tpois import (
     _adjugate_times,
-    _c_add,
-    _c_mul,
-    _c_scale,
     _charpoly,
     _graph_transform,
+    _mat_mul,
     e_b_pi,
     flow_curve,
     gauge_Y,
     generator_match,
     is_twisted_poisson,
+    tpois_linfty,
 )
 
-# -- the Leibniz oracle ---------------------------------------------------------------
+# -- the dense oracle ---------------------------------------------------------------------
+
+
+def c_add(a, b):
+    out = {k: dict(v) for k, v in a.items()}
+    for power, poly in b.items():
+        merged = poly_add(out.get(power, {}), poly)
+        if merged:
+            out[power] = merged
+        else:
+            out.pop(power, None)
+    return out
+
+
+def c_mul(a, b):
+    out = {}
+    for pa, qa in a.items():
+        for pb, qb in b.items():
+            out = c_add(out, {pa + pb: poly_mul(qa, qb)})
+    return out
+
+
+def c_scale(a, s):
+    return {p: poly_scale(q, s) for p, q in a.items()} if s else {}
 
 
 def leibniz_det(matrix):
@@ -40,11 +78,11 @@ def leibniz_det(matrix):
         prod = None
         for i in range(n):
             entry = matrix[i][perm[i]]
-            prod = entry if prod is None else _c_mul(prod, entry)
+            prod = entry if prod is None else c_mul(prod, entry)
             if not prod:
                 break
         if prod:
-            total = _c_add(total, _c_scale(prod, Fraction(sign)))
+            total = c_add(total, c_scale(prod, Fraction(sign)))
     return total
 
 
@@ -62,18 +100,18 @@ def leibniz_adjugate(matrix, one):
             ]
             cof = leibniz_det(minor)
             if (i + j) % 2:
-                cof = _c_scale(cof, Fraction(-1))
+                cof = c_scale(cof, Fraction(-1))
             out[j][i] = cof  # adj = transpose of cofactors
     return out
 
 
 def plain_mat_mul(a, b):
-    n = len(a)
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out[i][j] = _c_add(out[i][j], _c_mul(a[i][k], b[k][j]))
+    """The dense product of a p x q and a q x n matrix, q >= 1."""
+    out = [[{} for _ in b[0]] for _ in a]
+    for i, row in enumerate(a):
+        for j in range(len(b[0])):
+            for k, x in enumerate(row):
+                out[i][j] = c_add(out[i][j], c_mul(x, b[k][j]))
     return out
 
 
@@ -87,7 +125,7 @@ def random_entry(rng, m, density, t_power, x_degree):
     mono = [0] * m
     for _ in range(rng.randint(0, x_degree)):
         mono[rng.randrange(m)] += 1
-    coef = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
+    coef = as_fraction(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2])))
     return {rng.randint(0, t_power): {tuple(mono): coef}}
 
 
@@ -110,12 +148,99 @@ def random_matrix(rng, m, kind):
         else:
             j = rng.choice([r for r in range(m) if r != i])
             factor = random_entry(rng, m, 1.0, 1, 1)
-            mat[i] = [_c_mul(factor, entry) for entry in mat[j]]
+            mat[i] = [c_mul(factor, entry) for entry in mat[j]]
     return mat
 
 
 def unit(m):
-    return {0: {(0,) * m: Fraction(1)}}
+    return {0: {(0,) * m: 1}}
+
+
+# -- the sparse kernel ----------------------------------------------------------------------
+
+
+def assert_settled(matrix):
+    """Every entry is a settled Curve: no empty polynomial, no zero
+    coefficient and no integral Fraction."""
+    for row in matrix:
+        for entry in row:
+            for poly in entry.values():
+                assert poly
+                for coef in poly.values():
+                    assert type(coef) is int or (
+                        type(coef) is Fraction and coef.denominator != 1
+                    ), coef
+                    assert coef != 0
+
+
+def kernel_entry(rng, m):
+    """Zero (one draw in five) or a sum of up to three terms over few
+    monomials, with halves and twos, so that products cancel and integral
+    Fractions appear."""
+    entry = {}
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        mono = tuple(rng.randint(0, 1) for _ in range(m))
+        coef = rng.choice([-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2)])
+        entry = c_add(entry, {rng.randint(0, 1): {mono: coef}})
+    return entry
+
+
+def kernel_matrix(rng, rows, cols, m=2):
+    """A random matrix with, where the shape allows, one empty row and one
+    empty column."""
+    mat = [[kernel_entry(rng, m) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1:
+        mat[rng.randrange(rows)] = [{} for _ in range(cols)]
+    if cols > 1:
+        j = rng.randrange(cols)
+        for row in mat:
+            row[j] = {}
+    return mat
+
+
+def test_sparse_mat_mul_matches_the_dense_product():
+    rng = random.Random(52)
+    seen = {"cancelled": 0, "fraction_to_int": 0}
+    # square products, and the slices _charpoly multiplies: row R (1 x s) by
+    # column C (s x 1), rest A (s x s) by C, and the Toeplitz part (s+1 x s)
+    shapes = [(n, n, n) for n in (1, 2, 3, 4)]
+    shapes += [shape for s in (1, 2, 3, 4) for shape in [(1, s, 1), (s, s, 1), (s + 1, s, 1)]]
+    for rows, inner, cols in shapes * 10:
+        a = kernel_matrix(rng, rows, inner)
+        b = kernel_matrix(rng, inner, cols)
+        expected = plain_mat_mul(a, b)
+        got = _mat_mul(a, b)
+        assert got == expected
+        assert_settled(got)
+        # with the + c R addend
+        c = kernel_entry(rng, 2) or unit(2)
+        r = kernel_matrix(rng, rows, cols)
+        with_addend = [
+            [c_add(x, c_mul(c, y)) for x, y in zip(row, r_row)]
+            for row, r_row in zip(expected, r)
+        ]
+        got = _mat_mul(a, b, c, r)
+        assert got == with_addend
+        assert_settled(got)
+        for i, row in enumerate(a):
+            for j in range(cols):
+                terms = {(p, mono) for k, x in enumerate(row) if x and b[k][j]
+                         for p, q in c_mul(x, b[k][j]).items() for mono in q}
+                entry = expected[i][j]
+                seen["cancelled"] += any(mono not in entry.get(p, {}) for p, mono in terms)
+                seen["fraction_to_int"] += any(
+                    type(v) is int for q in entry.values() for v in q.values()
+                ) and any(type(v) is Fraction for k, x in enumerate(row)
+                          for q in x.values() for v in q.values())
+    # the draw really cancels terms and turns Fraction products into ints
+    assert min(seen.values()) >= 3, seen
+    # a whole entry cancels; empty factors give empty products
+    e, f = unit(2), kernel_entry(random.Random(1), 2) or unit(2)
+    minus_f = c_scale(f, -1)
+    assert _mat_mul([[e, e]], [[f], [minus_f]]) == [[{}]]
+    assert _mat_mul([[e]], [[f]], e, [[minus_f]]) == [[{}]]
+    assert _mat_mul([], [[f]]) == []
+    assert _mat_mul([[{}]], [[f]]) == [[{}]]
 
 
 def test_berkowitz_and_cayley_hamilton_match_leibniz():
@@ -130,10 +255,13 @@ def test_berkowitz_and_cayley_hamilton_match_leibniz():
             rhs = random_matrix(rng, m, "sparse")
             coeffs = _charpoly(n_mat, unit(m))
             assert len(coeffs) == m + 1 and coeffs[0] == unit(m)
-            det = _c_scale(coeffs[m], Fraction((-1) ** m))
+            assert_settled([coeffs])
+            det = c_scale(coeffs[m], Fraction((-1) ** m))
             assert det == leibniz_det(n_mat)
             expected = plain_mat_mul(leibniz_adjugate(n_mat, unit(m)), rhs)
-            assert _adjugate_times(n_mat, coeffs, rhs) == expected
+            adjugate = _adjugate_times(n_mat, coeffs, rhs)
+            assert adjugate == expected
+            assert_settled(adjugate)
             seen["zero"] += not det
             seen["x"] += any(set(p) - {(0,) * m} for p in det.values())
             seen["t"] += any(power > 0 for power in det)
@@ -202,8 +330,9 @@ def test_generator_match_at_m5():
 
 
 def test_graph_transform_cost_is_polynomial(monkeypatch):
-    """A dense transform at m = 8 stays within 2 m^4 ring products; the Leibniz
-    determinant alone needs at least 8! = 40320."""
+    """A dense transform at m = 8 stays within 2 m^4 ring products, each one
+    multiply-accumulate of two Curves; the Leibniz determinant alone needs at
+    least 8! = 40320."""
     m = 8
     dims = (m, 0)
     rng = random.Random(50)
@@ -213,12 +342,58 @@ def test_graph_transform_cost_is_polynomial(monkeypatch):
         pi = pi + mv(dims, rng.randint(1, 5), None, legs)
         b = b + form(dims, rng.randint(1, 5), None, legs)
     calls = [0]
+    mac = tpois._mac
 
-    def counting_mul(x, y):
+    def counting_mac(acc, x, y):
         calls[0] += 1
-        return _c_mul(x, y)
+        return mac(acc, x, y)
 
-    monkeypatch.setattr(tpois, "_c_mul", counting_mul)
+    monkeypatch.setattr(tpois, "_mac", counting_mac)
     numerator, det = _graph_transform({0: b}, {0: pi}, m)
     assert det[0] != 0 and numerator
     assert 0 < calls[0] <= 2 * m**4
+
+
+# -- the term cap -----------------------------------------------------------------------------
+
+
+def spatial_point(m):
+    """(H, pi, B, X) on R^m with a spatially varying pi and B, and a
+    determinant of 1, so every transform is defined and has many terms."""
+    dims = (m, 0)
+    pi = mv(dims, 1, None, (0, 1)) + mv(dims, 2, (0, 0, 1) + (0,) * (m - 3), (0, 1))
+    b = form(dims, 1, (1,) + (0,) * (m - 1), (2, 3)) + form(dims, 3, None, (1, 2))
+    return PolyForm.zero(dims), pi, b, mv(dims, 1, None, (0,))
+
+
+def test_graph_transform_respects_the_term_cap(monkeypatch):
+    h, pi, b, x = spatial_point(4)
+    assert len(e_b_pi(b, pi).terms) > 1 and flow_curve(b, x, h, pi).mv_numerator
+    monkeypatch.setattr(polygeo, "_term_cap", 1)
+    with pytest.raises(TermExplosionError):
+        e_b_pi(b, pi)
+    with pytest.raises(TermExplosionError):
+        flow_curve(b, x, h, pi)
+
+
+def test_term_cap_is_read_from_the_environment_once(monkeypatch):
+    """A flow curve at m = 6 and a higher-Jacobi residual read DB_MAX_TERMS
+    once between them, at the first check; the process then keeps it."""
+    reads = []
+    environ_type = type(os.environ)
+    getitem = environ_type.__getitem__
+
+    def counting_getitem(self, key):
+        if key == "DB_MAX_TERMS":
+            reads.append(key)
+        return getitem(self, key)
+
+    rng = random.Random(53)
+    h, pi, b, x = spatial_point(6)
+    args = tuple(random_tpois_element(rng, 3, 0, 1) for _ in range(3))
+    monkeypatch.setattr(environ_type, "__getitem__", counting_getitem)
+    monkeypatch.setattr(polygeo, "_term_cap", None)  # as in a new process
+    curve = flow_curve(b, x, h, pi)
+    relations_residual(tpois_linfty(3), 3, args)
+    assert curve.ode_residual() == {}
+    assert len(reads) == 1

@@ -320,8 +320,11 @@ def test_json_literal_shape():
 
 
 def test_term_cap_guard(monkeypatch):
-    monkeypatch.setenv("DB_MAX_TERMS", "4")
+    # DB_MAX_TERMS is read once per process; set the cap it was read into
+    from derived_brackets import polygeo
     from derived_brackets.polygeo import TermExplosionError, poly_mul
+
+    monkeypatch.setattr(polygeo, "_term_cap", 4)
 
     big_poly = {(i, 0, 0): Fraction(1) for i in range(4)}
     with pytest.raises(TermExplosionError):
