@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .graded import GradedSpace, HomElt, settle
+from .graded import GradedSpace, HomElt, json_int, settle
 
 
 @dataclass(frozen=True)
@@ -311,19 +311,12 @@ def element_to_json(x: HomElt) -> list[dict]:
     ]
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; a float, bool or string there is an input error."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def element_from_json(space: GradedSpace, data: list[dict]) -> HomElt:
     terms: dict[str, Fraction] = {}
     for item in data:
         name = item["basis"]
-        num = _json_int(item["coef_num"], f"coef_num of {name!r}")
-        den = _json_int(item.get("coef_den", 1), f"coef_den of {name!r}")
+        num = json_int(item["coef_num"], f"coef_num of {name!r}")
+        den = json_int(item.get("coef_den", 1), f"coef_den of {name!r}")
         if den == 0:
             raise ValueError(f"coefficient {num}/{den} of {name!r} has a zero denominator")
         coef = Fraction(num, den)
@@ -343,7 +336,7 @@ def gla_to_json(algebra: StructureGLA) -> dict:
 
 def gla_from_json(data: dict) -> StructureGLA:
     space = GradedSpace.of(
-        (b["name"], _json_int(b["degree"], f"degree of {b['name']!r}")) for b in data["basis"]
+        (b["name"], json_int(b["degree"], f"degree of {b['name']!r}")) for b in data["basis"]
     )
     raw: dict[tuple[str, str], HomElt] = {}
     for entry in data.get("brackets", []):

@@ -43,6 +43,13 @@ def as_fraction(value) -> int | Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer; a float, bool or string there is an input error."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def add_terms(acc: dict, terms: Mapping) -> dict:
     """Add the sparse combination ``terms`` into ``acc`` in place and return
     it: coefficients that cancel are dropped, integral sums become ints."""

@@ -24,7 +24,7 @@ import os
 from fractions import Fraction
 from operator import add
 
-from .graded import ZERO, add_terms, as_fraction, inversion_parity, scale_terms, settle
+from .graded import ZERO, add_terms, as_fraction, inversion_parity, json_int, scale_terms, settle
 
 Mono = tuple[int, ...]
 Wedge = tuple[int, ...]
@@ -595,14 +595,17 @@ def _var_index(name: str, dims: tuple[int, int]) -> int:
 
 
 def _element_from_json(cls, data: dict):
-    dims = (int(data["dims"]["base"]), int(data["dims"].get("fiber", 0)))
+    dims = (
+        json_int(data["dims"]["base"], "dims.base"),
+        json_int(data["dims"].get("fiber", 0), "dims.fiber"),
+    )
     m, k = dims
     raw = []
     for item in data.get("terms", []):
         mono = [0] * (m + k)
         for name, e in item.get("monomial", {}).items():
-            mono[_var_index(name, dims)] = int(e)
-        wedge = tuple(int(w) - 1 for w in item.get("wedge", ()))
+            mono[_var_index(name, dims)] = json_int(e, f"exponent of {name!r}")
+        wedge = tuple(json_int(w, "wedge index") - 1 for w in item.get("wedge", ()))
         raw.append((as_fraction(item.get("coef", 1)), tuple(mono), wedge))
     return cls.from_terms(dims, raw)
 

@@ -102,7 +102,7 @@ def suite_jacobi(config: RunConfig) -> dict:
     alpha = fixture_mc_big(rng)
     twisted = twist(big, alpha)
     for n in range(1, max_arity + 1):
-        for k in range(max(config.samples // 2, 5)):
+        for k in range(config.samples):
             pargs = tuple(_fixture_pair_sampler(rng) for _ in range(n))
             checks += 1
             if not relations_residual(twisted, n, pargs).is_zero():
@@ -121,7 +121,7 @@ def suite_jacobi(config: RunConfig) -> dict:
             checks += 1
             if not relations_residual(csmall, n, args).is_zero():
                 failures.append({"setting": "coiso-small", "arity": n, "sample": k})
-        for k in range(max(config.samples // 5, 3)):
+        for k in range(config.samples):
             pargs = []
             for _ in range(n):
                 degw = rng.choice([-1, 0])
@@ -165,7 +165,7 @@ def suite_machine(config: RunConfig) -> dict:
         checks += 1
         if not rep.agree:
             failures.append({"setting": "fixture", "sample": k, **rep.as_dict()})
-    for k in range(max(config.samples // 4, 5)):
+    for k in range(config.samples):
         alpha = fixture_mc_big(rng)
         rep = machine_check(v, space.zero(), alpha.x, alpha.a)
         checks += 1
@@ -177,15 +177,14 @@ def suite_machine(config: RunConfig) -> dict:
     base = random_coiso_poisson(rng, dims, degree, require_flat=True)
     cv = coiso_vdata(base)
     zero = PolyMultivector.zero(dims)
-    quarter = max(config.samples // 4, 5)
-    for k in range(quarter):
+    for k in range(config.samples):
         dtilde = random_multivector(rng, dims, 2, 1)
         ptilde = random_vertical_section(rng, dims, 1)
         rep = machine_check(cv, zero, dtilde, ptilde)
         checks += 1
         if not rep.agree:
             failures.append({"setting": "coiso", "sample": k, **rep.as_dict()})
-    for k in range(max(quarter // 2, 3)):
+    for k in range(config.samples):
         dtilde, ptilde = engineered_coiso_mc(rng, base, 1)
         rep = machine_check(cv, zero, dtilde, ptilde)
         checks += 1

@@ -423,22 +423,36 @@ def _graph_transform(
 ) -> tuple[dict[int, PolyMultivector], dict[int, Fraction]]:
     """Numerator curve and scalar determinant curve of e^{B_t} pi_t on R^m.
 
-    The true transform is numerator / det.  The determinant must be free of the
-    spatial variables (else the transform leaves the polynomial category) and
-    not identically zero (else the sheared graph is not a graph).  Both come
-    from the characteristic polynomial of N = 1 + pi^sharp B^flat, so the
-    cost is O(m^4) ring products; at m = 0 the determinant is 1.
+    The true transform is numerator / det with N = 1 + pi^sharp B^flat.  The
+    determinant must be free of the spatial variables (else the transform
+    leaves the polynomial category) and not identically zero (else the
+    sheared graph is not a graph).
+
+    Only the support of pi^sharp enters: let I be the rows of pi^sharp that
+    are nonzero at some power of t, and r = |I|.  Every other row of N is a
+    unit row, so N is block triangular: det N = det N_II with
+    N_II = 1 + pi^sharp_II B^flat_II (pi^sharp is antisymmetric, so its
+    nonzero columns lie in I too), and adj(N) pi^sharp is
+    adj(N_II) pi^sharp_II padded with zeros.  Both come from the
+    characteristic polynomial of N_II, in O(r^4) ring products; at r = 0
+    (pi = 0, or m = 0) the determinant is 1 and the numerator 0.
     """
     sharp = _wedge2_matrix(pi_curve, m)
+    flat = _wedge2_matrix(b_curve, m)
+    support = [i for i, row in enumerate(sharp) if any(row)]
+    r = len(support)
+    sharp_ii = [[sharp[i][j] for j in support] for i in support]
+    flat_ii = [[flat[i][j] for j in support] for i in support]
     unit_mono = (0,) * m
     one = {0: {unit_mono: 1}}
-    # N[j][c] = delta_jc + sum_b sharp[j][b] flat[b][c] acting on covectors,
-    # as (1 | sharp) times (1; flat), so that each entry starts from the 1
-    identity = [[one if i == j else {} for j in range(m)] for i in range(m)]
-    augmented = [i_row + s_row for i_row, s_row in zip(identity, sharp)]
-    n_mat = _mat_mul(augmented, identity + _wedge2_matrix(b_curve, m))
+    # N_II[j][c] = delta_jc + sum_b sharp[j][b] flat[b][c] acting on
+    # covectors, as (1 | sharp_II) times (1; flat_II), so that each entry
+    # starts from the 1
+    identity = [[one if i == j else {} for j in range(r)] for i in range(r)]
+    augmented = [i_row + s_row for i_row, s_row in zip(identity, sharp_ii)]
+    n_mat = _mat_mul(augmented, identity + flat_ii)
     coeffs = _charpoly(n_mat, one)
-    det = _neg(coeffs[m]) if m % 2 else coeffs[m]
+    det = _neg(coeffs[r]) if r % 2 else coeffs[r]
     if not det:
         raise GraphTransformError("sheared graph is not a graph (determinant vanishes)")
     if any(set(poly) - {unit_mono} for poly in det.values()):
@@ -447,7 +461,11 @@ def _graph_transform(
             "(determinant depends on the spatial variables)"
         )
     # rho^sharp = pi^sharp o (N^{-1}) = adj(N) pi^sharp / det, no minors built
-    rho = _adjugate_times(n_mat, coeffs, sharp)
+    block = _adjugate_times(n_mat, coeffs, sharp_ii)
+    rho: Matrix = [[{} for _ in range(m)] for _ in range(m)]
+    for i, row in zip(support, block):
+        for j, entry in zip(support, row):
+            rho[i][j] = entry
     return _bivector_from_sharp(rho, m), {p: poly[unit_mono] for p, poly in det.items()}
 
 
@@ -466,9 +484,13 @@ def e_b_pi(b: PolyForm, pi: PolyMultivector) -> PolyMultivector:
     solution of (e^B pi)^sharp = pi^sharp (1 + B^flat pi^sharp)^{-1}.
 
     Well-defined in the polynomial category only when det(1 + B^flat pi^sharp)
-    is a nonzero rational constant.  The determinant is Berkowitz's, and the
-    inverse is adj / det with adj(N) pi^sharp applied through Cayley-Hamilton,
-    in O(m^4) ring products; antisymmetry of the result is asserted.
+    is a nonzero rational constant.  The rows of N = 1 + pi^sharp B^flat
+    outside the r nonzero rows of pi^sharp are unit rows, so N is block
+    triangular and both the determinant and adj(N) pi^sharp come from the
+    r x r block on the support of pi^sharp.  The determinant is Berkowitz's,
+    and the inverse is adj / det with adj(N) pi^sharp applied through
+    Cayley-Hamilton, in O(r^4) ring products; antisymmetry of the result is
+    asserted.
     """
     numerator, det = _graph_transform({0: b}, {0: pi}, pi.dims[0])
     return numerator.get(0, PolyMultivector.zero(pi.dims)).scale(Fraction(1, det[0]))
@@ -503,29 +525,52 @@ def _transport(curve: dict, phi: TimeAffine, legs: Matrix) -> dict:
     """Carry a curve of forms or multivectors along an affine map: every
     coefficient f(x) becomes f(phi(x)) and every leg e_i becomes
     sum_j legs[i][j] e_j.  The pull-back by phi passes phi and phi.matrix; the
-    push-forward by phi passes its inverse and phi.transposed()."""
+    push-forward by phi passes its inverse and phi.transposed().
+
+    Within one call each monomial's image is built once, as the image with
+    its last exponent lowered times that coordinate's image, and each wedge's
+    choices of legs are expanded once; a term's coefficient and t-power scale
+    and shift the product instead of entering it as a one-term curve, and
+    unit legs multiply nothing."""
     m = len(legs)
     images = _coordinate_images(phi)
+    unit = (0,) * m
+    one = {0: {unit: 1}}
+    mono_images: dict[Mono, Curve] = {unit: one}
+    expansions: dict[tuple, list] = {}
+
+    def image_of(mono: Mono) -> Curve:
+        if mono not in mono_images:
+            var = max(v for v, e in enumerate(mono) if e)
+            lower = mono[:var] + (mono[var] - 1,) + mono[var + 1:]
+            image = images[var]
+            mono_images[mono] = image if lower == unit else _mul(image_of(lower), image)
+        return mono_images[mono]
+
     raw: dict[int, list] = {}
     for power, u in curve.items():
         if u.dims != (m, 0):
             raise ValueError("dimension mismatch")
         kind = type(u)
         for (mono, wedge), coef in u.terms.items():
-            value: Curve = {power: {(0,) * m: coef}}
-            for var, e in enumerate(mono):
-                for _ in range(e):
-                    value = _mul(value, images[var])
-            choices = [
-                [(j, entry) for j, entry in enumerate(legs[leg]) if entry] for leg in wedge
-            ]
-            for choice in itertools.product(*choices):
+            value = image_of(mono)
+            if wedge not in expansions:
+                choices = [
+                    [(j, entry) for j, entry in enumerate(legs[leg]) if entry] for leg in wedge
+                ]
+                # each choice of legs: the new wedge and the non-unit factors
+                expansions[wedge] = [
+                    (tuple(j for j, _ in choice), [e for _, e in choice if e != one])
+                    for choice in itertools.product(*choices)
+                ]
+            for new_wedge, factors in expansions[wedge]:
                 product = value
-                for _, entry in choice:
+                for entry in factors:
                     product = _mul(product, entry)
-                new_wedge = tuple(j for j, _ in choice)
                 for p, poly in product.items():
-                    raw.setdefault(p, []).extend((c, mo, new_wedge) for mo, c in poly.items())
+                    raw.setdefault(p + power, []).extend(
+                        (c * coef, mo, new_wedge) for mo, c in poly.items()
+                    )
     moved = {p: kind._from_raw((m, 0), terms) for p, terms in raw.items()}
     return {p: e for p, e in moved.items() if not e.is_zero()}
 

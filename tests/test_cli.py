@@ -164,6 +164,18 @@ def test_suite_flow_runs_the_requested_number_of_curves(samples, capsys):
     assert report["checks"] == 4 * ((samples + 1) // 2) + 3 * (samples // 2)
 
 
+@pytest.mark.parametrize("name", ["machine", "jacobi"])
+def test_suite_runs_exactly_the_requested_samples(name, capsys):
+    # every setting draws --samples inputs, with no floor under small counts
+    checks = {}
+    for samples in (1, 4):
+        assert main(["--json", "suite", name, "--seed", "1", "--samples", str(samples)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["samples"] == samples
+        checks[samples] = report["checks"]
+    assert checks[4] == 4 * checks[1]
+
+
 def test_unknown_vdata_kind(tmp_path, capsys):
     p = tmp_path / "vd.json"
     p.write_text(json.dumps({"kind": "mystery"}))
@@ -223,6 +235,31 @@ def test_polynomial_literal_with_zero_denominator_is_an_input_error(
     p.write_text(json.dumps({"H": h, "pi": pi}))
     assert main([command, str(p)]) == 2
     _assert_zero_denominator_input_error(capsys, repr(coef))
+
+
+@pytest.mark.parametrize(
+    "part, field, value, bad",
+    [("pi", "monomial", {"x3": 1.5}, 1.5), ("pi", "wedge", [1, 2.7], 2.7),
+     ("H", "wedge", [1, "2", 3], "2"), ("B", "monomial", {"x1": True}, True),
+     ("X", "dims", 3.0, 3.0)],
+)
+def test_polynomial_literal_with_non_integer_number_is_an_input_error(
+    part, field, value, bad, tmp_path, capsys
+):
+    # pi = x3^1.5 d1^d2 would otherwise load as x3 d1^d2, and d1^d2.7 as d1^d2
+    with open(_data("tpois_gauge.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    if field == "dims":
+        data[part]["dims"]["base"] = value
+    else:
+        data[part]["terms"][0][field] = value
+    p = tmp_path / "gauge.json"
+    p.write_text(json.dumps(data))
+    assert main(["--json", "gauge", str(p)]) == 2
+    err = capsys.readouterr().err
+    _assert_one_line(err, "input error: ")
+    name = {"monomial": "exponent of 'x", "wedge": "wedge index", "dims": "dims.base"}[field]
+    assert name in err and "must be an integer" in err and repr(bad) in err
 
 
 def _dbrack(argv, **env_vars):

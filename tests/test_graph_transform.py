@@ -1,9 +1,12 @@
 """The e^B graph transform: the sparse Curve-matrix kernel, the Berkowitz
-determinant and the Cayley-Hamilton adjugate.
+determinant, the Cayley-Hamilton adjugate, the support block and the affine
+transport.
 
 The dense Curve arithmetic and the Leibniz expansion below are the former
 implementation (a copying sum and product per entry, m! products for the
-determinant, m^2 minors for the adjugate), kept here only as an exact oracle.
+determinant, m^2 minors for the adjugate), kept here only as an exact oracle;
+so are the graph transform on the full m x m matrix and the transport that
+substitutes term by term.
 """
 
 import itertools
@@ -26,12 +29,26 @@ from derived_brackets.polygeo import (
     poly_mul,
     poly_scale,
 )
-from derived_brackets.sampling import gauge_safe_data, random_tpois_element
+from derived_brackets.sampling import (
+    gauge_safe_data,
+    random_form,
+    random_multivector,
+    random_tpois_element,
+)
 from derived_brackets.tpois import (
+    AffineDiffeo,
+    GraphTransformError,
     _adjugate_times,
+    _bivector_from_sharp,
     _charpoly,
+    _coordinate_images,
+    _flow,
     _graph_transform,
     _mat_mul,
+    _mul,
+    _neg,
+    _transport,
+    _wedge2_matrix,
     e_b_pi,
     flow_curve,
     gauge_Y,
@@ -278,6 +295,215 @@ def test_empty_matrix_has_unit_determinant():
     assert e_b_pi(zero_form, zero_mv) == zero_mv
 
 
+# -- the support block ----------------------------------------------------------------------
+
+
+def full_matrix_graph_transform(b_curve, pi_curve, m):
+    """The graph transform on the full m x m matrix N = 1 + pi^sharp B^flat,
+    with the same checks and messages; the oracle for the support block."""
+    sharp = _wedge2_matrix(pi_curve, m)
+    unit_mono = (0,) * m
+    one = {0: {unit_mono: 1}}
+    identity = [[one if i == j else {} for j in range(m)] for i in range(m)]
+    augmented = [i_row + s_row for i_row, s_row in zip(identity, sharp)]
+    n_mat = _mat_mul(augmented, identity + _wedge2_matrix(b_curve, m))
+    coeffs = _charpoly(n_mat, one)
+    det = _neg(coeffs[m]) if m % 2 else coeffs[m]
+    if not det:
+        raise GraphTransformError("sheared graph is not a graph (determinant vanishes)")
+    if any(set(poly) - {unit_mono} for poly in det.values()):
+        raise GraphTransformError(
+            "graph transform leaves the polynomial category "
+            "(determinant depends on the spatial variables)"
+        )
+    rho = _adjugate_times(n_mat, coeffs, sharp)
+    return _bivector_from_sharp(rho, m), {p: poly[unit_mono] for p, poly in det.items()}
+
+
+def outcome(transform, b_curve, pi_curve, m):
+    try:
+        numerator, det = transform(b_curve, pi_curve, m)
+    except GraphTransformError as exc:
+        return str(exc)
+    return numerator, det, [type(s) for s in det.values()]
+
+
+def random_wedge_curve(rng, make, m, pairs, t_power, x_degree, terms):
+    """A curve of bivectors or 2-forms (make is mv or form) with up to
+    ``terms`` terms on the given pairs of legs."""
+    dims = (m, 0)
+    out = {}
+    for _ in range(terms):
+        mono = [0] * m
+        for _ in range(rng.randint(0, x_degree)):
+            mono[rng.randrange(m)] += 1
+        coef = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
+        power = rng.randint(0, t_power)
+        term = make(dims, coef, mono, rng.choice(pairs))
+        out[power] = out[power] + term if power in out else term
+    return {p: e for p, e in out.items() if not e.is_zero()}
+
+
+def support_pi(rng, m, support, t_power, x_degree):
+    """A bivector curve on the support: constant d_a ^ d_b on consecutive
+    pairs of it at t^0, of rank 2 floor(r / 2), plus up to three random terms
+    within it at t^1 and above, which keep that rank."""
+    dims = (m, 0)
+    pi = PolyMultivector.zero(dims)
+    for a, b in zip(support[::2], support[1::2]):
+        pi = pi + mv(dims, rng.choice([-2, -1, 1, 3]), None, (a, b))
+    curve = {0: pi} if pi.terms else {}
+    pairs = list(itertools.combinations(support, 2))
+    if pairs and (t_power or x_degree):
+        extra = random_wedge_curve(rng, mv, m, pairs, t_power, x_degree, rng.randint(1, 3))
+        curve.update((p + 1, e) for p, e in extra.items())
+    return curve
+
+
+def supports(rng, m):
+    out = [[], sorted(rng.sample(range(m), 2)), list(range(m))]
+    if m >= 4:
+        out.append(sorted(rng.sample(range(m), 4)))
+    if m == 5:
+        out.append([1, 3])
+    return out
+
+
+def test_support_block_matches_the_full_matrix():
+    rng = random.Random(54)
+    seen = {"empty": 0, "gap": 0, "rank4": 0, "full": 0, "t": 0, "x": 0, "x_raise": 0}
+    all_pairs = {m: list(itertools.combinations(range(m), 2)) for m in range(2, 8)}
+    for m in range(2, 8):
+        for support in supports(rng, m):
+            for t_power, x_degree in [(0, 0), (2, 0), (0, 1), (1, 1)]:
+                pi = support_pi(rng, m, support, t_power, x_degree)
+                b = random_wedge_curve(rng, form, m, all_pairs[m], t_power, x_degree, 2 * m)
+                expected = outcome(full_matrix_graph_transform, b, pi, m)
+                assert outcome(_graph_transform, b, pi, m) == expected
+                r = len(support)
+                seen["empty"] += r == 0
+                seen["gap"] += r > 0 and support[-1] - support[0] >= r
+                seen["rank4"] += r == 4 and m > 4
+                seen["full"] += r == m and m % 2 == 0
+                if isinstance(expected, str):
+                    seen["x_raise"] += "spatial" in expected
+                else:
+                    seen["t"] += len(expected[1]) > 1
+                    seen["x"] += x_degree and any(
+                        any(mono) for e in expected[0].values() for mono, _ in e.terms
+                    )
+    assert min(seen.values()) >= 3, seen
+
+
+def test_support_block_keeps_the_determinant_errors():
+    dims = (5, 0)
+    # det (1 + pi^sharp B^flat) = (1 - 2 * 1/2)^2 on the block {1, 3}
+    pi, b = mv(dims, 2, None, (1, 3)), form(dims, Fraction(1, 2), None, (1, 3))
+    b = b + form(dims, 7, None, (0, 2))  # off the block: enters no product
+    singular = ({0: b}, {0: pi}, 5)
+    # det = (1 - 2 x1)^2
+    spatial = ({0: form(dims, 1, (1, 0, 0, 0, 0), (1, 3))}, {0: pi}, 5)
+    for args, message in [(singular, "determinant vanishes"), (spatial, "spatial variables")]:
+        expected = outcome(full_matrix_graph_transform, *args)
+        assert message in expected
+        with pytest.raises(GraphTransformError) as info:
+            _graph_transform(*args)
+        assert str(info.value) == expected
+    # spatially varying pi and B whose block product is nilpotent: det 1
+    dims = (4, 0)
+    pi = {0: mv(dims, 1, None, (0, 1)) + mv(dims, 1, None, (2, 3))}
+    b = {0: form(dims, 1, (0, 0, 0, 1), (0, 2)), 1: form(dims, 2, (1, 0, 0, 0), (0, 3))}
+    numerator, det = _graph_transform(b, pi, 4)
+    assert (numerator, det) == full_matrix_graph_transform(b, pi, 4)
+    assert det == {0: 1} and any(any(mono) for e in numerator.values() for mono, _ in e.terms)
+
+
+# -- the affine transport -------------------------------------------------------------------
+
+
+def per_term_transport(curve, phi, legs):
+    """The transport that substitutes each term from scratch: the coefficient
+    as a one-term curve, times each coordinate image once per exponent, times
+    each chosen leg; the oracle for the memoized transport."""
+    m = len(legs)
+    images = _coordinate_images(phi)
+    raw = {}
+    for power, u in curve.items():
+        kind = type(u)
+        for (mono, wedge), coef in u.terms.items():
+            value = {power: {(0,) * m: coef}}
+            for var, e in enumerate(mono):
+                for _ in range(e):
+                    value = _mul(value, images[var])
+            choices = [
+                [(j, entry) for j, entry in enumerate(legs[leg]) if entry] for leg in wedge
+            ]
+            for choice in itertools.product(*choices):
+                product = value
+                for _, entry in choice:
+                    product = _mul(product, entry)
+                new_wedge = tuple(j for j, _ in choice)
+                for p, poly in product.items():
+                    raw.setdefault(p, []).extend((c, mo, new_wedge) for mo, c in poly.items())
+    moved = {p: kind._from_raw((m, 0), terms) for p, terms in raw.items()}
+    return {p: e for p, e in moved.items() if not e.is_zero()}
+
+
+def random_element_curve(rng, m):
+    """A curve of forms of one degree or of multivectors of one arity, at
+    t^0 .. t^2, with coefficients of degree <= 2."""
+    dims = (m, 0)
+    if rng.randrange(2):
+        q = rng.randint(1, min(3, m))
+        return {p: random_form(rng, dims, q, 2) for p in range(rng.randint(1, 3))}
+    arity = rng.randint(1, 2)
+    return {p: random_multivector(rng, dims, arity, 2) for p in range(rng.randint(1, 3))}
+
+
+def random_field(rng, m, linear):
+    """A constant vector field, or one with a strictly upper-triangular, hence
+    nilpotent, linear part."""
+    dims = (m, 0)
+    x = PolyMultivector.zero(dims)
+    for i in range(m):
+        x = x + mv(dims, rng.randint(-2, 2), None, (i,))
+        for j in range(i + 1, m):
+            if linear and rng.randrange(2):
+                x_j = tuple(int(v == j) for v in range(m))
+                x = x + mv(dims, rng.choice([-2, -1, 1, 2]), x_j, (i,))
+    return x
+
+
+def test_transport_matches_the_per_term_substitution():
+    rng = random.Random(55)
+    seen = {"identity_legs": 0, "nontrivial_legs": 0}
+    for m in (2, 3, 4, 5):
+        for linear in (False, True):
+            for _ in range(4):
+                x = random_field(rng, m, linear)
+                minus, plus = _flow(x, -1), _flow(x, +1)
+                matrix = [[rng.randint(-2, 2) + 3 * (i == j) for j in range(m)] for i in range(m)]
+                try:
+                    phi = AffineDiffeo(matrix, [rng.randint(-2, 2) for _ in range(m)])
+                except ValueError:
+                    phi = AffineDiffeo.identity(m)
+                static, inverse = phi._at_t0(), phi.inverse()._at_t0()
+                curve = random_element_curve(rng, m)
+                # pull-backs pass the map and its matrix, push-forwards the
+                # inverse map and the transposed matrix
+                for args in [(minus, minus.matrix), (plus, minus.transposed()),
+                             (static, static.matrix), (inverse, static.transposed())]:
+                    expected = per_term_transport(curve, *args)
+                    got = _transport(curve, *args)
+                    assert got == expected and list(got) == list(expected)
+                seen["identity_legs"] += not linear
+                seen["nontrivial_legs"] += any(
+                    entry and i != j for i, row in enumerate(minus.matrix)
+                    for j, entry in enumerate(row)
+                )
+    assert min(seen.values()) >= 3, seen
+
+
 # -- wider verified dimensions ---------------------------------------------------------------
 
 
@@ -330,17 +556,12 @@ def test_generator_match_at_m5():
 
 
 def test_graph_transform_cost_is_polynomial(monkeypatch):
-    """A dense transform at m = 8 stays within 2 m^4 ring products, each one
-    multiply-accumulate of two Curves; the Leibniz determinant alone needs at
-    least 8! = 40320."""
+    """A transform at m = 8 with a dense B and pi supported on r coordinates
+    stays within 2 r^4 ring products, each one multiply-accumulate of two
+    Curves; the Leibniz determinant alone needs at least 8! = 40320, and the
+    full 8 x 8 matrix more than 2 r^4 at r = 2 and r = 4."""
     m = 8
     dims = (m, 0)
-    rng = random.Random(50)
-    pi = PolyMultivector.zero(dims)
-    b = PolyForm.zero(dims)
-    for legs in itertools.combinations(range(m), 2):
-        pi = pi + mv(dims, rng.randint(1, 5), None, legs)
-        b = b + form(dims, rng.randint(1, 5), None, legs)
     calls = [0]
     mac = tpois._mac
 
@@ -349,9 +570,18 @@ def test_graph_transform_cost_is_polynomial(monkeypatch):
         return mac(acc, x, y)
 
     monkeypatch.setattr(tpois, "_mac", counting_mac)
-    numerator, det = _graph_transform({0: b}, {0: pi}, m)
-    assert det[0] != 0 and numerator
-    assert 0 < calls[0] <= 2 * m**4
+    for support in (range(m), (0, 1), (1, 3, 4, 6)):
+        rng = random.Random(50)
+        pi = PolyMultivector.zero(dims)
+        b = PolyForm.zero(dims)
+        for legs in itertools.combinations(range(m), 2):
+            if set(legs) <= set(support):
+                pi = pi + mv(dims, rng.randint(1, 5), None, legs)
+            b = b + form(dims, rng.randint(1, 5), None, legs)
+        calls[0] = 0
+        numerator, det = _graph_transform({0: b}, {0: pi}, m)
+        assert det[0] != 0 and numerator
+        assert 0 < calls[0] <= 2 * len(support) ** 4, (support, calls[0])
 
 
 # -- the term cap -----------------------------------------------------------------------------
