@@ -2,8 +2,8 @@
 
 Subpackages by layer:
 
-  graded    Koszul signs, unshuffles, degree shifts, sparse rational elements,
-            two-part direct sums
+  graded    Koszul signs, unshuffles, degree shifts, the sparse-combination
+            base of every element type, two-part direct sums
   gla       structure-constant graded Lie algebras and their validation
   linfty    the generic L-infinity[1] interface (relations, Maurer-Cartan,
             twisting, gauge fields, degree-shift converter)

@@ -19,7 +19,7 @@ import json
 import sys
 
 from .gla import basis_filtration, element_from_json, element_to_json, gla_from_json, verify_gla
-from .graded import HomElt
+from .graded import HomElt, json_int
 from .linfty import MCError, NonTerminatingSeriesError, mc_residual
 from .polygeo import (
     PolyMultivector,
@@ -95,7 +95,9 @@ def _gla_backed_vdata(desc: dict, base_dir: str) -> VData:
     delta = element_from_json(space, desc["delta"])
     filtration = depth = None
     if "filtration" in desc:
-        fdeg, depth = basis_filtration({k: int(vv) for k, vv in desc["filtration"].items()})
+        fdeg, depth = basis_filtration(
+            {k: json_int(vv, f"filtration degree of {k!r}") for k, vv in desc["filtration"].items()}
+        )
         filtration = Filtration(degree=fdeg)
 
     return VData(

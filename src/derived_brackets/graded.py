@@ -1,6 +1,12 @@
 """Graded-vector-space substrate: Koszul signs, unshuffles, degree shifts,
-sparse exact-rational elements of a finitely generated graded space, and the
-two-part direct sums that carry the big and twisted-Poisson algebras.
+the two element bases of the package, and sparse exact-rational elements of
+a finitely generated graded space.
+
+:class:`SparseCombination` is the one container for sparse exact
+combinations: ``HomElt`` here, the polynomial multivectors and forms of
+``polygeo`` and the Courant model's ``SuperPoly`` subclass it and supply only
+their keys' validation, degree and ``repr`` body.  :class:`DirectSum` is the
+two-part element that carries the big and twisted-Poisson algebras.
 
 Scalars are exact rationals, held as ``int`` while they are integral and as a
 reduced ``fractions.Fraction`` only where a division leaves a remainder; no
@@ -23,24 +29,25 @@ ZERO = 0
 
 
 def as_fraction(value) -> int | Fraction:
-    """Coerce an int, Fraction, 'p/q' string or (num, den) pair to an exact
-    scalar: an ``int`` when the value is integral (``Fraction(n, 1)``
-    included), else a reduced Fraction.  A zero denominator is a
-    ``ValueError`` naming the coefficient."""
+    """Coerce an int, Fraction, 'p/q' string or (num, den) pair of integers
+    to an exact scalar: an ``int`` when the value is integral
+    (``Fraction(n, 1)`` included), else a reduced Fraction.  A bool, a float
+    and a non-integer entry of a pair are rejected naming the coefficient,
+    and so is a zero denominator (``ValueError``)."""
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
-        return int(value)
     try:
         if isinstance(value, str):
             return as_fraction(Fraction(value))
         if isinstance(value, (list, tuple)) and len(value) == 2:
-            return as_fraction(Fraction(int(value[0]), int(value[1])))
+            num = json_int(value[0], f"numerator of coefficient {value!r}")
+            den = json_int(value[1], f"denominator of coefficient {value!r}")
+            return as_fraction(Fraction(num, den))
     except ZeroDivisionError:
         raise ValueError(f"coefficient {value!r} has a zero denominator") from None
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    raise TypeError(f"cannot interpret coefficient {value!r} as an exact rational")
 
 
 def json_int(value, what: str) -> int:
@@ -120,10 +127,6 @@ class Permutation:
 
     def sign(self) -> int:
         return -1 if inversion_parity(self.images) else 1
-
-
-def identity_permutation(n: int) -> Permutation:
-    return Permutation(range(1, n + 1))
 
 
 def inversion_parity(seq) -> int:
@@ -218,14 +221,113 @@ class GradedSpace:
         return HomElt(self, {k: as_fraction(v) for k, v in terms.items()})
 
 
-class HomElt:
-    """Sparse rational linear combination of basis monomials of a GradedSpace.
+class SparseCombination:
+    """A sparse exact combination of keys: ``terms`` maps keys of one ambient
+    space to nonzero scalars.
 
-    Never stores zero coefficients.  Supports +, -, scalar multiplication by
-    exact rationals, and homogeneity queries.
+    The base of :class:`HomElt`, the polynomial multivectors and forms and
+    the Courant model's ``SuperPoly``.  Subclasses name the ambient (a
+    :class:`GradedSpace`, ``dims`` or ``dim``) by aliasing the ``ambient``
+    slot, validate keys in their own ``__init__``, and supply the degree of
+    one key (:meth:`_key_degree`), the ``repr`` body of one key
+    (:meth:`_key_body`) and the message ``_mismatch`` for combining elements
+    of different ambients.  Sums, negatives, scalings and components of
+    valid elements are valid, so they are built by :meth:`_of` without that
+    check.  Elements of different subclasses are never equal.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("ambient", "terms")
+    _mismatch = "ambient space mismatch"
+
+    @classmethod
+    def _of(cls, ambient, terms: dict) -> "SparseCombination":
+        new = object.__new__(cls)
+        new.ambient = ambient
+        new.terms = terms
+        return new
+
+    def _key_degree(self, key) -> int:
+        raise NotImplementedError
+
+    def _key_body(self, key) -> str:
+        raise NotImplementedError
+
+    def _check_ambient(self, other: "SparseCombination") -> None:
+        if type(other) is not type(self) or (
+            self.ambient is not other.ambient and self.ambient != other.ambient
+        ):
+            raise ValueError(self._mismatch)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_homogeneous(self) -> bool:
+        return len(set(map(self._key_degree, self.terms))) <= 1
+
+    def degree(self) -> int | None:
+        """Degree if homogeneous and nonzero, else None."""
+        degs = set(map(self._key_degree, self.terms))
+        if len(degs) == 1:
+            return degs.pop()
+        return None
+
+    def components(self) -> list:
+        """(degree, homogeneous part) pairs by ascending degree."""
+        by_degree: dict[int, dict] = {}
+        for key, coef in self.terms.items():
+            by_degree.setdefault(self._key_degree(key), {})[key] = coef
+        return [(d, self._of(self.ambient, t)) for d, t in sorted(by_degree.items())]
+
+    def __add__(self, other):
+        self._check_ambient(other)
+        return self._of(self.ambient, add_terms(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of(self.ambient, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, scalar):
+        scalar = as_fraction(scalar)
+        if scalar == 0:
+            return self._of(self.ambient, {})
+        return self._of(self.ambient, scale_terms(self.terms, scalar))
+
+    __mul__ = scale
+    __rmul__ = scale
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and (self.ambient is other.ambient or self.ambient == other.ambient)
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.ambient, frozenset(self.terms.items())))
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for key, coef in sorted(self.terms.items()):
+            body = self._key_body(key)
+            if coef == 1:
+                parts.append(body)
+            elif coef == -1:
+                parts.append(f"-{body}")
+            else:
+                parts.append(f"{coef}*{body}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+class HomElt(SparseCombination):
+    """Sparse rational linear combination of basis monomials of a GradedSpace."""
+
+    __slots__ = ()
+    space = SparseCombination.ambient
+    _mismatch = "elements live in different graded spaces"
 
     def __init__(self, space: GradedSpace, terms: Mapping[str, Fraction]):
         clean = {}
@@ -237,89 +339,17 @@ class HomElt:
         self.space = space
         self.terms = clean
 
-    @classmethod
-    def _of(cls, space: GradedSpace, terms: dict) -> "HomElt":
-        """Sums, negatives and scalings of valid elements are valid, so they
-        are built from their zero-free terms without the key check."""
-        new = object.__new__(cls)
-        new.space = space
-        new.terms = terms
-        return new
+    def _key_degree(self, name: str) -> int:
+        return self.space._degrees[name]
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.space.degree_of(n) for n in self.terms}
-        return len(degs) <= 1
-
-    def degree(self) -> int | None:
-        """Degree if homogeneous and nonzero, else None."""
-        degs = {self.space.degree_of(n) for n in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def components(self) -> list[tuple[int, "HomElt"]]:
-        by_degree: dict[int, dict[str, Fraction]] = {}
-        for name, coef in self.terms.items():
-            by_degree.setdefault(self.space.degree_of(name), {})[name] = coef
-        return [(d, HomElt(self.space, t)) for d, t in sorted(by_degree.items())]
+    def _key_body(self, name: str) -> str:
+        return name
 
     def coefficient(self, name: str) -> Fraction:
         return self.terms.get(name, ZERO)
 
-    def _require_same_space(self, other: "HomElt"):
-        if self.space is not other.space and self.space != other.space:
-            raise ValueError("elements live in different graded spaces")
-
-    def __add__(self, other: "HomElt") -> "HomElt":
-        self._require_same_space(other)
-        return self._of(self.space, add_terms(dict(self.terms), other.terms))
-
-    def __sub__(self, other: "HomElt") -> "HomElt":
-        return self + (-other)
-
-    def __neg__(self) -> "HomElt":
-        return self._of(self.space, {n: -c for n, c in self.terms.items()})
-
-    def scale(self, scalar) -> "HomElt":
-        scalar = as_fraction(scalar)
-        if scalar == 0:
-            return self._of(self.space, {})
-        return self._of(self.space, scale_terms(self.terms, scalar))
-
-    def __mul__(self, scalar) -> "HomElt":
-        return self.scale(scalar)
-
-    def __rmul__(self, scalar) -> "HomElt":
-        return self.scale(scalar)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomElt)
-            and (self.space is other.space or self.space == other.space)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, frozenset(self.terms.items())))
-
     def __iter__(self) -> Iterator[tuple[str, Fraction]]:
         return iter(sorted(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for name, coef in sorted(self.terms.items()):
-            if coef == 1:
-                parts.append(name)
-            elif coef == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{coef}*{name}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 class DirectSum:

@@ -24,7 +24,16 @@ import os
 from fractions import Fraction
 from operator import add
 
-from .graded import ZERO, add_terms, as_fraction, inversion_parity, json_int, scale_terms, settle
+from .graded import (
+    ZERO,
+    SparseCombination,
+    add_terms,
+    as_fraction,
+    inversion_parity,
+    json_int,
+    scale_terms,
+    settle,
+)
 
 Mono = tuple[int, ...]
 Wedge = tuple[int, ...]
@@ -109,11 +118,15 @@ def _sort_wedge(wedge: tuple[int, ...]) -> tuple[int, Wedge] | None:
     return (-1 if inversion_parity(wedge) else 1), tuple(sorted(wedge))
 
 
-class _WedgeElement:
-    """Shared sparse implementation for multivectors and forms."""
+class _WedgeElement(SparseCombination):
+    """Polynomial-coefficient wedge of coordinate directions: the shared
+    validation, trusted construction and term cap of multivectors and forms.
+    A key is (monomial, ascending wedge); ``_leg`` prefixes a wedge leg's
+    variable name in the ``repr``."""
 
-    __slots__ = ("dims", "terms")
-    _kind = "element"
+    __slots__ = ()
+    dims = SparseCombination.ambient
+    _leg = ""
 
     def __init__(self, dims: tuple[int, int], terms: dict[tuple[Mono, Wedge], Fraction]):
         m, k = dims
@@ -135,15 +148,6 @@ class _WedgeElement:
         self.terms = _check_size(clean)
 
     # construction helpers ----------------------------------------------------
-
-    @classmethod
-    def _of(cls, dims: tuple[int, int], terms: dict) -> "_WedgeElement":
-        """Trusted construction from valid, zero-free terms: the results of
-        arithmetic on valid elements, which need no key check."""
-        new = object.__new__(cls)
-        new.dims = dims
-        new.terms = terms
-        return new
 
     @classmethod
     def _from_raw(cls, dims: tuple[int, int], raw) -> "_WedgeElement":
@@ -175,96 +179,40 @@ class _WedgeElement:
         )
         return cls(dims, collected.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _same_kind(self, other):
-        if type(self) is not type(other) or self.dims != other.dims:
-            raise ValueError(f"{self._kind} ambient space mismatch")
-
     def __add__(self, other):
-        self._same_kind(other)
-        return self._of(self.dims, _check_size(add_terms(dict(self.terms), other.terms)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._of(self.dims, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, scalar):
-        scalar = as_fraction(scalar)
-        if scalar == 0:
-            return self._of(self.dims, {})
-        return self._of(self.dims, scale_terms(self.terms, scalar))
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(self) is type(other)
-            and self.dims == other.dims
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.dims, frozenset(self.terms.items())))
+        total = super().__add__(other)
+        _check_size(total.terms)
+        return total
 
     def coefficient(self, mono: Mono, wedge: Wedge) -> Fraction:
         return self.terms.get((tuple(mono), tuple(wedge)), ZERO)
 
-    def _repr_parts(self, symbol: str, names: list[str]) -> str:
-        if not self.terms:
-            return "0"
-        m, k = self.dims
-        var_names = [f"x{i+1}" for i in range(m)] + [f"p{j+1}" for j in range(k)]
-        parts = []
-        for (mono, wedge), coef in sorted(self.terms.items()):
-            factors = []
-            for var, e in enumerate(mono):
-                if e == 1:
-                    factors.append(var_names[var])
-                elif e > 1:
-                    factors.append(f"{var_names[var]}^{e}")
-            factors.extend(names[w] for w in wedge)
-            body = symbol.join(factors) if factors else "1"
-            if coef == 1:
-                parts.append(body)
-            elif coef == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coef}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+    def _key_body(self, key: tuple[Mono, Wedge]) -> str:
+        mono, wedge = key
+        names = _var_names(self.dims)
+        factors = [names[v] if e == 1 else f"{names[v]}^{e}" for v, e in enumerate(mono) if e]
+        factors.extend(self._leg + names[w] for w in wedge)
+        return "^".join(factors) if factors else "1"
+
+    def _parts_of_arity(self, arity: int) -> dict:
+        return {key: c for key, c in self.terms.items() if len(key[1]) == arity}
 
 
 class PolyMultivector(_WedgeElement):
     """Polynomial-coefficient multivector field; graded by arity - 1."""
 
-    _kind = "multivector"
+    __slots__ = ()
+    _leg = "@"
+    _mismatch = "multivector ambient space mismatch"
+
+    def _key_degree(self, key: tuple[Mono, Wedge]) -> int:
+        return len(key[1]) - 1
 
     def arities(self) -> set[int]:
         return {len(w) for (_, w) in self.terms}
 
-    def degree(self) -> int | None:
-        """Degree in the shifted multivector grading (arity - 1)."""
-        ar = self.arities()
-        if len(ar) == 1:
-            return ar.pop() - 1
-        return None
-
-    def is_homogeneous(self) -> bool:
-        return len(self.arities()) <= 1
-
-    def components(self) -> list[tuple[int, "PolyMultivector"]]:
-        by: dict[int, dict] = {}
-        for (mono, wedge), coef in self.terms.items():
-            by.setdefault(len(wedge) - 1, {})[(mono, wedge)] = coef
-        return [(d, PolyMultivector(self.dims, t)) for d, t in sorted(by.items())]
-
     def arity_part(self, arity: int) -> "PolyMultivector":
-        terms = {k: c for k, c in self.terms.items() if len(k[1]) == arity}
-        return PolyMultivector(self.dims, terms)
+        return self._of(self.dims, self._parts_of_arity(arity))
 
     def pol_degree(self) -> int | None:
         """Fiberwise polynomial degree: per term, p-degree of the coefficient
@@ -278,43 +226,22 @@ class PolyMultivector(_WedgeElement):
             best = value if best is None else max(best, value)
         return best
 
-    def __repr__(self) -> str:
-        m, k = self.dims
-        names = [f"@x{i+1}" for i in range(m)] + [f"@p{j+1}" for j in range(k)]
-        return self._repr_parts("^", names)
-
 
 class PolyForm(_WedgeElement):
     """Polynomial-coefficient differential form; graded by form degree."""
 
-    _kind = "form"
+    __slots__ = ()
+    _leg = "d"
+    _mismatch = "form ambient space mismatch"
+
+    def _key_degree(self, key: tuple[Mono, Wedge]) -> int:
+        return len(key[1])
 
     def form_degrees(self) -> set[int]:
         return {len(w) for (_, w) in self.terms}
 
-    def degree(self) -> int | None:
-        degs = self.form_degrees()
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def is_homogeneous(self) -> bool:
-        return len(self.form_degrees()) <= 1
-
-    def components(self) -> list[tuple[int, "PolyForm"]]:
-        by: dict[int, dict] = {}
-        for (mono, wedge), coef in self.terms.items():
-            by.setdefault(len(wedge), {})[(mono, wedge)] = coef
-        return [(d, PolyForm(self.dims, t)) for d, t in sorted(by.items())]
-
     def degree_part(self, q: int) -> "PolyForm":
-        terms = {k: c for k, c in self.terms.items() if len(k[1]) == q}
-        return PolyForm(self.dims, terms)
-
-    def __repr__(self) -> str:
-        m, k = self.dims
-        names = [f"dx{i+1}" for i in range(m)] + [f"dp{j+1}" for j in range(k)]
-        return self._repr_parts("^", names)
+        return self._of(self.dims, self._parts_of_arity(q))
 
 
 # -- constructors ---------------------------------------------------------------
@@ -338,22 +265,15 @@ def coordinate_vector(dims, direction: int) -> PolyMultivector:
     return mv(dims, 1, None, (direction,))
 
 
-def _wedge(u: _WedgeElement, v: _WedgeElement) -> _WedgeElement:
-    u._same_kind(v)
+def wedge(u: _WedgeElement, v: _WedgeElement) -> _WedgeElement:
+    """The wedge product of two multivectors or of two forms."""
+    u._check_ambient(v)
     raw = [
         (cu * cv, tuple(map(add, mu, mv_)), wu + wv)
         for (mu, wu), cu in u.terms.items()
         for (mv_, wv), cv in v.terms.items()
     ]
     return type(u)._from_raw(u.dims, raw)
-
-
-def wedge_mv(u: PolyMultivector, v: PolyMultivector) -> PolyMultivector:
-    return _wedge(u, v)
-
-
-def wedge_form(a: PolyForm, b: PolyForm) -> PolyForm:
-    return _wedge(a, b)
 
 
 # -- Schouten bracket -----------------------------------------------------------
@@ -368,7 +288,7 @@ def schouten(u: PolyMultivector, v: PolyMultivector) -> PolyMultivector:
         [fP, gQ] = sum_i (-1)^{a-i} f (dg/dw_i) (P\\w_i)^Q
                  + (-1)^{a(b-1)} g sum_j (-1)^j (df/dq_j) (Q\\q_j)^P
     """
-    u._same_kind(v)
+    u._check_ambient(v)
     raw: list[tuple[Fraction, Mono, Wedge]] = []
     for (fm, P), fc in u.terms.items():
         a = len(P)
@@ -472,8 +392,8 @@ def multi_sharp(pis: list[PolyMultivector], w: PolyForm) -> PolyMultivector:
     if not w.is_zero() and w.form_degrees() != {n}:
         raise ValueError(f"multi_sharp of {n} multivectors expects a {n}-form")
     by_wedge: dict[Wedge, dict[Mono, Fraction]] = {}
-    for (mono, wedge), coef in w.terms.items():
-        by_wedge.setdefault(wedge, {})[mono] = coef
+    for (mono, dx), coef in w.terms.items():
+        by_wedge.setdefault(dx, {})[mono] = coef
     sharps: dict[tuple[int, int], PolyMultivector] = {}
 
     def sharp_of(i: int, leg: int) -> PolyMultivector:
@@ -482,14 +402,14 @@ def multi_sharp(pis: list[PolyMultivector], w: PolyForm) -> PolyMultivector:
         return sharps[i, leg]
 
     acc: dict[tuple[Mono, Wedge], Fraction] = {}
-    for wedge, poly in by_wedge.items():
+    for dx, poly in by_wedge.items():
         contracted = PolyMultivector.zero(dims)
-        for perm in itertools.permutations(wedge):
+        for perm in itertools.permutations(dx):
             product = sharp_of(0, perm[0])
             for i in range(1, n):
                 if product.is_zero():
                     break
-                product = wedge_mv(product, sharp_of(i, perm[i]))
+                product = wedge(product, sharp_of(i, perm[i]))
             contracted = contracted - product if inversion_parity(perm) else contracted + product
         for (cmono, cwedge), ccoef in contracted.terms.items():
             for mono, coef in poly.items():
@@ -539,11 +459,11 @@ def fiber_translate(u: PolyMultivector, phi: PolyMultivector) -> PolyMultivector
     m, k = u.dims
     nvars = m + k
     comp: dict[int, dict[Mono, Fraction]] = {}
-    for (mono, wedge), coef in phi.terms.items():
-        comp[wedge[0] - m] = poly_add(comp.get(wedge[0] - m, {}), {mono: coef})
+    for (mono, dirs), coef in phi.terms.items():
+        comp[dirs[0] - m] = poly_add(comp.get(dirs[0] - m, {}), {mono: coef})
 
     out = PolyMultivector.zero(u.dims)
-    for (mono, wedge), coef in u.terms.items():
+    for (mono, dirs), coef in u.terms.items():
         # substitute p_j -> p_j - phi_j(x) in the coefficient
         poly = {mono: coef}
         for j, phi_j in comp.items():
@@ -558,7 +478,7 @@ def fiber_translate(u: PolyMultivector, phi: PolyMultivector) -> PolyMultivector
             poly = new_poly
         # transport each wedge leg through the differential of the translation
         legs: list[PolyMultivector] = []
-        for w in wedge:
+        for w in dirs:
             leg = coordinate_vector(u.dims, w)
             if w < m:
                 for j, phi_j in comp.items():
@@ -569,7 +489,7 @@ def fiber_translate(u: PolyMultivector, phi: PolyMultivector) -> PolyMultivector
         for mono2, coef2 in poly.items():
             term = mv(u.dims, coef2, mono2, ())
             for leg in legs:
-                term = wedge_mv(term, leg)
+                term = wedge(term, leg)
                 if term.is_zero():
                     break
             out = out + term
@@ -584,14 +504,9 @@ def fiber_translate(u: PolyMultivector, phi: PolyMultivector) -> PolyMultivector
 #              "wedge": [1-based direction indices]}] }
 
 
-def _var_index(name: str, dims: tuple[int, int]) -> int:
+def _var_names(dims: tuple[int, int]) -> list[str]:
     m, k = dims
-    kind, num = name[0], int(name[1:])
-    if kind == "x" and 1 <= num <= m:
-        return num - 1
-    if kind == "p" and 1 <= num <= k:
-        return m + num - 1
-    raise ValueError(f"unknown variable {name!r} for dims {dims}")
+    return [f"x{i+1}" for i in range(m)] + [f"p{j+1}" for j in range(k)]
 
 
 def _element_from_json(cls, data: dict):
@@ -599,12 +514,14 @@ def _element_from_json(cls, data: dict):
         json_int(data["dims"]["base"], "dims.base"),
         json_int(data["dims"].get("fiber", 0), "dims.fiber"),
     )
-    m, k = dims
+    index = {name: v for v, name in enumerate(_var_names(dims))}
     raw = []
     for item in data.get("terms", []):
-        mono = [0] * (m + k)
+        mono = [0] * len(index)
         for name, e in item.get("monomial", {}).items():
-            mono[_var_index(name, dims)] = json_int(e, f"exponent of {name!r}")
+            if name not in index:
+                raise ValueError(f"unknown variable {name!r} for dims {dims}")
+            mono[index[name]] = json_int(e, f"exponent of {name!r}")
         wedge = tuple(json_int(w, "wedge index") - 1 for w in item.get("wedge", ()))
         raw.append((as_fraction(item.get("coef", 1)), tuple(mono), wedge))
     return cls.from_terms(dims, raw)
@@ -620,7 +537,7 @@ def form_from_json(data: dict) -> PolyForm:
 
 def element_to_json(u: _WedgeElement) -> dict:
     m, k = u.dims
-    var_names = [f"x{i+1}" for i in range(m)] + [f"p{j+1}" for j in range(k)]
+    var_names = _var_names(u.dims)
     terms = []
     for (mono, wedge), coef in sorted(u.terms.items()):
         monomial = {var_names[v]: e for v, e in enumerate(mono) if e}

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .graded import ZERO, as_fraction, inversion_parity
+from .graded import SparseCombination, as_fraction, inversion_parity, settle
 from .linfty import LInftyOne
 from .polygeo import PolyForm, PolyMultivector
 from .vdata import BigElt, Filtration, VData, big_algebra, restrict
@@ -55,10 +55,13 @@ def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, 
     return (-1 if inversion_parity(a + b) else 1), tuple(sorted(a + b))
 
 
-class SuperPoly:
+class SuperPoly(SparseCombination):
     """Element of the graded-commutative algebra Q[x, P] (x) Lambda[p, v]."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
+    dim = SparseCombination.ambient
+    _mismatch = "dimension mismatch"
+    _key_degree = staticmethod(_term_degree)
 
     def __init__(self, dim: int, terms: dict[Key, Fraction]):
         clean = {}
@@ -91,62 +94,9 @@ class SuperPoly:
         P = (0,) * dim if P is None else tuple(P)
         return cls(dim, {(x, P, tuple(p), tuple(v)): as_fraction(coef)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int | None:
-        degs = {_term_degree(k) for k in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def components(self) -> list[tuple[int, "SuperPoly"]]:
-        by: dict[int, dict[Key, Fraction]] = {}
-        for key, coef in self.terms.items():
-            by.setdefault(_term_degree(key), {})[key] = coef
-        return [(d, SuperPoly(self.dim, t)) for d, t in sorted(by.items())]
-
-    def __add__(self, other: "SuperPoly") -> "SuperPoly":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        terms = dict(self.terms)
-        for key, coef in other.terms.items():
-            new = terms.get(key, ZERO) + coef
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
-        return SuperPoly(self.dim, terms)
-
-    def __sub__(self, other: "SuperPoly") -> "SuperPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "SuperPoly":
-        return SuperPoly(self.dim, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, scalar) -> "SuperPoly":
-        scalar = as_fraction(scalar)
-        if scalar == 0:
-            return SuperPoly(self.dim, {})
-        return SuperPoly(self.dim, {k: c * scalar for k, c in self.terms.items()})
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SuperPoly)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self.terms.items())))
-
     def product(self, other: "SuperPoly") -> "SuperPoly":
         """Graded-commutative product."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+        self._check_ambient(other)
         out: dict[Key, Fraction] = {}
         for (x1, P1, p1, v1), c1 in self.terms.items():
             for (x2, P2, p2, v2), c2 in other.terms.items():
@@ -165,35 +115,21 @@ class SuperPoly:
                     mp[1],
                     mv_[1],
                 )
-                new = out.get(key, ZERO) + c1 * c2 * sign
-                if new == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = new
-        return SuperPoly(self.dim, out)
+                out[key] = out.get(key, 0) + c1 * c2 * sign
+        return self._of(self.dim, settle(out))
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (x_exp, P_exp, p_idx, v_idx), coef in sorted(self.terms.items()):
-            factors = []
-            for j, e in enumerate(x_exp):
-                if e:
-                    factors.append(f"x{j+1}" + (f"^{e}" if e > 1 else ""))
-            for j, e in enumerate(P_exp):
-                if e:
-                    factors.append(f"P{j+1}" + (f"^{e}" if e > 1 else ""))
-            factors.extend(f"p{j+1}" for j in p_idx)
-            factors.extend(f"v{j+1}" for j in v_idx)
-            body = " ".join(factors) if factors else "1"
-            if coef == 1:
-                parts.append(body)
-            elif coef == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coef}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+    def _key_body(self, key: Key) -> str:
+        x_exp, P_exp, p_idx, v_idx = key
+        factors = []
+        for j, e in enumerate(x_exp):
+            if e:
+                factors.append(f"x{j+1}" + (f"^{e}" if e > 1 else ""))
+        for j, e in enumerate(P_exp):
+            if e:
+                factors.append(f"P{j+1}" + (f"^{e}" if e > 1 else ""))
+        factors.extend(f"p{j+1}" for j in p_idx)
+        factors.extend(f"v{j+1}" for j in v_idx)
+        return " ".join(factors) if factors else "1"
 
 
 # -- derivatives -------------------------------------------------------------------
@@ -208,12 +144,8 @@ def _diff_even(terms: dict[Key, Fraction], which: str, j: int) -> dict[Key, Frac
             continue
         lowered = exps[:j] + (e - 1,) + exps[j + 1 :]
         key = (lowered, P_exp, p_idx, v_idx) if which == "x" else (x_exp, lowered, p_idx, v_idx)
-        new = out.get(key, ZERO) + coef * e
-        if new == 0:
-            out.pop(key, None)
-        else:
-            out[key] = new
-    return out
+        out[key] = out.get(key, 0) + coef * e
+    return settle(out)
 
 
 def _diff_odd(terms: dict[Key, Fraction], which: str, j: int) -> dict[Key, Fraction]:
@@ -233,12 +165,8 @@ def _diff_odd(terms: dict[Key, Fraction], which: str, j: int) -> dict[Key, Fract
             pos = v_idx.index(j)
             sign = -1 if (len(p_idx) + pos) % 2 else 1
             key = (x_exp, P_exp, p_idx, v_idx[:pos] + v_idx[pos + 1 :])
-        new = out.get(key, ZERO) + coef * sign
-        if new == 0:
-            out.pop(key, None)
-        else:
-            out[key] = new
-    return out
+        out[key] = out.get(key, 0) + coef * sign
+    return settle(out)
 
 
 def super_bracket(f: SuperPoly, g: SuperPoly) -> SuperPoly:
@@ -266,7 +194,7 @@ def super_bracket(f: SuperPoly, g: SuperPoly) -> SuperPoly:
             for left, right, outer in pairs:
                 if not left or not right:
                     continue
-                prod = SuperPoly(dim, left).product(SuperPoly(dim, right))
+                prod = SuperPoly._of(dim, left).product(SuperPoly._of(dim, right))
                 if not prod.is_zero():
                     out = out + prod.scale(outer)
     return out

@@ -208,18 +208,28 @@ def test_mc_element_with_zero_denominator_is_an_input_error(files, tmp_path, cap
 @pytest.mark.parametrize(
     "field, value",
     [("coef_num", 1.5), ("coef_num", 0.5), ("coef_den", 2.0), ("coef_num", True),
-     ("coef_num", "1"), ("degree", 0.7), ("degree", False)],
+     ("coef_num", "1"), ("degree", 0.7), ("degree", False), ("filtration degree", 1.9)],
 )
 def test_gla_file_with_non_integer_number_is_an_input_error(field, value, tmp_path, capsys):
-    # [h, e] = 1.5 e would otherwise load as [h, e] = e, and 0.5 e as 0
-    data = gla_to_json(sample_gla())
-    if field == "degree":
-        data["basis"][0][field] = value
+    # [h, e] = 1.5 e would otherwise load as [h, e] = e, and 0.5 e as 0; a
+    # descriptor's filtration degree 1.9 would load as 1
+    if field == "filtration degree":
+        with open(_data("vdata_gla_unfiltered.json"), encoding="utf-8") as fh:
+            desc = json.load(fh)
+        desc["filtration"] = {b["name"]: value for b in desc["gla"]["basis"]}
+        p = tmp_path / "vdata.json"
+        p.write_text(json.dumps(desc))
+        argv = ["--json", "mc", str(p), _data("alpha_mc.json")]
     else:
-        data["brackets"][0]["result"][0][field] = value
-    p = tmp_path / "gla.json"
-    p.write_text(json.dumps(data))
-    assert main(["--json", "verify-gla", str(p)]) == 2
+        data = gla_to_json(sample_gla())
+        if field == "degree":
+            data["basis"][0][field] = value
+        else:
+            data["brackets"][0]["result"][0][field] = value
+        p = tmp_path / "gla.json"
+        p.write_text(json.dumps(data))
+        argv = ["--json", "verify-gla", str(p)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     _assert_one_line(err, "input error: ")
     assert f"{field} of " in err and "must be an integer" in err and repr(value) in err
@@ -241,12 +251,14 @@ def test_polynomial_literal_with_zero_denominator_is_an_input_error(
     "part, field, value, bad",
     [("pi", "monomial", {"x3": 1.5}, 1.5), ("pi", "wedge", [1, 2.7], 2.7),
      ("H", "wedge", [1, "2", 3], "2"), ("B", "monomial", {"x1": True}, True),
-     ("X", "dims", 3.0, 3.0)],
+     ("X", "dims", 3.0, 3.0), ("pi", "coef", [1.5, 2], 1.5), ("pi", "coef", [1, 2.0], 2.0),
+     ("pi", "coef", True, True)],
 )
 def test_polynomial_literal_with_non_integer_number_is_an_input_error(
     part, field, value, bad, tmp_path, capsys
 ):
-    # pi = x3^1.5 d1^d2 would otherwise load as x3 d1^d2, and d1^d2.7 as d1^d2
+    # pi = x3^1.5 d1^d2 would otherwise load as x3 d1^d2, d1^d2.7 as d1^d2,
+    # a coefficient [1.5, 2] as 1/2 and a coefficient true as 1
     with open(_data("tpois_gauge.json"), encoding="utf-8") as fh:
         data = json.load(fh)
     if field == "dims":
@@ -258,8 +270,26 @@ def test_polynomial_literal_with_non_integer_number_is_an_input_error(
     assert main(["--json", "gauge", str(p)]) == 2
     err = capsys.readouterr().err
     _assert_one_line(err, "input error: ")
+    if field == "coef":
+        assert f"coefficient {value!r}" in err and repr(bad) in err
+        return
     name = {"monomial": "exponent of 'x", "wedge": "wedge index", "dims": "dims.base"}[field]
     assert name in err and "must be an integer" in err and repr(bad) in err
+
+
+@pytest.mark.parametrize("name", ["", "x01", "x1.5", "x4", "p1"])
+def test_polynomial_literal_with_unknown_variable_is_an_input_error(name, tmp_path, capsys):
+    # on R^3 the variables are x1, x2, x3: an empty name used to crash with an
+    # IndexError, and x01 loaded as x1
+    with open(_data("tpois_gauge.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["pi"]["terms"][0]["monomial"] = {name: 1}
+    p = tmp_path / "gauge.json"
+    p.write_text(json.dumps(data))
+    assert main(["--json", "gauge", str(p)]) == 2
+    err = capsys.readouterr().err
+    _assert_one_line(err, "input error: ")
+    assert f"unknown variable {name!r}" in err
 
 
 def _dbrack(argv, **env_vars):

@@ -21,7 +21,7 @@ from derived_brackets.polygeo import (
     multi_sharp,
     mv,
     sharp,
-    wedge_mv,
+    wedge,
 )
 
 
@@ -29,13 +29,13 @@ def reference_multi_sharp(pis, w):
     n = len(pis)
     dims = w.dims
     out = PolyMultivector.zero(dims)
-    for (mono, wedge), coef in w.terms.items():
-        covectors = [form(dims, 1, None, (leg,)) for leg in wedge]
+    for (mono, legs), coef in w.terms.items():
+        covectors = [form(dims, 1, None, (leg,)) for leg in legs]
         for perm in itertools.permutations(range(n)):
             sign = -1 if inversion_parity(perm) else 1
             product = mv(dims, coef * sign, mono, ())
             for i in range(n):
-                product = wedge_mv(product, sharp(pis[i], covectors[perm[i]]))
+                product = wedge(product, sharp(pis[i], covectors[perm[i]]))
                 if product.is_zero():
                     break
             out = out + product

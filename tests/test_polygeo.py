@@ -21,8 +21,7 @@ from derived_brackets.polygeo import (
     multi_sharp,
     schouten,
     sharp,
-    wedge_form,
-    wedge_mv,
+    wedge,
 )
 from derived_brackets.sampling import (
     random_base_poly,
@@ -97,8 +96,8 @@ def test_schouten_leibniz_over_wedge():
         u = rand_mv(rng, arity=a_u, degree=1)
         v = rand_mv(rng, arity=a_v, degree=1)
         w = rand_mv(rng, arity=a_w, degree=1)
-        lhs = schouten(u, wedge_mv(v, w))
-        rhs = wedge_mv(schouten(u, v), w) + wedge_mv(v, schouten(u, w)).scale(
+        lhs = schouten(u, wedge(v, w))
+        rhs = wedge(schouten(u, v), w) + wedge(v, schouten(u, w)).scale(
             (-1) ** (((a_u - 1) * a_v) % 2)
         )
         assert lhs == rhs
@@ -137,8 +136,8 @@ def test_de_rham_is_a_degree_one_derivation():
         qa = rng.randint(0, 2)
         a = random_form(rng, D3, qa, 2)
         b = random_form(rng, D3, rng.randint(0, 2), 2)
-        lhs = de_rham(wedge_form(a, b))
-        rhs = wedge_form(de_rham(a), b) + wedge_form(a, de_rham(b)).scale((-1) ** (qa % 2))
+        lhs = de_rham(wedge(a, b))
+        rhs = wedge(de_rham(a), b) + wedge(a, de_rham(b)).scale((-1) ** (qa % 2))
         assert lhs == rhs
 
 

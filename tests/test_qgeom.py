@@ -152,13 +152,13 @@ def test_dictionaries():
 def test_dictionaries_are_algebra_maps():
     rng = random.Random(6)
     m = 2
-    from derived_brackets.polygeo import wedge_mv
+    from derived_brackets.polygeo import wedge
     from derived_brackets.sampling import random_multivector
 
     for _ in range(10):
         a = random_multivector(rng, (m, 0), 1, 2)
         b = random_multivector(rng, (m, 0), 1, 2)
-        assert mv_to_super(wedge_mv(a, b)) == mv_to_super(a).product(mv_to_super(b))
+        assert mv_to_super(wedge(a, b)) == mv_to_super(a).product(mv_to_super(b))
 
 
 def test_dictionary_inverse_rejects_stray_letters():
