@@ -112,7 +112,13 @@ def _subst_mono(
 
 
 def _sort_wedge(wedge: tuple[int, ...]) -> tuple[int, Wedge] | None:
-    """Sort wedge indices, returning (sign, sorted) or None when repeated."""
+    """Sort wedge indices, returning (sign, sorted) or None when repeated.
+    Two legs, the common case, take one comparison."""
+    if len(wedge) == 2:
+        a, b = wedge
+        if a == b:
+            return None
+        return (1, wedge) if a < b else (-1, (b, a))
     if len(set(wedge)) != len(wedge):
         return None
     return (-1 if inversion_parity(wedge) else 1), tuple(sorted(wedge))
@@ -509,20 +515,33 @@ def _var_names(dims: tuple[int, int]) -> list[str]:
     return [f"x{i+1}" for i in range(m)] + [f"p{j+1}" for j in range(k)]
 
 
+def _json_of(kind: type, value, what: str):
+    """A JSON object (kind dict) or list (kind list); any other value there is
+    an input error naming the field."""
+    if type(value) is not kind:
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
 def _element_from_json(cls, data: dict):
+    dims_data = _json_of(dict, _json_of(dict, data, "polynomial literal")["dims"], "dims")
     dims = (
-        json_int(data["dims"]["base"], "dims.base"),
-        json_int(data["dims"].get("fiber", 0), "dims.fiber"),
+        json_int(dims_data["base"], "dims.base"),
+        json_int(dims_data.get("fiber", 0), "dims.fiber"),
     )
     index = {name: v for v, name in enumerate(_var_names(dims))}
     raw = []
-    for item in data.get("terms", []):
+    for item in _json_of(list, data.get("terms", []), "terms"):
+        item = _json_of(dict, item, "term")
         mono = [0] * len(index)
-        for name, e in item.get("monomial", {}).items():
+        for name, e in _json_of(dict, item.get("monomial", {}), "monomial").items():
             if name not in index:
                 raise ValueError(f"unknown variable {name!r} for dims {dims}")
             mono[index[name]] = json_int(e, f"exponent of {name!r}")
-        wedge = tuple(json_int(w, "wedge index") - 1 for w in item.get("wedge", ()))
+        wedge = tuple(
+            json_int(w, "wedge index") - 1 for w in _json_of(list, item.get("wedge", []), "wedge")
+        )
         raw.append((as_fraction(item.get("coef", 1)), tuple(mono), wedge))
     return cls.from_terms(dims, raw)
 

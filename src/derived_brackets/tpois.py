@@ -42,6 +42,7 @@ from .polygeo import (
     PolyForm,
     PolyMultivector,
     _check_size,
+    _without_leg,
     contract_form,
     de_rham,
     multi_sharp,
@@ -243,24 +244,26 @@ Curve = dict[int, dict[Mono, Fraction]]
 Matrix = list[list[Curve]]  # a list of rows, {} for a zero entry
 
 
-def _t_add(a: dict, b: dict) -> dict:
-    """Sum of two curves of forms or multivectors."""
-    out = dict(a)
-    for p, v in b.items():
-        merged = out[p] + v if p in out else v
-        if merged.is_zero():
-            out.pop(p, None)
-        else:
-            out[p] = merged
-    return out
-
-
-def _t_scale(curve: dict, scalar: dict[int, Fraction]) -> dict:
-    """Product of a curve of forms or multivectors with a scalar curve."""
-    out: dict = {}
+def _t_mac(acc: dict, curve: dict, scalar: dict[int, Fraction]) -> dict:
+    """acc += curve * scalar in place, for a curve of forms or multivectors and
+    a scalar curve, on an unsettled accumulator of one term dict per power of
+    t (cf. :func:`_mac`); :func:`_t_settled` turns it into a curve."""
     for p, v in curve.items():
         for q, s in scalar.items():
-            out = _t_add(out, {p + q: v.scale(s)})
+            out = acc.setdefault(p + q, {})
+            for key, coef in v.terms.items():
+                out[key] = out.get(key, 0) + coef * s
+    return acc
+
+
+def _t_settled(acc: dict, kind: type, dims: tuple[int, int]) -> dict:
+    """The curve of elements of ``kind`` of an accumulator: each power settled
+    and size-checked once, vanishing powers dropped."""
+    out = {}
+    for power, terms in acc.items():
+        terms = _check_size(settle(terms))
+        if terms:
+            out[power] = kind._of(dims, terms)
     return out
 
 
@@ -748,14 +751,32 @@ def _flow(x_field: PolyMultivector, time_sign: int) -> TimeAffine:
     return TimeAffine(matrix, translation)
 
 
+def _reversed(phi: TimeAffine) -> TimeAffine:
+    """phi with t -> -t: the odd powers of every matrix and translation Curve
+    negate, so the time-t flow comes from the time-(-t) one."""
+
+    def flip(curve: Curve) -> Curve:
+        return {
+            k: {mono: -c for mono, c in poly.items()} if k % 2 else poly
+            for k, poly in curve.items()
+        }
+
+    return TimeAffine(
+        [[flip(entry) for entry in row] for row in phi.matrix],
+        [flip(c) for c in phi.translation],
+    )
+
+
 def _gauge_form_curve(
     b: PolyForm, x_field: PolyMultivector, h: PolyForm
 ) -> dict[int, PolyForm]:
     """E_t = B + i_X H - t i_X dB: the 2-form that shears pi along the flow of
     the gauge field of (B, X) through (H, pi), whose form part is H - t dB."""
-    return _t_add(
-        {0: b + contract_form(x_field, h)}, {1: -contract_form(x_field, de_rham(b))}
-    )
+    curve = {0: b + contract_form(x_field, h)}
+    slope = contract_form(x_field, de_rham(b))
+    if not slope.is_zero():
+        curve[1] = -slope
+    return curve
 
 
 @dataclass(frozen=True)
@@ -799,25 +820,57 @@ class FlowCurve:
     def ode_residual(self) -> dict[int, PolyMultivector]:
         """Cross-multiplied tangency identity, a polynomial identity in t:
 
-            N' d - N d' - d [X, N] - wedge2(N)(E_t)  with
+            N' d - N d' - d [X, N] - 1/2 (N^sharp ^ N^sharp)(E_t)  with
             E_t = B + i_X H - t i_X dB
 
         (N the numerator curve, d the determinant).  Empty dict iff satisfied.
-        """
+
+        The last term is formed in one pass.  For bivectors multi_sharp is
+        bilinear and symmetric, and vector fields anticommute, so on one term
+        f dx_a^dx_b of E_t
+
+            (N^sharp ^ N^sharp)(f dx_a^dx_b) = f (S_a ^ S_b - S_b ^ S_a)
+                                             = 2 f S_a ^ S_b,
+
+        with S_a(t) = i_{dx_a} N(t) = sum_p t^p i_{dx_a} N_p.  Hence
+        -1/2 (N^sharp ^ N^sharp)(E_t) = -sum f S_a ^ S_b over the terms of
+        E_t: one contraction per leg and one product S_a ^ S_b per wedge.
+        Every piece is accumulated into one term dict per power of t, and
+        each power is settled once."""
         n_curve = self.mv_numerator
         minus_d = {p: -s for p, s in self.denominator.items()}
-        residual = _t_add(
-            _t_scale(_t_ddt(n_curve), self.denominator), _t_scale(n_curve, _t_ddt(minus_d))
-        )
         bracket = {p: schouten(self.x_field, e) for p, e in n_curve.items()}
-        residual = _t_add(residual, _t_scale(bracket, minus_d))
+        acc: dict[int, dict] = {}
+        _t_mac(acc, _t_ddt(n_curve), self.denominator)
+        _t_mac(acc, n_curve, _t_ddt(minus_d))
+        _t_mac(acc, bracket, minus_d)
         e_curve = _gauge_form_curve(self.b_form, self.x_field, self.h_form)
-        for p1, e1 in n_curve.items():
-            for p2, e2 in n_curve.items():
-                for p3, ef in e_curve.items():
-                    piece = multi_sharp([e1, e2], ef).scale(-ONE_HALF)
-                    residual = _t_add(residual, {p1 + p2 + p3: piece})
-        return residual
+        by_wedge: dict[tuple[int, int], list] = {}
+        for p3, e in e_curve.items():
+            for (mono, legs), f in e.terms.items():
+                by_wedge.setdefault(legs, []).append((p3, mono, -f))
+        contractions: dict[int, dict[int, list]] = {}
+        for leg in {leg for legs in by_wedge for leg in legs}:
+            contractions[leg] = {p: _without_leg(n_p, leg) for p, n_p in n_curve.items()}
+        for (a, b), factors in by_wedge.items():
+            # S_a ^ S_b, one term dict per power of t
+            product: dict[int, dict] = {}
+            for p1, s_a in contractions[a].items():
+                for p2, s_b in contractions[b].items():
+                    out = product.setdefault(p1 + p2, {})
+                    for ca, ma, (la,) in s_a:
+                        for cb, mb, (lb,) in s_b:
+                            if la == lb:
+                                continue
+                            key = (tuple(map(add, ma, mb)), (la, lb) if la < lb else (lb, la))
+                            out[key] = out.get(key, 0) + (ca * cb if la < lb else -ca * cb)
+            for p3, f_mono, f in factors:
+                for p, terms in product.items():
+                    out = acc.setdefault(p + p3, {})
+                    for (mono, legs), coef in terms.items():
+                        key = (tuple(map(add, f_mono, mono)), legs)
+                        out[key] = out.get(key, 0) + f * coef
+        return _t_settled(acc, PolyMultivector, self.dims)
 
     def emit(self) -> dict:
         from .polygeo import element_to_json
@@ -848,7 +901,7 @@ def flow_curve(
     if not pi.is_zero() and pi.arities() != {2}:
         raise ValueError("flow starts at a 3-form / bivector pair")
     flow_minus = _flow(x_field, -1)
-    flow_plus = _flow(x_field, +1)
+    flow_plus = _reversed(flow_minus)
 
     e_curve = _gauge_form_curve(b, x_field, h)
     c_curve = _t_integrate(_transport(e_curve, flow_minus, flow_minus.matrix))
@@ -896,7 +949,7 @@ def action_generator(
     """d/dt at 0 of (tB, flow_t of X) . (H, pi), computed symbolically in t."""
     dims = pi.dims
     flow_minus = _flow(x_field, -1)
-    flow_plus = _flow(x_field, +1)
+    flow_plus = _reversed(flow_minus)
     # form component: (flow_t^{-1})^* H - t dB
     h_curve = _transport({0: h}, flow_minus, flow_minus.matrix)
     form_prime = h_curve.get(1, PolyForm.zero(dims)) - de_rham(b)

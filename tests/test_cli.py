@@ -292,6 +292,34 @@ def test_polynomial_literal_with_unknown_variable_is_an_input_error(name, tmp_pa
     assert f"unknown variable {name!r}" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("monomial", [1], "monomial must be an object, got [1]"),
+     ("monomial", 5, "monomial must be an object, got 5"),
+     ("monomial", None, "monomial must be an object, got None"),
+     ("terms", [5], "term must be an object, got 5"),
+     ("terms", {"a": 1}, "terms must be a list, got {'a': 1}"),
+     ("dims", [3], "dims must be an object, got [3]"),
+     ("wedge", 5, "wedge must be a list, got 5")],
+)
+def test_polynomial_literal_with_wrong_container_is_an_input_error(
+    field, value, message, tmp_path, capsys
+):
+    # the first five used to crash with an AttributeError traceback and exit 1
+    with open(_data("tpois_gauge.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    if field in ("terms", "dims"):
+        data["pi"][field] = value
+    else:
+        data["pi"]["terms"][0][field] = value
+    p = tmp_path / "gauge.json"
+    p.write_text(json.dumps(data))
+    assert main(["--json", "gauge", str(p)]) == 2
+    err = capsys.readouterr().err
+    _assert_one_line(err, "input error: ")
+    assert message in err
+
+
 def _dbrack(argv, **env_vars):
     """Run ``dbrack argv`` in a new process, which imports the package from
     where this process found it, with ``env_vars`` added to its environment."""

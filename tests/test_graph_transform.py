@@ -1,17 +1,19 @@
 """The e^B graph transform: the sparse Curve-matrix kernel, the Berkowitz
-determinant, the Cayley-Hamilton adjugate, the support block and the affine
-transport.
+determinant, the Cayley-Hamilton adjugate, the support block, the affine
+transport and the flow curves' tangency check.
 
 The dense Curve arithmetic and the Leibniz expansion below are the former
 implementation (a copying sum and product per entry, m! products for the
 determinant, m^2 minors for the adjugate), kept here only as an exact oracle;
-so are the graph transform on the full m x m matrix and the transport that
-substitutes term by term.
+so are the graph transform on the full m x m matrix, the transport that
+substitutes term by term and the tangency check that contracts once per
+ordered pair of powers of t.
 """
 
 import itertools
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,11 +25,15 @@ from derived_brackets.polygeo import (
     PolyForm,
     PolyMultivector,
     TermExplosionError,
+    contract_form,
+    de_rham,
     form,
+    multi_sharp,
     mv,
     poly_add,
     poly_mul,
     poly_scale,
+    schouten,
 )
 from derived_brackets.sampling import (
     gauge_safe_data,
@@ -47,6 +53,10 @@ from derived_brackets.tpois import (
     _mat_mul,
     _mul,
     _neg,
+    _reversed,
+    _t_ddt,
+    _t_mac,
+    _t_settled,
     _transport,
     _wedge2_matrix,
     e_b_pi,
@@ -482,6 +492,7 @@ def test_transport_matches_the_per_term_substitution():
             for _ in range(4):
                 x = random_field(rng, m, linear)
                 minus, plus = _flow(x, -1), _flow(x, +1)
+                assert _reversed(minus) == plus
                 matrix = [[rng.randint(-2, 2) + 3 * (i == j) for j in range(m)] for i in range(m)]
                 try:
                     phi = AffineDiffeo(matrix, [rng.randint(-2, 2) for _ in range(m)])
@@ -502,6 +513,126 @@ def test_transport_matches_the_per_term_substitution():
                     for j, entry in enumerate(row)
                 )
     assert min(seen.values()) >= 3, seen
+
+
+# -- the tangency check -----------------------------------------------------------------------
+
+
+def copying_t_add(a, b):
+    """The former sum of two curves of forms or multivectors: a copy of the
+    curve per addend."""
+    out = dict(a)
+    for p, v in b.items():
+        merged = out[p] + v if p in out else v
+        if merged.is_zero():
+            out.pop(p, None)
+        else:
+            out[p] = merged
+    return out
+
+
+def copying_t_scale(curve, scalar):
+    """The former product with a scalar curve: one copying sum per piece."""
+    out = {}
+    for p, v in curve.items():
+        for q, s in scalar.items():
+            out = copying_t_add(out, {p + q: v.scale(s)})
+    return out
+
+
+def ordered_pair_ode_residual(curve):
+    """The former FlowCurve.ode_residual: multi_sharp once per ordered pair of
+    numerator powers and per power of E_t, every piece added by copying."""
+    n_curve = curve.mv_numerator
+    minus_d = {p: -s for p, s in curve.denominator.items()}
+    residual = copying_t_add(
+        copying_t_scale(_t_ddt(n_curve), curve.denominator),
+        copying_t_scale(n_curve, _t_ddt(minus_d)),
+    )
+    bracket = {p: schouten(curve.x_field, e) for p, e in n_curve.items()}
+    residual = copying_t_add(residual, copying_t_scale(bracket, minus_d))
+    x, h, b = curve.x_field, curve.h_form, curve.b_form
+    e_curve = copying_t_add({0: b + contract_form(x, h)}, {1: -contract_form(x, de_rham(b))})
+    for p1, e1 in n_curve.items():
+        for p2, e2 in n_curve.items():
+            for p3, ef in e_curve.items():
+                piece = multi_sharp([e1, e2], ef).scale(Fraction(-1, 2))
+                residual = copying_t_add(residual, {p1 + p2 + p3: piece})
+    return residual
+
+
+def test_t_mac_matches_the_copy_per_piece_scaling():
+    rng = random.Random(57)
+    seen = {"single": 0, "cancelled": 0, "fractional": 0}
+    for m in (2, 3, 4):
+        for _ in range(12):
+            curve = random_element_curve(rng, m)
+            kind = type(next(iter(curve.values())))
+            s1 = {q: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for q in range(rng.randint(1, 3))}
+            expected = copying_t_scale(curve, s1)
+            acc = _t_mac({}, curve, s1)
+            assert _t_settled(acc, kind, (m, 0)) == expected
+            seen["single"] += bool(expected)
+            seen["fractional"] += any(
+                type(c) is Fraction for e in expected.values() for c in e.terms.values()
+            )
+            # a second product into the same accumulator, at times its negative
+            s2 = {q: -s for q, s in s1.items()} if rng.randrange(2) else {1: 1, 2: -2}
+            expected = copying_t_add(expected, copying_t_scale(curve, s2))
+            assert _t_settled(_t_mac(acc, curve, s2), kind, (m, 0)) == expected
+            seen["cancelled"] += not expected
+    assert min(seen.values()) >= 3, seen
+
+
+def field_in_the_shear_plane(rng, m, linear):
+    """A vector field in span(d1, d2), constant or with a strictly
+    upper-triangular, hence nilpotent, linear part.  Along it, the flow of
+    gauge_safe_data's pi = f d1^d2, or of a constant pi with a constant
+    dx1^dx2 shear, keeps every determinant free of x."""
+    dims = (m, 0)
+    x = mv(dims, rng.randint(1, 3), None, (0,)) + mv(dims, rng.randint(-2, 2), None, (1,))
+    for i in (0, 1):
+        for j in range(i + 1, m):
+            if linear and rng.randrange(2):
+                x_j = tuple(int(v == j) for v in range(m))
+                x = x + mv(dims, rng.choice([-2, -1, 1, 2]), x_j, (i,))
+    return x
+
+
+def test_ode_residual_matches_the_ordered_pair_loop():
+    rng = random.Random(58)
+    seen = dict.fromkeys(
+        ["constant", "linear", "unsheared", "sheared", "t_determinant", "zero", "nonzero"], 0
+    )
+    curves = 0
+    for m in range(2, 8):
+        dims = (m, 0)
+        for linear in (False, True):
+            for sheared in (False, True):
+                for _ in range(5):
+                    h, pi, b, _ = gauge_safe_data(
+                        rng, m, 2, constant_field=False, allow_constant_shear=False
+                    )
+                    if sheared:
+                        pi = mv(dims, 3, None, (0, 1))
+                        b = b + form(dims, rng.choice([-2, -1, 1, 2]), None, (0, 1))
+                    curve = flow_curve(b, field_in_the_shear_plane(rng, m, linear), h, pi)
+                    # a bivector added at some power of t: the residual no longer vanishes
+                    numerator = dict(curve.mv_numerator)
+                    power = rng.randint(0, 2)
+                    numerator[power] = numerator.get(power, PolyMultivector.zero(dims)) + (
+                        random_multivector(rng, dims, 2, 1)
+                    )
+                    numerator = {p: e for p, e in numerator.items() if not e.is_zero()}
+                    for each in (curve, replace(curve, mv_numerator=numerator)):
+                        expected = ordered_pair_ode_residual(each)
+                        assert each.ode_residual() == expected
+                        seen["nonzero" if expected else "zero"] += 1
+                        curves += 1
+                    seen["linear" if linear else "constant"] += 1
+                    seen["sheared" if sheared else "unsheared"] += 1
+                    seen["t_determinant"] += len(curve.denominator) > 1
+    assert curves >= 200 and min(seen.values()) >= 10, (curves, seen)
 
 
 # -- wider verified dimensions ---------------------------------------------------------------

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from derived_brackets.graded import inversion_parity
 from derived_brackets.polygeo import (
     PolyForm,
     PolyMultivector,
+    _sort_wedge,
     coiso_projection,
     coiso_vdata,
     contract_form,
@@ -200,6 +202,17 @@ def test_multi_sharp_koszul_swap_rule():
         w = random_form(rng, D3, 2, 1)
         sign = (-1) ** (((a1 - 1) * (a2 - 1) + 1) % 2)
         assert multi_sharp([p2, p1], w) == multi_sharp([p1, p2], w).scale(sign)
+
+
+def test_sort_wedge_matches_inversion_parity():
+    # two legs take a single comparison; every other length counts inversions
+    for length in (2, 3):
+        for legs in itertools.product(range(6), repeat=length):
+            if len(set(legs)) < length:
+                assert _sort_wedge(legs) is None
+            else:
+                sign = -1 if inversion_parity(legs) else 1
+                assert _sort_wedge(legs) == (sign, tuple(sorted(legs)))
 
 
 def test_contract_form_first_slot():
