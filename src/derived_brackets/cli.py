@@ -2,23 +2,25 @@
 
 Subcommands: verify-gla, derived, mc, twist, gauge, flow, suite.
 Exit codes: 0 success, 1 mathematical failure, 2 input error, 3 resource
-limit (a term count over the DB_MAX_TERMS cap, or a series whose termination
-cannot be certified: a nonzero term past its arity bound, or no bound at
-all; ``mc`` on a quadruple without a filtration prints its truncated report
-and exits 3, flat or not, and ``twist`` exits 3 there too).  Reports
-are deterministic: the same seed and configuration produce byte-identical
-JSON.  The environment variable DB_MAX_TERMS overrides the term-count safety
-cap of the polynomial layer; it is read once per process, at the first check,
-and a malformed value exits 2.
+limit (a term count over the DB_MAX_TERMS cap, or a series proven not to
+terminate: a nonzero term past its arity bound, or a chain of subalgebra
+insertions that never vanishes).  A ``gla`` quadruple without a declared
+filtration gets the depth computed from its table (``gla.chain_depth``).
+Reports are deterministic: the same seed and configuration produce
+byte-identical JSON.  The environment variable DB_MAX_TERMS overrides the
+term-count safety cap of the polynomial layer; it is read once per process,
+at the first check, and a malformed value exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .gla import basis_filtration, element_from_json, element_to_json, gla_from_json, verify_gla
+from .gla import LinearMap, basis_filtration, chain_depth, element_from_json, element_to_json
+from .gla import gla_from_json, verify_gla
 from .graded import HomElt, json_int
 from .linfty import MCError, NonTerminatingSeriesError, mc_residual
 from .polygeo import (
@@ -50,9 +52,12 @@ class InputError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -67,8 +72,6 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 
 def _gla_backed_vdata(desc: dict, base_dir: str) -> VData:
-    import os
-
     if "gla" in desc:
         algebra = gla_from_json(desc["gla"])
     else:
@@ -82,29 +85,23 @@ def _gla_backed_vdata(desc: dict, base_dir: str) -> VData:
         name: element_from_json(space, entry)
         for name, entry in desc.get("projection", {}).items()
     }
-    for name in space.names():
-        if name not in images:
-            images[name] = space.gen(name) if name in a_names else space.zero()
-
-    def project(x: HomElt) -> HomElt:
-        out = space.zero()
-        for n, c in x.terms.items():
-            out = out + images[n].scale(c)
-        return out
-
+    for name in a_names:
+        images.setdefault(name, space.gen(name))
     delta = element_from_json(space, desc["delta"])
-    filtration = depth = None
+    filtration = None
     if "filtration" in desc:
         fdeg, depth = basis_filtration(
             {k: json_int(vv, f"filtration degree of {k!r}") for k, vv in desc["filtration"].items()}
         )
         filtration = Filtration(degree=fdeg)
+    else:
+        depth = chain_depth(algebra, a_names)
 
     return VData(
         bracket=algebra.bracket,
         degree=lambda x: x.degree(),
         components=lambda x: x.components(),
-        project=project,
+        project=LinearMap(space, images),
         delta=delta,
         zero=space.zero(),
         in_a=lambda x: all(n in a_names for n in x.terms),
@@ -119,8 +116,6 @@ def _gla_backed_vdata(desc: dict, base_dir: str) -> VData:
 
 def load_vdata(path: str) -> tuple[VData, str]:
     """Returns the quadruple and its kind tag."""
-    import os
-
     desc = _load_json(path)
     kind = desc.get("kind", "gla")
     if kind == "fixture":
@@ -201,8 +196,10 @@ def cmd_derived(args) -> int:
 def cmd_mc(args) -> int:
     v, kind = load_vdata(args.vdata)
     element, is_pair = _load_element(v, kind, args.element)
+    if args.big and not is_pair:
+        element = BigElt(v.zero, element)
     algebra = big_algebra(v) if (args.big or is_pair) else small_algebra(v)
-    report = mc_residual(algebra, element, max_terms=args.max_terms)
+    report = mc_residual(algebra, element)
     payload = {
         "residual": _element_payload(report.residual),
         "terms_evaluated": report.terms_evaluated,
@@ -210,7 +207,6 @@ def cmd_mc(args) -> int:
         "flat": report.residual.is_zero(),
     }
     _emit(payload, args.json)
-    report.certified()  # a truncated report is printed, then exits 3
     return 0 if report.residual.is_zero() else 1
 
 
@@ -220,7 +216,7 @@ def cmd_twist(args) -> int:
     if not is_pair:
         raise InputError("twisting elements are pairs {\"x\": .., \"a\": ..}")
     try:
-        twisted = twist_vdata(v, alpha, max_terms=args.max_terms)
+        twisted = twist_vdata(v, alpha)
     except MCError as exc:
         _emit({"error": str(exc), "residual": _element_payload(exc.residual)}, args.json)
         return 1
@@ -329,15 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vdata")
     p.add_argument("element")
     p.add_argument("--big", action="store_true", default=False)
-    p.add_argument("--max-terms", type=int, default=12,
-                   help="term cap when the quadruple has no filtration")
     p.set_defaults(fn=cmd_mc)
 
     p = sub.add_parser("twist", help="twist a quadruple by a Maurer-Cartan pair")
     p.add_argument("vdata")
     p.add_argument("alpha")
-    p.add_argument("--max-terms", type=int, default=12,
-                   help="term cap when the quadruple has no filtration")
     p.set_defaults(fn=cmd_twist)
 
     p = sub.add_parser("gauge", help="gauge vector field at a twisted-Poisson point")

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .graded import GradedSpace, HomElt, json_int, settle
+from .linfty import NonTerminatingSeriesError
 
 
 @dataclass(frozen=True)
@@ -294,6 +295,46 @@ def basis_filtration(fdeg: dict[str, int]) -> tuple[Callable[[HomElt], int], Cal
         return max(top - degree(x), 0)
 
     return degree, depth
+
+
+def chain_depth(algebra: StructureGLA, a_names: tuple[str, ...]) -> Callable[[HomElt], int]:
+    """Depth of elements computed from the table: the largest n for which
+    some chain [..[x, a_1], .., a_n] with each a_i in span(a_names) is
+    nonzero.
+
+    Let W_0 = span{x} and W_{k+1} = span [W_k, a]; the depth is the last k
+    with W_k != 0 (once some W_k is zero, every later one is too).  With
+    V_k = W_k + W_{k+1} + .., V_{k+1} = [V_k, a] lies in V_k, so V_k shrinks
+    strictly until it stops changing and is constant from k = N = dim L on.
+    The chains from x therefore die out if and only if W_N = 0; otherwise
+    NonTerminatingSeriesError names x.  Neither Jacobi nor abelianness is
+    used.
+    """
+    gens = [algebra.gen(n) for n in a_names]
+    top = len(algebra.space.basis)
+
+    def depth(x: HomElt) -> int:
+        layer = [] if x.is_zero() else [x]  # a basis of W_k
+        k = 0
+        while layer:
+            if k == top:
+                raise NonTerminatingSeriesError(
+                    f"chains of subalgebra insertions into {x!r} never vanish, "
+                    f"so no depth bounds its series"
+                )
+            # exact elimination: each kept vector is free of the earlier pivots
+            basis: dict[str, HomElt] = {}
+            for w in (algebra.bracket(u, a) for u in layer for a in gens):
+                for pivot, b in basis.items():
+                    if pivot in w.terms:
+                        w = w - b.scale(Fraction(w.terms[pivot], b.terms[pivot]))
+                if not w.is_zero():
+                    basis[min(w.terms)] = w
+            layer = list(basis.values())
+            k += 1
+        return max(k - 1, 0)
+
+    return depth
 
 
 # -- JSON interchange ---------------------------------------------------------

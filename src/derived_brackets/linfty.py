@@ -54,7 +54,7 @@ class LInftyOne:
     maps a tuple of elements to such an n for the brackets whose arguments
     are drawn from those elements (repetitions allowed); the derived-bracket
     algebras read it off the depth of their quadruple.  None means no bound
-    is known, and series over the algebra cannot be certified.
+    is known: every series over the algebra then raises.
     """
 
     degree: Callable[[Elt], int | None]
@@ -77,28 +77,13 @@ class LInftyOne:
 
 @dataclass(frozen=True)
 class MCReport:
-    """A Maurer-Cartan residual and how its series ended: "bound" (an int
-    arity bound) or "filtration" (an argument-dependent one), each closed by
-    a vanishing certificate term, or "truncation" (no bound, cut at the term
-    cap).  ``terms_evaluated`` counts the certificate term too."""
+    """A Maurer-Cartan residual and how its certified series ended: "bound"
+    (an int arity bound) or "filtration" (an argument-dependent one).
+    ``terms_evaluated`` counts the vanishing certificate term too."""
 
     residual: Elt
     terms_evaluated: int
-    terminated_by: str  # "bound" | "filtration" | "truncation"
-
-    def is_flat(self) -> bool:
-        return self.residual.is_zero()
-
-    def certified(self) -> "MCReport":
-        """This report, or NonTerminatingSeriesError if it is truncated: a
-        series cut at the term cap certifies neither a zero nor a nonzero
-        residual."""
-        if self.terminated_by == "truncation":
-            raise NonTerminatingSeriesError(
-                f"Maurer-Cartan series truncated after {self.terms_evaluated} "
-                f"terms without an arity bound"
-            )
-        return self
+    terminated_by: str  # "bound" | "filtration"
 
 
 def homogeneous_combinations(args: tuple, degree: Callable, components: Callable):
@@ -174,30 +159,26 @@ def relations_residual(algebra: LInftyOne, n: int, args: tuple) -> Elt:
 
 
 def _series(
-    algebra: LInftyOne, phi: Elt, fixed: tuple = (), start: int = 0, max_terms: int | None = None
+    algebra: LInftyOne, phi: Elt, fixed: tuple = (), start: int = 0
 ) -> tuple[Elt, int, str]:
     """sum_{j >= start} (1/j!) m_{j+f}(phi, .., phi, fixed_1, .., fixed_f).
 
     Returns (sum, terms evaluated, how it ended).  Under an arity bound n
     the sum runs to arity n, and then the next term, which the bound says
     vanishes, is evaluated as a certificate: NonTerminatingSeriesError if it
-    does not.  Without a bound the sum is cut at j = ``max_terms`` and flagged
-    "truncation", or raises when no cap is given.
+    does not, and also when the algebra has no bound.
     """
     bound = algebra.arity_bound
     if bound is None:
-        if max_terms is None:
-            raise NonTerminatingSeriesError(
-                f"cannot certify termination of a series: "
-                f"{algebra.name or 'the algebra'} has no arity bound"
-            )
-        last, how = max_terms, "truncation"
+        raise NonTerminatingSeriesError(
+            f"cannot certify termination of a series: "
+            f"{algebra.name or 'the algebra'} has no arity bound"
+        )
+    if isinstance(bound, int):
+        n, how = bound, "bound"
     else:
-        if isinstance(bound, int):
-            n, how = bound, "bound"
-        else:
-            n, how = bound((phi,) + fixed), "filtration"
-        last = n - len(fixed)
+        n, how = bound((phi,) + fixed), "filtration"
+    last = n - len(fixed)
 
     def term(j: int) -> Elt:
         return algebra.m(j + len(fixed), (phi,) * j + fixed)
@@ -209,26 +190,23 @@ def _series(
         count += 1
         if not value.is_zero():
             total = total + value.scale(Fraction(1, math.factorial(j)))
-    if how != "truncation":
-        j = max(last + 1, start)
-        count += 1
-        if not term(j).is_zero():
-            raise NonTerminatingSeriesError(
-                f"arity bound {n} of {algebra.name or 'the algebra'} violated "
-                f"by a nonzero series term of arity {j + len(fixed)}"
-            )
+    j = max(last + 1, start)
+    count += 1
+    if not term(j).is_zero():
+        raise NonTerminatingSeriesError(
+            f"arity bound {n} of {algebra.name or 'the algebra'} violated "
+            f"by a nonzero series term of arity {j + len(fixed)}"
+        )
     return total, count, how
 
 
-def mc_residual(algebra: LInftyOne, phi: Elt, max_terms: int = 12) -> MCReport:
+def mc_residual(algebra: LInftyOne, phi: Elt) -> MCReport:
     """Maurer-Cartan residual sum_n (1/n!) m_n(phi, .., phi), starting at n = 0
     for curved algebras.  The algebra's arity bound ends the sum with a
-    certificate; without one the sum is cut (and flagged) at ``max_terms``."""
+    certificate; without one it raises NonTerminatingSeriesError."""
     if not phi.is_zero() and algebra.degree(phi) != 0:
         raise ValueError("Maurer-Cartan candidates must be homogeneous of degree 0")
-    total, count, terminated_by = _series(
-        algebra, phi, start=0 if algebra.curved else 1, max_terms=max_terms
-    )
+    total, count, terminated_by = _series(algebra, phi, start=0 if algebra.curved else 1)
     if not total.is_zero() and algebra.degree(total) != 1:
         raise AssertionError(
             "internal: Maurer-Cartan residuals are homogeneous of degree 1"
@@ -236,27 +214,20 @@ def mc_residual(algebra: LInftyOne, phi: Elt, max_terms: int = 12) -> MCReport:
     return MCReport(residual=total, terms_evaluated=count, terminated_by=terminated_by)
 
 
-def twist(
-    algebra: LInftyOne,
-    alpha: Elt,
-    check: bool = True,
-    max_terms: int = 12,
-) -> LInftyOne:
+def twist(algebra: LInftyOne, alpha: Elt, check: bool = True) -> LInftyOne:
     """Twist by a Maurer-Cartan element: the n-th bracket of the twisted
     algebra is sum_k (1/k!) m_{n+k}(alpha, .., alpha, args).
 
     With ``check`` enabled the Maurer-Cartan membership of alpha is verified
     first: an :class:`MCError` carrying the residual is raised on failure, and
-    a NonTerminatingSeriesError when the check is truncated.
+    a NonTerminatingSeriesError when the check cannot be certified.
     """
     if not alpha.is_zero() and algebra.degree(alpha) != 0:
         raise ValueError("twisting elements must be homogeneous of degree 0")
-    verified = False
     if check:
-        report = mc_residual(algebra, alpha, max_terms=max_terms).certified()
+        report = mc_residual(algebra, alpha)
         if not report.residual.is_zero():
             raise MCError("twist by a non-Maurer-Cartan element", report.residual)
-        verified = True
 
     def twisted_m(k: int, args: tuple) -> Elt:
         return _series(algebra, alpha, tuple(args))[0]
@@ -272,7 +243,7 @@ def twist(
     return dataclasses.replace(
         algebra,
         m=twisted_m,
-        curved=algebra.curved and not verified,
+        curved=algebra.curved and not check,
         arity_bound=twisted_bound,
         name=f"twist({algebra.name})" if algebra.name else "twisted",
     )

@@ -34,6 +34,7 @@ super-polynomial models all plug in here.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -139,32 +140,27 @@ def validate_vdata(v: VData) -> VDataReport:
 # -- exponential of the right adjoint action ------------------------------------
 
 
-def exp_ad(v: VData, phi: Elt, x: Elt, cap: int = 64) -> Elt:
+def exp_ad(v: VData, phi: Elt, x: Elt) -> Elt:
     """e^{[., phi]} x = sum_n (1/n!) [..[x, phi], .., phi] for phi in a.
 
     Terminates by exact nilpotency (once an iterated bracket hits zero it
-    stays zero), which must happen by the depth of x; without a depth it
-    raises after ``cap`` live terms.
+    stays zero), which must happen by the depth of x.  The depth is read at
+    the first nonzero term, so phi = 0 returns x even without one; a
+    quadruple without a depth raises there.
     """
-    bound = v.depth(x) if v.depth is not None else None
-    total = x
-    current = x
-    n = 0
-    while True:
+    total = current = x
+    bound = None
+    for n in itertools.count(1):
         current = v.bracket(current, phi)
-        n += 1
         if current.is_zero():
             return total
-        if bound is not None and n > bound:
+        if bound is None:
+            bound = -1 if v.depth is None else v.depth(x)  # -1: no term may survive
+        if n > bound:
             raise NonTerminatingSeriesError(
-                f"depth {bound} of {x!r} violated by a surviving term: {current!r}"
+                f"no depth of {x!r} bounds the surviving term {current!r}"
             )
         total = total + current.scale(Fraction(1, math.factorial(n)))
-        if n >= cap:
-            raise NonTerminatingSeriesError(
-                f"adjoint exponential did not terminate within {cap} iterations; "
-                f"first surviving term: {current!r}"
-            )
 
 
 def p_phi(v: VData, phi: Elt) -> Callable[[Elt], Elt]:
@@ -241,15 +237,17 @@ def _arity_bound(v: VData, big: bool) -> Callable[[tuple], int] | None:
     A filtration's depth (:func:`~derived_brackets.gla.basis_filtration`)
     needs the inserted elements in F^1, so a degree-0 subalgebra part (a
     Maurer-Cartan input) outside F^1 is rejected as an input error.
+    depth(Delta) is first evaluated by a series, so an algebra whose chains
+    from Delta never vanish still evaluates its brackets.
     """
     depth = v.depth
     if depth is None:
         return None
     fdeg = v.filtration.degree if v.filtration is not None else None
-    base = depth(v.delta)
+    base = functools.cache(lambda: depth(v.delta))
 
     def bound(elements: tuple) -> int:
-        n = max(base, 2) if big else base
+        n = max(base(), 2) if big else base()
         for e in elements:
             a = e.a if big else e
             if fdeg is not None and not a.is_zero() and v.degree(a) == 0 and fdeg(a) < 1:
@@ -369,17 +367,16 @@ def big_algebra(v: VData) -> LInftyOne:
 # -- twisting at the quadruple level ------------------------------------------------
 
 
-def twist_vdata(v: VData, alpha: BigElt, check: bool = True, max_terms: int = 12) -> VData:
+def twist_vdata(v: VData, alpha: BigElt, check: bool = True) -> VData:
     """Twisted quadruple (L, a, P_{Phi'}, Delta + Delta') for a Maurer-Cartan
-    element alpha = (Delta'[1], Phi') of the big algebra.  A truncated
-    Maurer-Cartan check raises NonTerminatingSeriesError."""
+    element alpha = (Delta'[1], Phi') of the big algebra.  A Maurer-Cartan
+    check that cannot be certified raises NonTerminatingSeriesError."""
     if check:
-        report = mc_residual(big_algebra(v), alpha, max_terms=max_terms).certified()
+        report = mc_residual(big_algebra(v), alpha)
         if not report.residual.is_zero():
             raise MCError("twisting requires a Maurer-Cartan element", report.residual)
-    deformed = deform_vdata(v, alpha.a, extra_delta=alpha.x,
-                            name=f"{v.name}@twist" if v.name else "twisted")
-    return deformed
+    return deform_vdata(v, alpha.a, extra_delta=alpha.x,
+                        name=f"{v.name}@twist" if v.name else "twisted")
 
 
 # -- the executable simultaneous-deformation equivalence ----------------------------
@@ -411,8 +408,7 @@ class MachineReport:
         }
 
 
-def machine_check(v: VData, phi: Elt, dtilde: Elt, ptilde: Elt,
-                  max_terms: int = 12) -> MachineReport:
+def machine_check(v: VData, phi: Elt, dtilde: Elt, ptilde: Elt) -> MachineReport:
     """Double-check of the simultaneous deformation criterion.
 
     Left side (closed forms): [Delta + dtilde, Delta + dtilde] and the curved
@@ -425,7 +421,7 @@ def machine_check(v: VData, phi: Elt, dtilde: Elt, ptilde: Elt,
     The two sides vanish together; the report carries both residual pairs.
     """
     small = small_algebra(v)
-    phi_report = mc_residual(small, phi, max_terms=max_terms).certified()
+    phi_report = mc_residual(small, phi)
     if not phi_report.residual.is_zero():
         raise MCError("base deformation direction is not Maurer-Cartan",
                       phi_report.residual)
@@ -436,7 +432,7 @@ def machine_check(v: VData, phi: Elt, dtilde: Elt, ptilde: Elt,
 
     deformed = deform_vdata(v, phi)
     big = big_algebra(deformed)
-    right = mc_residual(big, BigElt(dtilde, ptilde), max_terms=max_terms).certified()
+    right = mc_residual(big, BigElt(dtilde, ptilde))
 
     left_vanishes = square.is_zero() and exp_residual.is_zero()
     right_vanishes = right.residual.is_zero()

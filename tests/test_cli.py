@@ -387,33 +387,123 @@ def test_violated_series_bound_exits_with_resource_limit(files, tmp_path, capsys
     _assert_resource_limit(capsys)
 
 
+def _non_nilpotent_quadruple(tmp_path):
+    """A "gla" quadruple whose chains from Delta never vanish: h of degree 0
+    spans the subalgebra, e of degree 1, [e, h] = e and Delta = e.  Returns
+    the paths of the quadruple, of h as an element and of h as a pair."""
+    h = [{"coef_num": 1, "coef_den": 1, "basis": "h"}]
+    e = [{"coef_num": 1, "coef_den": 1, "basis": "e"}]
+    desc = {
+        "kind": "gla",
+        "gla": {"basis": [{"name": "h", "degree": 0}, {"name": "e", "degree": 1}],
+                "brackets": [{"left": "e", "right": "h", "result": e}]},
+        "a_basis": ["h"],
+        "delta": e,
+    }
+    paths = []
+    for name, payload in (("vdata.json", desc), ("h.json", {"element": h}),
+                          ("pair_h.json", {"x": [], "a": h})):
+        (tmp_path / name).write_text(json.dumps(payload))
+        paths.append(str(tmp_path / name))
+    return paths
+
+
 def test_uncertified_mc_exits_with_resource_limit(tmp_path, capsys):
-    # a "gla" quadruple without a filtration: the series is cut at --max-terms,
-    # which certifies neither a zero nor a nonzero residual
-    vdata = _data("vdata_gla_unfiltered.json")
+    # a "gla" quadruple without a filtration gets the depth computed from its
+    # table.  The fixture's table decides every series exactly as its
+    # declared filtration does: the same report and exit code.
     element = tmp_path / "element.json"
     element.write_text(json.dumps({"element": [{"coef_num": 1, "coef_den": 1, "basis": "a"}]}))
-    cases = ((_data("alpha_mc.json"), True), (_data("pair_not_mc.json"), False),
-             (str(element), False))
-    for path, flat in cases:
+    for path, code in ((_data("alpha_mc.json"), 0), (_data("pair_not_mc.json"), 1),
+                       (str(element), 1)):
+        assert main(["--json", "mc", _data("vdata_fixture.json"), path]) == code
+        expected = capsys.readouterr().out
+        assert json.loads(expected)["terminated_by"] == "filtration"
+        assert main(["--json", "mc", _data("vdata_gla_unfiltered.json"), path]) == code
+        assert capsys.readouterr().out == expected
+    # where the chains from Delta never vanish, no series is certified
+    vdata, h, pair_h = _non_nilpotent_quadruple(tmp_path)
+    for path in (h, pair_h):
         assert main(["--json", "mc", vdata, path]) == 3
         captured = capsys.readouterr()
-        report = json.loads(captured.out)
-        assert report["terminated_by"] == "truncation"
-        assert report["terms_evaluated"] == 12
-        assert report["flat"] is flat
-        assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
-
-
-def test_twist_with_uncertified_mc_check_exits_with_resource_limit(capsys):
-    # the same quadruple: twisting needs a certified Maurer-Cartan check, and a
-    # series cut at --max-terms is none, flat or not
-    vdata = _data("vdata_gla_unfiltered.json")
-    for path in (_data("alpha_mc.json"), _data("pair_not_mc.json")):
-        assert main(["--json", "twist", vdata, path]) == 3
-        captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("resource limit: ") and captured.err.count("\n") == 1
+        _assert_one_line(captured.err, "resource limit: ")
+
+
+def test_twist_with_uncertified_mc_check_exits_with_resource_limit(tmp_path, capsys):
+    # the unfiltered fixture twists exactly as the filtered one
+    for path, code in ((_data("alpha_mc.json"), 0), (_data("pair_not_mc.json"), 1)):
+        assert main(["--json", "twist", _data("vdata_fixture.json"), path]) == code
+        expected = capsys.readouterr().out
+        assert main(["--json", "twist", _data("vdata_gla_unfiltered.json"), path]) == code
+        assert capsys.readouterr().out == expected
+    # twisting needs a certified Maurer-Cartan check, which a quadruple whose
+    # chains never vanish cannot give
+    vdata, _h, pair_h = _non_nilpotent_quadruple(tmp_path)
+    assert main(["--json", "twist", vdata, pair_h]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_line(captured.err, "resource limit: ")
+
+
+def test_derived_on_a_non_nilpotent_quadruple_evaluates(tmp_path, capsys):
+    # building an algebra evaluates no depth, so brackets stay available
+    vdata, h, _pair_h = _non_nilpotent_quadruple(tmp_path)
+    assert main(["--json", "derived", vdata, "--arg", h, "--arg", h]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"arity": 2, "value": []}
+    assert captured.err == ""
+    # m_1(h[1]) = (-[Delta, h][1], P h) = (-e[1], h)
+    x_h = tmp_path / "x_h.json"
+    x_h.write_text(json.dumps({"x": [{"coef_num": 1, "coef_den": 1, "basis": "h"}]}))
+    assert main(["--json", "derived", vdata, "--big", "--arg", str(x_h)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == {
+        "x": [{"basis": "e", "coef_den": 1, "coef_num": -1}],
+        "a": [{"basis": "h", "coef_den": 1, "coef_num": 1}]}
+
+
+def test_mc_big_wraps_a_subalgebra_element(files, capsys):
+    # the element a is the pair (0, a) of the big algebra; it used to end in
+    # an AttributeError traceback
+    assert main(["--json", "mc", files["vdata_fixture.json"], files["phi_bad.json"], "--big"]) == 1
+    wrapped = capsys.readouterr().out
+    assert main(["--json", "mc", files["vdata_fixture.json"], files["alpha_bad.json"]]) == 1
+    assert wrapped == capsys.readouterr().out
+    assert json.loads(wrapped)["residual"]["a"] == [{"basis": "b", "coef_den": 2, "coef_num": 3}]
+
+
+def _not_an_object(tmp_path):
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]")
+    gla_file = tmp_path / "vdata_gla_file.json"
+    gla_file.write_text(json.dumps({"kind": "gla", "gla_file": str(listed), "a_basis": [],
+                                    "delta": []}))
+    return str(listed), str(gla_file)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-gla", "LIST"],
+     ["derived", "LIST"],
+     ["derived", "FIXTURE", "--arg", "LIST"],
+     ["derived", "GLA_FILE"],
+     ["mc", "LIST", "ALPHA"],
+     ["mc", "FIXTURE", "LIST"],
+     ["twist", "LIST", "ALPHA"],
+     ["twist", "FIXTURE", "LIST"],
+     ["gauge", "LIST"],
+     ["flow", "LIST"]],
+    ids="_".join,
+)
+def test_non_object_json_file_is_an_input_error(argv, files, tmp_path, capsys):
+    # a top-level [1, 2] used to end in an AttributeError traceback (exit 1)
+    listed, gla_file = _not_an_object(tmp_path)
+    names = {"LIST": listed, "GLA_FILE": gla_file, "FIXTURE": files["vdata_fixture.json"],
+             "ALPHA": files["alpha.json"]}
+    assert main([names.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    _assert_one_line(captured.err, "input error: ")
+    assert f"{listed} must hold a JSON object, got list" in captured.err
 
 
 def test_element_payload_shapes():
@@ -448,10 +538,14 @@ def test_run_config_invariants():
 
 
 def test_suite_rejects_removed_max_terms_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["suite", "truc", "--samples", "2", "--max-terms", "5"])
-    assert exc.value.code == 2
-    assert "--max-terms" in capsys.readouterr().err
+    # the flag is gone from every subcommand; mc and twist once had it
+    for argv in (["suite", "truc", "--samples", "2"],
+                 ["mc", _data("vdata_fixture.json"), _data("alpha_mc.json")],
+                 ["twist", _data("vdata_fixture.json"), _data("alpha_mc.json")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-terms", "5"])
+        assert exc.value.code == 2
+        assert "--max-terms" in capsys.readouterr().err
 
 
 # -- golden output ------------------------------------------------------------------

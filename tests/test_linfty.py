@@ -9,6 +9,7 @@ from derived_brackets.linfty import (
     LInfty,
     LInftyOne,
     MCError,
+    NonTerminatingSeriesError,
     from_antisymmetric,
     gauge_field,
     mc_residual,
@@ -199,7 +200,8 @@ def test_mc_residual_degree_and_curved_start():
     assert report.residual == space.gen("b")  # only the curvature survives
 
 
-def test_mc_truncation_is_flagged():
+def test_mc_without_arity_bound_raises():
+    # without a bound no series is summed: there is no cut-off to fall back on
     v = fixture_vdata()
     small = small_algebra(v)
     bare = LInftyOne(
@@ -209,8 +211,8 @@ def test_mc_truncation_is_flagged():
         zero=small.zero,
         curved=False,
     )
-    report = mc_residual(bare, v.zero.space.element({"a": 1}), max_terms=7)
-    assert report.terminated_by == "truncation"
+    with pytest.raises(NonTerminatingSeriesError, match="no arity bound"):
+        mc_residual(bare, v.zero.space.element({"a": 1}))
 
 
 def test_mc_degree_requirement():

@@ -3,14 +3,17 @@
 ``mc_residual``, the brackets of ``twist`` and ``gauge_field`` stop at the
 algebra's derived arity bound and check one more term.  Here each is compared
 with the plain sum up to arity 12, past every bound in play, on seeded inputs
-over the fixture, coisotropic, Courant-model and twisted-Poisson algebras.
+over the fixture (with its declared filtration and with the depth computed
+from its table), coisotropic, Courant-model and twisted-Poisson algebras.
 """
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
+from derived_brackets.cli import load_vdata
 from derived_brackets.linfty import gauge_field, mc_residual, twist
 from derived_brackets.polygeo import coiso_vdata, mv
 from derived_brackets.qgeom import SuperPoly, standard_courant_vdata
@@ -21,6 +24,7 @@ from derived_brackets.sampling import (
     random_base_poly,
     random_coiso_poisson,
     random_fixture_a_element,
+    random_fixture_element,
     random_fixture_pair,
     random_gauge_direction,
     random_multivector,
@@ -29,9 +33,17 @@ from derived_brackets.sampling import (
     random_vertical_section,
 )
 from derived_brackets.tpois import TPoisElement, tpois_linfty
-from derived_brackets.vdata import BigElt, big_algebra, small_algebra
+from derived_brackets.vdata import (
+    BigElt,
+    big_algebra,
+    machine_check,
+    small_algebra,
+    twist_vdata,
+)
 
 ARITY = 12
+UNFILTERED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                          "vdata_gla_unfiltered.json")
 
 
 def summed(algebra, phi, fixed=(), start=0, fixed_first=False):
@@ -58,13 +70,14 @@ def assert_series_match(algebra, phi, alpha, arg_lists, z, at):
 
 def test_fixture_series_match_the_fixed_arity_sum():
     rng = random.Random(71)
-    v = fixture_vdata()
-    small, big = small_algebra(v), big_algebra(v)
 
     def pairs(n):
         return tuple(random_fixture_pair(rng, rng.choice([-1, 0, 1])) for _ in range(n))
 
-    for _ in range(6):
+    # the fixture with its declared filtration, and its table alone, where
+    # every bound comes from the depth computed from the table
+    for v, _ in itertools.product((fixture_vdata(), load_vdata(UNFILTERED)[0]), range(6)):
+        small, big = small_algebra(v), big_algebra(v)
         phi = random_fixture_a_element(rng, 0)
         a_args = [tuple(random_fixture_a_element(rng, rng.choice([0, 1])) for _ in range(n))
                   for n in (1, 2, 3)]
@@ -182,3 +195,68 @@ def test_twisted_poisson_series_match_the_fixed_arity_sum():
                                for _ in range(n)) for n in (1, 2, 3)]
             z = TPoisElement(*random_gauge_direction(rng, m, 1, constant_field=False))
             assert_series_match(algebra, phi, alpha, arg_lists, z, alpha)
+
+
+# -- the depth computed from a structure-constant table ---------------------------------
+
+
+def _chain_oracle_depth(v, x):
+    """Largest n with a nonzero chain [..[x, a_1], .., a_n] of subalgebra
+    basis elements, by enumerating the chains (the chains of length n span
+    all of them by linearity)."""
+    layer, n = [x], 0
+    while True:
+        layer = [y for y in (v.bracket(w, a) for w in layer for a in v.a_basis)
+                 if not y.is_zero()]
+        if not layer:
+            return n
+        n += 1
+
+
+def test_computed_depth_is_exact_and_below_the_declared_one():
+    declared = fixture_vdata()
+    computed = load_vdata(UNFILTERED)[0]
+    rng = random.Random(75)
+    elements = list(declared.sample_basis) + [declared.zero]
+    elements += [random_fixture_element(rng, rng.choice([0, 1, 2])) for _ in range(150)]
+    elements += [random_fixture_pair(rng, rng.choice([-1, 0, 1])).x for _ in range(60)]
+    lower = 0
+    for x in elements:
+        depth = computed.depth(x)
+        assert depth == _chain_oracle_depth(computed, x)
+        assert depth <= declared.depth(x)
+        lower += depth < declared.depth(x)
+    assert len(elements) >= 200 and lower > 0
+    # a and c: the subalgebra is abelian, so no chain from them survives
+    assert [computed.depth(computed.zero.space.gen(n)) for n in "acbuvw"] == [0, 0, 0, 2, 1, 0]
+
+
+def test_computed_depth_decides_the_series_as_the_filtration_does():
+    declared = fixture_vdata()
+    computed = load_vdata(UNFILTERED)[0]
+    rng = random.Random(76)
+    algebras = [(small_algebra(declared), small_algebra(computed)),
+                (big_algebra(declared), big_algebra(computed))]
+    for k in range(200):
+        if k % 2 == 0:
+            phi = fixture_mc_small(rng) if k % 4 == 0 else random_fixture_a_element(rng, 0)
+            filtered, unfiltered = algebras[0]
+        else:
+            phi = fixture_mc_big(rng) if k % 4 == 1 else random_fixture_pair(rng, 0)
+            filtered, unfiltered = algebras[1]
+        assert mc_residual(unfiltered, phi) == mc_residual(filtered, phi)
+
+    big, big_computed = algebras[1]
+    for _ in range(60):
+        alpha = fixture_mc_big(rng)
+        args = tuple(random_fixture_pair(rng, rng.choice([-1, 0, 1]))
+                     for _ in range(rng.randint(1, 3)))
+        n = len(args)
+        assert twist(big_computed, alpha).m(n, args) == twist(big, alpha).m(n, args)
+        lhs, rhs = twist_vdata(computed, alpha), twist_vdata(declared, alpha)
+        assert lhs.delta == rhs.delta
+        assert [lhs.project(x) for x in lhs.sample_basis] == [
+            rhs.project(x) for x in rhs.sample_basis]
+        drawn = (fixture_mc_small(rng), random_fixture_element(rng, 1),
+                 random_fixture_a_element(rng, 0))
+        assert machine_check(computed, *drawn) == machine_check(declared, *drawn)

@@ -159,7 +159,10 @@ def test_exp_ad_reports_non_terminating_series():
         in_a=lambda x: True,
     )
     with pytest.raises(NonTerminatingSeriesError, match="g"):
-        exp_ad(v, space.gen("g"), space.gen("g"), cap=8)
+        exp_ad(v, space.gen("g"), space.gen("g"))
+    # the depth is asked for only by a surviving term
+    abelian = dataclasses.replace(v, bracket=torus.bracket)
+    assert exp_ad(abelian, space.gen("g"), space.gen("g")) == space.gen("g")
 
 
 # -- small and big construction -----------------------------------------------------
@@ -355,15 +358,15 @@ def test_twist_of_zero_delta_recovers_delta():
         assert lhs.m(n, args) == rhs.m(n, args)
 
 
-def test_truncated_mc_checks_raise():
+def test_mc_checks_without_depth_raise():
     # without a depth nothing bounds the series, so no check can certify alpha
     v = dataclasses.replace(fixture_vdata(), depth=None)
     alpha = fixture_mc_big(random.Random(9))
-    with pytest.raises(NonTerminatingSeriesError, match="truncated"):
+    with pytest.raises(NonTerminatingSeriesError, match="no arity bound"):
         twist_vdata(v, alpha)
-    with pytest.raises(NonTerminatingSeriesError, match="truncated"):
+    with pytest.raises(NonTerminatingSeriesError, match="no arity bound"):
         twist(big_algebra(v), alpha)
-    with pytest.raises(NonTerminatingSeriesError, match="truncated"):
+    with pytest.raises(NonTerminatingSeriesError, match="no arity bound"):
         machine_check(v, v.zero, alpha.x, alpha.a)
 
 
