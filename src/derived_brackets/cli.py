@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: verify-gla, derived, mc, twist, gauge, flow, suite.
+``dbrack --help`` lists them with one line each, and ``dbrack CMD --help``
+gives the arguments and options of one.  ``--json`` goes before the command.
 Exit codes: 0 success, 1 mathematical failure, 2 input error, 3 resource
 limit (a term count over the DB_MAX_TERMS cap, or a series proven not to
 terminate: a nonzero term past its arity bound, or a chain of subalgebra
@@ -21,7 +23,7 @@ import sys
 
 from .gla import LinearMap, basis_filtration, chain_depth, element_from_json, element_to_json
 from .gla import gla_from_json, verify_gla
-from .graded import HomElt, json_int
+from .graded import HomElt, json_int, json_of
 from .linfty import MCError, NonTerminatingSeriesError, mc_residual
 from .polygeo import (
     PolyMultivector,
@@ -60,6 +62,15 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _field(data: dict, path: str, name: str, kind: type):
+    """Field ``name`` of the JSON object read from ``path``, of JSON type
+    ``kind``; a missing field or one of another type is an input error naming
+    the field and the file."""
+    if name not in data:
+        raise InputError(f'{path}: missing field "{name}"')
+    return json_of(kind, data[name], f'{path}: field "{name}"')
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True, default=str))
@@ -71,28 +82,30 @@ def _emit(payload: dict, as_json: bool) -> None:
 # -- descriptor loading ----------------------------------------------------------
 
 
-def _gla_backed_vdata(desc: dict, base_dir: str) -> VData:
+def _gla_backed_vdata(desc: dict, path: str) -> VData:
     if "gla" in desc:
-        algebra = gla_from_json(desc["gla"])
+        algebra = gla_from_json(_field(desc, path, "gla", dict))
     else:
-        path = desc["gla_file"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        algebra = gla_from_json(_load_json(path))
+        gla_path = _field(desc, path, "gla_file", str)
+        if not os.path.isabs(gla_path):
+            gla_path = os.path.join(os.path.dirname(os.path.abspath(path)), gla_path)
+        algebra = gla_from_json(_load_json(gla_path))
     space = algebra.space
-    a_names = tuple(desc["a_basis"])
-    images = {
-        name: element_from_json(space, entry)
-        for name, entry in desc.get("projection", {}).items()
-    }
+    a_names = tuple(
+        json_of(str, name, f'{path}: entry of field "a_basis"')
+        for name in _field(desc, path, "a_basis", list)
+    )
+    projection = _field(desc, path, "projection", dict) if "projection" in desc else {}
+    images = {name: element_from_json(space, entry) for name, entry in projection.items()}
     for name in a_names:
         images.setdefault(name, space.gen(name))
-    delta = element_from_json(space, desc["delta"])
+    delta = element_from_json(space, _field(desc, path, "delta", list))
     filtration = None
     if "filtration" in desc:
-        fdeg, depth = basis_filtration(
-            {k: json_int(vv, f"filtration degree of {k!r}") for k, vv in desc["filtration"].items()}
-        )
+        fdeg, depth = basis_filtration({
+            k: json_int(vv, f"filtration degree of {k!r}")
+            for k, vv in _field(desc, path, "filtration", dict).items()
+        })
         filtration = Filtration(degree=fdeg)
     else:
         depth = chain_depth(algebra, a_names)
@@ -121,9 +134,9 @@ def load_vdata(path: str) -> tuple[VData, str]:
     if kind == "fixture":
         return fixture_vdata(), kind
     if kind == "gla":
-        return _gla_backed_vdata(desc, os.path.dirname(os.path.abspath(path))), kind
+        return _gla_backed_vdata(desc, path), kind
     if kind == "coisotropic":
-        pi = mv_from_json(desc["pi"])
+        pi = mv_from_json(_field(desc, path, "pi", dict))
         return coiso_vdata(pi), kind
     raise InputError(f"unknown quadruple kind {kind!r}")
 
@@ -234,12 +247,10 @@ def cmd_twist(args) -> int:
 
 def _load_tpois_point(path: str):
     data = _load_json(path)
-    h = form_from_json(data["H"]) if "H" in data else None
-    pi = mv_from_json(data["pi"]) if "pi" in data else None
+    h = form_from_json(_field(data, path, "H", dict))
+    pi = mv_from_json(_field(data, path, "pi", dict))
     b = form_from_json(data["B"]) if "B" in data else None
     x = mv_from_json(data["X"]) if "X" in data else None
-    if h is None or pi is None:
-        raise InputError("twisted-Poisson payloads need \"H\" and \"pi\" literals")
     m = pi.dims[0]
     from .polygeo import PolyForm
 
@@ -301,62 +312,87 @@ def cmd_suite(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dbrack",
-        description="Exact derived-bracket homotopy algebras and twisted Poisson geometry",
-    )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- command table ----------------------------------------------------------------
+#
+# name -> (one-line help, argument adder, command function).  ``main`` builds the
+# parser of the invoked command alone, so one call pays for that command's
+# arguments, not for every command's.
 
-    p = sub.add_parser("verify-gla", help="validate a structure-constant algebra file")
+
+def _verify_gla_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
-    p.set_defaults(fn=cmd_verify_gla)
 
-    p = sub.add_parser("derived", help="evaluate one derived bracket")
+
+def _derived_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("vdata")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--small", action="store_true", default=True)
     group.add_argument("--big", action="store_true", default=False)
     p.add_argument("--arg", action="append", default=[], help="element file (repeat)")
-    p.set_defaults(fn=cmd_derived)
 
-    p = sub.add_parser("mc", help="Maurer-Cartan residual of an element")
+
+def _mc_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("vdata")
     p.add_argument("element")
     p.add_argument("--big", action="store_true", default=False)
-    p.set_defaults(fn=cmd_mc)
 
-    p = sub.add_parser("twist", help="twist a quadruple by a Maurer-Cartan pair")
+
+def _twist_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("vdata")
     p.add_argument("alpha")
-    p.set_defaults(fn=cmd_twist)
 
-    p = sub.add_parser("gauge", help="gauge vector field at a twisted-Poisson point")
+
+def _flow_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("data", help="JSON with H, pi and optionally B, X literals")
+
+
+def _gauge_arguments(p: argparse.ArgumentParser) -> None:
+    _flow_arguments(p)
     p.add_argument("--check-series", action="store_true")
-    p.set_defaults(fn=cmd_gauge)
 
-    p = sub.add_parser("flow", help="symbolic flow curve through a twisted-Poisson point")
-    p.add_argument("data", help="JSON with H, pi and optionally B, X literals")
-    p.set_defaults(fn=cmd_flow)
 
-    p = sub.add_parser("suite", help="run a named property suite")
+def _suite_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("name", choices=sorted(SUITE_NAMES))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--max-arity", type=int, default=4)
     p.add_argument("--max-degree", type=int, default=2)
-    p.set_defaults(fn=cmd_suite)
 
-    return parser
+
+COMMANDS = {
+    "verify-gla": ("validate a structure-constant algebra file", _verify_gla_arguments,
+                   cmd_verify_gla),
+    "derived": ("evaluate one derived bracket", _derived_arguments, cmd_derived),
+    "mc": ("Maurer-Cartan residual of an element", _mc_arguments, cmd_mc),
+    "twist": ("twist a quadruple by a Maurer-Cartan pair", _twist_arguments, cmd_twist),
+    "gauge": ("gauge vector field at a twisted-Poisson point", _gauge_arguments, cmd_gauge),
+    "flow": ("symbolic flow curve through a twisted-Poisson point", _flow_arguments, cmd_flow),
+    "suite": ("run a named property suite", _suite_arguments, cmd_suite),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``dbrack`` command and return its exit code.  Two parsers are
+    built on every call: one that knows ``--json`` and the command names, then
+    one for the invoked command alone, given the rest of ``argv``."""
+    top = argparse.ArgumentParser(
+        prog="dbrack",
+        description="Exact derived-bracket homotopy algebras and twisted Poisson geometry",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<12}{entry[0]}" for name, entry in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    top.add_argument("--json", action="store_true", help="machine-readable output")
+    top.add_argument("command", choices=COMMANDS, help="one of the commands below")
+    top.add_argument("arguments", nargs=argparse.REMAINDER,
+                     help="the command's arguments (dbrack CMD --help)")
+    args = top.parse_args(argv)
+    _help, add_arguments, run = COMMANDS[args.command]
+    parser = argparse.ArgumentParser(prog=f"dbrack {args.command}")
+    add_arguments(parser)
+    parser.parse_args(args.arguments, namespace=args)
     try:
-        return args.fn(args)
+        return run(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -179,9 +179,12 @@ def verify_gla(algebra: StructureGLA) -> GlaReport:
             b = gens[bn]
             ab = pairs[(an, bn)]
             for cn in names:
+                bc, ac = pairs[(bn, cn)], pairs[(an, cn)]
+                if ab.is_zero() and bc.is_zero() and ac.is_zero():
+                    continue  # each term of the residual brackets with zero
                 c = gens[cn]
-                lhs = algebra.bracket(a, pairs[(bn, cn)])
-                rhs = algebra.bracket(ab, c) + algebra.bracket(b, pairs[(an, cn)]).scale(sign)
+                lhs = algebra.bracket(a, bc)
+                rhs = algebra.bracket(ab, c) + algebra.bracket(b, ac).scale(sign)
                 residual = lhs - rhs
                 if not residual.is_zero():
                     violations.append(Violation("jacobi", (an, bn, cn), repr(residual)))

@@ -57,6 +57,17 @@ def json_int(value, what: str) -> int:
     return value
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def json_of(kind: type, value, what: str):
+    """A JSON object (kind dict), list or string; any other value there is an
+    input error naming the field."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def add_terms(acc: dict, terms: Mapping) -> dict:
     """Add the sparse combination ``terms`` into ``acc`` in place and return
     it: coefficients that cancel are dropped, integral sums become ints."""

@@ -31,6 +31,7 @@ from .graded import (
     as_fraction,
     inversion_parity,
     json_int,
+    json_of,
     scale_terms,
     settle,
 )
@@ -515,32 +516,23 @@ def _var_names(dims: tuple[int, int]) -> list[str]:
     return [f"x{i+1}" for i in range(m)] + [f"p{j+1}" for j in range(k)]
 
 
-def _json_of(kind: type, value, what: str):
-    """A JSON object (kind dict) or list (kind list); any other value there is
-    an input error naming the field."""
-    if type(value) is not kind:
-        name = "an object" if kind is dict else "a list"
-        raise ValueError(f"{what} must be {name}, got {value!r}")
-    return value
-
-
 def _element_from_json(cls, data: dict):
-    dims_data = _json_of(dict, _json_of(dict, data, "polynomial literal")["dims"], "dims")
+    dims_data = json_of(dict, json_of(dict, data, "polynomial literal")["dims"], "dims")
     dims = (
         json_int(dims_data["base"], "dims.base"),
         json_int(dims_data.get("fiber", 0), "dims.fiber"),
     )
     index = {name: v for v, name in enumerate(_var_names(dims))}
     raw = []
-    for item in _json_of(list, data.get("terms", []), "terms"):
-        item = _json_of(dict, item, "term")
+    for item in json_of(list, data.get("terms", []), "terms"):
+        item = json_of(dict, item, "term")
         mono = [0] * len(index)
-        for name, e in _json_of(dict, item.get("monomial", {}), "monomial").items():
+        for name, e in json_of(dict, item.get("monomial", {}), "monomial").items():
             if name not in index:
                 raise ValueError(f"unknown variable {name!r} for dims {dims}")
             mono[index[name]] = json_int(e, f"exponent of {name!r}")
         wedge = tuple(
-            json_int(w, "wedge index") - 1 for w in _json_of(list, item.get("wedge", []), "wedge")
+            json_int(w, "wedge index") - 1 for w in json_of(list, item.get("wedge", []), "wedge")
         )
         raw.append((as_fraction(item.get("coef", 1)), tuple(mono), wedge))
     return cls.from_terms(dims, raw)

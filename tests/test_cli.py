@@ -1,6 +1,8 @@
+import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -506,6 +508,48 @@ def test_non_object_json_file_is_an_input_error(argv, files, tmp_path, capsys):
     assert f"{listed} must hold a JSON object, got list" in captured.err
 
 
+_DROP = object()  # a field to delete
+
+
+@pytest.mark.parametrize(
+    "base, changes, message",
+    [("vdata_gla_unfiltered.json", {"gla": [1, 2]}, 'field "gla" must be an object, got [1, 2]'),
+     ("vdata_gla_unfiltered.json", {"gla": _DROP, "gla_file": 5},
+      'field "gla_file" must be a string, got 5'),
+     ("vdata_gla_unfiltered.json", {"a_basis": "abc"}, "field \"a_basis\" must be a list, got 'abc'"),
+     ("vdata_gla_unfiltered.json", {"a_basis": ["a", 1]},
+      'entry of field "a_basis" must be a string, got 1'),
+     ("vdata_gla_unfiltered.json", {"projection": [1]},
+      'field "projection" must be an object, got [1]'),
+     ("vdata_gla_unfiltered.json", {"filtration": [1]},
+      'field "filtration" must be an object, got [1]'),
+     ("vdata_gla_unfiltered.json", {"delta": _DROP}, 'missing field "delta"'),
+     ("vdata_gla_unfiltered.json", {"gla": _DROP}, 'missing field "gla_file"'),
+     ("vdata_coiso.json", {"pi": _DROP}, 'missing field "pi"'),
+     ("tpois_gauge.json", {"H": _DROP}, 'missing field "H"'),
+     ("tpois_gauge.json", {"pi": _DROP}, 'missing field "pi"')],
+    ids=["gla-list", "gla_file-int", "a_basis-str", "a_basis-entry", "projection-list",
+         "filtration-list", "no-delta", "no-gla", "coiso-no-pi", "point-no-H", "point-no-pi"],
+)
+def test_malformed_descriptor_field_is_an_input_error(base, changes, message, tmp_path, capsys):
+    # these used to print a bare KeyError ('delta'), or a message naming no
+    # field, such as "list indices must be integers or slices, not str"
+    with open(_data(base), encoding="utf-8") as fh:
+        data = json.load(fh)
+    for key, value in changes.items():
+        if value is _DROP:
+            del data[key]
+        else:
+            data[key] = value
+    p = tmp_path / base
+    p.write_text(json.dumps(data))
+    argv = ["gauge", str(p)] if base.startswith("tpois") else ["mc", str(p), _data("alpha_mc.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    _assert_one_line(err, "input error: ")
+    assert f"{p}: {message}" in err
+
+
 def test_element_payload_shapes():
     from derived_brackets.cli import _element_payload
     from derived_brackets.polygeo import element_to_json as poly_to_json, form, mv
@@ -589,3 +633,82 @@ def test_json_output_matches_golden(name, capsys):
     with open(os.path.join(DATA, "golden", f"{name}.json"), encoding="utf-8") as fh:
         expected = fh.read()
     assert capsys.readouterr().out == expected
+
+
+# -- help and usage -----------------------------------------------------------------
+
+COMMAND_HELP = {
+    "verify-gla": "validate a structure-constant algebra file",
+    "derived": "evaluate one derived bracket",
+    "mc": "Maurer-Cartan residual of an element",
+    "twist": "twist a quadruple by a Maurer-Cartan pair",
+    "gauge": "gauge vector field at a twisted-Poisson point",
+    "flow": "symbolic flow curve through a twisted-Poisson point",
+    "suite": "run a named property suite",
+}
+
+
+def _help_of(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command(monkeypatch, capsys):
+    out = _help_of(["--help"], monkeypatch, capsys)
+    assert out.startswith("usage: dbrack ")
+    for name, line in COMMAND_HELP.items():
+        assert re.search(rf"^ +{re.escape(name)} +{re.escape(line)}$", out, re.MULTILINE), name
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_HELP))
+def test_command_help_matches_recorded_text(name, monkeypatch, capsys):
+    # tests/data/help/NAME.txt is the output of `dbrack NAME --help` at 80
+    # columns: the usage, arguments, defaults and options of each command
+    with open(os.path.join(DATA, "help", f"{name}.txt"), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert _help_of([name, "--help"], monkeypatch, capsys) == expected
+    assert _help_of(["--json", name, "--help"], monkeypatch, capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["nope"], ["derived", "--json", "VDATA"]],
+    ids=["none", "unknown", "json-after-command"],
+)
+def test_usage_errors_exit_2(argv, capsys):
+    argv = [_data("vdata_fixture.json") if a == "VDATA" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: dbrack ") and "error: " in captured.err
+
+
+def test_usage_error_through_the_module_entry_point():
+    result = _dbrack(["nope"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: dbrack ") and "invalid choice: 'nope'" in result.stderr
+
+
+def test_each_call_builds_its_own_parsers(monkeypatch, capsys):
+    # a real dbrack builds its parsers once per process, so no call may reuse
+    # another's; and a call builds no parser for a command it does not run
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["--json", "mc", _data("vdata_fixture.json"), _data("alpha_mc.json")],
+                 ["--json", "mc", _data("vdata_fixture.json"), _data("alpha_mc.json")],
+                 ["verify-gla", _data("vdata_fixture.json")]):
+        before = len(built)
+        main(argv)
+        assert 1 <= len(built) - before <= 2, built[before:]
+    capsys.readouterr()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from derived_brackets.gla import (
     DGLA,
     StructureGLA,
+    Violation,
     adjoint,
     gla_from_json,
     gla_to_json,
@@ -59,6 +61,49 @@ def test_verify_reports_jacobi_violation():
     report = verify_gla(bad)
     assert not report.ok
     assert any(v.kind == "jacobi" for v in report.violations)
+
+
+def _jacobi_oracle(algebra):
+    """The graded Jacobi residual of every basis triple, none skipped."""
+    space = algebra.space
+    names = space.names()
+    out = []
+    for an, bn, cn in itertools.product(names, repeat=3):
+        a, b, c = space.gen(an), space.gen(bn), space.gen(cn)
+        sign = -1 if space.degree_of(an) * space.degree_of(bn) % 2 else 1
+        residual = algebra.bracket(a, algebra.bracket(b, c)) - (
+            algebra.bracket(algebra.bracket(a, b), c)
+            + algebra.bracket(b, algebra.bracket(a, c)).scale(sign)
+        )
+        if not residual.is_zero():
+            out.append(Violation("jacobi", (an, bn, cn), repr(residual)))
+    return out
+
+
+def _one_pair_table():
+    """[a, b] = d and [d, c] = e: Jacobi fails only on the triples of a, b and
+    c, where [a, b] is the one nonzero pair bracket."""
+    space = GradedSpace.of([(n, 0) for n in "abcde"])
+    return StructureGLA(space, {("a", "b"): space.gen("d"), ("d", "c"): space.gen("e")})
+
+
+def _conflicting_reversed_pair():
+    data = gla_to_json(sample_gla())
+    data["brackets"].append(
+        {"left": "e", "right": "h", "result": [{"coef_num": 1, "coef_den": 1, "basis": "e"}]}
+    )
+    return gla_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "make", [sample_gla, fixture_gla, _conflicting_reversed_pair, _one_pair_table])
+def test_verify_reports_every_jacobi_failure(make):
+    algebra = make()
+    report = verify_gla(algebra)
+    assert [v for v in report.violations if v.kind == "jacobi"] == _jacobi_oracle(algebra)
+    if make is _one_pair_table:
+        assert not report.ok
+        assert {v.where for v in report.violations} == set(itertools.permutations("abc"))
 
 
 def test_loader_reports_conflicting_reversed_pair():
