@@ -23,7 +23,7 @@ import sys
 
 from .gla import LinearMap, basis_filtration, chain_depth, element_from_json, element_to_json
 from .gla import gla_from_json, verify_gla
-from .graded import HomElt, json_int, json_of
+from .graded import HomElt, json_field, json_int, json_of
 from .linfty import MCError, NonTerminatingSeriesError, mc_residual
 from .polygeo import (
     PolyMultivector,
@@ -62,15 +62,6 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _field(data: dict, path: str, name: str, kind: type):
-    """Field ``name`` of the JSON object read from ``path``, of JSON type
-    ``kind``; a missing field or one of another type is an input error naming
-    the field and the file."""
-    if name not in data:
-        raise InputError(f'{path}: missing field "{name}"')
-    return json_of(kind, data[name], f'{path}: field "{name}"')
-
-
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True, default=str))
@@ -84,27 +75,30 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 def _gla_backed_vdata(desc: dict, path: str) -> VData:
     if "gla" in desc:
-        algebra = gla_from_json(_field(desc, path, "gla", dict))
+        algebra = gla_from_json(json_field(desc, path, "gla", dict), f'{path}: field "gla"')
     else:
-        gla_path = _field(desc, path, "gla_file", str)
+        gla_path = json_field(desc, path, "gla_file", str)
         if not os.path.isabs(gla_path):
             gla_path = os.path.join(os.path.dirname(os.path.abspath(path)), gla_path)
-        algebra = gla_from_json(_load_json(gla_path))
+        algebra = gla_from_json(_load_json(gla_path), gla_path)
     space = algebra.space
     a_names = tuple(
         json_of(str, name, f'{path}: entry of field "a_basis"')
-        for name in _field(desc, path, "a_basis", list)
+        for name in json_field(desc, path, "a_basis", list)
     )
-    projection = _field(desc, path, "projection", dict) if "projection" in desc else {}
-    images = {name: element_from_json(space, entry) for name, entry in projection.items()}
+    projection = json_field(desc, path, "projection", dict) if "projection" in desc else {}
+    images = {
+        name: element_from_json(space, entry, f'{path}: field "projection", entry {name!r}')
+        for name, entry in projection.items()
+    }
     for name in a_names:
         images.setdefault(name, space.gen(name))
-    delta = element_from_json(space, _field(desc, path, "delta", list))
+    delta = element_from_json(space, json_field(desc, path, "delta"), f'{path}: field "delta"')
     filtration = None
     if "filtration" in desc:
         fdeg, depth = basis_filtration({
-            k: json_int(vv, f"filtration degree of {k!r}")
-            for k, vv in _field(desc, path, "filtration", dict).items()
+            k: json_int(vv, f"{path}: filtration degree of {k!r}")
+            for k, vv in json_field(desc, path, "filtration", dict).items()
         })
         filtration = Filtration(degree=fdeg)
     else:
@@ -136,7 +130,7 @@ def load_vdata(path: str) -> tuple[VData, str]:
     if kind == "gla":
         return _gla_backed_vdata(desc, path), kind
     if kind == "coisotropic":
-        pi = mv_from_json(_field(desc, path, "pi", dict))
+        pi = mv_from_json(json_field(desc, path, "pi", dict))
         return coiso_vdata(pi), kind
     raise InputError(f"unknown quadruple kind {kind!r}")
 
@@ -147,17 +141,19 @@ def _load_element(v: VData, kind: str, path: str):
         space = v.zero.space
         if "x" in data or "a" in data:
             return BigElt(
-                element_from_json(space, data.get("x", [])),
-                element_from_json(space, data.get("a", [])),
+                element_from_json(space, data.get("x", []), f'{path}: field "x"'),
+                element_from_json(space, data.get("a", []), f'{path}: field "a"'),
             ), True
-        return element_from_json(space, data.get("element", data)), False
+        element = json_field(data, path, "element")
+        return element_from_json(space, element, f'{path}: field "element"'), False
     if kind == "coisotropic":
         if "x" in data or "a" in data:
             zero = v.zero
-            x = mv_from_json(data["x"]) if "x" in data else zero
-            a = mv_from_json(data["a"]) if "a" in data else zero
+            x = mv_from_json(json_field(data, path, "x", dict)) if "x" in data else zero
+            a = mv_from_json(json_field(data, path, "a", dict)) if "a" in data else zero
             return BigElt(x, a), True
-        return mv_from_json(data.get("element", data)), False
+        element = json_field(data, path, "element", dict) if "element" in data else data
+        return mv_from_json(element), False
     raise InputError(f"unsupported element payload for kind {kind!r}")
 
 
@@ -177,7 +173,7 @@ def _element_payload(value) -> object:
 
 
 def cmd_verify_gla(args) -> int:
-    algebra = gla_from_json(_load_json(args.file))
+    algebra = gla_from_json(_load_json(args.file), args.file)
     report = verify_gla(algebra)
     _emit(report.as_dict(), args.json)
     return 0 if report.ok else 1
@@ -247,8 +243,8 @@ def cmd_twist(args) -> int:
 
 def _load_tpois_point(path: str):
     data = _load_json(path)
-    h = form_from_json(_field(data, path, "H", dict))
-    pi = mv_from_json(_field(data, path, "pi", dict))
+    h = form_from_json(json_field(data, path, "H", dict))
+    pi = mv_from_json(json_field(data, path, "pi", dict))
     b = form_from_json(data["B"]) if "B" in data else None
     x = mv_from_json(data["X"]) if "X" in data else None
     m = pi.dims[0]

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable
 
-from .graded import GradedSpace, HomElt, json_int, settle
+from .graded import GradedSpace, HomElt, json_field, json_int, json_of
 from .linfty import NonTerminatingSeriesError
 
 
@@ -41,6 +42,21 @@ class GlaReport:
         }
 
 
+def integer_form(x: HomElt) -> tuple[int, dict[str, int]]:
+    """``(den, nums)`` with x = sum nums[n] / den * n: int numerators over
+    the least common denominator of x's coefficients, kept in x's
+    ``_int_form`` slot.  An all-int element is its own form over 1."""
+    terms = x.terms
+    den = 1
+    for c in terms.values():
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    if den != 1:
+        terms = {n: c.numerator * (den // c.denominator) for n, c in terms.items()}
+    form = x._int_form = (den, terms)
+    return form
+
+
 class StructureGLA:
     """Graded Lie algebra on a finite graded basis, defined by a table
     (i, j) -> [b_i, b_j] for i <= j in basis order.
@@ -52,10 +68,11 @@ class StructureGLA:
 
     ``table`` holds the folded pairs i <= j (JSON output, equality and
     hashing read it).  Construction also unfolds it once into signed rows
-    ``left -> right -> ((basis, coef), ...)`` that :meth:`bracket` reads: the
-    entry for (j, i) carries the antisymmetry sign -(-1)^{|b_i||b_j|}, and a
-    diagonal entry is stored as given, so an even-diagonal violation stays
-    visible to :func:`verify_gla`."""
+    ``left -> right -> ((basis, num), ...)`` that :meth:`bracket` reads, int
+    numerators over one table denominator (the lcm of the table's
+    denominators): the entry for (j, i) carries the antisymmetry sign
+    -(-1)^{|b_i||b_j|}, and a diagonal entry is stored as given, so an
+    even-diagonal violation stays visible to :func:`verify_gla`."""
 
     input_conflicts: tuple = ()
 
@@ -78,15 +95,17 @@ class StructureGLA:
             else:
                 stored[(left, right)] = stored.get((left, right), space.zero()) + value
         self.table = {k: v for k, v in stored.items() if not v.is_zero()}
+        den = lcm(*(c.denominator for v in self.table.values() for c in v.terms.values()))
         rows: dict[str, dict[str, tuple]] = {}
         for (left, right), value in self.table.items():
-            terms = tuple(value.terms.items())
+            terms = tuple((n, c.numerator * (den // c.denominator)) for n, c in value.terms.items())
             rows.setdefault(left, {})[right] = terms
             if left != right:
                 odd = space.degree_of(left) * space.degree_of(right) % 2
                 sign = 1 if odd else -1
                 rows.setdefault(right, {})[left] = tuple((n, sign * c) for n, c in terms)
         self._rows = rows
+        self._den = den
 
     # -- basics --------------------------------------------------------------
 
@@ -103,18 +122,26 @@ class StructureGLA:
         return [self.space.gen(n) for n in self.space.names()]
 
     def bracket(self, x: HomElt, y: HomElt) -> HomElt:
-        """Bilinear extension of the structure-constant table: every product
-        c_x c_y v of a term of x, a term of y and a term of their row entry is
-        summed into one dict, whose nonzero entries are the result."""
+        """Bilinear extension of the structure-constant table, on integers.
+
+        Each operand is read in its integer form (int numerators over one
+        denominator, see :func:`integer_form`), so every product n_x n_y v of
+        a term of x, a term of y and a term of their row entry is an int,
+        summed into one dict.  The sums over the product of the three
+        denominators are reduced once by their common gcd, each coefficient
+        is built once (``int`` while integral), and the result keeps its
+        integer form for the next bracket of a chain."""
         space = self.space
         if (x.space is not space and x.space != space) or (
             y.space is not space and y.space != space
         ):
             raise ValueError("bracket arguments belong to a different algebra")
+        xden, xnums = x._int_form or integer_form(x)
+        yden, ynums = y._int_form or integer_form(y)
         rows = self._rows
-        right_terms = y.terms.items()
+        right_terms = ynums.items()
         acc: dict = {}
-        for ln, lc in x.terms.items():
+        for ln, lc in xnums.items():
             row = rows.get(ln)
             if row is None:
                 continue
@@ -125,7 +152,17 @@ class StructureGLA:
                 c = lc * rc
                 for name, v in entry:
                     acc[name] = acc.get(name, 0) + c * v
-        return HomElt._of(space, settle(acc))
+        den = xden * yden * self._den
+        if den == 1:
+            nums = terms = {name: c for name, c in acc.items() if c}
+        else:
+            g = gcd(den, *acc.values())
+            den //= g
+            nums = {name: c // g for name, c in acc.items() if c}
+            terms = nums if den == 1 else {
+                name: c // den if c % den == 0 else Fraction(c, den) for name, c in nums.items()
+            }
+        return HomElt._of(space, terms, (den, nums))
 
     def __eq__(self, other) -> bool:
         return (
@@ -182,12 +219,11 @@ def verify_gla(algebra: StructureGLA) -> GlaReport:
                 bc, ac = pairs[(bn, cn)], pairs[(an, cn)]
                 if ab.is_zero() and bc.is_zero() and ac.is_zero():
                     continue  # each term of the residual brackets with zero
-                c = gens[cn]
                 lhs = algebra.bracket(a, bc)
-                rhs = algebra.bracket(ab, c) + algebra.bracket(b, ac).scale(sign)
-                residual = lhs - rhs
-                if not residual.is_zero():
-                    violations.append(Violation("jacobi", (an, bn, cn), repr(residual)))
+                first, second = algebra.bracket(ab, gens[cn]), algebra.bracket(b, ac)
+                rhs = first + second if sign == 1 else first - second
+                if lhs != rhs:
+                    violations.append(Violation("jacobi", (an, bn, cn), repr(lhs - rhs)))
 
     return GlaReport(ok=not violations, violations=tuple(violations))
 
@@ -355,16 +391,23 @@ def element_to_json(x: HomElt) -> list[dict]:
     ]
 
 
-def element_from_json(space: GradedSpace, data: list[dict]) -> HomElt:
+def element_from_json(space: GradedSpace, data: list[dict], where: str = "element") -> HomElt:
+    """The element listed by ``data``; ``where`` names it in input errors
+    (say, a file and a field)."""
     terms: dict[str, Fraction] = {}
-    for item in data:
-        name = item["basis"]
-        num = json_int(item["coef_num"], f"coef_num of {name!r}")
-        den = json_int(item.get("coef_den", 1), f"coef_den of {name!r}")
+    for k, item in enumerate(json_of(list, data, where), 1):
+        at = f"{where}, term {k}"
+        item = json_of(dict, item, at)
+        name = json_field(item, at, "basis", str)
+        try:
+            space.degree_of(name)
+        except KeyError as exc:
+            raise ValueError(f"{at}: {exc.args[0]}") from None
+        num = json_int(json_field(item, at, "coef_num"), f"{at}: coef_num of {name!r}")
+        den = json_int(item.get("coef_den", 1), f"{at}: coef_den of {name!r}")
         if den == 0:
-            raise ValueError(f"coefficient {num}/{den} of {name!r} has a zero denominator")
-        coef = Fraction(num, den)
-        terms[name] = terms.get(name, Fraction(0)) + coef
+            raise ValueError(f"{at}: coefficient {num}/{den} of {name!r} has a zero denominator")
+        terms[name] = terms.get(name, 0) + Fraction(num, den)
     return HomElt(space, terms)
 
 
@@ -378,14 +421,22 @@ def gla_to_json(algebra: StructureGLA) -> dict:
     }
 
 
-def gla_from_json(data: dict) -> StructureGLA:
-    space = GradedSpace.of(
-        (b["name"], json_int(b["degree"], f"degree of {b['name']!r}")) for b in data["basis"]
-    )
+def gla_from_json(data: dict, where: str = "gla") -> StructureGLA:
+    """The algebra a JSON table describes; ``where`` names the table in input
+    errors (say, its file)."""
+    json_of(dict, data, where)
+    basis = []
+    for k, b in enumerate(json_field(data, where, "basis", list), 1):
+        at = f"{where}, basis entry {k}"
+        name = json_field(json_of(dict, b, at), at, "name", str)
+        basis.append((name, json_int(json_field(b, at, "degree"), f"{at}: degree of {name!r}")))
+    space = GradedSpace.of(basis)
     raw: dict[tuple[str, str], HomElt] = {}
-    for entry in data.get("brackets", []):
-        key = (entry["left"], entry["right"])
-        value = element_from_json(space, entry["result"])
+    for k, entry in enumerate(json_of(list, data.get("brackets", []), f'{where}: field "brackets"'), 1):
+        at = f"{where}, bracket entry {k}"
+        json_of(dict, entry, at)
+        key = (json_field(entry, at, "left", str), json_field(entry, at, "right", str))
+        value = element_from_json(space, json_field(entry, at, "result"), f'{at}: field "result"')
         if key in raw:
             value = value + raw[key]
         raw[key] = value

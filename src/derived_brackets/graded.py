@@ -68,6 +68,16 @@ def json_of(kind: type, value, what: str):
     return value
 
 
+def json_field(data: dict, where: str, name: str, kind: type | None = None):
+    """Field ``name`` of the JSON object ``data`` read at ``where`` (a file,
+    or a part of one), checked by :func:`json_of` when ``kind`` is given.  A
+    missing field is an input error naming the field and ``where``."""
+    if name not in data:
+        raise ValueError(f'{where}: missing field "{name}"')
+    value = data[name]
+    return value if kind is None else json_of(kind, value, f'{where}: field "{name}"')
+
+
 def add_terms(acc: dict, terms: Mapping) -> dict:
     """Add the sparse combination ``terms`` into ``acc`` in place and return
     it: coefficients that cancel are dropped, integral sums become ints."""
@@ -334,9 +344,14 @@ class SparseCombination:
 
 
 class HomElt(SparseCombination):
-    """Sparse rational linear combination of basis monomials of a GradedSpace."""
+    """Sparse rational linear combination of basis monomials of a GradedSpace.
 
-    __slots__ = ()
+    The ``_int_form`` slot holds the element's integer form once a
+    structure-constant bracket has read it (``gla.integer_form``), and None
+    until then.  Elements are immutable, so the form never goes stale.
+    """
+
+    __slots__ = ("_int_form",)
     space = SparseCombination.ambient
     _mismatch = "elements live in different graded spaces"
 
@@ -349,6 +364,15 @@ class HomElt(SparseCombination):
                 clean[name] = coef
         self.space = space
         self.terms = clean
+        self._int_form = None
+
+    @classmethod
+    def _of(cls, space: GradedSpace, terms: dict, int_form=None) -> "HomElt":
+        new = object.__new__(cls)
+        new.space = space
+        new.terms = terms
+        new._int_form = int_form
+        return new
 
     def _key_degree(self, name: str) -> int:
         return self.space._degrees[name]

@@ -55,6 +55,29 @@ def _merge_odd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, 
     return (-1 if inversion_parity(a + b) else 1), tuple(sorted(a + b))
 
 
+def _product_into(out: dict, left: dict, right: dict, sign: int) -> dict:
+    """Add ``sign`` times the graded-commutative product of the term dicts
+    ``left`` and ``right`` into ``out`` (unsettled) and return it."""
+    for (x1, P1, p1, v1), c1 in left.items():
+        for (x2, P2, p2, v2), c2 in right.items():
+            mp = _merge_odd(p1, p2)
+            if mp is None:
+                continue
+            mv_ = _merge_odd(v1, v2)
+            if mv_ is None:
+                continue
+            # reorder p1 v1 p2 v2 -> p's then v's: move p2 (odd) past v1 (odd)
+            s = -sign if (len(p2) * len(v1)) % 2 else sign
+            key = (
+                tuple(a + b for a, b in zip(x1, x2)),
+                tuple(a + b for a, b in zip(P1, P2)),
+                mp[1],
+                mv_[1],
+            )
+            out[key] = out.get(key, 0) + c1 * c2 * (s * mp[0] * mv_[0])
+    return out
+
+
 class SuperPoly(SparseCombination):
     """Element of the graded-commutative algebra Q[x, P] (x) Lambda[p, v]."""
 
@@ -97,26 +120,7 @@ class SuperPoly(SparseCombination):
     def product(self, other: "SuperPoly") -> "SuperPoly":
         """Graded-commutative product."""
         self._check_ambient(other)
-        out: dict[Key, Fraction] = {}
-        for (x1, P1, p1, v1), c1 in self.terms.items():
-            for (x2, P2, p2, v2), c2 in other.terms.items():
-                # reorder p1 v1 p2 v2 -> p's then v's: move p2 (odd) past v1 (odd)
-                sign = -1 if (len(p2) * len(v1)) % 2 else 1
-                mp = _merge_odd(p1, p2)
-                if mp is None:
-                    continue
-                mv_ = _merge_odd(v1, v2)
-                if mv_ is None:
-                    continue
-                sign *= mp[0] * mv_[0]
-                key = (
-                    tuple(a + b for a, b in zip(x1, x2)),
-                    tuple(a + b for a, b in zip(P1, P2)),
-                    mp[1],
-                    mv_[1],
-                )
-                out[key] = out.get(key, 0) + c1 * c2 * sign
-        return self._of(self.dim, settle(out))
+        return self._of(self.dim, settle(_product_into({}, self.terms, other.terms, 1)))
 
     def _key_body(self, key: Key) -> str:
         x_exp, P_exp, p_idx, v_idx = key
@@ -176,28 +180,34 @@ def super_bracket(f: SuperPoly, g: SuperPoly) -> SuperPoly:
 
       {f, g} = sum_j [ df/dP_j dg/dx_j - df/dx_j dg/dP_j ]
              + (-1)^{|f|+1} sum_j [ df/dp_j dg/dv_j + df/dv_j dg/dp_j ]
+
+    The four derivatives of g are taken once per index j, and every product
+    is added into one dict with an int sign.
     """
     if f.dim != g.dim:
         raise ValueError("dimension mismatch in super bracket")
     dim = f.dim
-    out = SuperPoly.zero(dim)
+    gt = g.terms
+    g_parts = [
+        (_diff_even(gt, "x", j), _diff_even(gt, "P", j), _diff_odd(gt, "v", j),
+         _diff_odd(gt, "p", j))
+        for j in range(dim)
+    ]
+    out: dict = {}
     for fkey, fcoef in f.terms.items():
         fterm = {fkey: fcoef}
-        odd_sign = Fraction(-1) if _term_degree(fkey) % 2 == 0 else Fraction(1)
-        for j in range(dim):
-            pairs = [
-                (_diff_even(fterm, "P", j), _diff_even(g.terms, "x", j), Fraction(1)),
-                (_diff_even(fterm, "x", j), _diff_even(g.terms, "P", j), Fraction(-1)),
-                (_diff_odd(fterm, "p", j), _diff_odd(g.terms, "v", j), odd_sign),
-                (_diff_odd(fterm, "v", j), _diff_odd(g.terms, "p", j), odd_sign),
-            ]
-            for left, right, outer in pairs:
-                if not left or not right:
-                    continue
-                prod = SuperPoly._of(dim, left).product(SuperPoly._of(dim, right))
-                if not prod.is_zero():
-                    out = out + prod.scale(outer)
-    return out
+        odd_sign = -1 if _term_degree(fkey) % 2 == 0 else 1
+        for j, (g_x, g_P, g_v, g_p) in enumerate(g_parts):
+            pairs = (
+                (g_x and _diff_even(fterm, "P", j), g_x, 1),
+                (g_P and _diff_even(fterm, "x", j), g_P, -1),
+                (g_v and _diff_odd(fterm, "p", j), g_v, odd_sign),
+                (g_p and _diff_odd(fterm, "v", j), g_p, odd_sign),
+            )
+            for left, right, sign in pairs:
+                if left:
+                    _product_into(out, left, right, sign)
+    return SuperPoly._of(dim, settle(out))
 
 
 def eval_on_base(f: SuperPoly) -> SuperPoly:

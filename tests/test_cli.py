@@ -550,6 +550,28 @@ def test_malformed_descriptor_field_is_an_input_error(base, changes, message, tm
     assert f"{p}: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "vdata, payload, message",
+    [(None, {"brackets": []}, 'missing field "basis"'),
+     ("vdata_fixture.json", {"element": [1]}, 'field "element", term 1 must be an object, got 1'),
+     ("vdata_fixture.json", {"x": 5}, 'field "x" must be a list, got 5'),
+     ("vdata_fixture.json", {"y": []}, 'missing field "element"'),
+     ("vdata_coiso.json", {"x": 5}, 'field "x" must be an object, got 5')],
+    ids=["gla-no-basis", "element-entry-int", "x-int", "no-element", "coiso-x-int"],
+)
+def test_malformed_element_or_table_is_an_input_error(vdata, payload, message, tmp_path, capsys):
+    # the first three used to print "input error: 'basis'", "'int' object is
+    # not subscriptable" and "'int' object is not iterable", naming no file;
+    # verify-gla reads the payload as a table, mc as an element file
+    p = tmp_path / "payload.json"
+    p.write_text(json.dumps(payload))
+    argv = ["verify-gla", str(p)] if vdata is None else ["mc", _data(vdata), str(p)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    _assert_one_line(err, "input error: ")
+    assert f"{p}: {message}" in err
+
+
 def test_element_payload_shapes():
     from derived_brackets.cli import _element_payload
     from derived_brackets.polygeo import element_to_json as poly_to_json, form, mv

@@ -20,7 +20,7 @@ from derived_brackets.gla import (
     sample_gla,
     verify_gla,
 )
-from derived_brackets.graded import GradedSpace
+from derived_brackets.graded import GradedSpace, HomElt, settle
 from derived_brackets.sampling import (
     fixture_gla,
     fixture_mc_big,
@@ -281,3 +281,190 @@ def test_verify_gla_matches_the_triple_loop():
     assert not reports[0].ok and any(v.kind == "jacobi" for v in reports[0].violations)
     assert reports[1].ok
     assert not reports[3].ok
+
+
+# -- the integer kernel against the Fraction-accumulating kernel ----------------
+
+
+def fraction_rows(algebra):
+    """The signed rows the Fraction kernel read: the table's own coefficients,
+    the reversed pair with the antisymmetry sign -(-1)^{|b_i||b_j|}."""
+    space = algebra.space
+    rows = {}
+    for (left, right), value in algebra.table.items():
+        terms = tuple(value.terms.items())
+        rows.setdefault(left, {})[right] = terms
+        if left != right:
+            odd = space.degree_of(left) * space.degree_of(right) % 2
+            sign = 1 if odd else -1
+            rows.setdefault(right, {})[left] = tuple((n, sign * c) for n, c in terms)
+    return rows
+
+
+def fraction_bracket(algebra, rows, x, y):
+    """The bracket as it was computed before the integer kernel: each product
+    c_x c_y v of int or Fraction coefficients summed into one dict, whose
+    nonzero entries, integral ones as ints, are the result."""
+    acc = {}
+    for ln, lc in x.terms.items():
+        row = rows.get(ln)
+        if row is None:
+            continue
+        for rn, rc in y.terms.items():
+            entry = row.get(rn)
+            if entry is None:
+                continue
+            c = lc * rc
+            for name, v in entry:
+                acc[name] = acc.get(name, 0) + c * v
+    return HomElt._of(algebra.space, settle(acc))
+
+
+def rational_gla():
+    """A table whose structure constants have denominators 2, 3, 4 and 6,
+    with an odd pair, an odd diagonal and two rows that cancel on x - y."""
+    space = GradedSpace.of([("x", 0), ("y", 0), ("p", 1), ("q", 1), ("r", 2), ("s", 0)])
+    el = space.element
+    table = {
+        ("x", "p"): el({"p": Fraction(1, 2), "q": Fraction(-2, 3)}),
+        ("y", "p"): el({"p": Fraction(1, 2), "q": Fraction(-2, 3)}),
+        ("x", "y"): el({"s": Fraction(3, 4), "x": Fraction(5, 6)}),
+        ("p", "q"): el({"r": Fraction(7, 6)}),
+        ("q", "q"): el({"r": Fraction(-1, 4), "s": 2}),
+        ("s", "x"): el({"y": Fraction(1, 3)}),
+        ("p", "s"): el({"q": 3}),
+    }
+    return StructureGLA(space, table)
+
+
+def mixed_element(rng, space):
+    """An element whose coefficients mix ints and Fractions (denominators up to
+    6), or zero."""
+    names = space.names()
+    if rng.randrange(8) == 0:
+        return space.zero()
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        num = rng.randint(-4, 4)
+        terms[rng.choice(names)] = num if rng.randrange(2) else Fraction(num, rng.randint(1, 6))
+    return space.element(terms)
+
+
+def rebuilt(rng, x, y):
+    """x, or an element equal to a sum, difference or scaling built from x
+    and y; those have no integer form yet."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return x
+    if kind == 1:
+        return x + y
+    if kind == 2:
+        return x - y
+    return x.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+
+
+def test_int_kernel_matches_the_fraction_kernel():
+    rng = random.Random(16)
+    algebras = [fixture_gla(), rational_gla(), sample_gla()] + random_tables(17, 6)
+    assert algebras[1]._den == 12
+    seen = {"pairs": 0, "zero_operand": 0, "cancelled": 0, "rational_out": 0, "rebuilt": 0}
+    for algebra in algebras:
+        rows = fraction_rows(algebra)
+        space = algebra.space
+        for _ in range(150):
+            x, y = mixed_element(rng, space), mixed_element(rng, space)
+            x, y = rebuilt(rng, x, y), rebuilt(rng, y, x)
+            seen["rebuilt"] += x._int_form is None and not x.is_zero()
+            got = algebra.bracket(x, y)
+            want = fraction_bracket(algebra, rows, x, y)
+            assert_same(got, want)
+            seen["pairs"] += 1
+            seen["zero_operand"] += x.is_zero() or y.is_zero()
+            seen["cancelled"] += got.is_zero() and not (x.is_zero() or y.is_zero())
+            seen["rational_out"] += any(type(c) is Fraction for c in got.terms.values())
+    assert seen["pairs"] >= 1000
+    assert all(seen.values()), seen
+    # the cancelling rows: [x - y, p] = 0 exactly, as an empty combination
+    algebra = algebras[1]
+    space = algebra.space
+    value = algebra.bracket(space.element({"x": 2, "y": -2}), space.gen("p", Fraction(1, 3)))
+    assert value.terms == {} and value._int_form == (1, {})
+
+
+def test_chained_brackets_hand_their_integer_form_on():
+    rng = random.Random(18)
+    for algebra in (fixture_gla(), rational_gla()):
+        rows = fraction_rows(algebra)
+        space = algebra.space
+        for _ in range(60):
+            got = want = mixed_element(rng, space)
+            for _ in range(4):
+                a = mixed_element(rng, space)
+                got = algebra.bracket(got, a)
+                want = fraction_bracket(algebra, rows, want, a)
+                assert_same(got, want)
+                den, nums = got._int_form
+                assert den > 0 and all(type(n) is int for n in nums.values())
+                assert {n: Fraction(c, den) for n, c in nums.items()} == got.terms
+
+
+def test_fixture_draws_match_the_fraction_kernel():
+    rng = random.Random(19)
+    algebra = fixture_gla()
+    rows = fraction_rows(algebra)
+    count = 0
+    for _ in range(20):
+        alpha = fixture_mc_big(rng)
+        pair = random_fixture_pair(rng, rng.choice([-1, 0, 1]))
+        elements = [fixture_mc_small(rng), alpha.x, alpha.a, pair.x, pair.a]
+        for x in elements:
+            for y in elements:
+                assert_same(algebra.bracket(x, y), fraction_bracket(algebra, rows, x, y))
+                count += 1
+    assert count >= 500
+
+
+@pytest.fixture()
+def fraction_constructions(monkeypatch):
+    """Counts every Fraction constructed while the test runs."""
+    count = [0]
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        count[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    return count
+
+
+def test_integral_brackets_construct_no_fraction(fraction_constructions):
+    rng = random.Random(20)
+    algebra = fixture_gla()
+    pairs = []
+    for _ in range(200):
+        x = random_fixture_element(rng, 1)
+        y = random_fixture_a_element(rng, 0) if rng.randrange(2) else random_fixture_element(rng, 1)
+        pairs.append((x, y))
+    assert all(type(c) is int for x, y in pairs for c in (*x.terms.values(), *y.terms.values()))
+    before = fraction_constructions[0]
+    nonzero = 0
+    for x, y in pairs:
+        nonzero += not algebra.bracket(algebra.bracket(x, y), x).is_zero()
+        nonzero += not algebra.bracket(x, y).is_zero()
+    assert fraction_constructions[0] == before
+    assert nonzero > 100
+
+
+def test_rational_brackets_construct_at_most_one_fraction_per_term(fraction_constructions):
+    rng = random.Random(21)
+    built = 0
+    for algebra in (fixture_gla(), rational_gla()):
+        space = algebra.space
+        for _ in range(200):
+            x, y = mixed_element(rng, space), mixed_element(rng, space)
+            before = fraction_constructions[0]
+            value = algebra.bracket(x, y)
+            built += fraction_constructions[0] - before
+            assert fraction_constructions[0] - before <= len(value.terms)
+    assert built > 0  # the counter sees the kernel's Fractions

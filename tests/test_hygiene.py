@@ -62,3 +62,75 @@ def test_no_unused_imports():
             if name not in used:
                 unused.append(f"{filename}:{line}: {name}")
     assert unused == []
+
+
+_TERMS_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}
+
+
+def _is_terms(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def _terms_writes(tree: ast.Module):
+    """(line, what) for every write to a ``.terms`` attribute or into the
+    dict it holds, outside ``__init__`` and ``_of``."""
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = node.name
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if inside not in ("__init__", "_of"):
+            while targets:
+                target = targets.pop()
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    targets.extend(target.elts)
+                elif _is_terms(target) or (
+                    isinstance(target, ast.Subscript) and _is_terms(target.value)
+                ):
+                    yield node.lineno, "assignment"
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _TERMS_MUTATORS
+                and _is_terms(node.func.value)
+            ):
+                yield node.lineno, f".terms.{node.func.attr}()"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, inside)
+
+    return list(visit(tree, None))
+
+
+def test_elements_are_never_mutated():
+    # an element's integer form (gla.integer_form) is kept beside its terms,
+    # so the terms of a built element must never change
+    offenders = []
+    for filename in sorted(f for f in os.listdir(PACKAGE_DIR) if f.endswith(".py")):
+        with open(os.path.join(PACKAGE_DIR, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename)
+        offenders += [f"{filename}:{line}: {what}" for line, what in _terms_writes(tree)]
+    assert offenders == []
+
+
+def test_the_terms_scan_sees_each_kind_of_write():
+    source = (
+        "def f(x, y):\n"
+        "    x.terms = {}\n"
+        "    x.terms['a'] = 1\n"
+        "    x.terms.update(y)\n"
+        "    x.terms.pop('a')\n"
+        "    x.terms.setdefault('a', 1)\n"
+        "    x.terms.clear()\n"
+        "    del x.terms['a']\n"
+        "    y, x.terms = x.terms.get('a'), {}\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.terms = {}\n"
+        "    def _of(cls, terms):\n"
+        "        new.terms = terms\n"
+    )
+    found = _terms_writes(ast.parse(source))
+    assert [line for line, _ in found] == [2, 3, 4, 5, 6, 7, 8, 9]

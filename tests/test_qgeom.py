@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from derived_brackets import qgeom
+from derived_brackets.graded import settle
 from derived_brackets.polygeo import form, mv
 from derived_brackets.qgeom import (
     DictionaryError,
@@ -231,3 +233,113 @@ def test_filtration_laws_for_the_model():
             assert fdeg(px) >= fdeg(x)
     bivector_image = mv_to_super(mv((2, 0), 1, None, (0, 1)))
     assert fdeg(bivector_image) >= 1
+
+
+# -- the one-pass bracket against the per-term chained bracket -------------------
+
+
+def chained_product(dim, left, right):
+    """The graded-commutative product as a chain of settled SuperPolys."""
+    out = {}
+    for (x1, P1, p1, v1), c1 in left.items():
+        for (x2, P2, p2, v2), c2 in right.items():
+            sign = -1 if (len(p2) * len(v1)) % 2 else 1
+            mp = qgeom._merge_odd(p1, p2)
+            if mp is None:
+                continue
+            mv_ = qgeom._merge_odd(v1, v2)
+            if mv_ is None:
+                continue
+            sign *= mp[0] * mv_[0]
+            key = (
+                tuple(a + b for a, b in zip(x1, x2)),
+                tuple(a + b for a, b in zip(P1, P2)),
+                mp[1],
+                mv_[1],
+            )
+            out[key] = out.get(key, 0) + c1 * c2 * sign
+    return SuperPoly._of(dim, settle(out))
+
+
+def chained_super_bracket(f, g):
+    """The bracket as it was computed before the one-pass version: the
+    derivatives of g re-derived for every term of f, and each product added
+    to the running total as ``out = out + prod.scale(Fraction(+-1))``."""
+    dim = f.dim
+    out = SuperPoly.zero(dim)
+    for fkey, fcoef in f.terms.items():
+        fterm = {fkey: fcoef}
+        odd_sign = Fraction(-1) if qgeom._term_degree(fkey) % 2 == 0 else Fraction(1)
+        for j in range(dim):
+            pairs = [
+                (qgeom._diff_even(fterm, "P", j), qgeom._diff_even(g.terms, "x", j), Fraction(1)),
+                (qgeom._diff_even(fterm, "x", j), qgeom._diff_even(g.terms, "P", j), Fraction(-1)),
+                (qgeom._diff_odd(fterm, "p", j), qgeom._diff_odd(g.terms, "v", j), odd_sign),
+                (qgeom._diff_odd(fterm, "v", j), qgeom._diff_odd(g.terms, "p", j), odd_sign),
+            ]
+            for left, right, outer in pairs:
+                if not left or not right:
+                    continue
+                prod = chained_product(dim, left, right)
+                if not prod.is_zero():
+                    out = out + prod.scale(outer)
+    return out
+
+
+def mixed_super(rng: random.Random, dim: int) -> SuperPoly:
+    """A sum of up to five monomials of mixed degrees, with int and Fraction
+    coefficients, even letters x and P and odd letters p and v."""
+    total = SuperPoly.zero(dim)
+    for _ in range(rng.randint(0, 5)):
+        x = tuple(rng.randint(0, 2) for _ in range(dim))
+        P = tuple(rng.randint(0, 2) for _ in range(dim))
+        p = tuple(sorted(rng.sample(range(dim), rng.randint(0, dim))))
+        v = tuple(sorted(rng.sample(range(dim), rng.randint(0, dim))))
+        num = rng.randint(-3, 3)
+        coef = num if rng.randrange(2) else Fraction(num, rng.randint(1, 4))
+        total = total + SuperPoly.monomial(dim, coef, x, P, p, v)
+    return total
+
+
+def test_super_bracket_matches_the_chained_bracket():
+    rng = random.Random(40)
+    seen = {"pairs": 0, "odd_f": 0, "even_f": 0, "mixed_f": 0, "nonzero": 0, "rational": 0}
+    for dim in (2, 3, 4):
+        for _ in range(180):
+            f, g = mixed_super(rng, dim), mixed_super(rng, dim)
+            got = super_bracket(f, g)
+            want = chained_super_bracket(f, g)
+            assert got == want
+            assert repr(got) == repr(want)
+            assert {k: type(c) for k, c in got.terms.items()} == {
+                k: type(c) for k, c in want.terms.items()
+            }
+            seen["pairs"] += 1
+            degrees = {qgeom._term_degree(k) % 2 for k in f.terms}
+            seen["odd_f"] += degrees == {1}
+            seen["even_f"] += degrees == {0}
+            seen["mixed_f"] += len(degrees) == 2
+            seen["nonzero"] += not got.is_zero()
+            seen["rational"] += any(type(c) is Fraction for c in got.terms.values())
+    assert seen["pairs"] >= 500
+    assert all(seen.values()), seen
+
+
+def test_super_bracket_derives_g_once_per_call(monkeypatch):
+    calls = [0]
+    for name in ("_diff_even", "_diff_odd"):
+        original = getattr(qgeom, name)
+
+        def counted(*args, _original=original):
+            calls[0] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(qgeom, name, counted)
+    rng = random.Random(41)
+    for dim in (2, 3, 4):
+        for _ in range(30):
+            f, g = mixed_super(rng, dim), mixed_super(rng, dim)
+            calls[0] = 0
+            value = super_bracket(f, g)
+            assert 0 < calls[0] <= 4 * dim * (len(f.terms) + 1), (calls[0], len(f.terms))
+            assert value == chained_super_bracket(f, g)
