@@ -26,6 +26,7 @@ from .gla import gla_from_json, verify_gla
 from .graded import HomElt, json_field, json_int, json_of
 from .linfty import MCError, NonTerminatingSeriesError, mc_residual
 from .polygeo import (
+    PolyForm,
     PolyMultivector,
     TermExplosionError,
     coiso_vdata,
@@ -121,6 +122,12 @@ def _gla_backed_vdata(desc: dict, path: str) -> VData:
     )
 
 
+def _literal(reader, data: dict, path: str, name: str):
+    """The polynomial literal in field ``name`` of the file ``path``, read by
+    ``reader`` (mv_from_json or form_from_json)."""
+    return reader(json_field(data, path, name, dict), f'{path}: field "{name}"')
+
+
 def load_vdata(path: str) -> tuple[VData, str]:
     """Returns the quadruple and its kind tag."""
     desc = _load_json(path)
@@ -130,7 +137,7 @@ def load_vdata(path: str) -> tuple[VData, str]:
     if kind == "gla":
         return _gla_backed_vdata(desc, path), kind
     if kind == "coisotropic":
-        pi = mv_from_json(json_field(desc, path, "pi", dict))
+        pi = _literal(mv_from_json, desc, path, "pi")
         return coiso_vdata(pi), kind
     raise InputError(f"unknown quadruple kind {kind!r}")
 
@@ -148,12 +155,12 @@ def _load_element(v: VData, kind: str, path: str):
         return element_from_json(space, element, f'{path}: field "element"'), False
     if kind == "coisotropic":
         if "x" in data or "a" in data:
-            zero = v.zero
-            x = mv_from_json(json_field(data, path, "x", dict)) if "x" in data else zero
-            a = mv_from_json(json_field(data, path, "a", dict)) if "a" in data else zero
+            x = _literal(mv_from_json, data, path, "x") if "x" in data else v.zero
+            a = _literal(mv_from_json, data, path, "a") if "a" in data else v.zero
             return BigElt(x, a), True
-        element = json_field(data, path, "element", dict) if "element" in data else data
-        return mv_from_json(element), False
+        if "element" in data:
+            return _literal(mv_from_json, data, path, "element"), False
+        return mv_from_json(data, path), False
     raise InputError(f"unsupported element payload for kind {kind!r}")
 
 
@@ -243,17 +250,11 @@ def cmd_twist(args) -> int:
 
 def _load_tpois_point(path: str):
     data = _load_json(path)
-    h = form_from_json(json_field(data, path, "H", dict))
-    pi = mv_from_json(json_field(data, path, "pi", dict))
-    b = form_from_json(data["B"]) if "B" in data else None
-    x = mv_from_json(data["X"]) if "X" in data else None
-    m = pi.dims[0]
-    from .polygeo import PolyForm
-
-    if b is None:
-        b = PolyForm.zero((m, 0))
-    if x is None:
-        x = PolyMultivector.zero((m, 0))
+    h = _literal(form_from_json, data, path, "H")
+    pi = _literal(mv_from_json, data, path, "pi")
+    dims = (pi.dims[0], 0)
+    b = _literal(form_from_json, data, path, "B") if "B" in data else PolyForm.zero(dims)
+    x = _literal(mv_from_json, data, path, "X") if "X" in data else PolyMultivector.zero(dims)
     return h, pi, b, x
 
 

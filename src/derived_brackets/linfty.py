@@ -32,6 +32,10 @@ from .graded import decalage_sign, koszul_sign, unshuffles
 
 Elt = Any
 
+# relations_residual checks higher-Jacobi relations up to this arity; the
+# relation of arity n sums over 2^n unshuffles of its arguments
+MAX_RELATION_ARITY = 5
+
 
 class MCError(ValueError):
     """Raised when an element fails a required Maurer-Cartan membership check."""
@@ -63,7 +67,6 @@ class LInftyOne:
     zero: Elt
     curved: bool = False
     arity_bound: int | Callable[[tuple], int] | None = None
-    max_relation_arity: int = 5
     name: str = ""
 
     def bracket(self, *args: Elt) -> Elt:
@@ -134,10 +137,8 @@ def relations_residual(algebra: LInftyOne, n: int, args: tuple) -> Elt:
     """
     if n < 0 or len(args) != n:
         raise ValueError(f"expected {n} arguments, got {len(args)}")
-    if n > algebra.max_relation_arity:
-        raise ValueError(
-            f"relation arity {n} exceeds configured max {algebra.max_relation_arity}"
-        )
+    if n > MAX_RELATION_ARITY:
+        raise ValueError(f"relation arity {n} exceeds max {MAX_RELATION_ARITY}")
     degrees = _require_homogeneous(algebra, args)
     if any(a.is_zero() for a in args):
         return algebra.zero

@@ -3,7 +3,11 @@
 Multivector fields and differential forms with exact rational polynomial
 coefficients, the Schouten bracket, the de Rham differential, contraction
 operators, the fiberwise polynomial degree, and the coisotropic quadruple
-for a submanifold C = {p = 0}.
+for a submanifold C = {p = 0}.  Also the ring of polynomials in a time t
+with spatial-polynomial coefficients (``Curve``) and the one routine that
+substitutes Curve images for the coordinates and the wedge legs of a curve of
+forms or multivectors (``transport``): the affine maps and flows of tpois and
+the fiber translation here all run through it.
 
 Conventions (all downstream signs derive from these):
   * Schouten bracket: [X, f] = X(f) for a vector field X and function f,
@@ -27,12 +31,11 @@ from operator import add
 from .graded import (
     ZERO,
     SparseCombination,
-    add_terms,
     as_fraction,
     inversion_parity,
+    json_field,
     json_int,
     json_of,
-    scale_terms,
     settle,
 )
 
@@ -64,52 +67,107 @@ def _check_size(terms: dict) -> dict:
     return terms
 
 
-# -- scalar polynomial helpers (mono-dict -> exact scalar) ----------------------
+# -- polynomials in t ---------------------------------------------------------------
 #
-# Coefficients follow the scalar rule of graded: ints while integral.
+# A Curve is a polynomial in the time t whose coefficients are spatial
+# polynomials: dict[t_power -> dict[Mono -> exact scalar]], zero
+# coefficients and vanishing powers dropped.  Static data is the t^0 case.
+# The ring is the multiply-accumulate ``_mac`` with one settling pass
+# (``_settled``); coordinate images and wedge legs of ``transport`` are Curves.
+
+Curve = dict[int, dict[Mono, Fraction]]
+Matrix = list[list[Curve]]  # a list of rows, {} for a zero entry
 
 
-def poly_add(a: dict[Mono, Fraction], b: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
-    return add_terms(dict(a), b)
+def _mac(acc: dict, a: Curve, b: Curve) -> dict:
+    """acc += a b in place, on an unsettled accumulator of the Curve's shape:
+    coefficients may be zero or integral Fractions until :func:`_settled`."""
+    for pa, qa in a.items():
+        for pb, qb in b.items():
+            out = acc.setdefault(pa + pb, {})
+            for ma, ca in qa.items():
+                for mb, cb in qb.items():
+                    mono = tuple(map(add, ma, mb))
+                    out[mono] = out.get(mono, 0) + ca * cb
+    return acc
 
 
-def poly_scale(a: dict[Mono, Fraction], c) -> dict[Mono, Fraction]:
-    c = as_fraction(c)
-    if c == 0:
+def _settled(acc: dict) -> Curve:
+    """The Curve of an accumulator: zeros dropped, integral coefficients as
+    ints, each polynomial size-checked once."""
+    out: Curve = {}
+    for power, poly in acc.items():
+        poly = _check_size(settle(poly))
+        if poly:
+            out[power] = poly
+    return out
+
+
+def _mul(a: Curve, b: Curve) -> Curve:
+    return _settled(_mac({}, a, b))
+
+
+def _neg(a: Curve) -> Curve:
+    return {p: {mono: -c for mono, c in q.items()} for p, q in a.items()}
+
+
+def transport(curve: dict, images: list[Curve], legs: Matrix) -> dict:
+    """Carry a curve of forms or multivectors through a polynomial
+    substitution: every coefficient f becomes f(images), the i-th variable
+    replaced by the Curve ``images[i]``, and every leg e_i becomes
+    sum_j legs[i][j] e_j.  Affine maps, their flows and fiber translations
+    are all such substitutions.
+
+    Within one call each monomial's image is built once, as the image with
+    its last exponent lowered times that coordinate's image, and each wedge's
+    choices of legs are expanded once; a term's coefficient and t-power scale
+    and shift the product instead of entering it as a one-term curve, and
+    unit legs multiply nothing."""
+    if not curve:
         return {}
-    return scale_terms(a, c)
+    n = len(legs)
+    dims = next(iter(curve.values())).dims
+    if sum(dims) != n or len(images) != n:
+        raise ValueError("dimension mismatch")
+    unit = (0,) * n
+    one = {0: {unit: 1}}
+    mono_images: dict[Mono, Curve] = {unit: one}
+    expansions: dict[tuple, list] = {}
 
+    def image_of(mono: Mono) -> Curve:
+        if mono not in mono_images:
+            var = max(v for v, e in enumerate(mono) if e)
+            lower = mono[:var] + (mono[var] - 1,) + mono[var + 1:]
+            image = images[var]
+            mono_images[mono] = image if lower == unit else _mul(image_of(lower), image)
+        return mono_images[mono]
 
-def poly_mul(a: dict[Mono, Fraction], b: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
-    out: dict[Mono, Fraction] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mono = tuple(map(add, ma, mb))
-            out[mono] = out.get(mono, 0) + ca * cb
-    return _check_size(settle(out))
-
-
-def poly_diff(a: dict[Mono, Fraction], var: int) -> dict[Mono, Fraction]:
-    out: dict[Mono, Fraction] = {}
-    for mono, coef in a.items():
-        e = mono[var]
-        if e:
-            out[mono[:var] + (e - 1,) + mono[var + 1 :]] = coef * e
-    return settle(out)
-
-
-def _subst_mono(
-    mono: Mono, coef: Fraction, var: int, repl: dict[Mono, Fraction], nvars: int
-) -> dict[Mono, Fraction]:
-    """Substitute variable ``var`` by the polynomial ``repl`` in one term."""
-    e = mono[var]
-    base = {mono[:var] + (0,) + mono[var + 1 :]: coef}
-    if e == 0:
-        return base
-    power = {(0,) * nvars: 1}
-    for _ in range(e):
-        power = poly_mul(power, repl)
-    return poly_mul(base, power)
+    raw: dict[int, list] = {}
+    for power, u in curve.items():
+        if u.dims != dims:
+            raise ValueError("dimension mismatch")
+        kind = type(u)
+        for (mono, wedge), coef in u.terms.items():
+            value = image_of(mono)
+            if wedge not in expansions:
+                choices = [
+                    [(j, entry) for j, entry in enumerate(legs[leg]) if entry] for leg in wedge
+                ]
+                # each choice of legs: the new wedge and the non-unit factors
+                expansions[wedge] = [
+                    (tuple(j for j, _ in choice), [e for _, e in choice if e != one])
+                    for choice in itertools.product(*choices)
+                ]
+            for new_wedge, factors in expansions[wedge]:
+                product = value
+                for entry in factors:
+                    product = _mul(product, entry)
+                for p, poly in product.items():
+                    raw.setdefault(p + power, []).extend(
+                        (c * coef, mo, new_wedge) for mo, c in poly.items()
+                    )
+    moved = {p: kind._from_raw(dims, terms) for p, terms in raw.items()}
+    return {p: e for p, e in moved.items() if not e.is_zero()}
 
 
 def _sort_wedge(wedge: tuple[int, ...]) -> tuple[int, Wedge] | None:
@@ -464,43 +522,17 @@ def fiber_translate(u: PolyMultivector, phi: PolyMultivector) -> PolyMultivector
     if not is_vertical_section(phi):
         raise ValueError("fiber_translate expects a vertical, base-coefficient section")
     m, k = u.dims
-    nvars = m + k
-    comp: dict[int, dict[Mono, Fraction]] = {}
-    for (mono, dirs), coef in phi.terms.items():
-        comp[dirs[0] - m] = poly_add(comp.get(dirs[0] - m, {}), {mono: coef})
-
-    out = PolyMultivector.zero(u.dims)
-    for (mono, dirs), coef in u.terms.items():
-        # substitute p_j -> p_j - phi_j(x) in the coefficient
-        poly = {mono: coef}
-        for j, phi_j in comp.items():
-            var = m + j
-            repl = poly_add(
-                {tuple(1 if t == var else 0 for t in range(nvars)): 1},
-                poly_scale(phi_j, -1),
-            )
-            new_poly: dict[Mono, Fraction] = {}
-            for mono2, coef2 in poly.items():
-                new_poly = poly_add(new_poly, _subst_mono(mono2, coef2, var, repl, nvars))
-            poly = new_poly
-        # transport each wedge leg through the differential of the translation
-        legs: list[PolyMultivector] = []
-        for w in dirs:
-            leg = coordinate_vector(u.dims, w)
-            if w < m:
-                for j, phi_j in comp.items():
-                    d = poly_diff(phi_j, w)
-                    for mono3, coef3 in d.items():
-                        leg = leg + mv(u.dims, coef3, mono3, (m + j,))
-            legs.append(leg)
-        for mono2, coef2 in poly.items():
-            term = mv(u.dims, coef2, mono2, ())
-            for leg in legs:
-                term = wedge(term, leg)
-                if term.is_zero():
-                    break
-            out = out + term
-    return out
+    n = m + k
+    one = {0: {unit_mono(u.dims): 1}}
+    images = [{0: {tuple(int(t == v) for t in range(n)): 1}} for v in range(n)]
+    legs: Matrix = [[one if j == i else {} for j in range(n)] for i in range(n)]
+    for (mono, (leg,)), coef in phi.terms.items():
+        images[leg][0][mono] = -coef
+        for i in range(m):
+            if mono[i]:
+                lower = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+                legs[i][leg].setdefault(0, {})[lower] = coef * mono[i]
+    return transport({0: u}, images, legs).get(0, PolyMultivector.zero(u.dims))
 
 
 # -- JSON element literals --------------------------------------------------------
@@ -516,34 +548,49 @@ def _var_names(dims: tuple[int, int]) -> list[str]:
     return [f"x{i+1}" for i in range(m)] + [f"p{j+1}" for j in range(k)]
 
 
-def _element_from_json(cls, data: dict):
-    dims_data = json_of(dict, json_of(dict, data, "polynomial literal")["dims"], "dims")
+def _element_from_json(cls, data: dict, where: str):
+    """The element a polynomial literal lists; ``where`` names the literal in
+    input errors (say, a file and a field)."""
+    json_of(dict, data, where)
+    dims_data = json_of(dict, json_field(data, where, "dims"), f"{where}: dims")
     dims = (
-        json_int(dims_data["base"], "dims.base"),
-        json_int(dims_data.get("fiber", 0), "dims.fiber"),
+        json_int(json_field(dims_data, f"{where}: dims", "base"), f"{where}: dims.base"),
+        json_int(dims_data.get("fiber", 0), f"{where}: dims.fiber"),
     )
-    index = {name: v for v, name in enumerate(_var_names(dims))}
+    if min(dims) < 0:
+        raise ValueError(f"{where}: dims must not be negative, got {dims}")
+    names = _var_names(dims)
+    index = {name: v for v, name in enumerate(names)}
     raw = []
-    for item in json_of(list, data.get("terms", []), "terms"):
-        item = json_of(dict, item, "term")
+    for k, item in enumerate(json_of(list, data.get("terms", []), f"{where}: terms"), 1):
+        at = f"{where}, term {k}"
+        item = json_of(dict, item, f"{at}: term")
         mono = [0] * len(index)
-        for name, e in json_of(dict, item.get("monomial", {}), "monomial").items():
+        for name, e in json_of(dict, item.get("monomial", {}), f"{at}: monomial").items():
             if name not in index:
-                raise ValueError(f"unknown variable {name!r} for dims {dims}")
-            mono[index[name]] = json_int(e, f"exponent of {name!r}")
-        wedge = tuple(
-            json_int(w, "wedge index") - 1 for w in json_of(list, item.get("wedge", []), "wedge")
-        )
-        raw.append((as_fraction(item.get("coef", 1)), tuple(mono), wedge))
+                raise ValueError(f"{at}: unknown variable {name!r} for dims {dims}")
+            mono[index[name]] = json_int(e, f"{at}: exponent of {name!r}")
+            if e < 0:
+                raise ValueError(f"{at}: exponent of {name!r} is negative, got {e}")
+        wedge = []
+        for w in json_of(list, item.get("wedge", []), f"{at}: wedge"):
+            if not 1 <= json_int(w, f"{at}: wedge index") <= len(names):
+                raise ValueError(f"{at}: wedge index {w} outside 1..{len(names)}")
+            wedge.append(w - 1)
+        try:
+            coef = as_fraction(item.get("coef", 1))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{at}: {exc}") from None
+        raw.append((coef, tuple(mono), tuple(wedge)))
     return cls.from_terms(dims, raw)
 
 
-def mv_from_json(data: dict) -> PolyMultivector:
-    return _element_from_json(PolyMultivector, data)
+def mv_from_json(data: dict, where: str = "polynomial literal") -> PolyMultivector:
+    return _element_from_json(PolyMultivector, data, where)
 
 
-def form_from_json(data: dict) -> PolyForm:
-    return _element_from_json(PolyForm, data)
+def form_from_json(data: dict, where: str = "polynomial literal") -> PolyForm:
+    return _element_from_json(PolyForm, data, where)
 
 
 def element_to_json(u: _WedgeElement) -> dict:

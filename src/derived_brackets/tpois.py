@@ -29,7 +29,6 @@ correspondence Z^{(B + i_X H, -X)} = Y^{(B,X)} on Maurer-Cartan points.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,15 +37,20 @@ from operator import add
 from .graded import DirectSum, as_fraction, direct_sum_grading, settle
 from .linfty import LInftyOne, homogeneous_combinations
 from .polygeo import (
-    Mono,
+    Curve,
+    Matrix,
     PolyForm,
     PolyMultivector,
     _check_size,
+    _mac,
+    _neg,
+    _settled,
     _without_leg,
     contract_form,
     de_rham,
     multi_sharp,
     schouten,
+    transport,
 )
 
 ONE_HALF = Fraction(1, 2)
@@ -160,7 +164,7 @@ def _bracket_homogeneous(combo: tuple[TPoisElement, ...]) -> TPoisElement:
     return total
 
 
-def tpois_linfty(m: int, max_relation_arity: int = 5) -> LInftyOne:
+def tpois_linfty(m: int) -> LInftyOne:
     """Handle for the twisted-Poisson algebra on R^m.  Forms on R^m die above
     degree m, so brackets of arity > m+1 vanish and every series is finite."""
     zero = TPoisElement.zero(m)
@@ -177,7 +181,6 @@ def tpois_linfty(m: int, max_relation_arity: int = 5) -> LInftyOne:
         zero=zero,
         curved=False,
         arity_bound=m + 1,
-        max_relation_arity=max_relation_arity,
         name=f"twisted-poisson-R{m}",
     )
 
@@ -238,10 +241,8 @@ def gauge_Y(
 # or multivectors, a scalar curve (exact scalar coefficients, such as a
 # determinant), or a matrix entry of the graph transform (a Curve, whose
 # coefficients are spatial polynomials).  Static geometry is the t^0 case of
-# the same code.
-
-Curve = dict[int, dict[Mono, Fraction]]
-Matrix = list[list[Curve]]  # a list of rows, {} for a zero entry
+# the same code.  The Curve ring and the substitution ``transport`` live in
+# polygeo; the helpers below handle curves of forms and multivectors.
 
 
 def _t_mac(acc: dict, curve: dict, scalar: dict[int, Fraction]) -> dict:
@@ -281,38 +282,6 @@ def _t_eval(curve: dict, t: Fraction, zero):
     for p, v in curve.items():
         total = total + v * t**p
     return total
-
-
-def _mac(acc: dict, a: Curve, b: Curve) -> dict:
-    """acc += a b in place, on an unsettled accumulator of the Curve's shape:
-    coefficients may be zero or integral Fractions until :func:`_settled`."""
-    for pa, qa in a.items():
-        for pb, qb in b.items():
-            out = acc.setdefault(pa + pb, {})
-            for ma, ca in qa.items():
-                for mb, cb in qb.items():
-                    mono = tuple(map(add, ma, mb))
-                    out[mono] = out.get(mono, 0) + ca * cb
-    return acc
-
-
-def _settled(acc: dict) -> Curve:
-    """The Curve of an accumulator: zeros dropped, integral coefficients as
-    ints, each polynomial size-checked once."""
-    out: Curve = {}
-    for power, poly in acc.items():
-        poly = _check_size(settle(poly))
-        if poly:
-            out[power] = poly
-    return out
-
-
-def _mul(a: Curve, b: Curve) -> Curve:
-    return _settled(_mac({}, a, b))
-
-
-def _neg(a: Curve) -> Curve:
-    return {p: {mono: -c for mono, c in q.items()} for p, q in a.items()}
 
 
 # -- e^B graph transform -------------------------------------------------------------
@@ -515,67 +484,16 @@ class TimeAffine:
 
 
 def _coordinate_images(phi: TimeAffine) -> list[Curve]:
-    """The substitution x_i -> sum_j M_ij(t) x_j + c_i(t), one Curve per x_i."""
+    """The substitution x_i -> sum_j M_ij(t) x_j + c_i(t), one Curve per x_i,
+    for :func:`transport`: the pull-back by phi passes these images and
+    phi.matrix as legs; the push-forward by phi passes the images of its
+    inverse and phi.transposed()."""
     m = len(phi.matrix)
     # (c | M) times the column (1, x_1, .., x_m): each image starts from c
     column = [[{0: {(0,) * m: 1}}]]
     column += [[{0: {tuple(int(v == j) for v in range(m)): 1}}] for j in range(m)]
     affine = [[c, *row] for c, row in zip(phi.translation, phi.matrix)]
     return [image for image, in _mat_mul(affine, column)]
-
-
-def _transport(curve: dict, phi: TimeAffine, legs: Matrix) -> dict:
-    """Carry a curve of forms or multivectors along an affine map: every
-    coefficient f(x) becomes f(phi(x)) and every leg e_i becomes
-    sum_j legs[i][j] e_j.  The pull-back by phi passes phi and phi.matrix; the
-    push-forward by phi passes its inverse and phi.transposed().
-
-    Within one call each monomial's image is built once, as the image with
-    its last exponent lowered times that coordinate's image, and each wedge's
-    choices of legs are expanded once; a term's coefficient and t-power scale
-    and shift the product instead of entering it as a one-term curve, and
-    unit legs multiply nothing."""
-    m = len(legs)
-    images = _coordinate_images(phi)
-    unit = (0,) * m
-    one = {0: {unit: 1}}
-    mono_images: dict[Mono, Curve] = {unit: one}
-    expansions: dict[tuple, list] = {}
-
-    def image_of(mono: Mono) -> Curve:
-        if mono not in mono_images:
-            var = max(v for v, e in enumerate(mono) if e)
-            lower = mono[:var] + (mono[var] - 1,) + mono[var + 1:]
-            image = images[var]
-            mono_images[mono] = image if lower == unit else _mul(image_of(lower), image)
-        return mono_images[mono]
-
-    raw: dict[int, list] = {}
-    for power, u in curve.items():
-        if u.dims != (m, 0):
-            raise ValueError("dimension mismatch")
-        kind = type(u)
-        for (mono, wedge), coef in u.terms.items():
-            value = image_of(mono)
-            if wedge not in expansions:
-                choices = [
-                    [(j, entry) for j, entry in enumerate(legs[leg]) if entry] for leg in wedge
-                ]
-                # each choice of legs: the new wedge and the non-unit factors
-                expansions[wedge] = [
-                    (tuple(j for j, _ in choice), [e for _, e in choice if e != one])
-                    for choice in itertools.product(*choices)
-                ]
-            for new_wedge, factors in expansions[wedge]:
-                product = value
-                for entry in factors:
-                    product = _mul(product, entry)
-                for p, poly in product.items():
-                    raw.setdefault(p + power, []).extend(
-                        (c * coef, mo, new_wedge) for mo, c in poly.items()
-                    )
-    moved = {p: kind._from_raw((m, 0), terms) for p, terms in raw.items()}
-    return {p: e for p, e in moved.items() if not e.is_zero()}
 
 
 class AffineDiffeo:
@@ -644,11 +562,12 @@ class AffineDiffeo:
     def pullback_form(self, w: PolyForm) -> PolyForm:
         """phi^* w: coefficients at phi(x), legs dx_i -> sum_j A_ij dx_j."""
         phi = self._at_t0()
-        return _transport({0: w}, phi, phi.matrix).get(0, PolyForm.zero(w.dims))
+        return transport({0: w}, _coordinate_images(phi), phi.matrix).get(0, PolyForm.zero(w.dims))
 
     def pushforward_mv(self, u: PolyMultivector) -> PolyMultivector:
         """phi_* u: coefficients at phi^{-1}(x), legs d_i -> sum_j A_ji d_j."""
-        moved = _transport({0: u}, self.inverse()._at_t0(), self._at_t0().transposed())
+        images = _coordinate_images(self.inverse()._at_t0())
+        moved = transport({0: u}, images, self._at_t0().transposed())
         return moved.get(0, PolyMultivector.zero(u.dims))
 
 
@@ -904,9 +823,9 @@ def flow_curve(
     flow_plus = _reversed(flow_minus)
 
     e_curve = _gauge_form_curve(b, x_field, h)
-    c_curve = _t_integrate(_transport(e_curve, flow_minus, flow_minus.matrix))
+    c_curve = _t_integrate(transport(e_curve, _coordinate_images(flow_minus), flow_minus.matrix))
     numerator, det = _graph_transform(c_curve, {0: pi}, dims[0])
-    pushed = _transport(numerator, flow_plus, flow_minus.transposed())
+    pushed = transport(numerator, _coordinate_images(flow_plus), flow_minus.transposed())
 
     form_curve = {0: h}
     db = de_rham(b)
@@ -951,10 +870,11 @@ def action_generator(
     flow_minus = _flow(x_field, -1)
     flow_plus = _reversed(flow_minus)
     # form component: (flow_t^{-1})^* H - t dB
-    h_curve = _transport({0: h}, flow_minus, flow_minus.matrix)
+    minus_images = _coordinate_images(flow_minus)
+    h_curve = transport({0: h}, minus_images, flow_minus.matrix)
     form_prime = h_curve.get(1, PolyForm.zero(dims)) - de_rham(b)
     # multivector component: e^{tB} (flow_t)_* pi
-    pi_curve = _transport({0: pi}, flow_minus, flow_plus.transposed())
+    pi_curve = transport({0: pi}, minus_images, flow_plus.transposed())
     numerator, det = _graph_transform({1: b}, pi_curve, dims[0])
     return form_prime, _derivative_at_zero(numerator, det, dims)
 

@@ -572,6 +572,42 @@ def test_malformed_element_or_table_is_an_input_error(vdata, payload, message, t
     assert f"{p}: {message}" in err
 
 
+_COISO_DIMS = {"base": 1, "fiber": 2}
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [("mc", {"element": {"dims": _COISO_DIMS, "terms": 5}},
+      'field "element": terms must be a list, got 5'),
+     ("mc", {"element": {"terms": []}}, 'field "element": missing field "dims"'),
+     ("mc", {"element": {"dims": _COISO_DIMS, "terms": [{"coef": 1, "wedge": [0]}]}},
+      'field "element", term 1: wedge index 0 outside 1..3'),
+     ("mc", {"x": {"dims": _COISO_DIMS, "terms": [{"monomial": {"p1": -1}}]}},
+      'field "x", term 1: exponent of \'p1\' is negative, got -1'),
+     ("mc", {"a": {"dims": {"base": -1, "fiber": 2}}},
+      'field "a": dims must not be negative, got (-1, 2)'),
+     ("gauge", {"B": []}, 'field "B" must be an object, got []')],
+    ids=["terms-int", "no-dims", "wedge-0", "negative-exponent", "negative-dims",
+         "point-B-list"],
+)
+def test_malformed_polynomial_literal_names_its_file_and_field(
+    command, payload, message, tmp_path, capsys
+):
+    # the first three used to print "terms must be a list, got 5", "'dims'" and
+    # "wedge (-1,) not strictly increasing in range", naming neither the file
+    # nor the field; a twisted-Poisson point's B and X were read unchecked
+    if command == "gauge":
+        with open(_data("tpois_gauge.json"), encoding="utf-8") as fh:
+            payload = {**json.load(fh), **payload}
+    p = tmp_path / "literal.json"
+    p.write_text(json.dumps(payload))
+    argv = ["mc", _data("vdata_coiso.json"), str(p)] if command == "mc" else [command, str(p)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    _assert_one_line(err, "input error: ")
+    assert f"input error: {p}: {message}\n" == err
+
+
 def test_element_payload_shapes():
     from derived_brackets.cli import _element_payload
     from derived_brackets.polygeo import element_to_json as poly_to_json, form, mv

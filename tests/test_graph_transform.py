@@ -4,7 +4,8 @@ transport and the flow curves' tangency check.
 
 The dense Curve arithmetic and the Leibniz expansion below are the former
 implementation (a copying sum and product per entry, m! products for the
-determinant, m^2 minors for the adjugate), kept here only as an exact oracle;
+determinant, m^2 minors for the adjugate), kept here only as an exact oracle,
+with the scalar polynomial helpers they were built on;
 so are the graph transform on the full m x m matrix, the transport that
 substitutes term by term and the tangency check that contracts once per
 ordered pair of powers of t.
@@ -15,25 +16,28 @@ import os
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from derived_brackets import polygeo, tpois
-from derived_brackets.graded import as_fraction
+from derived_brackets.graded import add_terms, as_fraction, scale_terms, settle
 from derived_brackets.linfty import relations_residual
 from derived_brackets.polygeo import (
+    Mono,
     PolyForm,
     PolyMultivector,
     TermExplosionError,
+    _check_size,
+    _mul,
+    _neg,
     contract_form,
     de_rham,
     form,
     multi_sharp,
     mv,
-    poly_add,
-    poly_mul,
-    poly_scale,
     schouten,
+    transport,
 )
 from derived_brackets.sampling import (
     gauge_safe_data,
@@ -51,13 +55,10 @@ from derived_brackets.tpois import (
     _flow,
     _graph_transform,
     _mat_mul,
-    _mul,
-    _neg,
     _reversed,
     _t_ddt,
     _t_mac,
     _t_settled,
-    _transport,
     _wedge2_matrix,
     e_b_pi,
     flow_curve,
@@ -68,6 +69,26 @@ from derived_brackets.tpois import (
 )
 
 # -- the dense oracle ---------------------------------------------------------------------
+
+
+def poly_add(a: dict[Mono, Fraction], b: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
+    return add_terms(dict(a), b)
+
+
+def poly_scale(a: dict[Mono, Fraction], c) -> dict[Mono, Fraction]:
+    c = as_fraction(c)
+    if c == 0:
+        return {}
+    return scale_terms(a, c)
+
+
+def poly_mul(a: dict[Mono, Fraction], b: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
+    out: dict[Mono, Fraction] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return _check_size(settle(out))
 
 
 def c_add(a, b):
@@ -502,10 +523,10 @@ def test_transport_matches_the_per_term_substitution():
                 curve = random_element_curve(rng, m)
                 # pull-backs pass the map and its matrix, push-forwards the
                 # inverse map and the transposed matrix
-                for args in [(minus, minus.matrix), (plus, minus.transposed()),
-                             (static, static.matrix), (inverse, static.transposed())]:
-                    expected = per_term_transport(curve, *args)
-                    got = _transport(curve, *args)
+                for affine, legs in [(minus, minus.matrix), (plus, minus.transposed()),
+                                     (static, static.matrix), (inverse, static.transposed())]:
+                    expected = per_term_transport(curve, affine, legs)
+                    got = transport(curve, _coordinate_images(affine), legs)
                     assert got == expected and list(got) == list(expected)
                 seen["identity_legs"] += not linear
                 seen["nontrivial_legs"] += any(

@@ -3,7 +3,10 @@
 Every name a module of ``derived_brackets`` imports must be referenced in
 that module: a refactor that moves code between modules otherwise leaves
 stale imports behind.  ``__init__.py`` is skipped, because its imports are
-the package's re-exported API (``__all__`` is built from them).
+the package's re-exported API (``__all__`` is built from them).  Likewise
+every top-level function and class of the package must be referenced outside
+its own definition, in the package, the tests or the demos, so that helpers
+whose last caller has gone are deleted with it.
 """
 
 import ast
@@ -134,3 +137,89 @@ def test_the_terms_scan_sees_each_kind_of_write():
     )
     found = _terms_writes(ast.parse(source))
     assert [line for line, _ in found] == [2, 3, 4, 5, 6, 7, 8, 9]
+
+
+# -- every top-level definition is used ----------------------------------------------------
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _top_level_defs(tree: ast.Module) -> dict[str, int]:
+    return {node.name: node.lineno for node in tree.body if isinstance(node, _DEFS)}
+
+
+def _references(tree: ast.Module) -> set[tuple[str | None, str]]:
+    """(enclosing top-level definition or None, name) for every name the
+    module uses: loaded names, attributes, imported names and identifier
+    strings (quoted annotations, ``monkeypatch.setattr(module, "name", ..)``)."""
+    out = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, _DEFS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                out.add((owner, node.attr))
+            elif isinstance(node, ast.alias):
+                out.add((owner, node.name.rsplit(".", 1)[-1]))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    out.add((owner, node.value))
+    return out
+
+
+def _unreferenced(package: dict[str, ast.Module], others: dict[str, ast.Module]) -> list[str]:
+    """``file:line: name`` of each top-level function or class of a package
+    module that nothing references outside its own definition.  A file that
+    defines the same name itself (a test-only copy, say) refers to its own."""
+    files = {**package, **others}
+    defs = {f: _top_level_defs(tree) for f, tree in files.items()}
+    refs = {f: _references(tree) for f, tree in files.items()}
+    names = {f: {used for _, used in pairs} for f, pairs in refs.items()}
+    missing = []
+    for module in package:
+        for name, line in sorted(defs[module].items(), key=lambda item: item[1]):
+            inside = any(used == name and owner != name for owner, used in refs[module])
+            outside = any(
+                name in names[f] and name not in defs[f] for f in files if f != module
+            )
+            if not (inside or outside):
+                missing.append(f"{module}:{line}: {name}")
+    return missing
+
+
+def _parsed(directory: str) -> dict[str, ast.Module]:
+    out = {}
+    for filename in sorted(f for f in os.listdir(directory) if f.endswith(".py")):
+        path = os.path.join(directory, filename)
+        with open(path, encoding="utf-8") as fh:
+            out[os.path.relpath(path, os.path.dirname(directory))] = ast.parse(fh.read(), path)
+    return out
+
+
+def test_every_top_level_definition_is_referenced():
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    demos_dir = os.path.join(os.path.dirname(tests_dir), "demos")
+    package = _parsed(PACKAGE_DIR)
+    others = {**_parsed(tests_dir), **_parsed(demos_dir)}
+    assert "derived_brackets/polygeo.py" in package and "demos/04_coisotropic.py" in others
+    assert _unreferenced(package, others) == []
+
+
+def test_the_reference_scan_flags_stale_definitions():
+    package = {"pkg/mod.py": ast.parse(
+        "def used():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def copied():\n    return 2\n"
+        "def patched():\n    return 3\n"
+        "class Annotated:\n    pass\n"
+        "def user(x: 'Annotated'):\n    return used()\n"
+    )}
+    others = {"tests/test_mod.py": ast.parse(
+        "from pkg.mod import user\n"
+        "def copied():\n    return 2\n"
+        "def test_it(monkeypatch):\n"
+        "    monkeypatch.setattr(mod, 'patched', None)\n"
+        "    assert copied() == 2 and user(1) == 1\n"
+    )}
+    assert _unreferenced(package, others) == ["pkg/mod.py:3: recursive", "pkg/mod.py:5: copied"]

@@ -6,6 +6,7 @@ import pytest
 from derived_brackets.gla import sample_gla
 from derived_brackets.graded import koszul_sign, Permutation
 from derived_brackets.linfty import (
+    MAX_RELATION_ARITY,
     LInfty,
     LInftyOne,
     MCError,
@@ -23,7 +24,9 @@ from derived_brackets.sampling import (
     fixture_vdata,
     random_fixture_a_element,
     random_fixture_pair,
+    random_tpois_element,
 )
+from derived_brackets.tpois import tpois_linfty
 from derived_brackets.vdata import big_algebra, small_algebra
 
 
@@ -302,4 +305,19 @@ def test_relation_arity_cap():
     space = v.zero.space
     args = tuple(space.gen("a") for _ in range(6))
     with pytest.raises(ValueError, match="arity"):
+        relations_residual(algebra, 6, args)
+
+
+@pytest.mark.parametrize("which", ["fixture-big", "twisted-poisson-R3"])
+def test_relations_above_the_max_arity_raise(which):
+    rng = random.Random(21)
+    if which == "fixture-big":
+        algebra = big_algebra(fixture_vdata())
+        args = tuple(random_fixture_pair(rng, 0) for _ in range(6))
+    else:
+        algebra = tpois_linfty(3)
+        args = tuple(random_tpois_element(rng, 3, -1, 1) for _ in range(6))
+    assert MAX_RELATION_ARITY == 5
+    relations_residual(algebra, 5, args[:5])
+    with pytest.raises(ValueError, match="relation arity 6 exceeds max 5"):
         relations_residual(algebra, 6, args)

@@ -1,13 +1,16 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
-from derived_brackets.graded import inversion_parity
+from derived_brackets.graded import add_terms, as_fraction, inversion_parity, scale_terms, settle
 from derived_brackets.polygeo import (
+    Mono,
     PolyForm,
     PolyMultivector,
+    _check_size,
     _sort_wedge,
     coiso_projection,
     coiso_vdata,
@@ -18,6 +21,7 @@ from derived_brackets.polygeo import (
     fiber_translate,
     form,
     form_from_json,
+    is_vertical_section,
     mv,
     mv_from_json,
     multi_sharp,
@@ -282,6 +286,144 @@ def test_fiber_translate_matches_adjoint_exponential():
         assert fiber_translate(pi, phi) == exp_ad(coiso_vdata(pi), phi, pi)
 
 
+# -- the substitution oracle -------------------------------------------------------------
+#
+# The former fiber_translate, which substituted p_j -> p_j - phi_j(x) one
+# variable at a time through scalar polynomial helpers and rebuilt every term
+# with mv() and wedge(), kept here with those helpers only as an exact oracle
+# for the fiber translation through polygeo.transport.
+
+
+def poly_add(a: dict[Mono, Fraction], b: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
+    return add_terms(dict(a), b)
+
+
+def poly_scale(a: dict[Mono, Fraction], c) -> dict[Mono, Fraction]:
+    c = as_fraction(c)
+    if c == 0:
+        return {}
+    return scale_terms(a, c)
+
+
+def poly_mul(a: dict[Mono, Fraction], b: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
+    out: dict[Mono, Fraction] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(map(add, ma, mb))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return _check_size(settle(out))
+
+
+def poly_diff(a: dict[Mono, Fraction], var: int) -> dict[Mono, Fraction]:
+    out: dict[Mono, Fraction] = {}
+    for mono, coef in a.items():
+        e = mono[var]
+        if e:
+            out[mono[:var] + (e - 1,) + mono[var + 1 :]] = coef * e
+    return settle(out)
+
+
+def _subst_mono(
+    mono: Mono, coef: Fraction, var: int, repl: dict[Mono, Fraction], nvars: int
+) -> dict[Mono, Fraction]:
+    """Substitute variable ``var`` by the polynomial ``repl`` in one term."""
+    e = mono[var]
+    base = {mono[:var] + (0,) + mono[var + 1 :]: coef}
+    if e == 0:
+        return base
+    power = {(0,) * nvars: 1}
+    for _ in range(e):
+        power = poly_mul(power, repl)
+    return poly_mul(base, power)
+
+
+def substituting_fiber_translate(u: PolyMultivector, phi: PolyMultivector) -> PolyMultivector:
+    """Pushforward of u along the time-1 flow of the vertical section phi
+    (the fiber translation (x, p) -> (x, p + phi(x))).
+
+    Coefficients undergo p_j -> p_j - phi_j(x); each base wedge leg @x_i picks
+    up sum_j (d phi_j / d x_i) @p_j from the differential of the translation.
+    Equals e^{[., phi]} u exactly (the adjoint series terminates).
+    """
+    if u.dims != phi.dims:
+        raise ValueError("ambient space mismatch in fiber_translate")
+    if not is_vertical_section(phi):
+        raise ValueError("fiber_translate expects a vertical, base-coefficient section")
+    m, k = u.dims
+    nvars = m + k
+    comp: dict[int, dict[Mono, Fraction]] = {}
+    for (mono, dirs), coef in phi.terms.items():
+        comp[dirs[0] - m] = poly_add(comp.get(dirs[0] - m, {}), {mono: coef})
+
+    out = PolyMultivector.zero(u.dims)
+    for (mono, dirs), coef in u.terms.items():
+        # substitute p_j -> p_j - phi_j(x) in the coefficient
+        poly = {mono: coef}
+        for j, phi_j in comp.items():
+            var = m + j
+            repl = poly_add(
+                {tuple(1 if t == var else 0 for t in range(nvars)): 1},
+                poly_scale(phi_j, -1),
+            )
+            new_poly: dict[Mono, Fraction] = {}
+            for mono2, coef2 in poly.items():
+                new_poly = poly_add(new_poly, _subst_mono(mono2, coef2, var, repl, nvars))
+            poly = new_poly
+        # transport each wedge leg through the differential of the translation
+        legs: list[PolyMultivector] = []
+        for w in dirs:
+            leg = coordinate_vector(u.dims, w)
+            if w < m:
+                for j, phi_j in comp.items():
+                    d = poly_diff(phi_j, w)
+                    for mono3, coef3 in d.items():
+                        leg = leg + mv(u.dims, coef3, mono3, (m + j,))
+            legs.append(leg)
+        for mono2, coef2 in poly.items():
+            term = mv(u.dims, coef2, mono2, ())
+            for leg in legs:
+                term = wedge(term, leg)
+                if term.is_zero():
+                    break
+            out = out + term
+    return out
+
+
+def test_fiber_translate_matches_the_substitution_oracle():
+    rng = random.Random(14)
+    seen = {"zero_u": 0, "zero_phi": 0, "rational": 0, "base_legs_moved": 0, "arity_3": 0}
+    cases = 0
+    for dims in [(1, 2), (2, 2), (1, 3), (2, 1)]:
+        m, k = dims
+        for case in range(130):
+            u = PolyMultivector.zero(dims)
+            if case % 13:
+                for _ in range(rng.randint(1, 2)):
+                    arity = rng.randint(0, min(3, m + k))
+                    u = u + random_multivector(rng, dims, arity, rng.randint(0, 3))
+                    seen["arity_3"] += arity == 3
+                u = u.scale(Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+            phi = PolyMultivector.zero(dims)
+            if case % 11:
+                phi = random_vertical_section(rng, dims, rng.randint(0, 3))
+                phi = phi.scale(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+            expected = substituting_fiber_translate(u, phi)
+            got = fiber_translate(u, phi)
+            assert got == expected and repr(got) == repr(expected), (u, phi)
+            assert {key: type(c) for key, c in got.terms.items()} == {
+                key: type(c) for key, c in expected.terms.items()
+            }
+            cases += 1
+            seen["zero_u"] += u.is_zero()
+            seen["zero_phi"] += phi.is_zero()
+            seen["rational"] += any(type(c) is Fraction for c in got.terms.values())
+            seen["base_legs_moved"] += any(
+                w < m for _, wedge in u.terms for w in wedge
+            ) and any(mono[:m] != (0,) * m for mono, _ in phi.terms)
+    assert cases >= 500
+    assert min(seen.values()) >= 20, seen
+
+
 def test_filtration_laws_on_samples():
     # (a) bracket superadditive, (b) vertical sections land in level >= 1,
     # (c) the projection does not decrease the level
@@ -334,10 +476,10 @@ def test_json_literal_shape():
 def test_term_cap_guard(monkeypatch):
     # DB_MAX_TERMS is read once per process; set the cap it was read into
     from derived_brackets import polygeo
-    from derived_brackets.polygeo import TermExplosionError, poly_mul
+    from derived_brackets.polygeo import TermExplosionError, _mul
 
     monkeypatch.setattr(polygeo, "_term_cap", 4)
 
-    big_poly = {(i, 0, 0): Fraction(1) for i in range(4)}
+    big_curve = {0: {(i, 0, 0): Fraction(1) for i in range(4)}}
     with pytest.raises(TermExplosionError):
-        poly_mul(big_poly, {(0, i, 0): Fraction(1) for i in range(4)})
+        _mul(big_curve, {0: {(0, i, 0): Fraction(1) for i in range(4)}})
