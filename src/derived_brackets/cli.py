@@ -122,10 +122,15 @@ def _gla_backed_vdata(desc: dict, path: str) -> VData:
     )
 
 
-def _literal(reader, data: dict, path: str, name: str):
+def _literal(reader, data: dict, path: str, name: str, dims=None, owner: str = ""):
     """The polynomial literal in field ``name`` of the file ``path``, read by
-    ``reader`` (mv_from_json or form_from_json)."""
-    return reader(json_field(data, path, name, dict), f'{path}: field "{name}"')
+    ``reader`` (mv_from_json or form_from_json); when ``dims`` is given, the
+    literal must have those dims, which belong to ``owner``."""
+    where = f'{path}: field "{name}"'
+    element = reader(json_field(data, path, name, dict), where)
+    if dims is not None and element.dims != dims:
+        raise InputError(f"{where}: dims {element.dims} do not match {dims} of {owner}")
+    return element
 
 
 def load_vdata(path: str) -> tuple[VData, str]:
@@ -154,13 +159,17 @@ def _load_element(v: VData, kind: str, path: str):
         element = json_field(data, path, "element")
         return element_from_json(space, element, f'{path}: field "element"'), False
     if kind == "coisotropic":
+        dims, owner = v.zero.dims, "the quadruple"
         if "x" in data or "a" in data:
-            x = _literal(mv_from_json, data, path, "x") if "x" in data else v.zero
-            a = _literal(mv_from_json, data, path, "a") if "a" in data else v.zero
+            x = _literal(mv_from_json, data, path, "x", dims, owner) if "x" in data else v.zero
+            a = _literal(mv_from_json, data, path, "a", dims, owner) if "a" in data else v.zero
             return BigElt(x, a), True
         if "element" in data:
-            return _literal(mv_from_json, data, path, "element"), False
-        return mv_from_json(data, path), False
+            return _literal(mv_from_json, data, path, "element", dims, owner), False
+        element = mv_from_json(data, path)
+        if element.dims != dims:
+            raise InputError(f"{path}: dims {element.dims} do not match {dims} of {owner}")
+        return element, False
     raise InputError(f"unsupported element payload for kind {kind!r}")
 
 
@@ -250,11 +259,16 @@ def cmd_twist(args) -> int:
 
 def _load_tpois_point(path: str):
     data = _load_json(path)
-    h = _literal(form_from_json, data, path, "H")
     pi = _literal(mv_from_json, data, path, "pi")
-    dims = (pi.dims[0], 0)
-    b = _literal(form_from_json, data, path, "B") if "B" in data else PolyForm.zero(dims)
-    x = _literal(mv_from_json, data, path, "X") if "X" in data else PolyMultivector.zero(dims)
+    dims, owner = pi.dims, 'field "pi"'
+    if dims[1]:
+        raise InputError(f'{path}: field "pi": a point lives on a plain base, got dims {dims}')
+    h = _literal(form_from_json, data, path, "H", dims, owner)
+    b, x = PolyForm.zero(dims), PolyMultivector.zero(dims)
+    if "B" in data:
+        b = _literal(form_from_json, data, path, "B", dims, owner)
+    if "X" in data:
+        x = _literal(mv_from_json, data, path, "X", dims, owner)
     return h, pi, b, x
 
 
@@ -390,10 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.parse_args(args.arguments, namespace=args)
     try:
         return run(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+    except (InputError, KeyError, ValueError, TypeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (TermExplosionError, NonTerminatingSeriesError) as exc:

@@ -25,6 +25,13 @@ series over the brackets above, to
 and the infinitesimal generator of the 2-form/affine-diffeomorphism action is
 Z^{(B,X)}|_{(H,pi)} = (-d(i_X H + B), wedge2(pi)(B) - [X, pi]) with the exact
 correspondence Z^{(B + i_X H, -X)} = Y^{(B,X)} on Maurer-Cartan points.
+
+The group acts through B-fields and affine diffeomorphisms (Severa-Weinstein,
+math/0107133).  Every affine map x -> M x + c, rational (AffineDiffeo) or
+polynomial in the flow time t (TimeAffine), is its homogeneous matrix
+[[1, 0], [c, M]] acting on the column (1, x): maps compose by a matrix product
+and invert by a matrix inverse, and the flow of a field A x + b is exp(t G)
+for the nilpotent generator G = [[0, 0], [b, A]].
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .graded import DirectSum, as_fraction, direct_sum_grading, settle
 from .linfty import LInftyOne, homogeneous_combinations
@@ -239,10 +246,11 @@ def gauge_Y(
 # Everything that moves with the flow time t is a polynomial in t, stored as
 # dict[t_power -> coefficient] with zero coefficients dropped: a curve of forms
 # or multivectors, a scalar curve (exact scalar coefficients, such as a
-# determinant), or a matrix entry of the graph transform (a Curve, whose
-# coefficients are spatial polynomials).  Static geometry is the t^0 case of
-# the same code.  The Curve ring and the substitution ``transport`` live in
-# polygeo; the helpers below handle curves of forms and multivectors.
+# determinant), or an entry of a graph-transform or homogeneous affine matrix
+# (a Curve, whose coefficients are spatial polynomials).  Static geometry is
+# the t^0 case of the same code.  The Curve ring and the substitution
+# ``transport`` live in polygeo; the helpers below handle curves of forms and
+# multivectors.
 
 
 def _t_mac(acc: dict, curve: dict, scalar: dict[int, Fraction]) -> dict:
@@ -469,15 +477,22 @@ def e_b_pi(b: PolyForm, pi: PolyMultivector) -> PolyMultivector:
 
 
 # -- affine maps and the 2-form semidirect action --------------------------------------
+#
+# An affine map x -> M x + c is its homogeneous matrix [[1, 0], [c, M]] (see
+# the module docstring), so no routine writes its own formula for c.
 
 
 @dataclass(frozen=True)
 class TimeAffine:
-    """x -> M(t) x + c(t), entries Curves with constant coefficients: the flow of
-    an affine vector field, or an AffineDiffeo as the t^0 case."""
+    """x -> M(t) x + c(t) as the homogeneous rows [[1, 0], [c(t), M(t)]],
+    entries Curves with constant coefficients: the flow of an affine vector
+    field, or an AffineDiffeo as the t^0 case."""
 
-    matrix: Matrix
-    translation: list[Curve]
+    rows: Matrix
+
+    @property
+    def matrix(self) -> Matrix:
+        return [row[1:] for row in self.rows[1:]]
 
     def transposed(self) -> Matrix:
         return [list(column) for column in zip(*self.matrix)]
@@ -488,26 +503,34 @@ def _coordinate_images(phi: TimeAffine) -> list[Curve]:
     for :func:`transport`: the pull-back by phi passes these images and
     phi.matrix as legs; the push-forward by phi passes the images of its
     inverse and phi.transposed()."""
-    m = len(phi.matrix)
-    # (c | M) times the column (1, x_1, .., x_m): each image starts from c
+    m = len(phi.rows) - 1
+    # the rows (c | M) times the column (1, x_1, .., x_m): each image starts from c
     column = [[{0: {(0,) * m: 1}}]]
     column += [[{0: {tuple(int(v == j) for v in range(m)): 1}}] for j in range(m)]
-    affine = [[c, *row] for c, row in zip(phi.translation, phi.matrix)]
-    return [image for image, in _mat_mul(affine, column)]
+    return [image for image, in _mat_mul(phi.rows[1:], column)]
 
 
 class AffineDiffeo:
-    """x -> A x + b with an invertible rational matrix A."""
+    """x -> A x + b with an invertible rational matrix A, stored as the
+    homogeneous matrix [[1, 0], [b, A]]."""
 
-    __slots__ = ("matrix", "translation")
+    __slots__ = ("rows",)
 
     def __init__(self, matrix, translation):
-        self.matrix = tuple(tuple(as_fraction(e) for e in row) for row in matrix)
-        self.translation = tuple(as_fraction(e) for e in translation)
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix) or len(self.translation) != n:
+        matrix = [[as_fraction(e) for e in row] for row in matrix]
+        translation = [as_fraction(e) for e in translation]
+        n = len(matrix)
+        if any(len(row) != n for row in matrix) or len(translation) != n:
             raise ValueError("inconsistent affine data")
-        _rational_inverse(self.matrix)  # raises unless A is invertible
+        self.rows = ((1,) + (0,) * n,) + tuple((c, *row) for c, row in zip(translation, matrix))
+        _rational_inverse(self.rows)  # raises unless A is invertible
+
+    @staticmethod
+    def _of(rows) -> "AffineDiffeo":
+        """The map of a homogeneous matrix known to be invertible."""
+        new = AffineDiffeo.__new__(AffineDiffeo)
+        new.rows = tuple(tuple(as_fraction(e) for e in row) for row in rows)
+        return new
 
     @staticmethod
     def identity(m: int) -> "AffineDiffeo":
@@ -517,47 +540,22 @@ class AffineDiffeo:
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self.rows) - 1
 
     def inverse(self) -> "AffineDiffeo":
-        inv = _rational_inverse(self.matrix)
-        trans = tuple(
-            -sum(inv[i][j] * self.translation[j] for j in range(self.dim))
-            for i in range(self.dim)
-        )
-        return AffineDiffeo(inv, trans)
+        return AffineDiffeo._of(_rational_inverse(self.rows))
 
     def compose(self, other: "AffineDiffeo") -> "AffineDiffeo":
         """self after other."""
-        n = self.dim
-        matrix = [
-            [sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        trans = [
-            sum(self.matrix[i][k] * other.translation[k] for k in range(n))
-            + self.translation[i]
-            for i in range(n)
-        ]
-        return AffineDiffeo(matrix, trans)
+        columns = list(zip(*other.rows))
+        return AffineDiffeo._of([[sum(map(mul, row, col)) for col in columns] for row in self.rows])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffineDiffeo)
-            and self.matrix == other.matrix
-            and self.translation == other.translation
-        )
+        return isinstance(other, AffineDiffeo) and self.rows == other.rows
 
     def _at_t0(self) -> TimeAffine:
         unit = (0,) * self.dim
-
-        def constant(e: Fraction) -> Curve:
-            return {0: {unit: e}} if e else {}
-
-        return TimeAffine(
-            [[constant(e) for e in row] for row in self.matrix],
-            [constant(e) for e in self.translation],
-        )
+        return TimeAffine([[{0: {unit: e}} if e else {} for e in row] for row in self.rows])
 
     def pullback_form(self, w: PolyForm) -> PolyForm:
         """phi^* w: coefficients at phi(x), legs dx_i -> sum_j A_ij dx_j."""
@@ -613,66 +611,41 @@ class UnsupportedVectorFieldError(ValueError):
 
 
 def _flow(x_field: PolyMultivector, time_sign: int) -> TimeAffine:
-    """The time-(sign * t) flow of a vector field A x + b; error beyond affine
-    or when A is not nilpotent (the flow would leave the polynomial world)."""
+    """The time-(sign * t) flow of a vector field A x + b: exp(sign t G) for
+    its generator G = [[0, 0], [b, A]], summed as sum_k (sign t G)^k / k!.
+    G is nilpotent exactly when A is; error beyond affine or when G^{m+1} is
+    not zero (the flow would leave the polynomial world)."""
     m = x_field.dims[0]
-    a_mat = [[0] * m for _ in range(m)]
-    const = [0] * m
+    unit = (0,) * m
+    # sign t G: column 0 holds b, column j + 1 the coefficients of x_j
+    step: Matrix = [[{} for _ in range(m + 1)] for _ in range(m + 1)]
     for (mono, wedge), coef in x_field.terms.items():
         if len(wedge) != 1:
             raise UnsupportedVectorFieldError("flow directions must be vector fields")
-        i = wedge[0]
         total = sum(mono)
-        if total == 0:
-            const[i] += coef
-        elif total == 1:
-            j = next(v for v, e in enumerate(mono) if e)
-            a_mat[i][j] += coef
-        else:
+        if total > 1:
             raise UnsupportedVectorFieldError(
                 "flow directions must be constant or linear with nilpotent matrix part"
             )
-    # the nonzero powers 1, A, A^2, ..; a nilpotent A has A^m = 0
-    powers = [[[int(i == j) for j in range(m)] for i in range(m)]]
-    while True:
-        last = powers[-1]
-        power = [
-            [sum(last[i][r] * a_mat[r][j] for r in range(m)) for j in range(m)]
-            for i in range(m)
-        ]
-        if all(e == 0 for row in power for e in row):
-            break
-        if len(powers) == m:
+        step[wedge[0] + 1][mono.index(1) + 1 if total else 0] = {1: {unit: time_sign * coef}}
+    rows = [[{0: {unit: 1}} if i == j else {} for j in range(m + 1)] for i in range(m + 1)]
+    power, k = step, 1
+    while any(any(row) for row in power):
+        if k > m:
             raise UnsupportedVectorFieldError("matrix part of the flow is not nilpotent")
-        powers.append(power)
-    unit = (0,) * m
-    # exp(sign t A) = sum_k (sign t)^k A^k / k!
-    matrix = [
-        [
-            {
-                k: {unit: as_fraction(Fraction(time_sign**k, math.factorial(k)) * a_k[i][j])}
-                for k, a_k in enumerate(powers)
-                if a_k[i][j]
-            }
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    # integral of exp(sign u A) b du from 0 to (sign t):
-    # translation(t) = sum_k sign^{k+1} t^{k+1} A^k b / (k+1)!
-    translation: list[Curve] = [{} for _ in range(m)]
-    for k, a_k in enumerate(powers):
-        for i in range(m):
-            value = sum(a_k[i][r] * const[r] for r in range(m))
-            if value:
-                coef = Fraction(time_sign ** (k + 1), math.factorial(k + 1))
-                translation[i][k + 1] = {unit: as_fraction(coef * value)}
-    return TimeAffine(matrix, translation)
+        # (sign t G)^k lives at t^k alone: add its entries over k!
+        scale = Fraction(1, math.factorial(k))
+        for row, power_row in zip(rows, power):
+            for entry, curve in zip(row, power_row):
+                if curve:
+                    entry[k] = {unit: as_fraction(curve[k][unit] * scale)}
+        power, k = _mat_mul(power, step), k + 1
+    return TimeAffine(rows)
 
 
 def _reversed(phi: TimeAffine) -> TimeAffine:
-    """phi with t -> -t: the odd powers of every matrix and translation Curve
-    negate, so the time-t flow comes from the time-(-t) one."""
+    """phi with t -> -t: the odd powers of every entry negate, so the time-t
+    flow comes from the time-(-t) one."""
 
     def flip(curve: Curve) -> Curve:
         return {
@@ -680,19 +653,17 @@ def _reversed(phi: TimeAffine) -> TimeAffine:
             for k, poly in curve.items()
         }
 
-    return TimeAffine(
-        [[flip(entry) for entry in row] for row in phi.matrix],
-        [flip(c) for c in phi.translation],
-    )
+    return TimeAffine([[flip(entry) for entry in row] for row in phi.rows])
 
 
 def _gauge_form_curve(
-    b: PolyForm, x_field: PolyMultivector, h: PolyForm
+    b: PolyForm, x_field: PolyMultivector, h: PolyForm, db: PolyForm
 ) -> dict[int, PolyForm]:
-    """E_t = B + i_X H - t i_X dB: the 2-form that shears pi along the flow of
-    the gauge field of (B, X) through (H, pi), whose form part is H - t dB."""
+    """E_t = B + i_X H - t i_X dB, from dB: the 2-form that shears pi along
+    the flow of the gauge field of (B, X) through (H, pi), whose form part is
+    H - t dB."""
     curve = {0: b + contract_form(x_field, h)}
-    slope = contract_form(x_field, de_rham(b))
+    slope = contract_form(x_field, db)
     if not slope.is_zero():
         curve[1] = -slope
     return curve
@@ -704,19 +675,18 @@ class FlowCurve:
 
         t |-> ( H - t dB , pushforward by the time-(-t) flow of e^{C_t} pi )
 
-    with C_t = int_0^t (flow_{-s})^* E_s ds and E_s = B + i_X H - s i_X dB.
-    The multivector component is stored as a polynomial numerator curve over a
-    t-polynomial determinant."""
+    with C_t = int_0^t (flow_{-s})^* E_s ds and E_s = B + i_X H - s i_X dB
+    (``e_curve``).  The multivector component is stored as a polynomial
+    numerator curve over a t-polynomial determinant."""
 
     dims: tuple[int, int]
     b_form: PolyForm
     x_field: PolyMultivector
     h_form: PolyForm
-    pi: PolyMultivector
     form_curve: dict[int, PolyForm]
+    e_curve: dict[int, PolyForm]
     mv_numerator: dict[int, PolyMultivector]
     denominator: dict[int, Fraction]
-    c_curve: dict[int, PolyForm]
 
     def form_at(self, t: Fraction) -> PolyForm:
         return _t_eval(self.form_curve, as_fraction(t), PolyForm.zero(self.dims))
@@ -763,9 +733,8 @@ class FlowCurve:
         _t_mac(acc, _t_ddt(n_curve), self.denominator)
         _t_mac(acc, n_curve, _t_ddt(minus_d))
         _t_mac(acc, bracket, minus_d)
-        e_curve = _gauge_form_curve(self.b_form, self.x_field, self.h_form)
         by_wedge: dict[tuple[int, int], list] = {}
-        for p3, e in e_curve.items():
+        for p3, e in self.e_curve.items():
             for (mono, legs), f in e.terms.items():
                 by_wedge.setdefault(legs, []).append((p3, mono, -f))
         contractions: dict[int, dict[int, list]] = {}
@@ -822,13 +791,13 @@ def flow_curve(
     flow_minus = _flow(x_field, -1)
     flow_plus = _reversed(flow_minus)
 
-    e_curve = _gauge_form_curve(b, x_field, h)
+    db = de_rham(b)
+    e_curve = _gauge_form_curve(b, x_field, h, db)
     c_curve = _t_integrate(transport(e_curve, _coordinate_images(flow_minus), flow_minus.matrix))
     numerator, det = _graph_transform(c_curve, {0: pi}, dims[0])
     pushed = transport(numerator, _coordinate_images(flow_plus), flow_minus.transposed())
 
     form_curve = {0: h}
-    db = de_rham(b)
     if not db.is_zero():
         form_curve[1] = -db
 
@@ -837,11 +806,10 @@ def flow_curve(
         b_form=b,
         x_field=x_field,
         h_form=h,
-        pi=pi,
         form_curve=form_curve,
+        e_curve=e_curve,
         mv_numerator=pushed,
         denominator=det,
-        c_curve=c_curve,
     )
 
 

@@ -608,6 +608,65 @@ def test_malformed_polynomial_literal_names_its_file_and_field(
     assert f"input error: {p}: {message}\n" == err
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [("mc", {"element": {"dims": {"base": 2, "fiber": 2}, "terms": [{"coef": 1, "wedge": [3]}]}},
+      'field "element": dims (2, 2) do not match (1, 2) of the quadruple'),
+     ("mc", {"x": {"dims": {"base": 1, "fiber": 3}, "terms": []}},
+      'field "x": dims (1, 3) do not match (1, 2) of the quadruple'),
+     ("mc", {"a": {"dims": {"base": 2, "fiber": 2}, "terms": []}},
+      'field "a": dims (2, 2) do not match (1, 2) of the quadruple'),
+     ("gauge", {"B": {"dims": {"base": 4}, "terms": []}},
+      'field "B": dims (4, 0) do not match (3, 0) of field "pi"'),
+     ("flow", {"B": {"dims": {"base": 4}, "terms": []}},
+      'field "B": dims (4, 0) do not match (3, 0) of field "pi"'),
+     ("flow", {"H": {"dims": {"base": 2}, "terms": []}},
+      'field "H": dims (2, 0) do not match (3, 0) of field "pi"'),
+     ("gauge", {"X": {"dims": {"base": 3, "fiber": 1}, "terms": []}},
+      'field "X": dims (3, 1) do not match (3, 0) of field "pi"'),
+     ("gauge", {"pi": {"dims": {"base": 3, "fiber": 1}, "terms": []}},
+      'field "pi": a point lives on a plain base, got dims (3, 1)')],
+    ids=["coiso-element", "coiso-x", "coiso-a", "gauge-B", "flow-B", "flow-H", "gauge-X",
+         "pi-fiber"],
+)
+def test_polynomial_literal_with_other_dims_names_its_file_and_field(
+    command, payload, message, tmp_path, capsys
+):
+    # these used to print "input error: multivector ambient space mismatch"
+    # or "form ambient space mismatch", naming neither the file nor the field
+    if command != "mc":
+        with open(_data("tpois_gauge.json"), encoding="utf-8") as fh:
+            payload = {**json.load(fh), **payload}
+    p = tmp_path / "literal.json"
+    p.write_text(json.dumps(payload))
+    argv = ["mc", _data("vdata_coiso.json"), str(p)] if command == "mc" else [command, str(p)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    _assert_one_line(captured.err, "input error: ")
+    assert f"input error: {p}: {message}\n" == captured.err
+    assert captured.out == ""
+
+
+def test_maurer_cartan_input_outside_f1_is_an_input_error(tmp_path, capsys):
+    # the fixture's table with a filtration that puts the degree-0 subalgebra
+    # element a in F^0: the depth of a filtration needs inserted elements in F^1
+    with open(_data("vdata_gla_unfiltered.json"), encoding="utf-8") as fh:
+        desc = json.load(fh)
+    desc["filtration"] = {"a": 0, "c": 1, "b": 1, "u": 1, "v": 1, "w": 2}
+    vdata = tmp_path / "vdata_f0.json"
+    vdata.write_text(json.dumps(desc))
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps({"element": [{"coef_num": 1, "coef_den": 1, "basis": "a"}]}))
+    for path in (_data("alpha_mc.json"), str(element)):
+        assert main(["mc", str(vdata), path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        _assert_one_line(captured.err, "input error: ")
+        assert captured.err == (
+            "input error: Maurer-Cartan input must have filtration degree >= 1, got 0\n"
+        )
+
+
 def test_element_payload_shapes():
     from derived_brackets.cli import _element_payload
     from derived_brackets.polygeo import element_to_json as poly_to_json, form, mv

@@ -7,11 +7,13 @@ implementation (a copying sum and product per entry, m! products for the
 determinant, m^2 minors for the adjugate), kept here only as an exact oracle,
 with the scalar polynomial helpers they were built on;
 so are the graph transform on the full m x m matrix, the transport that
-substitutes term by term and the tangency check that contracts once per
-ordered pair of powers of t.
+substitutes term by term, the tangency check that contracts once per
+ordered pair of powers of t, and the affine maps that wrote out their
+translation by hand (the flow's as an integral of the field).
 """
 
 import itertools
+import math
 import os
 import random
 from dataclasses import replace
@@ -48,6 +50,7 @@ from derived_brackets.sampling import (
 from derived_brackets.tpois import (
     AffineDiffeo,
     GraphTransformError,
+    UnsupportedVectorFieldError,
     _adjugate_times,
     _bivector_from_sharp,
     _charpoly,
@@ -55,6 +58,7 @@ from derived_brackets.tpois import (
     _flow,
     _graph_transform,
     _mat_mul,
+    _rational_inverse,
     _reversed,
     _t_ddt,
     _t_mac,
@@ -64,6 +68,7 @@ from derived_brackets.tpois import (
     flow_curve,
     gauge_Y,
     generator_match,
+    group_mul,
     is_twisted_poisson,
     tpois_linfty,
 )
@@ -536,6 +541,195 @@ def test_transport_matches_the_per_term_substitution():
     assert min(seen.values()) >= 3, seen
 
 
+# -- affine maps in homogeneous coordinates ---------------------------------------------------
+
+
+def parent_flow(x_field, time_sign):
+    """The former _flow, as (matrix, translation) of Curves: the powers of A
+    on rational lists, exp(sign t A) with 1/k! built per entry, and the
+    translation as the integral of exp(sign u A) b from 0 to sign t."""
+    m = x_field.dims[0]
+    a_mat = [[0] * m for _ in range(m)]
+    const = [0] * m
+    for (mono, wedge), coef in x_field.terms.items():
+        if len(wedge) != 1:
+            raise UnsupportedVectorFieldError("flow directions must be vector fields")
+        i = wedge[0]
+        total = sum(mono)
+        if total == 0:
+            const[i] += coef
+        elif total == 1:
+            j = next(v for v, e in enumerate(mono) if e)
+            a_mat[i][j] += coef
+        else:
+            raise UnsupportedVectorFieldError(
+                "flow directions must be constant or linear with nilpotent matrix part"
+            )
+    powers = [[[int(i == j) for j in range(m)] for i in range(m)]]
+    while True:
+        last = powers[-1]
+        power = [
+            [sum(last[i][r] * a_mat[r][j] for r in range(m)) for j in range(m)]
+            for i in range(m)
+        ]
+        if all(e == 0 for row in power for e in row):
+            break
+        if len(powers) == m:
+            raise UnsupportedVectorFieldError("matrix part of the flow is not nilpotent")
+        powers.append(power)
+    unit = (0,) * m
+    matrix = [
+        [
+            {
+                k: {unit: as_fraction(Fraction(time_sign**k, math.factorial(k)) * a_k[i][j])}
+                for k, a_k in enumerate(powers)
+                if a_k[i][j]
+            }
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+    translation = [{} for _ in range(m)]
+    for k, a_k in enumerate(powers):
+        for i in range(m):
+            value = sum(a_k[i][r] * const[r] for r in range(m))
+            if value:
+                coef = Fraction(time_sign ** (k + 1), math.factorial(k + 1))
+                translation[i][k + 1] = {unit: as_fraction(coef * value)}
+    return matrix, translation
+
+
+class ParentAffine:
+    """The former AffineDiffeo's data, inverse and composition: a rational
+    (matrix, translation) pair with the translation written out by hand."""
+
+    def __init__(self, matrix, translation):
+        self.matrix = tuple(tuple(as_fraction(e) for e in row) for row in matrix)
+        self.translation = tuple(as_fraction(e) for e in translation)
+
+    def inverse(self):
+        inv = _rational_inverse(self.matrix)
+        n = len(self.matrix)
+        trans = tuple(
+            -sum(inv[i][j] * self.translation[j] for j in range(n)) for i in range(n)
+        )
+        return ParentAffine(inv, trans)
+
+    def compose(self, other):
+        n = len(self.matrix)
+        matrix = [
+            [sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        trans = [
+            sum(self.matrix[i][k] * other.translation[k] for k in range(n))
+            + self.translation[i]
+            for i in range(n)
+        ]
+        return ParentAffine(matrix, trans)
+
+    def homogeneous(self):
+        n = len(self.matrix)
+        return ((1,) + (0,) * n,) + tuple(
+            (c, *row) for c, row in zip(self.translation, self.matrix)
+        )
+
+
+def oracle_field(rng, m, kind):
+    """The zero field, a constant one, or one whose linear part is strictly
+    triangular in a shuffled basis (nilpotent, of varying index), with
+    fractional coefficients."""
+    dims = (m, 0)
+    x = PolyMultivector.zero(dims)
+    if kind == "zero":
+        return x
+    for i in range(m):
+        if rng.randrange(4):
+            x = x + mv(dims, Fraction(rng.randint(-3, 3), rng.randint(1, 3)), None, (i,))
+    if kind == "linear":
+        order = rng.sample(range(m), m)
+        density = rng.choice([0.15, 0.4, 1.0])
+        for a in range(m):
+            for b in range(a + 1, m):
+                if rng.random() < density:
+                    x_b = tuple(int(v == order[b]) for v in range(m))
+                    coef = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+                    x = x + mv(dims, coef, x_b, (order[a],))
+    return x
+
+
+def test_flow_matches_the_translation_integral():
+    rng = random.Random(59)
+    indices = set()
+    fields = 0
+    for m in range(1, 9):
+        for kind in ("zero", "constant", "linear", "linear"):
+            for _ in range(10):
+                x = oracle_field(rng, m, kind)
+                for sign in (-1, 1):
+                    matrix, translation = parent_flow(x, sign)
+                    phi = _flow(x, sign)
+                    got = (phi.matrix, [row[0] for row in phi.rows[1:]])
+                    assert got == (matrix, translation)
+                    assert repr(got) == repr((matrix, translation))
+                    assert repr(phi.rows[0]) == repr([{0: {(0,) * m: 1}}] + [{}] * m)
+                    assert phi.transposed() == [list(c) for c in zip(*matrix)]
+                # the nilpotency index of A: one more than the top power of t
+                indices.add(1 + max((max(e) for row in matrix for e in row if e), default=0))
+                fields += 1
+    assert fields >= 300 and {1, 2, 3, 4} <= indices, (fields, indices)
+    # both reject a matrix part that is not nilpotent, and a field beyond affine
+    for m in (1, 2, 4):
+        dims = (m, 0)
+        x_0 = (1,) + (0,) * (m - 1)
+        rejected = [mv(dims, 1, x_0, (0,)), mv(dims, 2, (2,) + (0,) * (m - 1), (0,))]
+        if m > 1:  # a rotation
+            rejected.append(mv(dims, 1, x_0, (m - 1,)) + mv(dims, -1, x_0[::-1], (0,)))
+        for x in rejected:
+            with pytest.raises(UnsupportedVectorFieldError) as expected:
+                parent_flow(x, -1)
+            with pytest.raises(UnsupportedVectorFieldError) as got:
+                _flow(x, -1)
+            assert str(got.value) == str(expected.value)
+
+
+def test_affine_maps_match_the_translation_formulas():
+    rng = random.Random(60)
+    maps = 0
+    fractional = 0
+    for m in range(1, 6):
+        dims = (m, 0)
+        for _ in range(25):
+            pair = []
+            while len(pair) < 2:
+                matrix = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+                          for _ in range(m)]
+                translation = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]
+                try:
+                    pair.append((AffineDiffeo(matrix, translation),
+                                 ParentAffine(matrix, translation)))
+                except ValueError:
+                    continue
+            (p, p_old), (q, q_old) = pair
+            for got, expected in [(p.inverse(), p_old.inverse()),
+                                  (p.compose(q), p_old.compose(q_old)),
+                                  (q.inverse().compose(p), q_old.inverse().compose(p_old))]:
+                assert got.rows == expected.homogeneous()
+                assert repr(got.rows) == repr(expected.homogeneous())
+                assert got == AffineDiffeo(expected.matrix, expected.translation)
+            assert p.compose(p.inverse()) == AffineDiffeo.identity(m)
+            b1 = random_form(rng, dims, min(2, m), 1)
+            b2 = random_form(rng, dims, min(2, m), 1)
+            b, phi = group_mul(b1, p, b2, q)
+            inverse = p_old.inverse()
+            expected = b1 + AffineDiffeo(inverse.matrix, inverse.translation).pullback_form(b2)
+            assert b == expected and repr(b) == repr(expected)
+            assert repr(phi.rows) == repr(p_old.compose(q_old).homogeneous())
+            maps += 2
+            fractional += any(type(c) is Fraction for c in p_old.inverse().translation)
+    assert maps >= 200 and fractional >= 60, (maps, fractional)
+
+
 # -- the tangency check -----------------------------------------------------------------------
 
 
@@ -654,6 +848,28 @@ def test_ode_residual_matches_the_ordered_pair_loop():
                     seen["sheared" if sheared else "unsheared"] += 1
                     seen["t_determinant"] += len(curve.denominator) > 1
     assert curves >= 200 and min(seen.values()) >= 10, (curves, seen)
+
+
+def test_flow_curve_builds_its_gauge_form_once(monkeypatch):
+    """E_t = B + i_X H - t i_X dB is built once, by flow_curve, and the
+    tangency check reads it back: one dB and the two contractions in all
+    (three and four when flow_curve took dB twice and ode_residual rebuilt
+    E_t)."""
+    calls = {"de_rham": 0, "contract_form": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(tpois, name, wrapper)
+
+    counted("de_rham", tpois.de_rham)
+    counted("contract_form", tpois.contract_form)
+    h, pi, b, x = spatial_point(4)
+    curve = flow_curve(b, x, h, pi)
+    assert curve.ode_residual() == {}
+    assert calls == {"de_rham": 1, "contract_form": 2}
+    assert curve.e_curve == {0: b + contract_form(x, h), 1: -contract_form(x, de_rham(b))}
 
 
 # -- wider verified dimensions ---------------------------------------------------------------

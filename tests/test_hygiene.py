@@ -223,3 +223,68 @@ def test_the_reference_scan_flags_stale_definitions():
         "    assert copied() == 2 and user(1) == 1\n"
     )}
     assert _unreferenced(package, others) == ["pkg/mod.py:3: recursive", "pkg/mod.py:5: copied"]
+
+
+# -- every dataclass field is read ---------------------------------------------------------
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields(package: dict[str, ast.Module], others: dict[str, ast.Module]) -> list[str]:
+    """``file:line: Class.field`` of each field of a dataclass of a package
+    module that no file reads as an attribute: a field that is only written,
+    by the constructor or ``dataclasses.replace``, carries nothing."""
+    read = {
+        node.attr
+        for tree in (*package.values(), *others.values())
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, tree in package.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                unread += [
+                    f"{module}:{field.lineno}: {node.name}.{field.target.id}"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                    and field.target.id not in read
+                ]
+    return unread
+
+
+def test_every_dataclass_field_is_read():
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    demos_dir = os.path.join(os.path.dirname(tests_dir), "demos")
+    package = _parsed(PACKAGE_DIR)
+    others = {**_parsed(tests_dir), **_parsed(demos_dir)}
+    assert "derived_brackets/tpois.py" in package and "tests/test_graph_transform.py" in others
+    assert _unread_fields(package, others) == []
+
+
+def test_the_field_scan_flags_unread_fields():
+    package = {"pkg/mod.py": ast.parse(
+        "from dataclasses import dataclass, replace\n"
+        "@dataclass(frozen=True)\n"
+        "class Frozen:\n    read: int\n    built: int\n    replaced: int\n"
+        "@dataclass\n"
+        "class Plain:\n    written: int\n    def total(self):\n        return self.used\n"
+        "    used: int = 0\n"
+        "class NotData:\n    ignored: int\n"
+        "def make(p):\n"
+        "    p.written = 1\n"
+        "    return replace(Frozen(read=1, built=2, replaced=3), replaced=4)\n"
+    )}
+    others = {"tests/test_mod.py": ast.parse(
+        "def test_it(f):\n    assert f.read == 1\n"
+    )}
+    assert _unread_fields(package, others) == [
+        "pkg/mod.py:5: Frozen.built", "pkg/mod.py:6: Frozen.replaced",
+        "pkg/mod.py:9: Plain.written",
+    ]
