@@ -21,8 +21,8 @@ import json
 import os
 import sys
 
-from .gla import LinearMap, basis_filtration, chain_depth, element_from_json, element_to_json
-from .gla import gla_from_json, verify_gla
+from .gla import LinearMap, element_from_json, element_to_json, gla_from_json, table_vdata
+from .gla import verify_gla
 from .graded import HomElt, json_field, json_int, json_of
 from .linfty import MCError, NonTerminatingSeriesError, mc_residual
 from .polygeo import (
@@ -37,15 +37,7 @@ from .polygeo import (
 from .sampling import RunConfig, fixture_vdata
 from .suites import SUITE_NAMES, run_suite
 from .tpois import TPoisElement, flow_curve, gauge_Y, tpois_linfty
-from .vdata import (
-    BigElt,
-    Filtration,
-    VData,
-    big_algebra,
-    small_algebra,
-    twist_vdata,
-    validate_vdata,
-)
+from .vdata import BigElt, VData, big_algebra, small_algebra, twist_vdata, validate_vdata
 
 
 class InputError(Exception):
@@ -95,31 +87,14 @@ def _gla_backed_vdata(desc: dict, path: str) -> VData:
     for name in a_names:
         images.setdefault(name, space.gen(name))
     delta = element_from_json(space, json_field(desc, path, "delta"), f'{path}: field "delta"')
-    filtration = None
+    fdeg = None
     if "filtration" in desc:
-        fdeg, depth = basis_filtration({
+        fdeg = {
             k: json_int(vv, f"{path}: filtration degree of {k!r}")
             for k, vv in json_field(desc, path, "filtration", dict).items()
-        })
-        filtration = Filtration(degree=fdeg)
-    else:
-        depth = chain_depth(algebra, a_names)
-
-    return VData(
-        bracket=algebra.bracket,
-        degree=lambda x: x.degree(),
-        components=lambda x: x.components(),
-        project=LinearMap(space, images),
-        delta=delta,
-        zero=space.zero(),
-        in_a=lambda x: all(n in a_names for n in x.terms),
-        sample_basis=tuple(algebra.basis_elements()),
-        a_basis=tuple(space.gen(n) for n in a_names),
-        curved=bool(desc.get("curved", False)),
-        filtration=filtration,
-        depth=depth,
-        name=desc.get("name", "gla-backed"),
-    )
+        }
+    return table_vdata(algebra, a_names, delta, LinearMap(space, images), fdeg,
+                       desc.get("name", "gla-backed"))
 
 
 def _literal(reader, data: dict, path: str, name: str, dims=None, owner: str = ""):

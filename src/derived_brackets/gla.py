@@ -4,6 +4,7 @@ Structure constants are stored only for basis pairs (i, j) with i <= j; the
 reversed entry is produced by the graded antisymmetry sign, so inconsistent
 tables cannot be entered.  Validation (degree additivity, antisymmetry on the
 even diagonal, graded Jacobi) is report-based, never exception-based.
+:func:`table_vdata` builds a quadruple on such an algebra.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Callable
 
 from .graded import GradedSpace, HomElt, json_field, json_int, json_of
 from .linfty import NonTerminatingSeriesError
+from .vdata import Filtration, VData
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,11 @@ class StructureGLA:
     """Graded Lie algebra on a finite graded basis, defined by a table
     (i, j) -> [b_i, b_j] for i <= j in basis order.
 
-    Reversed entries are folded in through the antisymmetry sign, so the
-    stored table cannot be antisymmetry-inconsistent; loaders may attach
-    ``input_conflicts`` describing contradictions found in raw input, which
-    :func:`verify_gla` then reports.
+    A pair may be given in either order; a reversed entry is folded in
+    through the antisymmetry sign, so the stored table cannot be
+    antisymmetry-inconsistent.  When a pair is given in both orders, the
+    first-listed order wins, and a reverse entry that disagrees with it is
+    recorded in ``input_conflicts``, which :func:`verify_gla` reports.
 
     ``table`` holds the folded pairs i <= j (JSON output, equality and
     hashing read it).  Construction also unfolds it once into signed rows
@@ -73,8 +76,6 @@ class StructureGLA:
     denominators): the entry for (j, i) carries the antisymmetry sign
     -(-1)^{|b_i||b_j|}, and a diagonal entry is stored as given, so an
     even-diagonal violation stays visible to :func:`verify_gla`."""
-
-    input_conflicts: tuple = ()
 
     def __init__(self, space: GradedSpace, table: dict[tuple[str, str], HomElt]):
         self.space = space
@@ -85,16 +86,21 @@ class StructureGLA:
                 raise KeyError(f"bracket entry uses unknown basis name ({left}, {right})")
             if value.space != space:
                 raise ValueError("bracket value lives in a different space")
-            if index[left] > index[right]:
-                # normalize to i <= j: [b_i, b_j] = -(-1)^{|b_i||b_j|} [b_j, b_i]
-                dl = space.degree_of(left)
-                dr = space.degree_of(right)
-                key = (right, left)
-                value = value.scale(-(Fraction(-1) ** ((dl * dr) % 2)))
-                stored[key] = stored.get(key, space.zero()) + value
-            else:
-                stored[(left, right)] = stored.get((left, right), space.zero()) + value
+        conflicts: list[Violation] = []
+        for (left, right), value in table.items():
+            key = (left, right) if index[left] <= index[right] else (right, left)
+            if key in stored:
+                continue  # the reverse of a pair listed earlier, compared there
+            # [b_j, b_i] = -(-1)^{|b_i||b_j|} [b_i, b_j]
+            sign = 1 if space.degree_of(left) * space.degree_of(right) % 2 else -1
+            reverse = table.get((right, left)) if left != right else None
+            if reverse is not None and reverse != value.scale(sign):
+                conflicts.append(
+                    Violation("antisymmetry", (right, left), repr(reverse - value.scale(sign)))
+                )
+            stored[key] = value if key == (left, right) else value.scale(sign)
         self.table = {k: v for k, v in stored.items() if not v.is_zero()}
+        self.input_conflicts = tuple(conflicts)
         den = lcm(*(c.denominator for v in self.table.values() for c in v.terms.values()))
         rows: dict[str, dict[str, tuple]] = {}
         for (left, right), value in self.table.items():
@@ -206,7 +212,7 @@ def verify_gla(algebra: StructureGLA) -> GlaReport:
             if not diag.is_zero():
                 violations.append(Violation("antisymmetry", (name, name), repr(diag)))
 
-    violations.extend(getattr(algebra, "input_conflicts", ()))
+    violations.extend(algebra.input_conflicts)
 
     for an in names:
         da = space.degree_of(an)
@@ -376,6 +382,42 @@ def chain_depth(algebra: StructureGLA, a_names: tuple[str, ...]) -> Callable[[Ho
     return depth
 
 
+def table_vdata(
+    algebra: StructureGLA,
+    a_names: tuple[str, ...],
+    delta: HomElt,
+    project: Callable[[HomElt], HomElt],
+    fdeg: dict[str, int] | None = None,
+    name: str = "",
+) -> VData:
+    """The quadruple (algebra, span(a_names), project, delta) on a
+    structure-constant algebra.  The caller supplies only the projection;
+    the bracket, grading, zero, subalgebra test and sample bases come from
+    the table.  With ``fdeg`` (filtration degree per basis name) the depth is
+    :func:`basis_filtration`'s, otherwise :func:`chain_depth`'s."""
+    space = algebra.space
+    filtration = None
+    if fdeg is None:
+        depth = chain_depth(algebra, a_names)
+    else:
+        degree, depth = basis_filtration(fdeg)
+        filtration = Filtration(degree=degree)
+    return VData(
+        bracket=algebra.bracket,
+        degree=lambda x: x.degree(),
+        components=lambda x: x.components(),
+        project=project,
+        delta=delta,
+        zero=space.zero(),
+        in_a=lambda x: all(n in a_names for n in x.terms),
+        sample_basis=tuple(algebra.basis_elements()),
+        a_basis=tuple(space.gen(n) for n in a_names),
+        filtration=filtration,
+        depth=depth,
+        name=name,
+    )
+
+
 # -- JSON interchange ---------------------------------------------------------
 #
 # { "basis": [{"name": .., "degree": ..}, ..],
@@ -431,43 +473,16 @@ def gla_from_json(data: dict, where: str = "gla") -> StructureGLA:
         name = json_field(json_of(dict, b, at), at, "name", str)
         basis.append((name, json_int(json_field(b, at, "degree"), f"{at}: degree of {name!r}")))
     space = GradedSpace.of(basis)
-    raw: dict[tuple[str, str], HomElt] = {}
+    table: dict[tuple[str, str], HomElt] = {}
     for k, entry in enumerate(json_of(list, data.get("brackets", []), f'{where}: field "brackets"'), 1):
         at = f"{where}, bracket entry {k}"
         json_of(dict, entry, at)
         key = (json_field(entry, at, "left", str), json_field(entry, at, "right", str))
         value = element_from_json(space, json_field(entry, at, "result"), f'{at}: field "result"')
-        if key in raw:
-            value = value + raw[key]
-        raw[key] = value
-
-    # a file listing both orders of a pair must list them consistently; the
-    # folded table cannot represent the contradiction, so detect and record it
-    conflicts: list[Violation] = []
-    table: dict[tuple[str, str], HomElt] = {}
-    order = {name: k for k, name in enumerate(space.names())}
-    handled: set[tuple[str, str]] = set()
-    for (left, right), value in raw.items():
-        lo, hi = sorted((left, right), key=lambda n: order[n])
-        if (lo, hi) in handled:
-            continue
-        handled.add((lo, hi))
-        reverse = (right, left)
-        if left != right and reverse in raw:
-            dl = space.degree_of(left)
-            dr = space.degree_of(right)
-            expected = value.scale(-(Fraction(-1) ** ((dl * dr) % 2)))
-            if raw[reverse] != expected:
-                conflicts.append(
-                    Violation("antisymmetry", reverse, repr(raw[reverse] - expected))
-                )
-            table[(left, right)] = value  # the first-listed order wins
-        else:
-            table[(left, right)] = value
-
-    algebra = StructureGLA(space, table)
-    algebra.input_conflicts = tuple(conflicts)
-    return algebra
+        if key in table:
+            value = value + table[key]
+        table[key] = value
+    return StructureGLA(space, table)
 
 
 def sample_gla() -> StructureGLA:

@@ -612,28 +612,30 @@ def element_to_json(u: _WedgeElement) -> dict:
 # -- the coisotropic quadruple -------------------------------------------------------
 
 
-def vertical_sample_basis(dims: tuple[int, int], max_arity: int = 2) -> list[PolyMultivector]:
-    """Fiberwise-constant vertical multivectors with affine base coefficients."""
+def vertical_sample_basis(dims: tuple[int, int]) -> list[PolyMultivector]:
+    """Fiberwise-constant vertical multivectors and bivectors with affine base
+    coefficients."""
     m, k = dims
     out = []
     monos = [unit_mono(dims)]
     for i in range(m):
         monos.append(tuple(1 if t == i else 0 for t in range(m + k)))
-    for arity in range(1, max_arity + 1):
+    for arity in (1, 2):
         for wedge in itertools.combinations(range(m, m + k), arity):
             for mono in monos:
                 out.append(mv(dims, 1, mono, wedge))
     return out
 
 
-def multivector_sample_basis(dims: tuple[int, int], max_arity: int = 2) -> list[PolyMultivector]:
-    """A small spanning sample of low-degree multivectors for validation."""
+def multivector_sample_basis(dims: tuple[int, int]) -> list[PolyMultivector]:
+    """A small spanning sample for validation: functions, vector fields and
+    bivectors with affine coefficients."""
     m, k = dims
     out = []
     monos = [unit_mono(dims)]
     for var in range(m + k):
         monos.append(tuple(1 if t == var else 0 for t in range(m + k)))
-    for arity in range(0, max_arity + 1):
+    for arity in (0, 1, 2):
         for wedge in itertools.combinations(range(m + k), arity):
             for mono in monos:
                 elt = mv(dims, 1, mono, wedge)
@@ -653,7 +655,7 @@ def _coiso_depth(u: PolyMultivector) -> int:
     )
 
 
-def coiso_vdata(pi: PolyMultivector, name: str = ""):
+def coiso_vdata(pi: PolyMultivector):
     """Quadruple for simultaneous deformations of a fiberwise polynomial
     Poisson bivector and of the zero section C = {p = 0}:
 
@@ -699,8 +701,7 @@ def coiso_vdata(pi: PolyMultivector, name: str = ""):
         in_a=lambda u: coiso_projection(u) == u,
         sample_basis=tuple(multivector_sample_basis(dims)),
         a_basis=tuple(vertical_sample_basis(dims)),
-        curved=not coiso_projection(pi).is_zero(),
         filtration=Filtration(degree=fdeg),
         depth=_coiso_depth,
-        name=name or f"coisotropic-R{dims[0]}xR{dims[1]}",
+        name=f"coisotropic-R{dims[0]}xR{dims[1]}",
     )

@@ -328,7 +328,6 @@ def standard_courant_vdata(dim: int) -> VData:
         in_a=in_base_image,
         sample_basis=tuple(sample),
         a_basis=a_basis,
-        curved=False,
         filtration=Filtration(degree=lambda f: _filtration_degree(f) - 1),
         depth=_depth,
         name=f"standard-courant-R{dim}",

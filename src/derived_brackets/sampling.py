@@ -12,11 +12,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gla import StructureGLA, basis_filtration
+from .gla import StructureGLA, table_vdata
 from .graded import GradedSpace, HomElt
 from .polygeo import PolyForm, PolyMultivector, fiber_translate, form, mv, schouten
 from .tpois import TPoisElement
-from .vdata import BigElt, Filtration, VData
+from .vdata import BigElt, VData
 
 
 @dataclass(frozen=True)
@@ -101,23 +101,8 @@ def fixture_vdata() -> VData:
     def project(x: HomElt) -> HomElt:
         return HomElt._of(space, {n: cf for n, cf in x.terms.items() if n in a_names})
 
-    fdeg, depth = basis_filtration(_FIXTURE_FDEG)
-
-    return VData(
-        bracket=algebra.bracket,
-        degree=lambda x: x.degree(),
-        components=lambda x: x.components(),
-        project=project,
-        delta=space.gen("u"),
-        zero=space.zero(),
-        in_a=lambda x: all(n in a_names for n in x.terms),
-        sample_basis=tuple(algebra.basis_elements()),
-        a_basis=tuple(space.gen(n) for n in a_names),
-        curved=False,
-        filtration=Filtration(degree=fdeg),
-        depth=depth,
-        name="nilpotent-fixture",
-    )
+    return table_vdata(algebra, a_names, space.gen("u"), project, _FIXTURE_FDEG,
+                       "nilpotent-fixture")
 
 
 def random_fixture_element(rng: random.Random, degree: int) -> HomElt:
@@ -197,12 +182,11 @@ def random_base_poly(rng: random.Random, dims, degree: int, fiber_degree: int = 
     return {mn: c for mn, c in terms.items() if c != 0}
 
 
-def random_multivector(
-    rng: random.Random, dims, arity: int, degree: int, fiber_degree: int | None = None
-) -> PolyMultivector:
+def random_multivector(rng: random.Random, dims, arity: int, degree: int) -> PolyMultivector:
+    """Random arity-vector field whose coefficients have base and fiber
+    degree up to ``degree`` each."""
     m, k = dims
-    if fiber_degree is None:
-        fiber_degree = degree if k else 0
+    fiber_degree = degree if k else 0
     total = PolyMultivector.zero(dims)
     directions = list(itertools.combinations(range(m + k), arity))
     for _ in range(rng.randint(1, 3)):

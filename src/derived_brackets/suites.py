@@ -7,11 +7,12 @@ sample check holds with exact arithmetic; failures carry per-sample witnesses.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from .linfty import gauge_field, relations_residual, twist
-from .polygeo import PolyMultivector, coiso_vdata, mv
+from .polygeo import PolyMultivector, coiso_vdata, de_rham, mv
 from .qgeom import oracle_bracket
 from .sampling import (
     RunConfig,
@@ -32,7 +33,9 @@ from .sampling import (
     random_vertical_section,
 )
 from .tpois import (
+    GraphTransformError,
     TPoisElement,
+    e_b_pi,
     flow_curve,
     gauge_Y,
     generator_match,
@@ -41,8 +44,6 @@ from .tpois import (
     tpois_linfty,
 )
 from .vdata import BigElt, big_algebra, machine_check, small_algebra, twist_vdata
-
-SUITE_NAMES = ("jacobi", "machine", "truc", "oracle", "gauge", "flow")
 
 
 def _report(name: str, config: RunConfig, checks: int, failures: list) -> dict:
@@ -65,8 +66,6 @@ def _coiso_a_sampler(rng, dims, degree, arity=None):
         arity = rng.choice([1, 2])
     out = PolyMultivector.zero(dims)
     m, k = dims
-    import itertools
-
     options = list(itertools.combinations(range(m, m + k), arity))
     if not options:
         return out
@@ -339,9 +338,6 @@ def suite_flow(config: RunConfig) -> dict:
         if df != gf or dm != gm:
             failures.append({"check": "derivative", "sample": k})
         if constant_zero:
-            from .tpois import e_b_pi, GraphTransformError
-            from .polygeo import de_rham
-
             checks += 1
             try:
                 t0 = Fraction(rng.randint(1, 3), rng.randint(1, 3))
@@ -363,6 +359,7 @@ SUITES = {
     "gauge": suite_gauge,
     "flow": suite_flow,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, config: RunConfig) -> dict:

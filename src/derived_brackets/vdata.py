@@ -2,8 +2,9 @@
 
 A quadruple consists of a graded Lie algebra L, an abelian subalgebra a, a
 projection P: L -> a whose kernel is a subalgebra, and a degree-1 element
-Delta with [Delta, Delta] = 0 ("curved" drops the requirement Delta in Ker P).
-From it the small algebra lives on a with brackets
+Delta with [Delta, Delta] = 0.  It is *curved* exactly when Delta is not in
+Ker P (Voronov, math/0304038); the quadruple computes this from its own data
+rather than being told.  From it the small algebra lives on a with brackets
 
     {a_1, .., a_n} = P [ .. [[Delta, a_1], a_2], .., a_n ]      ({} := P Delta
                                                                  when curved)
@@ -73,6 +74,10 @@ class VData:
     proves its depth.  It bounds every series downstream (see
     :func:`_arity_bound`) and depends only on L and a, so deforming or
     twisting the quadruple keeps it.
+
+    ``curved`` is not an argument: it is computed once from the data, as
+    P(Delta) != 0, so ``dataclasses.replace`` (a new projection or Delta)
+    recomputes it.
     """
 
     bracket: Callable[[Elt, Elt], Elt]
@@ -84,10 +89,13 @@ class VData:
     in_a: Callable[[Elt], bool]
     sample_basis: tuple = ()
     a_basis: tuple = ()
-    curved: bool = False
+    curved: bool = dataclasses.field(init=False)
     filtration: Filtration | None = None
     depth: Callable[[Elt], int] | None = None
     name: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "curved", not self.project(self.delta).is_zero())
 
     def adjoint_delta(self, x: Elt) -> Elt:
         return self.bracket(self.delta, x)
@@ -131,8 +139,6 @@ def validate_vdata(v: VData) -> VDataReport:
     square = v.bracket(v.delta, v.delta)
     if not square.is_zero():
         failures.append(("element does not square to zero", repr(square)))
-    if not v.curved and not v.project(v.delta).is_zero():
-        failures.append(("flagged non-curved but P(Delta) != 0", repr(v.project(v.delta))))
 
     return VDataReport(ok=not failures, failures=tuple(failures))
 
@@ -182,13 +188,10 @@ def p_phi(v: VData, phi: Elt) -> Callable[[Elt], Elt]:
 
 def deform_vdata(v: VData, phi: Elt, extra_delta: Elt | None = None, name: str = "") -> VData:
     """The quadruple with projection P_phi and optionally a shifted Delta."""
-    projection = p_phi(v, phi)
-    delta = v.delta if extra_delta is None else v.delta + extra_delta
     return dataclasses.replace(
         v,
-        project=projection,
-        delta=delta,
-        curved=not projection(delta).is_zero(),
+        project=p_phi(v, phi),
+        delta=v.delta if extra_delta is None else v.delta + extra_delta,
         name=name or (f"{v.name}@deformed" if v.name else "deformed"),
     )
 
@@ -291,7 +294,7 @@ def big_algebra(v: VData) -> LInftyOne:
     term.  Within one call a slot that repeats its left neighbour (as in
     m_n(phi, .., phi)) reuses that neighbour's projected chain.
     """
-    if v.curved or not v.project(v.delta).is_zero():
+    if v.curved:
         raise ValueError("the big construction needs a genuine (non-curved) quadruple")
 
     zero_pair = BigElt(v.zero, v.zero)
@@ -367,14 +370,16 @@ def big_algebra(v: VData) -> LInftyOne:
 # -- twisting at the quadruple level ------------------------------------------------
 
 
-def twist_vdata(v: VData, alpha: BigElt, check: bool = True) -> VData:
+def twist_vdata(v: VData, alpha: BigElt) -> VData:
     """Twisted quadruple (L, a, P_{Phi'}, Delta + Delta') for a Maurer-Cartan
-    element alpha = (Delta'[1], Phi') of the big algebra.  A Maurer-Cartan
-    check that cannot be certified raises NonTerminatingSeriesError."""
-    if check:
-        report = mc_residual(big_algebra(v), alpha)
-        if not report.residual.is_zero():
-            raise MCError("twisting requires a Maurer-Cartan element", report.residual)
+    element alpha = (Delta'[1], Phi') of the big algebra.  alpha is always
+    checked: a nonzero residual raises MCError, and a check that cannot be
+    certified raises NonTerminatingSeriesError.  The twisted quadruple is
+    then flat: Delta + Delta' lies in Ker P_{Phi'} by the
+    simultaneous-deformation criterion (:func:`machine_check`)."""
+    report = mc_residual(big_algebra(v), alpha)
+    if not report.residual.is_zero():
+        raise MCError("twisting requires a Maurer-Cartan element", report.residual)
     return deform_vdata(v, alpha.a, extra_delta=alpha.x,
                         name=f"{v.name}@twist" if v.name else "twisted")
 

@@ -91,6 +91,27 @@ def test_mc_reports_termination(files, capsys):
     assert out["flat"] is True
 
 
+def test_mc_on_a_curved_gla_quadruple_reports_its_curvature(tmp_path, capsys):
+    # Delta = e lies in the subalgebra, so P(Delta) = e is the curvature; the
+    # descriptor says nothing about it, and a "curved" key is not read
+    desc = {
+        "kind": "gla",
+        "gla": {"basis": [{"name": "e", "degree": 1}, {"name": "f", "degree": 0}]},
+        "a_basis": ["e", "f"],
+        "delta": [{"coef_num": 1, "basis": "e"}],
+        "filtration": {"e": 1, "f": 1},
+    }
+    element = tmp_path / "element.json"
+    element.write_text(json.dumps({"element": [{"coef_num": 2, "basis": "f"}]}))
+    for flag in ({}, {"curved": False}):
+        vdata = tmp_path / "vdata_curved.json"
+        vdata.write_text(json.dumps({**desc, **flag}))
+        assert main(["--json", "mc", str(vdata), str(element)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["residual"] == [{"basis": "e", "coef_den": 1, "coef_num": 1}]
+        assert out["flat"] is False
+
+
 def test_derived_small_bracket(files, capsys):
     code = main(
         ["--json", "derived", files["vdata_fixture.json"],

@@ -124,6 +124,26 @@ def test_loader_accepts_consistent_reversed_pair():
     assert verify_gla(gla_from_json(data)).ok
 
 
+def test_a_pair_given_in_both_orders_is_folded_once():
+    # the first-listed order wins; a consistent reverse adds nothing
+    space = GradedSpace.of([("h", 0), ("e", 1)])
+    h, e = space.gen("h"), space.gen("e")
+    for table in ({("h", "e"): e, ("e", "h"): -e}, {("e", "h"): -e, ("h", "e"): e}):
+        algebra = StructureGLA(space, table)
+        assert algebra.bracket(h, e) == e and algebra.bracket(e, h) == -e
+        assert algebra.input_conflicts == ()
+        assert algebra == sample_gla() and verify_gla(algebra).ok
+    # a reverse that disagrees is recorded where it was given, and reported
+    algebra = StructureGLA(space, {("h", "e"): e, ("e", "h"): e})
+    assert algebra.bracket(h, e) == e
+    assert algebra.input_conflicts == (Violation("antisymmetry", ("e", "h"), "2*e"),)
+    first_reversed = StructureGLA(space, {("e", "h"): e, ("h", "e"): e})
+    assert first_reversed.bracket(h, e) == -e
+    assert first_reversed.input_conflicts == (Violation("antisymmetry", ("h", "e"), "2*e"),)
+    report = verify_gla(algebra)
+    assert not report.ok and report == verify_gla(_conflicting_reversed_pair())
+
+
 def test_even_diagonal_forced_zero():
     space = GradedSpace.of([("h", 0), ("e", 1)])
     bad = StructureGLA(space, {("h", "h"): space.gen("h")})

@@ -288,3 +288,125 @@ def test_the_field_scan_flags_unread_fields():
         "pkg/mod.py:5: Frozen.built", "pkg/mod.py:6: Frozen.replaced",
         "pkg/mod.py:9: Plain.written",
     ]
+
+
+# -- every defaulted parameter is set somewhere --------------------------------------------
+
+
+def _defaulted_parameters(package: dict[str, ast.Module]):
+    """(file, line, callee name, position or None, parameter) for each
+    parameter with a default of a function or method in the package.  A
+    method is called as ``obj.name`` with its first parameter bound, and an
+    ``__init__`` through its class name; a keyword-only parameter has no
+    position."""
+    def visit(node, owner, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name, module)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list
+                )
+                bound = 1 if owner is not None and not static else 0
+                name = owner if child.name == "__init__" else child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                for index, arg in enumerate(positional[first:], first):
+                    yield module, arg.lineno, name, index - bound, arg.arg
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield module, arg.lineno, name, None, arg.arg
+                yield from visit(child, None, module)
+            else:
+                yield from visit(child, owner, module)
+
+    for module, tree in package.items():
+        yield from visit(tree, None, module)
+
+
+def _unset_defaults(package: dict[str, ast.Module], others: dict[str, ast.Module]) -> list[str]:
+    """``file:line: function.parameter`` of each defaulted parameter that no
+    call in any file passes, by position or by keyword.  Calls are matched by
+    the callee's name; a call with ``*args`` passes every position and one
+    with ``**kwargs`` every keyword, and a function referenced as a value
+    (passed on, stored) counts as passing everything."""
+    positions: dict[str, int] = {}
+    keywords: dict[str, set] = {}
+    as_value: set[str] = set()
+    for tree in (*package.values(), *others.values()):
+        callees = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            callees.add(id(func))
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = 2**30 if starred else len(node.args)
+            positions[name] = max(positions.get(name, 0), count)
+            for kw in node.keywords:
+                keywords.setdefault(name, set()).add(kw.arg)  # None: **kwargs
+        for node in ast.walk(tree):
+            if id(node) in callees or not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                as_value.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                as_value.add(node.attr)
+    unset = []
+    for module, line, name, position, param in _defaulted_parameters(package):
+        passed = (
+            name in as_value
+            or (position is not None and positions.get(name, 0) > position)
+            or param in keywords.get(name, ()) or None in keywords.get(name, ())
+        )
+        if not passed:
+            unset.append(f"{module}:{line}: {name}.{param}")
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    # a default that no caller overrides is a knob nobody turns: a constant
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(tests_dir)
+    package = _parsed(PACKAGE_DIR)
+    others = {
+        **_parsed(tests_dir),
+        **_parsed(os.path.join(root, "demos")),
+        **_parsed(os.path.join(root, "perfbench")),
+    }
+    assert "derived_brackets/sampling.py" in package and "perfbench/workloads.py" in others
+    assert _unset_defaults(package, others) == []
+
+
+def test_the_default_scan_flags_parameters_no_call_sets():
+    package = {"pkg/mod.py": ast.parse(
+        "def by_keyword(x, k=1):\n    return x\n"
+        "def by_position(x, k=1, unset=2):\n    return x\n"
+        "def starred(x, k=1):\n    return x\n"
+        "def passed_on(x, k=1):\n    return x\n"
+        "def keyword_only(x, *, k=1, unset=2):\n    return x\n"
+        "class C:\n"
+        "    def __init__(self, x, k=1, unset=2):\n        self.x = x\n"
+        "    def method(self, x, k=1):\n        return x\n"
+        "    @staticmethod\n"
+        "    def static(x, k=1):\n        return x\n"
+        "def caller(c, args):\n"
+        "    c.method(1, 2)\n"
+        "    c.static(1)\n"
+        "    keyword_only(1, k=2)\n"
+        "    return C(1, 2), by_position(1, 2), starred(*args), use(passed_on)\n"
+    )}
+    others = {"tests/test_mod.py": ast.parse(
+        "def test_it():\n    assert by_keyword(1, k=2) == 1\n"
+    )}
+    assert _unset_defaults(package, others) == [
+        "pkg/mod.py:3: by_position.unset",
+        "pkg/mod.py:9: keyword_only.unset",
+        "pkg/mod.py:12: C.unset",
+        "pkg/mod.py:17: static.k",
+    ]

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import random
@@ -54,7 +55,6 @@ def test_validation_catches_nonabelian_subalgebra():
         in_a=v.in_a,
         sample_basis=v.sample_basis,
         a_basis=v.a_basis + (v.zero.space.gen("u"),),  # u brackets nontrivially
-        curved=False,
     )
     report = validate_vdata(bad)
     assert not report.ok
@@ -73,29 +73,38 @@ def test_validation_catches_non_square_zero_delta():
         in_a=v.in_a,
         sample_basis=v.sample_basis,
         a_basis=v.a_basis,
-        curved=False,
     )
     report = validate_vdata(bad)
     assert not report.ok
     assert any("square" in kind for kind, _ in report.failures)
 
 
-def test_validation_catches_false_curved_flag():
+def test_curvature_is_derived_from_the_data():
     v = fixture_vdata()
-    bad = VData(
-        bracket=v.bracket,
-        degree=v.degree,
-        components=v.components,
-        project=v.project,
-        delta=v.zero.space.gen("b"),  # inside the subalgebra, so P(delta) != 0
-        zero=v.zero,
-        in_a=v.in_a,
-        sample_basis=v.sample_basis,
-        a_basis=v.a_basis,
-        curved=False,
-    )
-    report = validate_vdata(bad)
-    assert any("non-curved" in kind for kind, _ in report.failures)
+    assert not v.curved
+    # b lies in the subalgebra, so P(Delta) = b != 0 and the quadruple is curved
+    curved = dataclasses.replace(v, delta=v.zero.space.gen("b"))
+    assert curved.curved
+    assert not dataclasses.replace(curved, delta=v.delta).curved
+    # a quadruple is never told whether it is curved
+    assert "curved" not in inspect.signature(VData).parameters
+    with pytest.raises(ValueError):
+        dataclasses.replace(v, curved=True)
+
+
+def test_deformed_quadruple_is_curved_exactly_off_the_maurer_cartan_set():
+    rng = random.Random(19)
+    v = fixture_vdata()
+    small = small_algebra(v)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        for phi in (fixture_mc_small(rng), random_fixture_a_element(rng, 0)):
+            deformed = deform_vdata(v, phi)
+            residual = mc_residual(small, phi).residual
+            assert deformed.curved == (not residual.is_zero())
+            assert small_algebra(deformed).curved == deformed.curved
+            seen[deformed.curved] += 1
+    assert seen[True] and seen[False], seen
 
 
 # -- deformed projections ----------------------------------------------------------
@@ -180,7 +189,6 @@ def test_small_brackets_vanish_for_zero_delta():
         in_a=v.in_a,
         sample_basis=v.sample_basis,
         a_basis=v.a_basis,
-        curved=False,
         filtration=v.filtration,
         depth=v.depth,
     )
@@ -204,7 +212,6 @@ def test_big_unary_with_zero_delta_projects():
         in_a=v.in_a,
         sample_basis=v.sample_basis,
         a_basis=v.a_basis,
-        curved=False,
         filtration=v.filtration,
         depth=v.depth,
     )
@@ -254,7 +261,6 @@ def test_big_rejects_curved_quadruple():
         in_a=v.in_a,
         sample_basis=v.sample_basis,
         a_basis=v.a_basis,
-        curved=True,
     )
     with pytest.raises(ValueError):
         big_algebra(curved)
@@ -273,7 +279,6 @@ def test_curved_small_algebra_has_curvature():
         in_a=v.in_a,
         sample_basis=v.sample_basis,
         a_basis=v.a_basis,
-        curved=True,
         filtration=v.filtration,
         depth=v.depth,
     )
@@ -342,7 +347,6 @@ def test_twist_of_zero_delta_recovers_delta():
         in_a=v.in_a,
         sample_basis=v.sample_basis,
         a_basis=v.a_basis,
-        curved=False,
         filtration=v.filtration,
         depth=v.depth,
     )
