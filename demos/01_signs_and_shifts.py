@@ -36,7 +36,6 @@ from derived_brackets.linfty import LInfty, from_antisymmetric
 
 g = sample_gla()  # [h, e] = e with |h| = 0, |e| = 1
 as_family = LInfty(
-    degree=lambda x: x.degree(),
     components=lambda x: x.components(),
     l=lambda k, args: g.bracket(args[0], args[1]) if k == 2 else g.zero(),
     zero=g.zero(),

@@ -65,7 +65,6 @@ from .tpois import (
 )
 from .vdata import (
     BigElt,
-    Filtration,
     VData,
     big_algebra,
     machine_check,

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .graded import GradedSpace, HomElt, json_field, json_int, json_of
 from .linfty import NonTerminatingSeriesError
-from .vdata import Filtration, VData
+from .vdata import VData
 
 
 @dataclass(frozen=True)
@@ -319,7 +319,7 @@ class DGLA:
 
 
 def basis_filtration(fdeg: dict[str, int]) -> tuple[Callable[[HomElt], int], Callable[[HomElt], int]]:
-    """Filtration degree and depth of elements when basis element n sits in
+    """The filtration degree and depth of elements when basis element n sits in
     filtration degree fdeg[n].
 
     An element's filtration degree is the least over its basis terms (large
@@ -400,12 +400,10 @@ def table_vdata(
     if fdeg is None:
         depth = chain_depth(algebra, a_names)
     else:
-        degree, depth = basis_filtration(fdeg)
-        filtration = Filtration(degree=degree)
+        filtration, depth = basis_filtration(fdeg)
     return VData(
         bracket=algebra.bracket,
-        degree=lambda x: x.degree(),
-        components=lambda x: x.components(),
+        components=HomElt.components,
         project=project,
         delta=delta,
         zero=space.zero(),
@@ -465,7 +463,8 @@ def gla_to_json(algebra: StructureGLA) -> dict:
 
 def gla_from_json(data: dict, where: str = "gla") -> StructureGLA:
     """The algebra a JSON table describes; ``where`` names the table in input
-    errors (say, its file)."""
+    errors (say, its file).  A pair listed twice in the same order is an
+    input error naming both entries."""
     json_of(dict, data, where)
     basis = []
     for k, b in enumerate(json_field(data, where, "basis", list), 1):
@@ -474,13 +473,17 @@ def gla_from_json(data: dict, where: str = "gla") -> StructureGLA:
         basis.append((name, json_int(json_field(b, at, "degree"), f"{at}: degree of {name!r}")))
     space = GradedSpace.of(basis)
     table: dict[tuple[str, str], HomElt] = {}
+    entry_of: dict[tuple[str, str], int] = {}
     for k, entry in enumerate(json_of(list, data.get("brackets", []), f'{where}: field "brackets"'), 1):
         at = f"{where}, bracket entry {k}"
         json_of(dict, entry, at)
         key = (json_field(entry, at, "left", str), json_field(entry, at, "right", str))
         value = element_from_json(space, json_field(entry, at, "result"), f'{at}: field "result"')
-        if key in table:
-            value = value + table[key]
+        if key in entry_of:
+            raise ValueError(
+                f"{at}: [{key[0]}, {key[1]}] is already given by bracket entry {entry_of[key]}"
+            )
+        entry_of[key] = k
         table[key] = value
     return StructureGLA(space, table)
 

@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, Mapping
 
 ONE = 1
 MINUS_ONE = -1
-ZERO = 0
 
 
 def as_fraction(value) -> int | Fraction:
@@ -106,6 +105,12 @@ def scale_terms(terms: Mapping, scalar) -> dict:
     """The sparse combination ``terms`` times a nonzero scalar, integral
     products as ints."""
     return settle({key: coef * scalar for key, coef in terms.items()})
+
+
+def degree_of(components: list) -> int | None:
+    """The degree of an element from its ``components``: the degree of its
+    one homogeneous part, or None when it is zero or inhomogeneous."""
+    return components[0][0] if len(components) == 1 else None
 
 
 class Permutation:
@@ -283,20 +288,21 @@ class SparseCombination:
         return not self.terms
 
     def is_homogeneous(self) -> bool:
-        return len(set(map(self._key_degree, self.terms))) <= 1
+        return len(self.components()) <= 1
 
     def degree(self) -> int | None:
         """Degree if homogeneous and nonzero, else None."""
-        degs = set(map(self._key_degree, self.terms))
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        return degree_of(self.components())
 
     def components(self) -> list:
-        """(degree, homogeneous part) pairs by ascending degree."""
+        """(degree, homogeneous part) pairs by ascending degree; a homogeneous
+        element is its own one part, and zero has none."""
+        degrees = list(map(self._key_degree, self.terms))
+        if len(set(degrees)) <= 1:
+            return [(degrees[0], self)] if degrees else []
         by_degree: dict[int, dict] = {}
-        for key, coef in self.terms.items():
-            by_degree.setdefault(self._key_degree(key), {})[key] = coef
+        for (key, coef), d in zip(self.terms.items(), degrees):
+            by_degree.setdefault(d, {})[key] = coef
         return [(d, self._of(self.ambient, t)) for d, t in sorted(by_degree.items())]
 
     def __add__(self, other):
@@ -380,9 +386,6 @@ class HomElt(SparseCombination):
     def _key_body(self, name: str) -> str:
         return name
 
-    def coefficient(self, name: str) -> Fraction:
-        return self.terms.get(name, ZERO)
-
     def __iter__(self) -> Iterator[tuple[str, Fraction]]:
         return iter(sorted(self.terms.items()))
 
@@ -440,39 +443,28 @@ class DirectSum:
 
 
 def direct_sum_grading(cls: type, first: tuple, second: tuple):
-    """The ``(degree, components)`` pair of a :class:`DirectSum` subclass.
+    """The ``components`` of a :class:`DirectSum` subclass: the one grading
+    of the sum, from which :func:`degree_of` reads an element's degree.
 
-    ``first`` and ``second`` are ``(degree, components, offset)`` for the
-    two parts: a part of degree d sits in degree d + offset of the sum.
-    ``degree`` is None on inhomogeneous and zero elements; ``components``
-    lists (degree, homogeneous element) by ascending degree, and pairs a
-    part with the zero of the other part's space where only one part has
-    that degree.
+    ``first`` and ``second`` are ``(components, offset)`` for the two parts:
+    a part of degree d sits in degree d + offset of the sum.  ``components``
+    lists (degree, homogeneous element) by ascending degree.  A homogeneous
+    element is its own one part and zero has none; otherwise a part is paired
+    with the zero of the other part's space where only one part has that
+    degree.
     """
-    (deg1, comps1, off1), (deg2, comps2, off2) = first, second
-
-    def degree(e: DirectSum) -> int | None:
-        degs = set()
-        if not e.first.is_zero():
-            d = deg1(e.first)
-            if d is None:
-                return None
-            degs.add(d + off1)
-        if not e.second.is_zero():
-            d = deg2(e.second)
-            if d is None:
-                return None
-            degs.add(d + off2)
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+    (comps1, off1), (comps2, off2) = first, second
 
     def components(e: DirectSum) -> list[tuple[int, DirectSum]]:
+        parts1, parts2 = comps1(e.first), comps2(e.second)
+        degrees = {d + off1 for d, _ in parts1} | {d + off2 for d, _ in parts2}
+        if len(degrees) <= 1:
+            return [(degrees.pop(), e)] if degrees else []
         by: dict[int, list] = {}
-        for d, part in comps1(e.first):
+        for d, part in parts1:
             by[d + off1] = [part, e.second.scale(0)]
-        for d, part in comps2(e.second):
+        for d, part in parts2:
             by.setdefault(d + off2, [e.first.scale(0), None])[1] = part
         return [(d, cls._of(p, q)) for d, (p, q) in sorted(by.items())]
 
-    return degree, components
+    return components

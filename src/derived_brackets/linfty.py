@@ -13,10 +13,11 @@ carrier's grading.  On top of the evaluator this module provides
 
 Element objects are duck-typed: they must support +, unary -, scalar
 multiplication by an exact scalar (int or Fraction), ``is_zero()`` and
-equality.  Degrees and homogeneous decompositions are supplied by the
-algebra handle, so the same machinery runs over structure-constant algebras,
-polynomial multivector fields, super-polynomial oracles and direct sums
-thereof.
+equality.  The algebra handle supplies one grading, ``components`` (the
+homogeneous decomposition); an element's degree is read from it
+(:func:`~derived_brackets.graded.degree_of`), so the same machinery runs
+over structure-constant algebras, polynomial multivector fields,
+super-polynomial oracles and direct sums thereof.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .graded import decalage_sign, koszul_sign, unshuffles
+from .graded import decalage_sign, degree_of, koszul_sign, unshuffles
 
 Elt = Any
 
@@ -59,9 +60,12 @@ class LInftyOne:
     are drawn from those elements (repetitions allowed); the derived-bracket
     algebras read it off the depth of their quadruple.  None means no bound
     is known: every series over the algebra then raises.
+
+    ``components`` is the algebra's one grading: it lists an element's
+    (degree, homogeneous part) pairs by ascending degree, a homogeneous
+    element being its own one part, and :meth:`degree` reads from it.
     """
 
-    degree: Callable[[Elt], int | None]
     components: Callable[[Elt], list[tuple[int, Elt]]]
     m: Callable[[int, tuple], Elt]
     zero: Elt
@@ -69,13 +73,12 @@ class LInftyOne:
     arity_bound: int | Callable[[tuple], int] | None = None
     name: str = ""
 
+    def degree(self, x: Elt) -> int | None:
+        """Degree of x if it is homogeneous and nonzero, else None."""
+        return degree_of(self.components(x))
+
     def bracket(self, *args: Elt) -> Elt:
         return self.m(len(args), tuple(args))
-
-    def m0(self) -> Elt:
-        if not self.curved:
-            raise ValueError(f"{self.name or 'algebra'} is not curved: no 0-ary bracket")
-        return self.m(0, ())
 
 
 @dataclass(frozen=True)
@@ -89,28 +92,29 @@ class MCReport:
     terminated_by: str  # "bound" | "filtration"
 
 
-def homogeneous_combinations(args: tuple, degree: Callable, components: Callable):
+def homogeneous_combinations(args: tuple, components: Callable):
     """Expand inhomogeneous arguments multilinearly.
 
-    Yields the tuples of homogeneous parts, one part per slot, whose values
-    sum to the value on ``args``; nothing is yielded when an argument is
-    zero.  An argument that is the identical object as its left neighbour
-    shares that neighbour's decomposition, so the repeated slots of
-    m_n(phi, .., phi) hold identical part objects and evaluators can reuse
-    work across them.
+    Yields ``(parts, degrees)``: the tuples of homogeneous parts, one part
+    per slot, whose values sum to the value on ``args``, with the degree of
+    each part.  ``components`` is called once per distinct argument, and
+    nothing is yielded when an argument is zero.  A homogeneous argument is
+    its own part, and an argument that is the identical object as its left
+    neighbour shares that neighbour's decomposition, so the repeated slots
+    of m_n(phi, .., phi) hold identical part objects and evaluators can
+    reuse work across them.
     """
-    parts: list[list[Elt]] = []
+    graded: list[list[tuple[int, Elt]]] = []
     for i, a in enumerate(args):
         if i and a is args[i - 1]:
-            parts.append(parts[-1])
+            graded.append(graded[-1])
             continue
-        if a.is_zero():
+        comps = components(a)
+        if not comps:
             return
-        if degree(a) is not None:
-            parts.append([a])
-        else:
-            parts.append([p for _, p in components(a)])
-    yield from itertools.product(*parts)
+        graded.append(comps)
+    for combo in itertools.product(*graded):
+        yield tuple(p for _, p in combo), [d for d, _ in combo]
 
 
 def _require_homogeneous(algebra: LInftyOne, args: tuple) -> list[int]:
@@ -219,18 +223,21 @@ def twist(algebra: LInftyOne, alpha: Elt, check: bool = True) -> LInftyOne:
     """Twist by a Maurer-Cartan element: the n-th bracket of the twisted
     algebra is sum_k (1/k!) m_{n+k}(alpha, .., alpha, args).
 
-    With ``check`` enabled the Maurer-Cartan membership of alpha is verified
-    first: an :class:`MCError` carrying the residual is raised on failure, and
-    a NonTerminatingSeriesError when the check cannot be certified.
+    The Maurer-Cartan residual r of alpha is always computed (a
+    NonTerminatingSeriesError when it cannot be certified): it is the
+    twisted curvature m_0, so the twisted algebra is curved exactly when r
+    is nonzero.  With ``check`` enabled a nonzero r raises an
+    :class:`MCError` carrying it instead.
     """
     if not alpha.is_zero() and algebra.degree(alpha) != 0:
         raise ValueError("twisting elements must be homogeneous of degree 0")
-    if check:
-        report = mc_residual(algebra, alpha)
-        if not report.residual.is_zero():
-            raise MCError("twist by a non-Maurer-Cartan element", report.residual)
+    residual = mc_residual(algebra, alpha).residual
+    if check and not residual.is_zero():
+        raise MCError("twist by a non-Maurer-Cartan element", residual)
 
     def twisted_m(k: int, args: tuple) -> Elt:
+        if k == 0:
+            return residual
         return _series(algebra, alpha, tuple(args))[0]
 
     # a twisted bracket is a sum of brackets on alpha and its arguments
@@ -244,7 +251,7 @@ def twist(algebra: LInftyOne, alpha: Elt, check: bool = True) -> LInftyOne:
     return dataclasses.replace(
         algebra,
         m=twisted_m,
-        curved=algebra.curved and not check,
+        curved=not residual.is_zero(),
         arity_bound=twisted_bound,
         name=f"twist({algebra.name})" if algebra.name else "twisted",
     )
@@ -270,14 +277,18 @@ def gauge_field(algebra: LInftyOne, z: Elt, at: Elt) -> Elt:
 @dataclass(frozen=True)
 class LInfty:
     """An L-infinity algebra in the antisymmetric convention: brackets l_k of
-    degree 2-k, chi-antisymmetric.  Elements are graded by ``degree``."""
+    degree 2-k, chi-antisymmetric.  Elements are graded by ``components``,
+    as in :class:`LInftyOne`."""
 
-    degree: Callable[[Elt], int | None]
     components: Callable[[Elt], list[tuple[int, Elt]]]
     l: Callable[[int, tuple], Elt]
     zero: Elt
     arity_bound: int | Callable[[tuple], int] | None = None
     name: str = ""
+
+    def degree(self, x: Elt) -> int | None:
+        """Degree of x if it is homogeneous and nonzero, else None."""
+        return degree_of(self.components(x))
 
 
 def from_antisymmetric(v_algebra: LInfty) -> LInftyOne:
@@ -285,18 +296,13 @@ def from_antisymmetric(v_algebra: LInfty) -> LInftyOne:
     m_k = (degree-shift sign) * l_k.  Degree compliance of every l_k value is
     checked on evaluation."""
 
-    def shifted_degree(x: Elt) -> int | None:
-        d = v_algebra.degree(x)
-        return None if d is None else d - 1
-
     def shifted_components(x: Elt) -> list[tuple[int, Elt]]:
         return [(d - 1, part) for d, part in v_algebra.components(x)]
 
     def m(k: int, args: tuple) -> Elt:
         total = v_algebra.zero
-        for combo in homogeneous_combinations(args, v_algebra.degree, v_algebra.components):
-            degrees = [v_algebra.degree(a) for a in combo]
-            value = v_algebra.l(k, tuple(combo))
+        for combo, degrees in homogeneous_combinations(args, v_algebra.components):
+            value = v_algebra.l(k, combo)
             if value.is_zero():
                 continue
             expected = sum(degrees) + 2 - k
@@ -309,7 +315,6 @@ def from_antisymmetric(v_algebra: LInfty) -> LInftyOne:
         return total
 
     return LInftyOne(
-        degree=shifted_degree,
         components=shifted_components,
         m=m,
         zero=v_algebra.zero,
@@ -322,24 +327,18 @@ def from_antisymmetric(v_algebra: LInfty) -> LInftyOne:
 def to_antisymmetric(algebra: LInftyOne) -> LInfty:
     """Inverse converter: the literal inverse of the degree-shift sign rule."""
 
-    def unshifted_degree(x: Elt) -> int | None:
-        d = algebra.degree(x)
-        return None if d is None else d + 1
-
     def unshifted_components(x: Elt) -> list[tuple[int, Elt]]:
         return [(d + 1, part) for d, part in algebra.components(x)]
 
     def l(k: int, args: tuple) -> Elt:
         total = algebra.zero
-        for combo in homogeneous_combinations(args, algebra.degree, algebra.components):
-            degrees = [algebra.degree(a) + 1 for a in combo]
-            value = algebra.m(k, tuple(combo))
+        for combo, degrees in homogeneous_combinations(args, algebra.components):
+            value = algebra.m(k, combo)
             if not value.is_zero():
-                total = total + value.scale(decalage_sign(degrees))
+                total = total + value.scale(decalage_sign([d + 1 for d in degrees]))
         return total
 
     return LInfty(
-        degree=unshifted_degree,
         components=unshifted_components,
         l=l,
         zero=algebra.zero,

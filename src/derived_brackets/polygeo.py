@@ -29,7 +29,6 @@ from fractions import Fraction
 from operator import add
 
 from .graded import (
-    ZERO,
     SparseCombination,
     as_fraction,
     inversion_parity,
@@ -248,9 +247,6 @@ class _WedgeElement(SparseCombination):
         total = super().__add__(other)
         _check_size(total.terms)
         return total
-
-    def coefficient(self, mono: Mono, wedge: Wedge) -> Fraction:
-        return self.terms.get((tuple(mono), tuple(wedge)), ZERO)
 
     def _key_body(self, key: tuple[Mono, Wedge]) -> str:
         mono, wedge = key
@@ -676,7 +672,7 @@ def coiso_vdata(pi: PolyMultivector):
     vanishes (Cattaneo-Felder, math/0309180).  On a bivector mu = pol + 2,
     the bound of the small algebra's Maurer-Cartan series.
     """
-    from .vdata import Filtration, VData
+    from .vdata import VData
 
     jacobiator = schouten(pi, pi)
     if not jacobiator.is_zero():
@@ -693,15 +689,14 @@ def coiso_vdata(pi: PolyMultivector):
 
     return VData(
         bracket=schouten,
-        degree=lambda u: u.degree(),
-        components=lambda u: u.components(),
+        components=PolyMultivector.components,
         project=coiso_projection,
         delta=pi,
         zero=PolyMultivector.zero(dims),
         in_a=lambda u: coiso_projection(u) == u,
         sample_basis=tuple(multivector_sample_basis(dims)),
         a_basis=tuple(vertical_sample_basis(dims)),
-        filtration=Filtration(degree=fdeg),
+        filtration=fdeg,
         depth=_coiso_depth,
         name=f"coisotropic-R{dims[0]}xR{dims[1]}",
     )

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .graded import SparseCombination, as_fraction, inversion_parity, settle
 from .linfty import LInftyOne
 from .polygeo import PolyForm, PolyMultivector
-from .vdata import BigElt, Filtration, VData, big_algebra, restrict
+from .vdata import BigElt, VData, big_algebra, restrict
 
 # term key: (x exponents, P exponents, ascending p indices, ascending v indices)
 Key = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -286,7 +286,7 @@ def _filtration_degree(f: SuperPoly) -> int:
     """#p + (P-degree) - 1, minimized over terms (large on the zero element)."""
     if f.is_zero():
         return 2**30
-    return min(len(p_idx) + sum(P_exp) for (_, P_exp, p_idx, _v) in f.terms)
+    return min(len(p_idx) + sum(P_exp) for (_, P_exp, p_idx, _v) in f.terms) - 1
 
 
 def _depth(f: SuperPoly) -> int:
@@ -308,10 +308,6 @@ def standard_courant_vdata(dim: int) -> VData:
     delta = canonical_delta(dim)
     zero = SuperPoly.zero(dim)
 
-    def degree(f: SuperPoly) -> int | None:
-        d = f.degree()
-        return None if d is None else d - 2
-
     def components(f: SuperPoly) -> list[tuple[int, SuperPoly]]:
         return [(d - 2, part) for d, part in f.components()]
 
@@ -320,7 +316,6 @@ def standard_courant_vdata(dim: int) -> VData:
 
     return VData(
         bracket=super_bracket,
-        degree=degree,
         components=components,
         project=eval_on_base,
         delta=delta,
@@ -328,7 +323,7 @@ def standard_courant_vdata(dim: int) -> VData:
         in_a=in_base_image,
         sample_basis=tuple(sample),
         a_basis=a_basis,
-        filtration=Filtration(degree=lambda f: _filtration_degree(f) - 1),
+        filtration=_filtration_degree,
         depth=_depth,
         name=f"standard-courant-R{dim}",
     )

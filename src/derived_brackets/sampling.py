@@ -29,8 +29,8 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.max_arity > 6:
-            raise ValueError("max_arity is capped at 6")
+        if not 1 <= self.max_arity <= 4:
+            raise ValueError(f"max_arity must be between 1 and 4, got {self.max_arity}")
         if self.max_poly_degree > 6:
             raise ValueError("max_poly_degree is capped at 6")
 

@@ -81,12 +81,11 @@ def suite_jacobi(config: RunConfig) -> dict:
     rng = random.Random(config.seed)
     failures = []
     checks = 0
-    max_arity = min(config.max_arity, 4)
 
     v = fixture_vdata()
     small = small_algebra(v)
     big = big_algebra(v)
-    for n in range(1, max_arity + 1):
+    for n in range(1, config.max_arity + 1):
         for k in range(config.samples):
             args = tuple(random_fixture_a_element(rng, rng.choice([0, 1])) for _ in range(n))
             checks += 1
@@ -100,7 +99,7 @@ def suite_jacobi(config: RunConfig) -> dict:
     # twisted fixture algebra
     alpha = fixture_mc_big(rng)
     twisted = twist(big, alpha)
-    for n in range(1, max_arity + 1):
+    for n in range(1, config.max_arity + 1):
         for k in range(config.samples):
             pargs = tuple(_fixture_pair_sampler(rng) for _ in range(n))
             checks += 1
@@ -112,7 +111,7 @@ def suite_jacobi(config: RunConfig) -> dict:
     cv = coiso_vdata(pi)
     csmall = small_algebra(cv)
     cbig = big_algebra(cv)
-    for n in range(1, max_arity + 1):
+    for n in range(1, config.max_arity + 1):
         for k in range(config.samples):
             args = tuple(
                 _coiso_a_sampler(rng, dims, config.max_poly_degree) for _ in range(n)
@@ -136,7 +135,7 @@ def suite_jacobi(config: RunConfig) -> dict:
 
     m = 3
     algebra = tpois_linfty(m)
-    for n in range(1, max_arity + 1):
+    for n in range(1, config.max_arity + 1):
         for k in range(config.samples):
             args = tuple(
                 random_tpois_element(rng, m, rng.choice([-1, 0, 1]), 2) for _ in range(n)
@@ -205,7 +204,7 @@ def suite_truc(config: RunConfig) -> dict:
         alpha = fixture_mc_big(rng)
         twisted = twist(big, alpha)
         quadruple = big_algebra(twist_vdata(v, alpha))
-        for n in range(1, min(config.max_arity, 4) + 1):
+        for n in range(1, config.max_arity + 1):
             for _ in range(3):
                 args = tuple(_fixture_pair_sampler(rng) for _ in range(n))
                 checks += 1

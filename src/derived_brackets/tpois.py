@@ -99,10 +99,8 @@ class TPoisElement(DirectSum):
 
 # a q-form sits in degree q - 3; an arity-s multivector, graded s - 1 by the
 # Schouten bracket, sits in degree s - 2
-_degree, _components = direct_sum_grading(
-    TPoisElement,
-    (PolyForm.degree, PolyForm.components, -3),
-    (PolyMultivector.degree, PolyMultivector.components, -1),
+_components = direct_sum_grading(
+    TPoisElement, (PolyForm.components, -3), (PolyMultivector.components, -1)
 )
 
 
@@ -127,14 +125,16 @@ def tpois_bracket(n: int, args: tuple[TPoisElement, ...]) -> TPoisElement:
     if n == 1:
         return TPoisElement.of_form(-de_rham(args[0].form_part))
     total = zero
-    for combo in homogeneous_combinations(args, _degree, _components):
-        total = total + _bracket_homogeneous(combo)
+    for combo, degrees in homogeneous_combinations(args, _components):
+        total = total + _bracket_homogeneous(combo, degrees)
     return total
 
 
-def _bracket_homogeneous(combo: tuple[TPoisElement, ...]) -> TPoisElement:
-    """Bracket of n >= 2 homogeneous elements; each slot may still hold both a
-    form and a multivector of the same degree.
+def _bracket_homogeneous(combo: tuple[TPoisElement, ...], degrees: list[int]) -> TPoisElement:
+    """Bracket of n >= 2 homogeneous elements of the given degrees; each slot
+    may still hold both a form and a multivector of that degree, so a
+    nonzero form part has form degree d + 3 and a nonzero multivector part
+    arity d + 2.
 
     Only the live patterns are built, in the order of the full (form,
     multivector) enumeration: the form of slot ``pos`` with the multivectors
@@ -144,7 +144,6 @@ def _bracket_homogeneous(combo: tuple[TPoisElement, ...]) -> TPoisElement:
     """
     n = len(combo)
     total = TPoisElement.zero(combo[0].dims[0])
-    degrees = [_degree(e) for e in combo]
     mvs = [e.mv_part for e in combo]
     mv_zero = [u.is_zero() for u in mvs]
     n_zero = sum(mv_zero)
@@ -152,12 +151,12 @@ def _bracket_homogeneous(combo: tuple[TPoisElement, ...]) -> TPoisElement:
         h = e.form_part
         # c) {H, pi_1, .., pi_{n-1}} needs a form of degree n - 1 at pos,
         # multivectors of arity >= 1 elsewhere (functions contract to zero)
-        if h.is_zero() or n_zero > mv_zero[pos] or h.degree() != n - 1:
+        if h.is_zero() or n_zero > mv_zero[pos] or degrees[pos] + 3 != n - 1:
             continue
-        pis = mvs[:pos] + mvs[pos + 1:]
-        arities = [u.degree() + 1 for u in pis]
+        arities = [d + 2 for d in degrees[:pos] + degrees[pos + 1:]]
         if 0 in arities:
             continue
+        pis = mvs[:pos] + mvs[pos + 1:]
         exponent = sum(a * (n - 1 - i) for i, a in enumerate(arities, start=1))
         # and the Koszul sign for moving the form to the front of the tuple
         exponent += degrees[pos] % 2 * sum(degrees[:pos])
@@ -166,7 +165,7 @@ def _bracket_homogeneous(combo: tuple[TPoisElement, ...]) -> TPoisElement:
             total = total + TPoisElement.of_mv(value.scale(-1 if exponent % 2 else 1))
     if n == 2 and not n_zero:
         # b) {pi1, pi2} = [pi1, pi2] (-1)^{a1 + 1}
-        sign = 1 if mvs[0].degree() % 2 == 0 else -1
+        sign = 1 if degrees[0] % 2 == 1 else -1
         total = total + TPoisElement.of_mv(schouten(mvs[0], mvs[1]).scale(sign))
     return total
 
@@ -182,7 +181,6 @@ def tpois_linfty(m: int) -> LInftyOne:
         return tpois_bracket(k, args)
 
     return LInftyOne(
-        degree=_degree,
         components=_components,
         m=m_eval,
         zero=zero,

@@ -27,9 +27,9 @@ twisted-Poisson carrier Omega[3] (+) X[2] is the same type
 model's oracle already evaluates it: as a BigElt(form image, multivector
 image) of its big algebra.
 
-The backend is abstract: brackets, degrees and projections are supplied as
-callables, so structure-constant algebras, polynomial multivector fields and
-super-polynomial models all plug in here.
+The backend is abstract: brackets, the grading (``components``) and
+projections are supplied as callables, so structure-constant algebras,
+polynomial multivector fields and super-polynomial models all plug in here.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .graded import DirectSum, direct_sum_grading
+from .graded import DirectSum, degree_of, direct_sum_grading
 from .linfty import (
     LInftyOne,
     MCError,
@@ -55,20 +55,17 @@ Elt = Any
 
 
 @dataclass(frozen=True)
-class Filtration:
-    """A complete filtration of L: ``degree`` maps elements to their
-    filtration degree (large on zero), with [F^i, F^j] in F^{i+j}."""
-
-    degree: Callable[[Elt], int]
-
-
-@dataclass(frozen=True)
 class VData:
     """The quadruple, plus enough backend metadata to validate and to bound
     the series appearing downstream.
 
-    ``degree`` is the grading of L.  ``sample_basis`` spans (a sufficient
-    sample of) L for validation; ``a_basis`` spans the relevant part of a.
+    ``components`` is the one grading of L: an element's (degree,
+    homogeneous part) pairs by ascending degree, a homogeneous element being
+    its own one part; :meth:`degree` reads from it.  ``filtration``, when
+    given, maps elements of L to their degree in a complete filtration
+    (large on zero), with [F^i, F^j] in F^{i+j}.  ``sample_basis`` spans (a
+    sufficient sample of) L for validation; ``a_basis`` spans the relevant
+    part of a.
     ``depth(x)``, when provided, is the largest n for which a chain
     [..[x, a_1], .., a_n] of subalgebra elements can be nonzero; each backend
     proves its depth.  It bounds every series downstream (see
@@ -81,7 +78,6 @@ class VData:
     """
 
     bracket: Callable[[Elt, Elt], Elt]
-    degree: Callable[[Elt], int | None]
     components: Callable[[Elt], list[tuple[int, Elt]]]
     project: Callable[[Elt], Elt]
     delta: Elt
@@ -90,12 +86,16 @@ class VData:
     sample_basis: tuple = ()
     a_basis: tuple = ()
     curved: bool = dataclasses.field(init=False)
-    filtration: Filtration | None = None
+    filtration: Callable[[Elt], int] | None = None
     depth: Callable[[Elt], int] | None = None
     name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "curved", not self.project(self.delta).is_zero())
+
+    def degree(self, x: Elt) -> int | None:
+        """Degree of x if it is homogeneous and nonzero, else None."""
+        return degree_of(self.components(x))
 
     def adjoint_delta(self, x: Elt) -> Elt:
         return self.bracket(self.delta, x)
@@ -215,7 +215,6 @@ def small_algebra(v: VData) -> LInftyOne:
         return v.project(current)
 
     return LInftyOne(
-        degree=v.degree,
         components=v.components,
         m=m,
         zero=v.zero,
@@ -246,7 +245,7 @@ def _arity_bound(v: VData, big: bool) -> Callable[[tuple], int] | None:
     depth = v.depth
     if depth is None:
         return None
-    fdeg = v.filtration.degree if v.filtration is not None else None
+    fdeg = v.filtration
     base = functools.cache(lambda: depth(v.delta))
 
     def bound(elements: tuple) -> int:
@@ -299,9 +298,7 @@ def big_algebra(v: VData) -> LInftyOne:
 
     zero_pair = BigElt(v.zero, v.zero)
     # x[1] sits one degree below x; the a part keeps its degree
-    degree, components = direct_sum_grading(
-        BigElt, (v.degree, v.components, -1), (v.degree, v.components, 0)
-    )
+    components = direct_sum_grading(BigElt, (v.components, -1), (v.components, 0))
 
     def projected_chain(x: Elt, rest: Sequence[Elt]) -> Elt:
         current = x
@@ -315,7 +312,7 @@ def big_algebra(v: VData) -> LInftyOne:
         if k == 0:
             raise ValueError("the big construction is never curved")
         total = zero_pair
-        for combo in homogeneous_combinations(args, degree, components):
+        for combo, degrees in homogeneous_combinations(args, components):
             if k == 1:
                 x, a = combo[0].x, combo[0].a
                 if not x.is_zero():
@@ -328,7 +325,8 @@ def big_algebra(v: VData) -> LInftyOne:
                 if not x.is_zero() and not y.is_zero():
                     crochet = v.bracket(x, y)
                     if not crochet.is_zero():
-                        sign = -1 if v.degree(x) % 2 else 1
+                        # (-1)^{|x|}, where |x| = degrees[0] + 1
+                        sign = -1 if degrees[0] % 2 == 0 else 1
                         total = total + BigElt(crochet.scale(sign), v.zero)
             a_parts = [e.a for e in combo]
             a_zero = [a.is_zero() for a in a_parts]
@@ -341,14 +339,13 @@ def big_algebra(v: VData) -> LInftyOne:
                 # a slot repeating its left neighbour has identical chain
                 # inputs, so it reuses that chain; only its sign is new
                 if not (pos and e is combo[pos - 1]):
-                    deg = degree(e)
                     value = None
                     if not e.x.is_zero() and (n_zero == 0 or a_zero[pos]):
                         value = projected_chain(e.x, a_parts[:pos] + a_parts[pos + 1:])
                 if value is not None and not value.is_zero():
-                    sign = -1 if deg % 2 == 1 and prefix % 2 == 1 else 1
+                    sign = -1 if degrees[pos] % 2 == 1 and prefix % 2 == 1 else 1
                     total = total + BigElt(v.zero, value.scale(sign))
-                prefix += deg
+                prefix += degrees[pos]
             if n_zero == 0:
                 first = v.adjoint_delta(a_parts[0])
                 value = projected_chain(first, a_parts[1:])
@@ -357,7 +354,6 @@ def big_algebra(v: VData) -> LInftyOne:
         return total
 
     return LInftyOne(
-        degree=degree,
         components=components,
         m=m,
         zero=zero_pair,

@@ -350,7 +350,7 @@ def test_criterion_9_filtration_laws():
     # coisotropic backend
     pi = random_coiso_poisson(rng, (1, 2), 2, require_flat=True)
     cv = coiso_vdata(pi)
-    fdeg = cv.filtration.degree
+    fdeg = cv.filtration
     for xx in cv.sample_basis:
         for yy in cv.sample_basis:
             bb = cv.bracket(xx, yy)
@@ -365,7 +365,7 @@ def test_criterion_9_filtration_laws():
 
     # coordinate-model backend
     qv = standard_courant_vdata(2)
-    qdeg = qv.filtration.degree
+    qdeg = qv.filtration
     for xx in qv.sample_basis:
         for yy in qv.sample_basis:
             bb = qv.bracket(xx, yy)

@@ -593,6 +593,20 @@ def test_malformed_element_or_table_is_an_input_error(vdata, payload, message, t
     assert f"{p}: {message}" in err
 
 
+def test_bracket_pair_listed_twice_is_an_input_error(tmp_path, capsys):
+    # the two entries used to be added up: [h, e] = 2e and verify-gla passed
+    table = gla_to_json(sample_gla())
+    assert [(b["left"], b["right"]) for b in table["brackets"]] == [("h", "e")]
+    table["brackets"].append(table["brackets"][0])
+    p = tmp_path / "twice.json"
+    p.write_text(json.dumps(table))
+    assert main(["--json", "verify-gla", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_line(captured.err, "input error: ")
+    assert f"{p}, bracket entry 2: [h, e] is already given by bracket entry 1" in captured.err
+
+
 _COISO_DIMS = {"base": 1, "fiber": 2}
 
 
@@ -715,8 +729,23 @@ def test_run_config_invariants():
         RunConfig(samples=0)
     with pytest.raises(ValueError):
         RunConfig(max_arity=7)
+    for max_arity in (0, 5):
+        with pytest.raises(ValueError, match="max_arity must be between 1 and 4"):
+            RunConfig(max_arity=max_arity)
     with pytest.raises(ValueError):
         RunConfig(max_poly_degree=9)
+
+
+@pytest.mark.parametrize("max_arity", ["5", "0"])
+def test_max_arity_outside_what_the_suites_run_is_an_input_error(max_arity, capsys):
+    # suites ran arities up to 4 whatever --max-arity said, up to 6, and
+    # none at all for 0, reporting a pass with no checks
+    assert main(["suite", "jacobi", "--max-arity", max_arity]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_line(
+        captured.err, f"input error: max_arity must be between 1 and 4, got {max_arity}"
+    )
 
 
 def test_suite_rejects_removed_max_terms_flag(capsys):

@@ -144,7 +144,16 @@ def random_table_json(rng):
         "left": right, "right": left,
         "result": [dict(item, coef_num=sign * item["coef_num"]) for item in value],
     })
-    return {"basis": basis, "brackets": brackets}
+    # a pair listed twice in the same order is an input error, so a repeated
+    # pair's results are listed in its first entry, whose terms the loader sums
+    merged = {}
+    for entry in brackets:
+        key = (entry["left"], entry["right"])
+        if key in merged:
+            merged[key]["result"] = merged[key]["result"] + entry["result"]
+        else:
+            merged[key] = dict(entry)
+    return {"basis": basis, "brackets": list(merged.values())}
 
 
 def random_tables(seed, count):

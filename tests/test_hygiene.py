@@ -5,8 +5,9 @@ that module: a refactor that moves code between modules otherwise leaves
 stale imports behind.  ``__init__.py`` is skipped, because its imports are
 the package's re-exported API (``__all__`` is built from them).  Likewise
 every top-level function and class of the package must be referenced outside
-its own definition, in the package, the tests or the demos, so that helpers
-whose last caller has gone are deleted with it.
+its own definition, in the package, the tests or the demos, and every method
+of a package class must be read as an attribute outside its own body, so that
+helpers whose last caller has gone are deleted with it.
 """
 
 import ast
@@ -223,6 +224,75 @@ def test_the_reference_scan_flags_stale_definitions():
         "    assert copied() == 2 and user(1) == 1\n"
     )}
     assert _unreferenced(package, others) == ["pkg/mod.py:3: recursive", "pkg/mod.py:5: copied"]
+
+
+# -- every method is read -----------------------------------------------------------------
+
+
+def _unread_methods(package: dict[str, ast.Module], others: dict[str, ast.Module]) -> list[str]:
+    """``file:line: Class.method`` of each non-dunder method of a class of a
+    package module that no file reads as ``.method`` outside the method's
+    own body (so a method that only calls itself is unread)."""
+    read: dict[str, list[set]] = {}  # name -> the defs enclosing each read
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {id(node)}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.setdefault(node.attr, []).append(inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for tree in (*package.values(), *others.values()):
+        visit(tree, frozenset())
+    unread = []
+    for module, tree in package.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = method.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if all(id(method) in inside for inside in read.get(name, ())):
+                    unread.append(f"{module}:{method.lineno}: {cls.name}.{name}")
+    return unread
+
+
+def test_every_method_is_read():
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(tests_dir)
+    package = _parsed(PACKAGE_DIR)
+    others = {
+        **_parsed(tests_dir),
+        **_parsed(os.path.join(root, "demos")),
+        **_parsed(os.path.join(root, "perfbench")),
+    }
+    assert "derived_brackets/graded.py" in package and "perfbench/workloads.py" in others
+    assert _unread_methods(package, others) == []
+
+
+def test_the_method_scan_flags_unread_methods():
+    package = {"pkg/mod.py": ast.parse(
+        "class A:\n"
+        "    def __init__(self):\n        self.x = 1\n"
+        "    def used(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return 1\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1)\n"
+        "    def elsewhere(self):\n        return 2\n"
+        "    @property\n"
+        "    def prop(self):\n        return 3\n"
+        "    def written(self):\n        return 4\n"
+        "def make(a):\n"
+        "    a.written = 5\n"
+        "    return a.used(), a.prop\n"
+    )}
+    others = {"tests/test_mod.py": ast.parse(
+        "def test_it(a):\n    assert a.elsewhere() == 2\n"
+    )}
+    assert _unread_methods(package, others) == [
+        "pkg/mod.py:8: A.recursive", "pkg/mod.py:15: A.written",
+    ]
 
 
 # -- every dataclass field is read ---------------------------------------------------------

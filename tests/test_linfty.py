@@ -27,7 +27,7 @@ from derived_brackets.sampling import (
     random_tpois_element,
 )
 from derived_brackets.tpois import tpois_linfty
-from derived_brackets.vdata import big_algebra, small_algebra
+from derived_brackets.vdata import BigElt, big_algebra, small_algebra
 
 
 def gla_as_linfty(algebra):
@@ -39,7 +39,6 @@ def gla_as_linfty(algebra):
         return algebra.zero()
 
     return LInfty(
-        degree=lambda x: x.degree(),
         components=lambda x: x.components(),
         l=l,
         zero=algebra.zero(),
@@ -80,7 +79,6 @@ def test_shift_round_trip_is_identity():
 def test_zero_structure_shifts_to_zero_structure():
     g = sample_gla()
     silent = LInfty(
-        degree=lambda x: x.degree(),
         components=lambda x: x.components(),
         l=lambda k, args: g.zero(),
         zero=g.zero(),
@@ -97,7 +95,6 @@ def test_shift_reports_degree_violation():
         return g.gen("h")  # wrong degree for almost every input
 
     bad = LInfty(
-        degree=lambda x: x.degree(),
         components=lambda x: x.components(),
         l=broken,
         zero=g.zero(),
@@ -143,8 +140,6 @@ def test_graded_symmetry_of_derived_brackets():
 
 
 def test_corrupted_binary_bracket_breaks_relations():
-    from derived_brackets.vdata import BigElt
-
     v = fixture_vdata()
     algebra = big_algebra(v)
 
@@ -156,7 +151,6 @@ def test_corrupted_binary_bracket_breaks_relations():
         return value
 
     broken = LInftyOne(
-        degree=algebra.degree,
         components=algebra.components,
         m=corrupted,
         zero=algebra.zero,
@@ -192,7 +186,6 @@ def test_mc_residual_degree_and_curved_start():
 
     # a curved variant: project Delta onto the subalgebra artificially
     curved = LInftyOne(
-        degree=small.degree,
         components=small.components,
         m=lambda k, args: space.gen("b") if k == 0 else small.m(k, args),
         zero=small.zero,
@@ -208,7 +201,6 @@ def test_mc_without_arity_bound_raises():
     v = fixture_vdata()
     small = small_algebra(v)
     bare = LInftyOne(
-        degree=small.degree,
         components=small.components,
         m=small.m,
         zero=small.zero,
@@ -242,9 +234,21 @@ def test_twist_rejects_non_mc_with_residual():
     with pytest.raises(MCError) as err:
         twist(algebra, bad)
     assert err.value.residual is not None and not err.value.residual.is_zero()
-    # the unsafe path skips the check
-    twisted = twist(algebra, bad, check=False)
-    assert twisted.curved is False or twisted.curved is True  # handle exists
+    # the unsafe path skips the check: the residual r of alpha becomes the
+    # curvature m_0 of the twist, and beta is Maurer-Cartan there exactly as
+    # alpha + beta is in the algebra, residual for residual
+    rng = random.Random(22)
+    big = big_algebra(v)
+    for algebra, alpha, sample in (
+        (algebra, bad, lambda: random_fixture_a_element(rng, 0)),
+        (big, BigElt(v.zero, bad), lambda: random_fixture_pair(rng, 0)),
+    ):
+        r = mc_residual(algebra, alpha).residual
+        twisted = twist(algebra, alpha, check=False)
+        assert twisted.curved and twisted.m(0, ()) == r
+        for beta in [-alpha] + [sample() for _ in range(10)]:
+            expected = mc_residual(algebra, alpha + beta).residual
+            assert mc_residual(twisted, beta).residual == expected
 
 
 def test_twisted_mc_correspondence():

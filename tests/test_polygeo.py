@@ -430,7 +430,7 @@ def test_filtration_laws_on_samples():
     rng = random.Random(12)
     pi = random_coiso_poisson(rng, DC, 2)
     v = coiso_vdata(pi)
-    fdeg = v.filtration.degree
+    fdeg = v.filtration
     for x in v.sample_basis:
         for y in v.sample_basis:
             b = v.bracket(x, y)

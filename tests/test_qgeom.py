@@ -222,7 +222,7 @@ def test_filtration_laws_for_the_model():
     # (a) superadditivity of the level, (b) bivector images in level >= 1,
     # (c) evaluation does not decrease the level
     v = standard_courant_vdata(2)
-    fdeg = v.filtration.degree
+    fdeg = v.filtration
     for x in v.sample_basis:
         for y in v.sample_basis:
             b = v.bracket(x, y)

@@ -47,7 +47,6 @@ def test_validation_catches_nonabelian_subalgebra():
     v = fixture_vdata()
     bad = VData(
         bracket=v.bracket,
-        degree=v.degree,
         components=v.components,
         project=v.project,
         delta=v.delta,
@@ -65,7 +64,6 @@ def test_validation_catches_non_square_zero_delta():
     v = fixture_vdata()
     bad = VData(
         bracket=v.bracket,
-        degree=v.degree,
         components=v.components,
         project=v.project,
         delta=v.zero.space.element({"u": 1, "v": 1}),  # [u+v, u+v] = 3w
@@ -160,7 +158,6 @@ def test_exp_ad_reports_non_terminating_series():
 
     v = VData(
         bracket=stubborn,
-        degree=lambda x: x.degree(),
         components=lambda x: x.components(),
         project=lambda x: x,
         delta=space.zero(),
@@ -181,7 +178,6 @@ def test_small_brackets_vanish_for_zero_delta():
     v = fixture_vdata()
     trivial = VData(
         bracket=v.bracket,
-        degree=v.degree,
         components=v.components,
         project=v.project,
         delta=v.zero,
@@ -204,7 +200,6 @@ def test_big_unary_with_zero_delta_projects():
     space = v.zero.space
     no_delta = VData(
         bracket=v.bracket,
-        degree=v.degree,
         components=v.components,
         project=v.project,
         delta=v.zero,
@@ -253,7 +248,6 @@ def test_big_rejects_curved_quadruple():
     v = fixture_vdata()
     curved = VData(
         bracket=v.bracket,
-        degree=v.degree,
         components=v.components,
         project=v.project,
         delta=v.zero.space.element({"u": 1, "b": 1}),
@@ -271,7 +265,6 @@ def test_curved_small_algebra_has_curvature():
     space = v.zero.space
     curved = VData(
         bracket=v.bracket,
-        degree=v.degree,
         components=v.components,
         project=v.project,
         delta=space.element({"u": 1, "b": 2}),
@@ -339,7 +332,6 @@ def test_twist_of_zero_delta_recovers_delta():
     v = fixture_vdata()
     no_delta = VData(
         bracket=v.bracket,
-        degree=v.degree,
         components=v.components,
         project=v.project,
         delta=v.zero,
