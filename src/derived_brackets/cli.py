@@ -123,6 +123,8 @@ def load_vdata(path: str) -> tuple[VData, str]:
 
 
 def _load_element(v: VData, kind: str, path: str):
+    """The element file at ``path`` for a quadruple of ``kind`` (a
+    :func:`load_vdata` tag), and whether it holds a pair."""
     data = _load_json(path)
     if kind in ("fixture", "gla"):
         space = v.zero.space
@@ -133,19 +135,17 @@ def _load_element(v: VData, kind: str, path: str):
             ), True
         element = json_field(data, path, "element")
         return element_from_json(space, element, f'{path}: field "element"'), False
-    if kind == "coisotropic":
-        dims, owner = v.zero.dims, "the quadruple"
-        if "x" in data or "a" in data:
-            x = _literal(mv_from_json, data, path, "x", dims, owner) if "x" in data else v.zero
-            a = _literal(mv_from_json, data, path, "a", dims, owner) if "a" in data else v.zero
-            return BigElt(x, a), True
-        if "element" in data:
-            return _literal(mv_from_json, data, path, "element", dims, owner), False
-        element = mv_from_json(data, path)
-        if element.dims != dims:
-            raise InputError(f"{path}: dims {element.dims} do not match {dims} of {owner}")
-        return element, False
-    raise InputError(f"unsupported element payload for kind {kind!r}")
+    dims, owner = v.zero.dims, "the quadruple"  # coisotropic
+    if "x" in data or "a" in data:
+        x = _literal(mv_from_json, data, path, "x", dims, owner) if "x" in data else v.zero
+        a = _literal(mv_from_json, data, path, "a", dims, owner) if "a" in data else v.zero
+        return BigElt(x, a), True
+    if "element" in data:
+        return _literal(mv_from_json, data, path, "element", dims, owner), False
+    element = mv_from_json(data, path)
+    if element.dims != dims:
+        raise InputError(f"{path}: dims {element.dims} do not match {dims} of {owner}")
+    return element, False
 
 
 def _element_payload(value) -> object:
@@ -155,9 +155,7 @@ def _element_payload(value) -> object:
         return element_to_json(value)
     if isinstance(value, TPoisElement):
         return {"form": poly_to_json(value.form_part), "mv": poly_to_json(value.mv_part)}
-    if hasattr(value, "terms") and hasattr(value, "dims"):
-        return poly_to_json(value)
-    return repr(value)
+    return poly_to_json(value)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -311,9 +309,7 @@ def _verify_gla_arguments(p: argparse.ArgumentParser) -> None:
 
 def _derived_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("vdata")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--small", action="store_true", default=True)
-    group.add_argument("--big", action="store_true", default=False)
+    p.add_argument("--big", action="store_true", default=False)
     p.add_argument("--arg", action="append", default=[], help="element file (repeat)")
 
 

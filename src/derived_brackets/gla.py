@@ -25,9 +25,6 @@ class Violation:
     where: tuple[str, ...]
     residual: str
 
-    def __str__(self) -> str:
-        return f"{self.kind} violated at {self.where}: residual {self.residual}"
-
 
 @dataclass(frozen=True)
 class GlaReport:
@@ -69,8 +66,8 @@ class StructureGLA:
     first-listed order wins, and a reverse entry that disagrees with it is
     recorded in ``input_conflicts``, which :func:`verify_gla` reports.
 
-    ``table`` holds the folded pairs i <= j (JSON output, equality and
-    hashing read it).  Construction also unfolds it once into signed rows
+    ``table`` holds the folded pairs i <= j (JSON output and equality read
+    it).  Construction also unfolds it once into signed rows
     ``left -> right -> ((basis, num), ...)`` that :meth:`bracket` reads, int
     numerators over one table denominator (the lcm of the table's
     denominators): the entry for (j, i) carries the antisymmetry sign
@@ -120,9 +117,6 @@ class StructureGLA:
 
     def gen(self, name: str, coef=1) -> HomElt:
         return self.space.gen(name, coef)
-
-    def degree(self, x: HomElt) -> int | None:
-        return x.degree()
 
     def basis_elements(self) -> list[HomElt]:
         return [self.space.gen(n) for n in self.space.names()]
@@ -176,9 +170,6 @@ class StructureGLA:
             and self.space == other.space
             and self.table == other.table
         )
-
-    def __hash__(self) -> int:
-        return hash((self.space, frozenset(self.table.keys())))
 
 
 def verify_gla(algebra: StructureGLA) -> GlaReport:
@@ -240,7 +231,6 @@ class LinearMap:
 
     space: GradedSpace
     images: dict[str, HomElt] = field(default_factory=dict)
-    degree_shift: int = 0
 
     def __call__(self, x: HomElt) -> HomElt:
         if x.space is not self.space and x.space != self.space:
@@ -251,13 +241,6 @@ class LinearMap:
             if img is not None:
                 out = out + img.scale(coef)
         return out
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(
-            self.space,
-            {n: self(img) for n, img in other.images.items()},
-            self.degree_shift + other.degree_shift,
-        )
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images.values())
@@ -271,13 +254,11 @@ def adjoint(algebra: StructureGLA, delta: HomElt) -> LinearMap:
     """
     if not delta.is_zero() and delta.degree() != 1:
         raise ValueError("adjoint requires a homogeneous element of degree 1")
-    if not delta.is_homogeneous():
-        raise ValueError("adjoint requires a homogeneous element")
     images = {
         name: algebra.bracket(delta, algebra.gen(name))
         for name in algebra.space.names()
     }
-    return LinearMap(algebra.space, images, degree_shift=1)
+    return LinearMap(algebra.space, images)
 
 
 @dataclass(frozen=True)

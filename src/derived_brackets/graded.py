@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 ONE = 1
 MINUS_ONE = -1
@@ -132,9 +132,6 @@ class Permutation:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation{self.images}"
@@ -255,8 +252,8 @@ class SparseCombination:
     the Courant model's ``SuperPoly``.  Subclasses name the ambient (a
     :class:`GradedSpace`, ``dims`` or ``dim``) by aliasing the ``ambient``
     slot, validate keys in their own ``__init__``, and supply the degree of
-    one key (:meth:`_key_degree`), the ``repr`` body of one key
-    (:meth:`_key_body`) and the message ``_mismatch`` for combining elements
+    one key (``_key_degree``), the ``repr`` body of one key
+    (``_key_body``) and the message ``_mismatch`` for combining elements
     of different ambients.  Sums, negatives, scalings and components of
     valid elements are valid, so they are built by :meth:`_of` without that
     check.  Elements of different subclasses are never equal.
@@ -271,12 +268,6 @@ class SparseCombination:
         new.ambient = ambient
         new.terms = terms
         return new
-
-    def _key_degree(self, key) -> int:
-        raise NotImplementedError
-
-    def _key_body(self, key) -> str:
-        raise NotImplementedError
 
     def _check_ambient(self, other: "SparseCombination") -> None:
         if type(other) is not type(self) or (
@@ -385,9 +376,6 @@ class HomElt(SparseCombination):
 
     def _key_body(self, name: str) -> str:
         return name
-
-    def __iter__(self) -> Iterator[tuple[str, Fraction]]:
-        return iter(sorted(self.terms.items()))
 
 
 class DirectSum:

@@ -77,9 +77,6 @@ class LInftyOne:
         """Degree of x if it is homogeneous and nonzero, else None."""
         return degree_of(self.components(x))
 
-    def bracket(self, *args: Elt) -> Elt:
-        return self.m(len(args), tuple(args))
-
 
 @dataclass(frozen=True)
 class MCReport:

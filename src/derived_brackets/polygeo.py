@@ -134,12 +134,18 @@ def transport(curve: dict, images: list[Curve], legs: Matrix) -> dict:
     expansions: dict[tuple, list] = {}
 
     def image_of(mono: Mono) -> Curve:
-        if mono not in mono_images:
+        # walk down to a monomial already built, then multiply back up: a
+        # loop, not a recursion, so no exponent meets the recursion limit
+        chain = []
+        while mono not in mono_images:
             var = max(v for v, e in enumerate(mono) if e)
             lower = mono[:var] + (mono[var] - 1,) + mono[var + 1:]
-            image = images[var]
-            mono_images[mono] = image if lower == unit else _mul(image_of(lower), image)
-        return mono_images[mono]
+            chain.append((mono, lower, images[var]))
+            mono = lower
+        value = mono_images[mono]
+        for mono, lower, image in reversed(chain):
+            value = mono_images[mono] = image if lower == unit else _mul(value, image)
+        return value
 
     raw: dict[int, list] = {}
     for power, u in curve.items():

@@ -31,8 +31,11 @@ class RunConfig:
             raise ValueError("samples must be >= 1")
         if not 1 <= self.max_arity <= 4:
             raise ValueError(f"max_arity must be between 1 and 4, got {self.max_arity}")
-        if self.max_poly_degree > 6:
-            raise ValueError("max_poly_degree is capped at 6")
+        if not 0 <= self.max_poly_degree <= 6:
+            raise ValueError(
+                f"max_poly_degree (--max-degree) must be between 0 and 6, "
+                f"got {self.max_poly_degree}"
+            )
 
 
 def _coef(rng: random.Random) -> Fraction:

@@ -67,8 +67,6 @@ def _coiso_a_sampler(rng, dims, degree, arity=None):
     out = PolyMultivector.zero(dims)
     m, k = dims
     options = list(itertools.combinations(range(m, m + k), arity))
-    if not options:
-        return out
     for _ in range(2):
         wedge = rng.choice(options)
         for mono, coef in random_base_poly(rng, dims, degree).items():
@@ -123,11 +121,7 @@ def suite_jacobi(config: RunConfig) -> dict:
             pargs = []
             for _ in range(n):
                 degw = rng.choice([-1, 0])
-                x = (
-                    random_multivector(rng, dims, degw + 2, 1)
-                    if 0 <= degw + 2 <= 3
-                    else PolyMultivector.zero(dims)
-                )
+                x = random_multivector(rng, dims, degw + 2, 1)
                 pargs.append(BigElt(x, _coiso_a_sampler(rng, dims, 1, arity=degw + 1)))
             checks += 1
             if not relations_residual(cbig, n, tuple(pargs)).is_zero():

@@ -821,12 +821,6 @@ class GeneratorReport:
     symbolic_matches_closed_form: bool
     identity_holds: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "symbolic_matches_closed_form": self.symbolic_matches_closed_form,
-            "identity_holds": self.identity_holds,
-        }
-
 
 def action_generator(
     b: PolyForm, x_field: PolyMultivector, h: PolyForm, pi: PolyMultivector

@@ -734,6 +734,11 @@ def test_run_config_invariants():
             RunConfig(max_arity=max_arity)
     with pytest.raises(ValueError):
         RunConfig(max_poly_degree=9)
+    for degree in (-1, 7):
+        message = rf"max_poly_degree \(--max-degree\) must be between 0 and 6, got {degree}"
+        with pytest.raises(ValueError, match=message):
+            RunConfig(max_poly_degree=degree)
+    assert RunConfig(max_poly_degree=0).max_poly_degree == 0
 
 
 @pytest.mark.parametrize("max_arity", ["5", "0"])
@@ -879,3 +884,121 @@ def test_each_call_builds_its_own_parsers(monkeypatch, capsys):
         main(argv)
         assert 1 <= len(built) - before <= 2, built[before:]
     capsys.readouterr()
+
+
+# -- the remaining branches of each command --------------------------------------------
+
+
+def _written(tmp_path, name, payload):
+    p = tmp_path / name
+    p.write_text(json.dumps(payload))
+    return str(p)
+
+
+_BARE_COISO = {"dims": {"base": 1, "fiber": 2},
+               "terms": [{"coef": 2, "monomial": {"x1": 1}, "wedge": [2]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["derived", "@vdata_fixture.json", "--arg", "@pair_p.json"],
+         "input error: the small algebra takes subalgebra elements only"),
+        (["twist", "@vdata_fixture.json", "ELEMENT"],
+         'input error: twisting elements are pairs {"x": .., "a": ..}'),
+        (["mc", "@vdata_coiso.json", "BARE"],
+         "input error: BARE: dims (2, 2) do not match (1, 2) of the quadruple"),
+        (["suite", "jacobi", "--max-degree", "-2", "--samples", "1"],
+         "input error: max_poly_degree (--max-degree) must be between 0 and 6, got -2"),
+        (["suite", "gauge", "--max-degree", "7", "--samples", "1"],
+         "input error: max_poly_degree (--max-degree) must be between 0 and 6, got 7"),
+    ],
+    ids=["small-derived-of-a-pair", "twist-by-an-element", "coiso-bare-literal-dims",
+         "negative-max-degree", "max-degree-above-6"],
+)
+def test_input_error_branches(argv, message, tmp_path, capsys):
+    named = {
+        "ELEMENT": _written(tmp_path, "element.json", {"element": []}),
+        "BARE": _written(tmp_path, "bare.json", {**_BARE_COISO, "dims": {"base": 2, "fiber": 2}}),
+    }
+    argv = [_data(a[1:]) if a.startswith("@") else named.get(a, a) for a in argv]
+    assert main(["--json"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_one_line(captured.err, "input error: ")
+    for name, path in named.items():
+        message = message.replace(name, path)
+    assert captured.err == message + "\n"
+
+
+def test_coiso_element_file_may_be_a_bare_literal(tmp_path, capsys):
+    wrapped = _written(tmp_path, "wrapped.json", {"element": _BARE_COISO})
+    bare = _written(tmp_path, "bare.json", _BARE_COISO)
+    outputs = []
+    for path in (wrapped, bare):
+        code = main(["--json", "mc", _data("vdata_coiso.json"), path])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1] and outputs[0][0] in (0, 1)
+
+
+def test_derived_on_an_invalid_quadruple_reports_its_failures(tmp_path, monkeypatch, capsys):
+    # a relative gla_file is read next to its descriptor, whatever the working
+    # directory; the projection u -> a leaves [u - a, v] = w + b with P = b
+    os.makedirs(tmp_path / "quadruple")
+    _written(tmp_path / "quadruple", "table.json", gla_to_json(fixture_gla()))
+    desc = _written(tmp_path / "quadruple", "vdata.json", {
+        "kind": "gla", "gla_file": "table.json", "a_basis": ["a", "c", "b"],
+        "projection": {"u": [{"basis": "a", "coef_num": 1}]},
+        "delta": [{"basis": "u", "coef_num": 1}],
+    })
+    monkeypatch.chdir(tmp_path)
+    assert main(["--json", "derived", desc, "--arg", _data("pair_p.json")]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert ["kernel not closed under bracket", "[u, v]"] in report["failures"]
+
+
+def test_gauge_series_mismatch_exits_1(monkeypatch, capsys):
+    from derived_brackets import cli
+
+    real = cli.gauge_Y
+
+    def doubled_form(*args):
+        gf, gm = real(*args)
+        return gf.scale(2), gm
+
+    monkeypatch.setattr(cli, "gauge_Y", doubled_form)
+    assert main(["--json", "gauge", _data("tpois_gauge.json"), "--check-series"]) == 1
+    assert json.loads(capsys.readouterr().out)["matches_series"] is False
+
+
+def test_derived_has_no_small_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["derived", _data("vdata_fixture.json"), "--small"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --small" in capsys.readouterr().err
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_flow_of_a_high_power_needs_no_deep_stack(tmp_path, capsys):
+    # transport builds x1^300 by a loop: under a recursion limit 150 frames
+    # above this one, the flow used to end in RecursionError, one frame per
+    # unit of the exponent
+    with open(_data("tpois_flow.json"), encoding="utf-8") as fh:
+        point = json.load(fh)
+    point["B"]["terms"][1]["monomial"] = {"x1": 300}
+    path = _written(tmp_path, "flow_x1_300.json", point)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        code = main(["--json", "flow", path])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code in (0, 1)
+    assert json.loads(capsys.readouterr().out)["form"][1][1]["terms"][0]["coef"] == -300

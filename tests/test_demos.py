@@ -1,5 +1,6 @@
 import glob
 import os
+import runpy
 import subprocess
 import sys
 
@@ -25,3 +26,14 @@ def test_demo_runs(path):
         [sys.executable, path], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_output_matches_its_pin(path, capsys):
+    # tests/data/golden/demos/NAME.txt is the demo's stdout, byte for byte
+    pin = os.path.join(ROOT, "tests", "data", "golden", "demos",
+                       os.path.basename(path)[:-3] + ".txt")
+    with open(pin, encoding="utf-8") as fh:
+        expected = fh.read()
+    runpy.run_path(path, run_name="__main__")
+    assert capsys.readouterr().out == expected

@@ -212,7 +212,52 @@ def test_dgla_validation():
 
     # an arbitrary degree-1 basis map is generally not a derivation:
     # with d(a) = u, the Leibniz rule fails on [v, a] = b since [v, u] = w
-    bad = LinearMap(g.space, {"a": g.gen("u")}, degree_shift=1)
+    bad = LinearMap(g.space, {"a": g.gen("u")})
     report = DGLA(g, bad).verify()
     assert not report.ok
     assert any(v.kind == "differential" for v in report.violations)
+
+
+@pytest.mark.parametrize(
+    "images, where",
+    [({"h": "h"}, ("h",)), ({"a": "u", "u": "w"}, ("d^2", "a"))],
+    ids=["wrong-degree", "square-not-zero"],
+)
+def test_dgla_reports_each_differential_violation(images, where):
+    from derived_brackets.gla import LinearMap
+
+    g = sample_gla() if "h" in images else fixture_gla()
+    d = LinearMap(g.space, {n: g.gen(image) for n, image in images.items()})
+    report = DGLA(g, d).verify()
+    assert not report.ok
+    assert ("differential", where) in [(v.kind, v.where) for v in report.violations]
+
+
+# -- input checks ---------------------------------------------------------------------
+
+OTHER = GradedSpace.of([("h", 0), ("e", 1), ("f", 2)])
+
+
+def _table_with(key, value):
+    space = sample_gla().space
+    return StructureGLA(space, {key: value(space)})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _table_with(("h", "f"), lambda s: s.gen("e")), KeyError,
+         r"unknown basis name \(h, f\)"),
+        (lambda: _table_with(("h", "e"), lambda s: OTHER.gen("e")), ValueError,
+         "bracket value lives in a different space"),
+        (lambda: adjoint(sample_gla(), sample_gla().gen("e"))(OTHER.gen("e")), ValueError,
+         "argument belongs to a different space"),
+        (lambda: gla_from_json({"basis": [{"name": "h", "degree": 0}], "brackets": [
+            {"left": "h", "right": "h", "result": [{"basis": "q", "coef_num": 1}]}]}),
+         ValueError, "bracket entry 1: field \"result\", term 1: unknown basis monomial 'q'"),
+    ],
+    ids=["unknown-name", "foreign-value", "map-foreign-argument", "unknown-result-basis"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

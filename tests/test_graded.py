@@ -271,3 +271,25 @@ def test_sparse_combination_contract(name):
                 assert stranger != x and x != stranger
                 with pytest.raises(ValueError):
                     x + stranger
+
+
+# -- input checks ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Permutation([1, 1]), "not a bijection of 1..2"),
+        (lambda: Permutation([2, 3]), "not a bijection of 1..2"),
+        (lambda: Permutation([2, 1]).compose(Permutation([1])), "size mismatch"),
+        (lambda: GradedSpace.of([("x", 0), ("x", 1)]), "duplicate basis names"),
+    ],
+    ids=["repeated-image", "image-out-of-range", "compose-sizes", "duplicate-names"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_permutation_repr_lists_its_images():
+    assert repr(Permutation([3, 1, 2])) == "Permutation(3, 1, 2)"

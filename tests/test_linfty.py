@@ -325,3 +325,46 @@ def test_relations_above_the_max_arity_raise(which):
     relations_residual(algebra, 5, args[:5])
     with pytest.raises(ValueError, match="relation arity 6 exceeds max 5"):
         relations_residual(algebra, 6, args)
+
+
+def test_antisymmetric_round_trip_of_a_shifted_algebra_is_identity():
+    from derived_brackets.sampling import fixture_gla
+
+    g = fixture_gla()
+    shifted = from_antisymmetric(gla_as_linfty(g))
+    round_tripped = from_antisymmetric(to_antisymmetric(shifted))
+    rng = random.Random(3)
+    names = g.space.names()
+    for arity in (1, 2, 3):
+        for _ in range(10):
+            args = tuple(
+                g.space.element({n: rng.randint(-2, 2) for n in rng.sample(names, 2)})
+                for _ in range(arity)
+            )
+            assert round_tripped.m(arity, args) == shifted.m(arity, args)
+            assert round_tripped.degree(args[0]) == shifted.degree(args[0])
+
+
+# -- input checks ---------------------------------------------------------------------
+
+_SMALL = small_algebra(fixture_vdata())
+_A, _B = _SMALL.zero.space.gen("a"), _SMALL.zero.space.gen("b")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: relations_residual(_SMALL, 2, (_A + _B, _A)),
+         "relations require homogeneous arguments"),
+        (lambda: relations_residual(_SMALL, 2, (_A,)), "expected 2 arguments, got 1"),
+        (lambda: relations_residual(_SMALL, -1, ()), "expected -1 arguments, got 0"),
+        (lambda: twist(_SMALL, _B), "twisting elements must be homogeneous of degree 0"),
+        (lambda: gauge_field(_SMALL, _SMALL.zero, _B),
+         "gauge base points must be homogeneous of degree 0"),
+    ],
+    ids=["inhomogeneous-relation", "too-few-arguments", "negative-arity", "twist-degree",
+         "gauge-base-degree"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -483,3 +483,78 @@ def test_term_cap_guard(monkeypatch):
     big_curve = {0: {(i, 0, 0): Fraction(1) for i in range(4)}}
     with pytest.raises(TermExplosionError):
         _mul(big_curve, {0: {(0, i, 0): Fraction(1) for i in range(4)}})
+
+
+# -- input checks ---------------------------------------------------------------------
+
+_P2 = mv((2, 0), 1, None, (0, 1))
+_ONE_FORM = form((2, 0), 1, None, (0,))
+
+
+def _transport_of(curve):
+    from derived_brackets.polygeo import transport
+
+    unit = {0: {(0, 0): 1}}
+    images = [{0: {(1, 0): 1}}, {0: {(0, 1): 1}}]
+    return transport(curve, images, [[unit, {}], [{}, unit]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PolyMultivector((1, 0), {((0, 0), (0,)): 1}),
+         r"monomial \(0, 0\) does not match dims"),
+        (lambda: PolyMultivector((1, 0), {((-1,), (0,)): 1}), "negative exponent"),
+        (lambda: PolyForm((2, 0), {((0, 0), (1, 0)): 1}), "not strictly increasing in range"),
+        (lambda: PolyForm((2, 0), {((0, 0), (0, 2)): 1}), "not strictly increasing in range"),
+        (lambda: contract_form(mv((1, 0), 1, None, (0,)), _ONE_FORM),
+         "ambient space mismatch in contraction"),
+        (lambda: contract_form(_P2, _ONE_FORM), r"expects a vector field \(arity 1\)"),
+        (lambda: sharp(_P2, form((1, 0), 1, None, (0,))), "ambient space mismatch in sharp"),
+        (lambda: multi_sharp([], _ONE_FORM), "needs at least one multivector"),
+        (lambda: multi_sharp([_P2, mv((3, 0), 1, None, (0, 1))], _ONE_FORM),
+         "ambient space mismatch in multi_sharp"),
+        (lambda: multi_sharp([mv((2, 0), 1)], _ONE_FORM), "arguments must have arity >= 1"),
+        (lambda: multi_sharp([_P2], form((3, 0), 1, None, (0,))),
+         "ambient space mismatch in multi_sharp"),
+        (lambda: multi_sharp([_P2], form((2, 0), 1, None, (0, 1))),
+         "multi_sharp of 1 multivectors expects a 1-form"),
+        (lambda: fiber_translate(mv((1, 1), 1, None, (1,)), mv((1, 2), 1, None, (1,))),
+         "ambient space mismatch in fiber_translate"),
+        (lambda: coiso_vdata(mv((1, 1), 1, None, (1,))),
+         "the structure element must be a bivector"),
+        (lambda: coiso_vdata(_P2), "the coisotropic model needs a positive fiber dimension"),
+        (lambda: _transport_of({0: mv((1, 0), 1, None, (0,))}), "dimension mismatch"),
+        (lambda: _transport_of({0: _P2, 1: mv((1, 1), 1, None, (0,))}), "dimension mismatch"),
+    ],
+    ids=["mono-length", "negative-exponent", "unsorted-wedge", "wedge-out-of-range",
+         "contract-dims", "contract-arity", "sharp-dims", "multi-sharp-empty",
+         "multi-sharp-dims", "multi-sharp-arity", "multi-sharp-form-dims",
+         "multi-sharp-form-degree", "fiber-translate-dims", "coiso-not-bivector",
+         "coiso-no-fiber", "transport-dims", "transport-mixed-dims"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_transport_of_an_empty_curve_is_empty():
+    assert _transport_of({}) == {}
+
+
+def test_malformed_term_cap_is_an_input_error(monkeypatch):
+    from derived_brackets import polygeo
+
+    monkeypatch.setattr(polygeo, "_term_cap", None)  # as in a new process
+    monkeypatch.setenv("DB_MAX_TERMS", "many")
+    with pytest.raises(ValueError, match="DB_MAX_TERMS must be an integer, got 'many'"):
+        mv((1, 0), 1)
+
+
+def test_flat_coisotropic_samples_are_nonzero_poisson_bivectors():
+    # seeds 10 and 16 draw all-zero fiber coefficients, which the sampler
+    # replaces by a unit one
+    for seed in range(20):
+        pi = random_coiso_poisson(random.Random(seed), DC, 2, require_flat=True)
+        assert not pi.is_zero() and pi.arities() == {2}
+        assert schouten(pi, pi).is_zero() and coiso_projection(pi).is_zero()

@@ -343,3 +343,42 @@ def test_super_bracket_derives_g_once_per_call(monkeypatch):
             value = super_bracket(f, g)
             assert 0 < calls[0] <= 4 * dim * (len(f.terms) + 1), (calls[0], len(f.terms))
             assert value == chained_super_bracket(f, g)
+
+
+# -- input checks ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: SuperPoly(2, {((0,), (0, 0), (), ()): 1}), ValueError,
+         "exponent tuples do not match dim 2"),
+        (lambda: SuperPoly(2, {((0, 0), (0, 0), (1, 0), ()): 1}), ValueError,
+         "odd indices must be strictly ascending"),
+        (lambda: SuperPoly(2, {((0, 0), (0, 0), (2,), ()): 1}), ValueError,
+         "p index out of range"),
+        (lambda: SuperPoly(2, {((0, 0), (0, 0), (), (-1,)): 1}), ValueError,
+         "v index out of range"),
+        (lambda: super_bracket(SuperPoly.zero(1), SuperPoly.zero(2)), ValueError,
+         "dimension mismatch in super bracket"),
+        (lambda: mv_to_super(mv((1, 1), 1, None, (1,))), ValueError,
+         "embeds multivectors on a plain base"),
+        (lambda: form_to_super(form((1, 1), 1, None, (1,))), ValueError,
+         "embeds forms on a plain base"),
+        (lambda: oracle_bracket(2, [form((2, 0), 1)]), ValueError,
+         "oracle forms must have degree >= 1"),
+        (lambda: oracle_bracket(2, [1]), TypeError,
+         "oracle arguments are forms or multivectors"),
+    ],
+    ids=["exponent-length", "unsorted-odd", "p-index", "v-index", "bracket-dims",
+         "mv-fiber", "form-fiber", "zero-form", "foreign-argument"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_the_model_filtration_is_large_on_zero():
+    v = standard_courant_vdata(2)
+    degrees = [v.filtration(x) for x in v.sample_basis if not x.is_zero()]
+    assert v.filtration(v.zero) == 2**30 > max(degrees)

@@ -637,3 +637,40 @@ def test_graded_symmetry_of_the_brackets():
             permuted = tuple(args[sigma(i) - 1] for i in range(1, n + 1))
             eps = koszul_sign(sigma, degrees)
             assert algebra.m(n, permuted) == base.scale(eps)
+
+
+# -- input checks ---------------------------------------------------------------------
+
+_H3 = form(D3, 1, None, (0, 1, 2))
+_PI3 = mv(D3, 1, None, (0, 1))
+_B3 = form(D3, 1, None, (1, 2))
+_X3 = mv(D3, 1, None, (0,))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: tpois_bracket(2, (TPoisElement.zero(3),)), ValueError,
+         "expected 2 >= 1 arguments"),
+        (lambda: tpois_bracket(2, (TPoisElement.zero(2), TPoisElement.zero(3))), ValueError,
+         "ambient space mismatch"),
+        (lambda: tpois_linfty(2).m(0, ()), ValueError, "the twisted-Poisson algebra is not curved"),
+        (lambda: tpois_mc_residual(_B3, _PI3), ValueError, "expected a 3-form"),
+        (lambda: tpois_mc_residual(_H3, _X3), ValueError, "expected a bivector"),
+        (lambda: e_b_pi(form(D3, 1, None, (0,)), _PI3), ValueError,
+         "graph transforms apply to bivectors and 2-forms"),
+        (lambda: AffineDiffeo([[1, 0]], [0]), ValueError, "inconsistent affine data"),
+        (lambda: flow_curve(_B3, _PI3, _H3, _PI3), UnsupportedVectorFieldError,
+         "flow directions must be vector fields"),
+        (lambda: flow_curve(_B3, _X3, _B3, _PI3), ValueError,
+         "flow starts at a 3-form / bivector pair"),
+        (lambda: flow_curve(_B3, _X3, _H3, _X3), ValueError,
+         "flow starts at a 3-form / bivector pair"),
+    ],
+    ids=["too-few-arguments", "mixed-dims", "curvature", "mc-not-3-form", "mc-not-bivector",
+         "shear-by-1-form", "affine-shapes", "flow-by-bivector", "flow-from-2-form",
+         "flow-from-vector"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

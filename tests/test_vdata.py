@@ -612,3 +612,66 @@ def test_coisotropic_mc_series_attains_its_derived_bound():
     for n in range(1, 13):
         series = series + big.m(n, (alpha,) * n).scale(Fraction(1, math.factorial(n)))
     assert report.residual == series
+
+
+# -- input checks ---------------------------------------------------------------------
+
+
+def _fixture_with(images=None, delta="u"):
+    """The fixture table with the projection given on basis names (the
+    fixture's own by default) and Delta a basis element."""
+    from derived_brackets.gla import LinearMap, table_vdata
+
+    g = fixture_gla()
+    space = g.space
+    images = images or {n: n for n in ("a", "c", "b")}
+    project = LinearMap(space, {n: space.gen(image) for n, image in images.items()})
+    return table_vdata(g, ("a", "c", "b"), space.gen(delta), project)
+
+
+@pytest.mark.parametrize(
+    "v, kind",
+    [
+        (_fixture_with({"a": "c", "c": "c", "b": "b", "u": "a"}), "projection not idempotent"),
+        (_fixture_with({"a": "a", "c": "c", "b": "b", "v": "v"}),
+         "projection image leaves the subalgebra"),
+        (_fixture_with({"a": "a", "c": "c", "b": "b", "w": "b"}),
+         "kernel not closed under bracket"),
+        (_fixture_with(delta="a"), "degree-1 element has wrong degree"),
+    ],
+    ids=["idempotent", "image", "kernel", "delta-degree"],
+)
+def test_validate_reports_each_failure_kind(v, kind):
+    report = validate_vdata(v).as_dict()
+    assert report["ok"] is False
+    assert kind in [k for k, _ in report["failures"]]
+
+
+def _tied_subspace(x):
+    # span(a, v + b, w): stable under D = [u, .], yet [a, v + b] = -b
+    return set(x.terms) <= {"a", "v", "b", "w"} and x.terms.get("v", 0) == x.terms.get("b", 0)
+
+
+_FIXTURE = fixture_vdata()
+_GEN = _FIXTURE.zero.space.gen
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: p_phi(_FIXTURE, _GEN("b")), "deformation direction must have degree 0"),
+        (lambda: small_algebra(_FIXTURE).m(0, ()), "non-curved small algebra has no 0-ary bracket"),
+        (lambda: big_algebra(_FIXTURE).m(0, ()), "the big construction is never curved"),
+        (lambda: restrict(_FIXTURE, big_algebra(_FIXTURE), _tied_subspace,
+                          [_GEN("a"), _GEN("v") + _GEN("b"), _GEN("w")]),
+         r"subspace not closed under the bracket: \[a, b \+ v\]"),
+        (lambda: restrict(_FIXTURE, big_algebra(_FIXTURE), lambda x: set(x.terms) <= {"w"},
+                          [_GEN("w")]).m(1, (BigElt(_GEN("a"), _FIXTURE.zero),)),
+         "argument outside the restricted subspace"),
+    ],
+    ids=["deformation-degree", "small-curvature", "big-curvature", "restrict-closure",
+         "restricted-argument"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
