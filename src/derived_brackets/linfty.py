@@ -8,6 +8,11 @@ carrier's grading.  On top of the evaluator this module provides
   * Maurer-Cartan residuals, twisting by a Maurer-Cartan element and gauge
     vector fields of degree -1 elements, each a series summed by one routine
     up to the algebra's arity bound and closed by a vanishing certificate,
+  * Maurer-Cartan checks by the algebra's closed form where it states one
+    (:func:`checked_mc_residual`, used by :func:`twist`), after the same
+    input checks as the series, while :func:`mc_residual`, the gauge fields
+    and the twisted brackets stay series, the definitions that the closed
+    forms are tested against,
   * the degree-shift converter between antisymmetric (degree 2-k) bracket
     families and symmetric degree-1 ones.
 
@@ -64,6 +69,13 @@ class LInftyOne:
     ``components`` is the algebra's one grading: it lists an element's
     (degree, homogeneous part) pairs by ascending degree, a homogeneous
     element being its own one part, and :meth:`degree` reads from it.
+
+    ``closed_residual``, when set, maps a Maurer-Cartan candidate to its
+    residual sum_n (1/n!) m_n(phi, .., phi) in closed form; the
+    derived-bracket algebras set it (:mod:`~derived_brackets.vdata`).  Only
+    :func:`checked_mc_residual` reads it: the series of :func:`mc_residual`
+    stays the definition.  An algebra built from another by
+    ``dataclasses.replace`` with new brackets must set it back to None.
     """
 
     components: Callable[[Elt], list[tuple[int, Elt]]]
@@ -72,6 +84,7 @@ class LInftyOne:
     curved: bool = False
     arity_bound: int | Callable[[tuple], int] | None = None
     name: str = ""
+    closed_residual: Callable[[Elt], Elt] | None = None
 
     def degree(self, x: Elt) -> int | None:
         """Degree of x if it is homogeneous and nonzero, else None."""
@@ -160,6 +173,21 @@ def relations_residual(algebra: LInftyOne, n: int, args: tuple) -> Elt:
     return total
 
 
+def _arity(algebra: LInftyOne, elements: tuple) -> tuple[int, str]:
+    """The algebra's arity bound over ``elements`` and its kind, "bound" (an
+    int) or "filtration"; NonTerminatingSeriesError without a bound.  A
+    filtration bound also rejects inputs outside F^1."""
+    bound = algebra.arity_bound
+    if bound is None:
+        raise NonTerminatingSeriesError(
+            f"cannot certify termination of a series: "
+            f"{algebra.name or 'the algebra'} has no arity bound"
+        )
+    if isinstance(bound, int):
+        return bound, "bound"
+    return bound(elements), "filtration"
+
+
 def _series(
     algebra: LInftyOne, phi: Elt, fixed: tuple = (), start: int = 0
 ) -> tuple[Elt, int, str]:
@@ -170,16 +198,7 @@ def _series(
     vanishes, is evaluated as a certificate: NonTerminatingSeriesError if it
     does not, and also when the algebra has no bound.
     """
-    bound = algebra.arity_bound
-    if bound is None:
-        raise NonTerminatingSeriesError(
-            f"cannot certify termination of a series: "
-            f"{algebra.name or 'the algebra'} has no arity bound"
-        )
-    if isinstance(bound, int):
-        n, how = bound, "bound"
-    else:
-        n, how = bound((phi,) + fixed), "filtration"
+    n, how = _arity(algebra, (phi,) + fixed)
     last = n - len(fixed)
 
     def term(j: int) -> Elt:
@@ -202,12 +221,24 @@ def _series(
     return total, count, how
 
 
+def _require_degree_zero(algebra: LInftyOne, phi: Elt) -> None:
+    if not phi.is_zero() and algebra.degree(phi) != 0:
+        raise ValueError("Maurer-Cartan candidates must be homogeneous of degree 0")
+
+
+def check_mc_candidate(algebra: LInftyOne, phi: Elt) -> None:
+    """Raise what :func:`mc_residual` raises on phi before its first term: a
+    ValueError unless phi is homogeneous of degree 0, NonTerminatingSeriesError
+    when the algebra has no arity bound, and the bound's own input check."""
+    _require_degree_zero(algebra, phi)
+    _arity(algebra, (phi,))
+
+
 def mc_residual(algebra: LInftyOne, phi: Elt) -> MCReport:
     """Maurer-Cartan residual sum_n (1/n!) m_n(phi, .., phi), starting at n = 0
     for curved algebras.  The algebra's arity bound ends the sum with a
     certificate; without one it raises NonTerminatingSeriesError."""
-    if not phi.is_zero() and algebra.degree(phi) != 0:
-        raise ValueError("Maurer-Cartan candidates must be homogeneous of degree 0")
+    _require_degree_zero(algebra, phi)
     total, count, terminated_by = _series(algebra, phi, start=0 if algebra.curved else 1)
     if not total.is_zero() and algebra.degree(total) != 1:
         raise AssertionError(
@@ -216,19 +247,35 @@ def mc_residual(algebra: LInftyOne, phi: Elt) -> MCReport:
     return MCReport(residual=total, terms_evaluated=count, terminated_by=terminated_by)
 
 
+def checked_mc_residual(algebra: LInftyOne, phi: Elt) -> Elt:
+    """The Maurer-Cartan residual of phi, for callers that only test or use
+    its value: the algebra's ``closed_residual`` when it has one, after the
+    checks of :func:`check_mc_candidate`, and otherwise the residual of
+    :func:`mc_residual`.  Both routes reject the same inputs with the same
+    errors, and where both apply they return equal residuals.  A closed form
+    certifies its own finite sums: the derived-bracket ones raise
+    NonTerminatingSeriesError when a term survives the quadruple's depth."""
+    if algebra.closed_residual is None:
+        return mc_residual(algebra, phi).residual
+    check_mc_candidate(algebra, phi)
+    return algebra.closed_residual(phi)
+
+
 def twist(algebra: LInftyOne, alpha: Elt, check: bool = True) -> LInftyOne:
     """Twist by a Maurer-Cartan element: the n-th bracket of the twisted
     algebra is sum_k (1/k!) m_{n+k}(alpha, .., alpha, args).
 
-    The Maurer-Cartan residual r of alpha is always computed (a
-    NonTerminatingSeriesError when it cannot be certified): it is the
-    twisted curvature m_0, so the twisted algebra is curved exactly when r
-    is nonzero.  With ``check`` enabled a nonzero r raises an
-    :class:`MCError` carrying it instead.
+    The Maurer-Cartan residual r of alpha is always computed, by
+    :func:`checked_mc_residual` (a NonTerminatingSeriesError when it cannot
+    be certified): it is the twisted curvature m_0, so the twisted algebra
+    is curved exactly when r is nonzero.  With ``check`` enabled a nonzero r
+    raises an :class:`MCError` carrying it instead.  The twisted algebra
+    states no closed residual of its own: its Maurer-Cartan residuals are
+    the series over the twisted brackets.
     """
     if not alpha.is_zero() and algebra.degree(alpha) != 0:
         raise ValueError("twisting elements must be homogeneous of degree 0")
-    residual = mc_residual(algebra, alpha).residual
+    residual = checked_mc_residual(algebra, alpha)
     if check and not residual.is_zero():
         raise MCError("twist by a non-Maurer-Cartan element", residual)
 
@@ -251,6 +298,7 @@ def twist(algebra: LInftyOne, alpha: Elt, check: bool = True) -> LInftyOne:
         curved=not residual.is_zero(),
         arity_bound=twisted_bound,
         name=f"twist({algebra.name})" if algebra.name else "twisted",
+        closed_residual=None,
     )
 
 

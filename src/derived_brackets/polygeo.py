@@ -666,7 +666,8 @@ def coiso_vdata(pi: PolyMultivector):
 
     Raises when [pi, pi] != 0 (the residual is attached to the error); curved
     exactly when the projection of pi survives, i.e. when C fails to be
-    coisotropic.
+    coisotropic.  The validation bases (:func:`multivector_sample_basis`,
+    :func:`vertical_sample_basis`) are built on their first read.
 
     Depth (:func:`_coiso_depth`): a subalgebra element a = f(x) @p_J has only
     fiber legs and a p-free coefficient.  Each term of the Schouten bracket
@@ -700,8 +701,8 @@ def coiso_vdata(pi: PolyMultivector):
         delta=pi,
         zero=PolyMultivector.zero(dims),
         in_a=lambda u: coiso_projection(u) == u,
-        sample_basis=tuple(multivector_sample_basis(dims)),
-        a_basis=tuple(vertical_sample_basis(dims)),
+        sample_basis=lambda: multivector_sample_basis(dims),
+        a_basis=lambda: vertical_sample_basis(dims),
         filtration=fdeg,
         depth=_coiso_depth,
         name=f"coisotropic-R{dims[0]}xR{dims[1]}",

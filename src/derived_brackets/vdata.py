@@ -20,6 +20,22 @@ and all remaining multibrackets vanish.  Both constructions are delivered as
 :class:`~derived_brackets.linfty.LInftyOne` handles whose higher-Jacobi
 relations are property-tested rather than assumed.
 
+Both handles carry their Maurer-Cartan residual in closed form:
+
+    small:  sum_n (1/n!) m_n(phi, .., phi)  = P e^{[., phi]} Delta
+    big:    sum_n (1/n!) m_n(alpha, .., alpha)
+                = (-1/2 [Delta + x, Delta + x][1], P e^{[., phi]} (Delta + x))
+            for alpha = (x[1], phi)
+
+(derivation in :func:`big_algebra`).  The closed forms serve where a
+residual is only a check or a value: :func:`~derived_brackets.linfty.twist`
+(its check and its curvature m_0), :func:`twist_vdata` and the precondition
+of :func:`machine_check`.  The series stay the definitions and the
+independent cross-checks: :func:`~derived_brackets.linfty.mc_residual`
+(which ``dbrack mc`` reports with its term count), gauge fields, the twisted
+brackets and the right side of :func:`machine_check`, which compares the
+series with the closed left side.
+
 Elements of L[1] (+) a are :class:`BigElt`, the two-part direct sum of
 :mod:`~derived_brackets.graded` with degree offsets (-1, 0).  The
 twisted-Poisson carrier Omega[3] (+) X[2] is the same type
@@ -47,11 +63,33 @@ from .linfty import (
     LInftyOne,
     MCError,
     NonTerminatingSeriesError,
+    check_mc_candidate,
+    checked_mc_residual,
     homogeneous_combinations,
     mc_residual,
 )
 
 Elt = Any
+
+
+class _Basis:
+    """A :class:`VData` basis field.  It holds a tuple, or a zero-argument
+    builder of one, which runs on the first read of the field; the tuple is
+    then kept on that quadruple object."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner):
+        if obj is None:
+            return ()  # the field's default
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = tuple(value())
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
@@ -65,7 +103,9 @@ class VData:
     given, maps elements of L to their degree in a complete filtration
     (large on zero), with [F^i, F^j] in F^{i+j}.  ``sample_basis`` spans (a
     sufficient sample of) L for validation; ``a_basis`` spans the relevant
-    part of a.
+    part of a.  Either may be given as a zero-argument builder of its tuple,
+    run on the first read, so a quadruple that is never validated never
+    builds them; :func:`deform_vdata` hands an unread builder on unbuilt.
     ``depth(x)``, when provided, is the largest n for which a chain
     [..[x, a_1], .., a_n] of subalgebra elements can be nonzero; each backend
     proves its depth.  It bounds every series downstream (see
@@ -83,8 +123,8 @@ class VData:
     delta: Elt
     zero: Elt
     in_a: Callable[[Elt], bool]
-    sample_basis: tuple = ()
-    a_basis: tuple = ()
+    sample_basis: tuple = _Basis()
+    a_basis: tuple = _Basis()
     curved: bool = dataclasses.field(init=False)
     filtration: Callable[[Elt], int] | None = None
     depth: Callable[[Elt], int] | None = None
@@ -187,12 +227,15 @@ def p_phi(v: VData, phi: Elt) -> Callable[[Elt], Elt]:
 
 
 def deform_vdata(v: VData, phi: Elt, extra_delta: Elt | None = None, name: str = "") -> VData:
-    """The quadruple with projection P_phi and optionally a shifted Delta."""
+    """The quadruple with projection P_phi and optionally a shifted Delta.
+    Its bases are v's as stored: a builder that v has not yet run is handed
+    on, and the new quadruple runs it only when its own basis is read."""
     return dataclasses.replace(
         v,
         project=p_phi(v, phi),
         delta=v.delta if extra_delta is None else v.delta + extra_delta,
         name=name or (f"{v.name}@deformed" if v.name else "deformed"),
+        **{field: v.__dict__[field] for field in ("sample_basis", "a_basis")},
     )
 
 
@@ -200,7 +243,12 @@ def deform_vdata(v: VData, phi: Elt, extra_delta: Elt | None = None, name: str =
 
 
 def small_algebra(v: VData) -> LInftyOne:
-    """The derived-bracket algebra on the abelian subalgebra."""
+    """The derived-bracket algebra on the abelian subalgebra.
+
+    Its closed Maurer-Cartan residual is P e^{[., phi]} Delta: the n-th term
+    of sum_n (1/n!) m_n(phi, .., phi) is (1/n!) P [..[Delta, phi], .., phi],
+    and the n = 0 term P Delta is the curvature of a curved quadruple.
+    """
 
     def m(k: int, args: tuple) -> Elt:
         if k == 0:
@@ -221,6 +269,7 @@ def small_algebra(v: VData) -> LInftyOne:
         curved=v.curved,
         arity_bound=_arity_bound(v, big=False),
         name=f"small({v.name})" if v.name else "small",
+        closed_residual=lambda phi: v.project(exp_ad(v, phi, v.delta)),
     )
 
 
@@ -292,6 +341,22 @@ def big_algebra(v: VData) -> LInftyOne:
     in the order of the full enumeration, so results are identical term for
     term.  Within one call a slot that repeats its left neighbour (as in
     m_n(phi, .., phi)) reuses that neighbour's projected chain.
+
+    Its closed Maurer-Cartan residual at alpha = (x[1], phi) is
+
+        sum_n (1/n!) m_n(alpha, .., alpha)
+            = (-1/2 [Delta + x, Delta + x][1], P e^{[., phi]} (Delta + x)).
+
+    The L[1] part comes from m_1 and m_2 alone: -(D x) from m_1 and
+    (1/2!) {x[1], x[1]} = -1/2 [x, x] (x has odd degree 1); with
+    [x, Delta] = [Delta, x] and [Delta, Delta] = 0 this is
+    -1/2 [Delta + x, Delta + x], and :func:`_square_part` computes the sum
+    -(D x) - 1/2 [x, x] itself, which equals the series on every quadruple
+    the construction accepts.  In the a part, m_n(alpha, .., alpha) holds
+    the chain from x with n - 1 copies of phi once per slot of x, n slots
+    in all, and n/n! = 1/(n-1)!, so these chains sum to P e^{[., phi]} x;
+    the all-a chains (1/n!) P [..[Delta, phi], .., phi] for n >= 1 sum to
+    P e^{[., phi]} Delta, as its n = 0 term P Delta is 0.
     """
     if v.curved:
         raise ValueError("the big construction needs a genuine (non-curved) quadruple")
@@ -360,7 +425,16 @@ def big_algebra(v: VData) -> LInftyOne:
         curved=False,
         arity_bound=_arity_bound(v, big=True),
         name=f"big({v.name})" if v.name else "big",
+        closed_residual=lambda alpha: BigElt(
+            _square_part(v, alpha.x), v.project(exp_ad(v, alpha.a, v.delta + alpha.x))
+        ),
     )
+
+
+def _square_part(v: VData, x: Elt) -> Elt:
+    """The L[1] part -(D x) - 1/2 [x, x] of the big Maurer-Cartan residual of
+    (x[1], phi) (:func:`big_algebra`)."""
+    return -(v.adjoint_delta(x) + v.bracket(x, x).scale(Fraction(1, 2)))
 
 
 # -- twisting at the quadruple level ------------------------------------------------
@@ -372,12 +446,20 @@ def twist_vdata(v: VData, alpha: BigElt) -> VData:
     checked: a nonzero residual raises MCError, and a check that cannot be
     certified raises NonTerminatingSeriesError.  The twisted quadruple is
     then flat: Delta + Delta' lies in Ker P_{Phi'} by the
-    simultaneous-deformation criterion (:func:`machine_check`)."""
-    report = mc_residual(big_algebra(v), alpha)
-    if not report.residual.is_zero():
-        raise MCError("twisting requires a Maurer-Cartan element", report.residual)
-    return deform_vdata(v, alpha.a, extra_delta=alpha.x,
-                        name=f"{v.name}@twist" if v.name else "twisted")
+    simultaneous-deformation criterion (:func:`machine_check`).
+
+    The check is the big algebra's closed residual (:func:`big_algebra`),
+    whose a part P e^{[., Phi']} (Delta + Delta') is the twisted quadruple's
+    own P_{Phi'}(Delta + Delta'): the quadruple computes it once, as its
+    ``curved`` flag, and it is computed again only for an MCError."""
+    check_mc_candidate(big_algebra(v), alpha)
+    twisted = deform_vdata(v, alpha.a, extra_delta=alpha.x,
+                           name=f"{v.name}@twist" if v.name else "twisted")
+    square = _square_part(v, alpha.x)
+    if twisted.curved or not square.is_zero():
+        raise MCError("twisting requires a Maurer-Cartan element",
+                      BigElt(square, twisted.project(twisted.delta)))
+    return twisted
 
 
 # -- the executable simultaneous-deformation equivalence ----------------------------
@@ -420,12 +502,12 @@ def machine_check(v: VData, phi: Elt, dtilde: Elt, ptilde: Elt) -> MachineReport
     the big algebra over the deformed projection P_phi.
 
     The two sides vanish together; the report carries both residual pairs.
+    The precondition that phi is Maurer-Cartan in the small algebra is
+    checked by that algebra's closed residual.
     """
-    small = small_algebra(v)
-    phi_report = mc_residual(small, phi)
-    if not phi_report.residual.is_zero():
-        raise MCError("base deformation direction is not Maurer-Cartan",
-                      phi_report.residual)
+    phi_residual = checked_mc_residual(small_algebra(v), phi)
+    if not phi_residual.is_zero():
+        raise MCError("base deformation direction is not Maurer-Cartan", phi_residual)
 
     total_delta = v.delta + dtilde
     square = v.bracket(total_delta, total_delta)
@@ -473,4 +555,5 @@ def restrict(
                 raise ValueError(f"argument outside the restricted subspace: {arg!r}")
         return big.m(k, args)
 
-    return dataclasses.replace(big, m=m, name=f"{big.name}|L'")
+    # the closed residual would skip m's membership check
+    return dataclasses.replace(big, m=m, name=f"{big.name}|L'", closed_residual=None)

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -1002,3 +1003,21 @@ def test_flow_of_a_high_power_needs_no_deep_stack(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert code in (0, 1)
     assert json.loads(capsys.readouterr().out)["form"][1][1]["terms"][0]["coef"] == -300
+
+
+def test_descriptor_with_base_dims_2000_exits_at_once(tmp_path, capsys):
+    # the coisotropic quadruple builds its validation bases only when they
+    # are read, so the dims mismatch is reported before any basis exists;
+    # building them up front took more than a minute at base dimension 2000
+    with open(_data("vdata_coiso.json"), encoding="utf-8") as fh:
+        desc = json.load(fh)
+    desc["pi"]["dims"]["base"] = 2000
+    vdata = _written(tmp_path, "vdata_base_2000.json", desc)
+    start = time.perf_counter()
+    code = main(["mc", vdata, _data("coiso_pair.json"), "--big"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    captured = capsys.readouterr()
+    _assert_one_line(captured.err, "input error: ")
+    assert "dims (1, 2) do not match (2000, 2) of the quadruple" in captured.err
+    assert elapsed < 2, f"took {elapsed:.2f} s"

@@ -3,7 +3,8 @@
 Each input file under ``tests/data`` is run with the golden-table commands
 that read it, after one seeded mutation: a value swapped for a float, bool,
 string or null, a zero denominator, a missing or extra key, an out-of-range
-wedge index or basis name, a repeated wedge leg, or an exponent of 2000.
+wedge index or basis name, a repeated wedge leg, an exponent of 2000, or a
+base or fiber dimension of 2000.
 Every mutant must exit 0, 1, 2 or 3 with no exception escaping ``main``,
 and exits 2 and 3 print exactly one stderr line.
 """
@@ -85,11 +86,13 @@ def _candidates(doc, kind, rng, name):
         elif kind == "exponent" and path and path[-1] == "monomial":
             if (name, path) not in SLOW:
                 out += [_set(node, k, 2000) for k in keys]
+        elif kind == "huge-dims" and path and path[-1] == "dims":
+            out += [_set(node, k, 2000) for k in ("base", "fiber") if k in node]
     return out
 
 
 KINDS = ("type", "zero-denominator", "missing", "extra", "out-of-range", "repeated-leg",
-         "exponent")
+         "exponent", "huge-dims")
 
 
 def _mutants(count, seed):
