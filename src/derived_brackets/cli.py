@@ -24,7 +24,7 @@ import sys
 from .gla import LinearMap, element_from_json, element_to_json, gla_from_json, table_vdata
 from .gla import verify_gla
 from .graded import HomElt, json_field, json_int, json_of
-from .linfty import MCError, NonTerminatingSeriesError, mc_residual
+from .linfty import MCError, NonTerminatingSeriesError, gauge_field, mc_residual
 from .polygeo import (
     PolyForm,
     PolyMultivector,
@@ -251,8 +251,6 @@ def cmd_gauge(args) -> int:
     payload = {"form": poly_to_json(gf), "mv": poly_to_json(gm)}
     if args.check_series:
         algebra = tpois_linfty(pi.dims[0])
-        from .linfty import gauge_field
-
         series = gauge_field(algebra, TPoisElement(b, x), TPoisElement(h, pi))
         payload["matches_series"] = (
             series.form_part == gf and series.mv_part == gm

@@ -28,8 +28,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class GlaReport:
-    ok: bool
     violations: tuple[Violation, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def as_dict(self) -> dict:
         return {
@@ -222,7 +225,7 @@ def verify_gla(algebra: StructureGLA) -> GlaReport:
                 if lhs != rhs:
                     violations.append(Violation("jacobi", (an, bn, cn), repr(lhs - rhs)))
 
-    return GlaReport(ok=not violations, violations=tuple(violations))
+    return GlaReport(tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -296,7 +299,7 @@ class DGLA:
                     violations.append(
                         Violation("differential", ("leibniz", ln, rn), repr(lhs - rhs))
                     )
-        return GlaReport(ok=not violations, violations=tuple(violations))
+        return GlaReport(tuple(violations))
 
 
 def basis_filtration(fdeg: dict[str, int]) -> tuple[Callable[[HomElt], int], Callable[[HomElt], int]]:

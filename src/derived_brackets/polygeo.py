@@ -37,6 +37,7 @@ from .graded import (
     json_of,
     settle,
 )
+from .vdata import VData
 
 Mono = tuple[int, ...]
 Wedge = tuple[int, ...]
@@ -679,8 +680,6 @@ def coiso_vdata(pi: PolyMultivector):
     vanishes (Cattaneo-Felder, math/0309180).  On a bivector mu = pol + 2,
     the bound of the small algebra's Maurer-Cartan series.
     """
-    from .vdata import VData
-
     jacobiator = schouten(pi, pi)
     if not jacobiator.is_zero():
         raise ValueError(f"not a Poisson bivector; [pi, pi] = {jacobiator!r}")

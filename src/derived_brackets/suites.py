@@ -1,8 +1,12 @@
 """Named property suites, shared by the command-line front end and the tests.
 
 Each suite returns a deterministic, JSON-serializable report: same seed and
-configuration give byte-identical output.  A suite passes exactly when every
-sample check holds with exact arithmetic; failures carry per-sample witnesses.
+configuration give byte-identical output.  One rule decides every verdict:
+``passed`` is false exactly when ``failures`` lists a record, one per failed
+check.  It lives in :class:`_Run`: a suite body states each check once as
+``run.check(holds, **record)``, which counts the check and keeps the record
+(its per-sample witness) when the check fails, and ``run.report()`` builds
+the report from the count and the records.
 """
 
 from __future__ import annotations
@@ -46,15 +50,31 @@ from .tpois import (
 from .vdata import BigElt, big_algebra, machine_check, small_algebra, twist_vdata
 
 
-def _report(name: str, config: RunConfig, checks: int, failures: list) -> dict:
-    return {
-        "suite": name,
-        "seed": config.seed,
-        "samples": config.samples,
-        "checks": checks,
-        "failures": failures,
-        "passed": not failures,
-    }
+class _Run:
+    """One suite run: its seeded ``rng``, its check count and its failure
+    records."""
+
+    def __init__(self, name: str, config: RunConfig):
+        self.name, self.config = name, config
+        self.rng = random.Random(config.seed)
+        self.checks = 0
+        self.failures: list[dict] = []
+
+    def check(self, holds, **record) -> None:
+        """Count one check; record it as failed unless it holds."""
+        self.checks += 1
+        if not holds:
+            self.failures.append(record)
+
+    def report(self) -> dict:
+        return {
+            "suite": self.name,
+            "seed": self.config.seed,
+            "samples": self.config.samples,
+            "checks": self.checks,
+            "failures": self.failures,
+            "passed": not self.failures,
+        }
 
 
 def _fixture_pair_sampler(rng):
@@ -76,9 +96,8 @@ def _coiso_a_sampler(rng, dims, degree, arity=None):
 
 def suite_jacobi(config: RunConfig) -> dict:
     """Higher-Jacobi residuals vanish on every shipped constructor."""
-    rng = random.Random(config.seed)
-    failures = []
-    checks = 0
+    run = _Run("jacobi", config)
+    rng = run.rng
 
     v = fixture_vdata()
     small = small_algebra(v)
@@ -86,13 +105,11 @@ def suite_jacobi(config: RunConfig) -> dict:
     for n in range(1, config.max_arity + 1):
         for k in range(config.samples):
             args = tuple(random_fixture_a_element(rng, rng.choice([0, 1])) for _ in range(n))
-            checks += 1
-            if not relations_residual(small, n, args).is_zero():
-                failures.append({"setting": "fixture-small", "arity": n, "sample": k})
+            run.check(relations_residual(small, n, args).is_zero(),
+                      setting="fixture-small", arity=n, sample=k)
             pargs = tuple(_fixture_pair_sampler(rng) for _ in range(n))
-            checks += 1
-            if not relations_residual(big, n, pargs).is_zero():
-                failures.append({"setting": "fixture-big", "arity": n, "sample": k})
+            run.check(relations_residual(big, n, pargs).is_zero(),
+                      setting="fixture-big", arity=n, sample=k)
 
     # twisted fixture algebra
     alpha = fixture_mc_big(rng)
@@ -100,9 +117,8 @@ def suite_jacobi(config: RunConfig) -> dict:
     for n in range(1, config.max_arity + 1):
         for k in range(config.samples):
             pargs = tuple(_fixture_pair_sampler(rng) for _ in range(n))
-            checks += 1
-            if not relations_residual(twisted, n, pargs).is_zero():
-                failures.append({"setting": "fixture-twisted", "arity": n, "sample": k})
+            run.check(relations_residual(twisted, n, pargs).is_zero(),
+                      setting="fixture-twisted", arity=n, sample=k)
 
     dims = (1, 2)
     pi = random_coiso_poisson(rng, dims, min(config.max_poly_degree, 2), require_flat=True)
@@ -114,18 +130,16 @@ def suite_jacobi(config: RunConfig) -> dict:
             args = tuple(
                 _coiso_a_sampler(rng, dims, config.max_poly_degree) for _ in range(n)
             )
-            checks += 1
-            if not relations_residual(csmall, n, args).is_zero():
-                failures.append({"setting": "coiso-small", "arity": n, "sample": k})
+            run.check(relations_residual(csmall, n, args).is_zero(),
+                      setting="coiso-small", arity=n, sample=k)
         for k in range(config.samples):
             pargs = []
             for _ in range(n):
                 degw = rng.choice([-1, 0])
                 x = random_multivector(rng, dims, degw + 2, 1)
                 pargs.append(BigElt(x, _coiso_a_sampler(rng, dims, 1, arity=degw + 1)))
-            checks += 1
-            if not relations_residual(cbig, n, tuple(pargs)).is_zero():
-                failures.append({"setting": "coiso-big", "arity": n, "sample": k})
+            run.check(relations_residual(cbig, n, tuple(pargs)).is_zero(),
+                      setting="coiso-big", arity=n, sample=k)
 
     m = 3
     algebra = tpois_linfty(m)
@@ -134,18 +148,18 @@ def suite_jacobi(config: RunConfig) -> dict:
             args = tuple(
                 random_tpois_element(rng, m, rng.choice([-1, 0, 1]), 2) for _ in range(n)
             )
-            checks += 1
-            if not relations_residual(algebra, n, args).is_zero():
-                failures.append({"setting": "twisted-poisson", "arity": n, "sample": k})
+            run.check(relations_residual(algebra, n, args).is_zero(),
+                      setting="twisted-poisson", arity=n, sample=k)
 
-    return _report("jacobi", config, checks, failures)
+    return run.report()
 
 
 def suite_machine(config: RunConfig) -> dict:
-    """Left/right vanishing agreement of the simultaneous-deformation check."""
-    rng = random.Random(config.seed)
-    failures = []
-    checks = 0
+    """Left/right vanishing agreement of the simultaneous-deformation check:
+    random inputs must agree, engineered Maurer-Cartan ones vanish on both
+    sides."""
+    run = _Run("machine", config)
+    rng = run.rng
 
     v = fixture_vdata()
     space = v.zero.space
@@ -154,15 +168,12 @@ def suite_machine(config: RunConfig) -> dict:
         dtilde = random_fixture_element(rng, 1)
         ptilde = random_fixture_a_element(rng, 0)
         rep = machine_check(v, phi, dtilde, ptilde)
-        checks += 1
-        if not rep.agree:
-            failures.append({"setting": "fixture", "sample": k, **rep.as_dict()})
+        run.check(rep.agree, setting="fixture", sample=k, **rep.as_dict())
     for k in range(config.samples):
         alpha = fixture_mc_big(rng)
         rep = machine_check(v, space.zero(), alpha.x, alpha.a)
-        checks += 1
-        if not (rep.left_vanishes and rep.right_vanishes):
-            failures.append({"setting": "fixture-engineered", "sample": k, **rep.as_dict()})
+        run.check(rep.left_vanishes and rep.right_vanishes,
+                  setting="fixture-engineered", sample=k, **rep.as_dict())
 
     dims = (1, 2)
     degree = min(config.max_poly_degree, 2)
@@ -173,24 +184,20 @@ def suite_machine(config: RunConfig) -> dict:
         dtilde = random_multivector(rng, dims, 2, 1)
         ptilde = random_vertical_section(rng, dims, 1)
         rep = machine_check(cv, zero, dtilde, ptilde)
-        checks += 1
-        if not rep.agree:
-            failures.append({"setting": "coiso", "sample": k, **rep.as_dict()})
+        run.check(rep.agree, setting="coiso", sample=k, **rep.as_dict())
     for k in range(config.samples):
         dtilde, ptilde = engineered_coiso_mc(rng, base, 1)
         rep = machine_check(cv, zero, dtilde, ptilde)
-        checks += 1
-        if not (rep.left_vanishes and rep.right_vanishes):
-            failures.append({"setting": "coiso-engineered", "sample": k, **rep.as_dict()})
+        run.check(rep.left_vanishes and rep.right_vanishes,
+                  setting="coiso-engineered", sample=k, **rep.as_dict())
 
-    return _report("machine", config, checks, failures)
+    return run.report()
 
 
 def suite_truc(config: RunConfig) -> dict:
     """Twisting at the algebra level equals twisting at the quadruple level."""
-    rng = random.Random(config.seed)
-    failures = []
-    checks = 0
+    run = _Run("truc", config)
+    rng = run.rng
     v = fixture_vdata()
     big = big_algebra(v)
     n_alpha = max(config.samples, 1)
@@ -201,17 +208,14 @@ def suite_truc(config: RunConfig) -> dict:
         for n in range(1, config.max_arity + 1):
             for _ in range(3):
                 args = tuple(_fixture_pair_sampler(rng) for _ in range(n))
-                checks += 1
-                if twisted.m(n, args) != quadruple.m(n, args):
-                    failures.append({"sample": k, "arity": n})
-    return _report("truc", config, checks, failures)
+                run.check(twisted.m(n, args) == quadruple.m(n, args), sample=k, arity=n)
+    return run.report()
 
 
 def suite_oracle(config: RunConfig) -> dict:
     """Direct twisted-Poisson brackets equal the coordinate-model oracle."""
-    rng = random.Random(config.seed)
-    failures = []
-    checks = 0
+    run = _Run("oracle", config)
+    rng = run.rng
     degree = min(config.max_poly_degree, 3)
     for m in (2, 3):
         dims = (m, 0)
@@ -252,26 +256,17 @@ def suite_oracle(config: RunConfig) -> dict:
             )
             direct = tpois_bracket(len(args), t_args)
             o_form, o_mv = oracle_bracket(m, args)
-            checks += 1
-            if direct.form_part != o_form or direct.mv_part != o_mv:
-                failures.append(
-                    {
-                        "dim": m,
-                        "sample": k,
-                        "pattern": kind,
-                        "direct": repr(direct),
-                        "oracle": repr((o_form, o_mv)),
-                    }
-                )
-    return _report("oracle", config, checks, failures)
+            run.check(direct.form_part == o_form and direct.mv_part == o_mv,
+                      dim=m, sample=k, pattern=kind,
+                      direct=repr(direct), oracle=repr((o_form, o_mv)))
+    return run.report()
 
 
 def suite_gauge(config: RunConfig) -> dict:
     """Gauge directions are tangent to the Maurer-Cartan set; the series over
     the multibrackets equals the closed form; generators match."""
-    rng = random.Random(config.seed)
-    failures = []
-    checks = 0
+    run = _Run("gauge", config)
+    rng = run.rng
     m = 3
     algebra = tpois_linfty(m)
     degree = min(config.max_poly_degree, 2)
@@ -283,21 +278,16 @@ def suite_gauge(config: RunConfig) -> dict:
         gf, gm = gauge_Y(b, x, h, pi)
 
         d_form, d_mv = mc_residual_derivative(h, pi, gf, gm)
-        checks += 1
-        if not (d_form.is_zero() and d_mv.is_zero()):
-            failures.append({"check": "tangency", "sample": k})
+        run.check(d_form.is_zero() and d_mv.is_zero(), check="tangency", sample=k)
 
         series = gauge_field(algebra, TPoisElement(b, x), TPoisElement(h, pi))
-        checks += 1
-        if series.form_part != gf or series.mv_part != gm:
-            failures.append({"check": "series", "sample": k})
+        run.check(series.form_part == gf and series.mv_part == gm, check="series", sample=k)
 
         # the generator comparison needs the graph transform, hence safe data
-        checks += 1
         rep = generator_match(b_safe, x_safe, h, pi)
-        if not (rep.identity_holds and rep.symbolic_matches_closed_form):
-            failures.append({"check": "generator", "sample": k})
-    return _report("gauge", config, checks, failures)
+        run.check(rep.identity_holds and rep.symbolic_matches_closed_form,
+                  check="generator", sample=k)
+    return run.report()
 
 
 def suite_flow(config: RunConfig) -> dict:
@@ -305,9 +295,8 @@ def suite_flow(config: RunConfig) -> dict:
     closed form at vanishing flow direction.  Of the ``samples`` curves the
     first ceil(samples / 2) have a zero flow direction (four checks each),
     the rest a random one (three checks each)."""
-    rng = random.Random(config.seed)
-    failures = []
-    checks = 0
+    run = _Run("flow", config)
+    rng = run.rng
     m = 3
     degree = min(config.max_poly_degree, 2)
     zero_flows = (config.samples + 1) // 2
@@ -318,30 +307,18 @@ def suite_flow(config: RunConfig) -> dict:
         if constant_zero:
             x = PolyMultivector.zero((m, 0))
         curve = flow_curve(b, x, h, pi)
-        f0, m0 = curve.at(Fraction(0))
-        checks += 1
-        if f0 != h or m0 != pi:
-            failures.append({"check": "start", "sample": k})
-        checks += 1
-        if curve.ode_residual():
-            failures.append({"check": "ode", "sample": k})
-        df, dm = curve.derivative_at_zero()
-        gf, gm = gauge_Y(b, x, h, pi)
-        checks += 1
-        if df != gf or dm != gm:
-            failures.append({"check": "derivative", "sample": k})
+        run.check(curve.at(Fraction(0)) == (h, pi), check="start", sample=k)
+        run.check(not curve.ode_residual(), check="ode", sample=k)
+        run.check(curve.derivative_at_zero() == gauge_Y(b, x, h, pi),
+                  check="derivative", sample=k)
         if constant_zero:
-            checks += 1
+            t0 = Fraction(rng.randint(1, 3), rng.randint(1, 3))
             try:
-                t0 = Fraction(rng.randint(1, 3), rng.randint(1, 3))
-                ft, mt = curve.at(t0)
-                expected_f = h - de_rham(b).scale(t0)
-                expected_m = e_b_pi(b.scale(t0), pi)
-                if ft != expected_f or mt != expected_m:
-                    failures.append({"check": "closed-form", "sample": k})
+                holds = curve.at(t0) == (h - de_rham(b).scale(t0), e_b_pi(b.scale(t0), pi))
             except GraphTransformError:
-                pass  # the transform can be singular at the sampled time
-    return _report("flow", config, checks, failures)
+                holds = True  # the transform can be singular at the sampled time
+            run.check(holds, check="closed-form", sample=k)
+    return run.report()
 
 
 SUITES = {

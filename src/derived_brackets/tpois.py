@@ -55,6 +55,7 @@ from .polygeo import (
     _without_leg,
     contract_form,
     de_rham,
+    element_to_json,
     multi_sharp,
     schouten,
     transport,
@@ -545,6 +546,8 @@ class AffineDiffeo:
 
     def compose(self, other: "AffineDiffeo") -> "AffineDiffeo":
         """self after other."""
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
         columns = list(zip(*other.rows))
         return AffineDiffeo._of([[sum(map(mul, row, col)) for col in columns] for row in self.rows])
 
@@ -759,8 +762,6 @@ class FlowCurve:
         return _t_settled(acc, PolyMultivector, self.dims)
 
     def emit(self) -> dict:
-        from .polygeo import element_to_json
-
         return {
             "form": [[p, element_to_json(f)] for p, f in sorted(self.form_curve.items())],
             "mv_numerator": [

@@ -143,8 +143,11 @@ class VData:
 
 @dataclass(frozen=True)
 class VDataReport:
-    ok: bool
     failures: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "failures": [list(f) for f in self.failures]}
@@ -180,7 +183,7 @@ def validate_vdata(v: VData) -> VDataReport:
     if not square.is_zero():
         failures.append(("element does not square to zero", repr(square)))
 
-    return VDataReport(ok=not failures, failures=tuple(failures))
+    return VDataReport(tuple(failures))
 
 
 # -- exponential of the right adjoint action ------------------------------------
@@ -242,6 +245,17 @@ def deform_vdata(v: VData, phi: Elt, extra_delta: Elt | None = None, name: str =
 # -- the small algebra ------------------------------------------------------------
 
 
+def _projected_chain(v: VData, x: Elt, rest: Sequence[Elt]) -> Elt:
+    """P [ .. [x, a_1], .., a_n ] for ``rest`` = (a_1, .., a_n); zero as soon
+    as a partial chain vanishes."""
+    current = x
+    for a in rest:
+        current = v.bracket(current, a)
+        if current.is_zero():
+            return v.zero
+    return v.project(current)
+
+
 def small_algebra(v: VData) -> LInftyOne:
     """The derived-bracket algebra on the abelian subalgebra.
 
@@ -255,12 +269,7 @@ def small_algebra(v: VData) -> LInftyOne:
             if not v.curved:
                 raise ValueError("non-curved small algebra has no 0-ary bracket")
             return v.project(v.delta)
-        current = v.delta
-        for a in args:
-            current = v.bracket(current, a)
-            if current.is_zero():
-                return v.zero
-        return v.project(current)
+        return _projected_chain(v, v.delta, args)
 
     return LInftyOne(
         components=v.components,
@@ -365,14 +374,6 @@ def big_algebra(v: VData) -> LInftyOne:
     # x[1] sits one degree below x; the a part keeps its degree
     components = direct_sum_grading(BigElt, (v.components, -1), (v.components, 0))
 
-    def projected_chain(x: Elt, rest: Sequence[Elt]) -> Elt:
-        current = x
-        for a in rest:
-            current = v.bracket(current, a)
-            if current.is_zero():
-                return v.zero
-        return v.project(current)
-
     def m(k: int, args: tuple) -> BigElt:
         if k == 0:
             raise ValueError("the big construction is never curved")
@@ -406,14 +407,14 @@ def big_algebra(v: VData) -> LInftyOne:
                 if not (pos and e is combo[pos - 1]):
                     value = None
                     if not e.x.is_zero() and (n_zero == 0 or a_zero[pos]):
-                        value = projected_chain(e.x, a_parts[:pos] + a_parts[pos + 1:])
+                        value = _projected_chain(v, e.x, a_parts[:pos] + a_parts[pos + 1:])
                 if value is not None and not value.is_zero():
                     sign = -1 if degrees[pos] % 2 == 1 and prefix % 2 == 1 else 1
                     total = total + BigElt(v.zero, value.scale(sign))
                 prefix += degrees[pos]
             if n_zero == 0:
                 first = v.adjoint_delta(a_parts[0])
-                value = projected_chain(first, a_parts[1:])
+                value = _projected_chain(v, first, a_parts[1:])
                 if not value.is_zero():
                     total = total + BigElt(v.zero, value)
         return total

@@ -796,6 +796,8 @@ GOLDEN = {
     "gauge_check_series": (0, ["gauge", _data("tpois_gauge.json"), "--check-series"]),
     "suite_flow": (0, ["suite", "flow", "--seed", "1", "--samples", "5"]),
     "suite_gauge": (0, ["suite", "gauge", "--seed", "1", "--samples", "5"]),
+    "suite_truc": (0, ["suite", "truc", "--seed", "1", "--samples", "5"]),
+    "suite_oracle": (0, ["suite", "oracle", "--seed", "1", "--samples", "5"]),
 }
 
 

@@ -1,9 +1,12 @@
 """Every suite can fail: with its check made to return a wrong value, the
 report says ``"passed": false`` with one failure record per failed check,
-``dbrack suite NAME`` exits 1, and text mode prints ``failure:`` lines."""
+``dbrack suite NAME`` exits 1, and text mode prints ``failure:`` lines.
+Both outputs of each broken run match a recorded copy, which pins every
+record's values and, through the text mode's ``repr``, its key order."""
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -12,6 +15,8 @@ from derived_brackets.cli import main
 from derived_brackets.polygeo import form, mv
 from derived_brackets.sampling import RunConfig
 from derived_brackets.tpois import FlowCurve, GeneratorReport, TPoisElement
+
+BROKEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden", "broken")
 
 
 class _Nonzero:
@@ -82,13 +87,22 @@ BROKEN = {
 }
 
 
+def _recorded(name, ext):
+    # tests/data/golden/broken/suite_NAME.{json,txt}: the output of the broken
+    # run below, in JSON and in text mode
+    with open(os.path.join(BROKEN_DIR, f"suite_{name}.{ext}"), encoding="utf-8") as fh:
+        return fh.read()
+
+
 @pytest.mark.parametrize("name", sorted(BROKEN))
 def test_every_suite_can_fail(name, monkeypatch, capsys):
     breaking, argv, keys, kinds = BROKEN[name]
     argv = ["suite", name, "--samples", "1"] + argv
     breaking(monkeypatch)
     assert main(["--json"] + argv) == 1
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out == _recorded(name, "json")
+    report = json.loads(out)
     assert report["passed"] is False and report["failures"]
     assert all(set(failure) == keys for failure in report["failures"])
     if kinds is not None:
@@ -96,7 +110,9 @@ def test_every_suite_can_fail(name, monkeypatch, capsys):
         assert {failure[key] for failure in report["failures"]} == kinds
 
     assert main(argv) == 1
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr().out
+    assert out == _recorded(name, "txt")
+    lines = out.splitlines()
     failures = report["failures"]
     assert lines[0] == (f"suite {name}: FAIL ({report['checks']} checks, "
                         f"{len(failures)} failures, seed {report['seed']})")

@@ -660,6 +660,13 @@ _X3 = mv(D3, 1, None, (0,))
         (lambda: e_b_pi(form(D3, 1, None, (0,)), _PI3), ValueError,
          "graph transforms apply to bivectors and 2-forms"),
         (lambda: AffineDiffeo([[1, 0]], [0]), ValueError, "inconsistent affine data"),
+        (lambda: AffineDiffeo([[1, 2], [2, 4]], [0, 0]), ValueError,
+         "affine map must be invertible"),
+        (lambda: AffineDiffeo([[2]], [1]).compose(AffineDiffeo.identity(2)), ValueError,
+         "dimension mismatch"),
+        (lambda: group_mul(PolyForm.zero((1, 0)), AffineDiffeo([[2]], [1]),
+                           PolyForm.zero((1, 0)), AffineDiffeo.identity(2)), ValueError,
+         "dimension mismatch"),
         (lambda: flow_curve(_B3, _PI3, _H3, _PI3), UnsupportedVectorFieldError,
          "flow directions must be vector fields"),
         (lambda: flow_curve(_B3, _X3, _B3, _PI3), ValueError,
@@ -668,7 +675,8 @@ _X3 = mv(D3, 1, None, (0,))
          "flow starts at a 3-form / bivector pair"),
     ],
     ids=["too-few-arguments", "mixed-dims", "curvature", "mc-not-3-form", "mc-not-bivector",
-         "shear-by-1-form", "affine-shapes", "flow-by-bivector", "flow-from-2-form",
+         "shear-by-1-form", "affine-shapes", "affine-singular", "compose-dims",
+         "group-mul-dims", "flow-by-bivector", "flow-from-2-form",
          "flow-from-vector"],
 )
 def test_input_checks(call, error, message):
