@@ -3,6 +3,14 @@
 Randomness is always driven by ``random.Random(seed)`` so that every suite is
 reproducible; coefficients are small integers (default -3..3) and polynomial
 degrees are capped by the run configuration.
+
+The draw contract: a generator collects each element's (coef, mono, wedge)
+triples in draw order and builds the element with one ``from_terms`` call,
+which validates them.  :func:`random_terms` is the one loop that draws a
+wedge and then a random polynomial on it.  The suites and the benchmark's
+workloads call these generators, so their signatures, defaults and the
+order of their ``rng`` calls stay fixed; ``tests/fingerprint.py`` pins the
+draws.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from fractions import Fraction
 
 from .gla import StructureGLA, table_vdata
 from .graded import GradedSpace, HomElt
-from .polygeo import PolyForm, PolyMultivector, fiber_translate, form, mv, schouten
+from .polygeo import PolyForm, PolyMultivector, fiber_translate, mv, schouten, unit_mono
 from .tpois import TPoisElement
 from .vdata import BigElt, VData
 
@@ -38,12 +46,12 @@ class RunConfig:
             )
 
 
-def _coef(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3))
+def _coef(rng: random.Random) -> int:
+    return rng.randint(-3, 3)
 
 
-def _nonzero_coef(rng: random.Random) -> Fraction:
-    c = Fraction(0)
+def _nonzero_coef(rng: random.Random) -> int:
+    c = 0
     while c == 0:
         c = _coef(rng)
     return c
@@ -89,6 +97,7 @@ def fixture_gla() -> StructureGLA:
     return StructureGLA(space, table)
 
 
+_FIXTURE_A = ("a", "c", "b")
 _FIXTURE_FDEG = {"a": 1, "c": 1, "b": 2, "u": 0, "v": 1, "w": 2}
 
 
@@ -99,12 +108,11 @@ def fixture_vdata() -> VData:
     2, as [[u, a], a] = b."""
     algebra = fixture_gla()
     space = algebra.space
-    a_names = ("a", "c", "b")
 
     def project(x: HomElt) -> HomElt:
-        return HomElt._of(space, {n: cf for n, cf in x.terms.items() if n in a_names})
+        return HomElt._of(space, {n: cf for n, cf in x.terms.items() if n in _FIXTURE_A})
 
-    return table_vdata(algebra, a_names, space.gen("u"), project, _FIXTURE_FDEG,
+    return table_vdata(algebra, _FIXTURE_A, space.gen("u"), project, _FIXTURE_FDEG,
                        "nilpotent-fixture")
 
 
@@ -116,18 +124,13 @@ def random_fixture_element(rng: random.Random, degree: int) -> HomElt:
 
 def random_fixture_a_element(rng: random.Random, degree: int = 0) -> HomElt:
     space = _FIXTURE_SPACE
-    names = [n for n in ("a", "c", "b") if space.degree_of(n) == degree]
+    names = [n for n in _FIXTURE_A if space.degree_of(n) == degree]
     return space.element({n: _coef(rng) for n in names})
 
 
 def random_fixture_pair(rng: random.Random, degree: int) -> BigElt:
     """Homogeneous element of L[1] (+) a of the given shifted degree."""
-    space = _FIXTURE_SPACE
-    x_names = [n for n, d in space.basis if d == degree + 1]
-    a_names = [n for n in ("a", "c", "b") if space.degree_of(n) == degree]
-    x = space.element({n: _coef(rng) for n in x_names})
-    a = space.element({n: _coef(rng) for n in a_names})
-    return BigElt(x, a)
+    return BigElt(random_fixture_element(rng, degree + 1), random_fixture_a_element(rng, degree))
 
 
 def fixture_mc_small(rng: random.Random) -> HomElt:
@@ -181,37 +184,42 @@ def random_base_poly(rng: random.Random, dims, degree: int, fiber_degree: int = 
         for _ in range(rng.randint(0, fiber_degree)):
             if k:
                 mono[m + rng.randrange(k)] += 1
-        terms[tuple(mono)] = terms.get(tuple(mono), Fraction(0)) + _coef(rng)
+        terms[tuple(mono)] = terms.get(tuple(mono), 0) + _coef(rng)
     return {mn: c for mn, c in terms.items() if c != 0}
+
+
+def _on(wedge, poly: dict) -> list:
+    """The (coef, mono, wedge) triples of the polynomial ``poly`` on ``wedge``."""
+    return [(coef, mono, wedge) for mono, coef in poly.items()]
+
+
+def random_terms(rng: random.Random, dims, wedges: list, rounds: int, degree: int,
+                 fiber_degree: int = 0) -> list:
+    """The triples of ``rounds`` draws, each a wedge chosen from ``wedges``
+    and then a :func:`random_base_poly` on it, in draw order."""
+    terms = []
+    for _ in range(rounds):
+        terms += _on(rng.choice(wedges), random_base_poly(rng, dims, degree, fiber_degree))
+    return terms
 
 
 def random_multivector(rng: random.Random, dims, arity: int, degree: int) -> PolyMultivector:
     """Random arity-vector field whose coefficients have base and fiber
     degree up to ``degree`` each."""
     m, k = dims
-    fiber_degree = degree if k else 0
-    total = PolyMultivector.zero(dims)
-    directions = list(itertools.combinations(range(m + k), arity))
-    for _ in range(rng.randint(1, 3)):
-        wedge = rng.choice(directions)
-        poly = random_base_poly(rng, dims, degree, fiber_degree)
-        for mono, coef in poly.items():
-            total = total + mv(dims, coef, mono, wedge)
-    return total
+    wedges = list(itertools.combinations(range(m + k), arity))
+    rounds = rng.randint(1, 3)
+    return PolyMultivector.from_terms(
+        dims, random_terms(rng, dims, wedges, rounds, degree, degree if k else 0))
 
 
 def random_form(rng: random.Random, dims, q: int, degree: int) -> PolyForm:
     m, k = dims
-    total = PolyForm.zero(dims)
-    directions = list(itertools.combinations(range(m + k), q))
-    if not directions:
-        return total
-    for _ in range(rng.randint(1, 3)):
-        wedge = rng.choice(directions)
-        poly = random_base_poly(rng, dims, degree)
-        for mono, coef in poly.items():
-            total = total + form(dims, coef, mono, wedge)
-    return total
+    wedges = list(itertools.combinations(range(m + k), q))
+    if not wedges:
+        return PolyForm.zero(dims)
+    rounds = rng.randint(1, 3)
+    return PolyForm.from_terms(dims, random_terms(rng, dims, wedges, rounds, degree))
 
 
 def random_tpois_element(rng: random.Random, m: int, degree_w: int, poly_degree: int) -> TPoisElement:
@@ -230,12 +238,8 @@ def random_tpois_element(rng: random.Random, m: int, degree_w: int, poly_degree:
 def random_vertical_section(rng: random.Random, dims, degree: int) -> PolyMultivector:
     """Element of Gamma(nu C): vertical legs, base-only coefficients."""
     m, k = dims
-    total = PolyMultivector.zero(dims)
-    for j in range(k):
-        poly = random_base_poly(rng, dims, degree)
-        for mono, coef in poly.items():
-            total = total + mv(dims, coef, mono, (m + j,))
-    return total
+    return PolyMultivector.from_terms(
+        dims, [t for j in range(k) for t in _on((m + j,), random_base_poly(rng, dims, degree))])
 
 
 def random_coiso_poisson(rng: random.Random, dims, degree: int,
@@ -251,25 +255,18 @@ def random_coiso_poisson(rng: random.Random, dims, degree: int,
     if choice == 0 and m >= 1:
         # base-leg wedge vertical combination: projection dies on the base leg
         base_leg = rng.randrange(m)
-        vert = [Fraction(0)] * k
-        for j in range(k):
-            vert[j] = _coef(rng)
-        if all(c == 0 for c in vert):
-            vert[rng.randrange(k)] = Fraction(1)
+        vert = [_coef(rng) for _ in range(k)]
+        if not any(vert):
+            vert[rng.randrange(k)] = 1
         poly = random_base_poly(rng, dims, degree)
-        total = PolyMultivector.zero(dims)
-        for mono, coef in poly.items():
-            for j, cj in enumerate(vert):
-                if cj != 0:
-                    total = total + mv(dims, coef * cj, mono, tuple(sorted((base_leg, m + j))))
-        pi = total
+        terms = [(coef * cj, mono, (base_leg, m + j))
+                 for mono, coef in poly.items() for j, cj in enumerate(vert) if cj]
     else:
         # single-wedge vertical bivector: curved unless the coefficient dies on C
         poly = random_base_poly(rng, dims, degree, fiber_degree=degree)
         legs = tuple(sorted(rng.sample(range(m, m + k), 2))) if k >= 2 else (m - 1, m)
-        pi = PolyMultivector.zero(dims)
-        for mono, coef in poly.items():
-            pi = pi + mv(dims, coef, mono, legs)
+        terms = _on(legs, poly)
+    pi = PolyMultivector.from_terms(dims, terms)
     assert schouten(pi, pi).is_zero()
     return pi
 
@@ -302,15 +299,18 @@ def random_twisted_pair(rng: random.Random, m: int, degree: int,
         flavor = "positive" if rng.randrange(2) == 0 else "negative"
     h = random_form(rng, dims, 3, degree)
     legs = tuple(sorted(rng.sample(range(m), 2))) if m >= 2 else (0, 0)
-    poly = random_base_poly(rng, dims, degree)
-    pi = PolyMultivector.zero(dims)
-    for mono, coef in poly.items():
-        pi = pi + mv(dims, coef, mono, legs)
+    terms = _on(legs, random_base_poly(rng, dims, degree))
     if flavor == "negative":
         other = tuple(sorted(rng.sample(range(m), 2)))
-        pi = pi + mv(dims, _nonzero_coef(rng),
-                     tuple(1 if i == rng.randrange(m) else 0 for i in range(m)), other)
-    return h, pi
+        terms.append((_nonzero_coef(rng),
+                      tuple(1 if i == rng.randrange(m) else 0 for i in range(m)), other))
+    return h, PolyMultivector.from_terms(dims, terms)
+
+
+def _constant_field(rng: random.Random, dims, legs) -> PolyMultivector:
+    """The vector field with a drawn constant coefficient on each leg."""
+    one = unit_mono(dims)
+    return PolyMultivector.from_terms(dims, [(_coef(rng), one, (i,)) for i in legs])
 
 
 def random_gauge_direction(rng: random.Random, m: int, degree: int,
@@ -319,9 +319,7 @@ def random_gauge_direction(rng: random.Random, m: int, degree: int,
     dims = (m, 0)
     b = random_form(rng, dims, 2, degree)
     if constant_field:
-        x = PolyMultivector.zero(dims)
-        for i in range(m):
-            x = x + mv(dims, _coef(rng), None, (i,))
+        x = _constant_field(rng, dims, range(m))
     else:
         x = random_multivector(rng, dims, 1, 1)
     return b, x
@@ -331,34 +329,30 @@ def gauge_safe_data(
     rng: random.Random, m: int, degree: int, constant_field: bool = True,
     allow_constant_shear: bool = True,
 ) -> tuple[PolyForm, PolyMultivector, PolyForm, PolyMultivector]:
-    """(H, pi, B, X) with (H, pi) Maurer-Cartan and every graph transform along
-    the gauge/flow construction staying inside the polynomial category.
+    """(H, pi, B, X) meant as a Maurer-Cartan pair (H, pi) with every graph
+    transform along the gauge/flow construction staying inside the
+    polynomial category.
 
     pi = f(x) d_1 ^ d_2 has rank <= 2, so only the dx1^dx2 component of the
     transported 2-form enters the determinant: choosing X in span(d_1, d_2)
-    and B without a spatially varying dx1^dx2 part keeps it constant."""
+    and B without a spatially varying dx1^dx2 part keeps it constant.
+
+    H is a random 3-form, closed for m <= 3 only: from m = 4 on, dH = 0
+    fails on many draws, and (H, pi) is then not Maurer-Cartan (ROADMAP,
+    Known defects and item 9)."""
     dims = (m, 0)
     legs = (0, 1)
     f_const = rng.randrange(2) == 0
     if f_const:
         pi = mv(dims, _nonzero_coef(rng), None, legs)
     else:
-        pi = PolyMultivector.zero(dims)
-        for mono, coef in random_base_poly(rng, dims, degree).items():
-            pi = pi + mv(dims, coef, mono, legs)
+        pi = PolyMultivector.from_terms(dims, _on(legs, random_base_poly(rng, dims, degree)))
         if pi.is_zero():
             pi = mv(dims, 1, None, legs)
     h = random_form(rng, dims, 3, degree) if m >= 3 else PolyForm.zero(dims)
-    b = PolyForm.zero(dims)
-    for other in itertools.combinations(range(m), 2):
-        if other == legs:
-            continue
-        for mono, coef in random_base_poly(rng, dims, degree).items():
-            b = b + form(dims, coef, mono, other)
+    b_terms = [t for other in itertools.combinations(range(m), 2) if other != legs
+               for t in _on(other, random_base_poly(rng, dims, degree))]
     if f_const and allow_constant_shear and rng.randrange(2):
-        b = b + form(dims, _coef(rng), None, legs)
-    x = PolyMultivector.zero(dims)
-    if constant_field:
-        for i in legs:
-            x = x + mv(dims, _coef(rng), None, (i,))
-    return h, pi, b, x
+        b_terms.append((_coef(rng), unit_mono(dims), legs))
+    x = _constant_field(rng, dims, legs) if constant_field else PolyMultivector.zero(dims)
+    return h, pi, PolyForm.from_terms(dims, b_terms), x

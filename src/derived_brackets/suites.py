@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from .linfty import gauge_field, relations_residual, twist
-from .polygeo import PolyMultivector, coiso_vdata, de_rham, mv
+from .polygeo import PolyMultivector, coiso_vdata, de_rham
 from .qgeom import oracle_bracket
 from .sampling import (
     RunConfig,
@@ -25,7 +25,6 @@ from .sampling import (
     fixture_mc_small,
     fixture_vdata,
     gauge_safe_data,
-    random_base_poly,
     random_coiso_poisson,
     random_fixture_a_element,
     random_fixture_element,
@@ -33,6 +32,7 @@ from .sampling import (
     random_form,
     random_gauge_direction,
     random_multivector,
+    random_terms,
     random_tpois_element,
     random_vertical_section,
 )
@@ -84,14 +84,9 @@ def _fixture_pair_sampler(rng):
 def _coiso_a_sampler(rng, dims, degree, arity=None):
     if arity is None:
         arity = rng.choice([1, 2])
-    out = PolyMultivector.zero(dims)
     m, k = dims
-    options = list(itertools.combinations(range(m, m + k), arity))
-    for _ in range(2):
-        wedge = rng.choice(options)
-        for mono, coef in random_base_poly(rng, dims, degree).items():
-            out = out + mv(dims, coef, mono, wedge)
-    return out
+    wedges = list(itertools.combinations(range(m, m + k), arity))
+    return PolyMultivector.from_terms(dims, random_terms(rng, dims, wedges, 2, degree))
 
 
 def suite_jacobi(config: RunConfig) -> dict:

@@ -64,3 +64,35 @@ def test_tracer_records_spans_for_hooked_callables():
     # the kernel is patched as gla.StructureGLA.bracket: a small-algebra m_2
     # on the fixture, P[[Delta, a], c], is two spans of it
     assert out["small_brackets"] >= 2
+
+
+WORKLOADS = """
+import json, random, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import run, workloads
+
+lib = run.fresh_import()
+results = {{}}
+for name, build in workloads.WORKLOADS.items():
+    pool = build(lib, random.Random(1), 1, {workdir!r})
+    results[name] = [[kind, size, op() is True] for cycle in pool for kind, size, op in cycle]
+print(json.dumps(results))
+"""
+
+
+def test_one_cycle_of_every_workload_passes(tmp_path):
+    # the benchmark's workloads call the sampling generators and the public
+    # API by name; a changed signature would otherwise show only as a failed
+    # benchmark run
+    script = WORKLOADS.format(perfbench=os.path.join(ROOT, "perfbench"),
+                              src=os.path.join(ROOT, "src"), workdir=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert sorted(results) == ["cli", "geometry", "relations", "series"]
+    assert all(results.values())
+    failed = [(name, kind, size) for name, ops in results.items()
+              for kind, size, ok in ops if not ok]
+    assert not failed, failed

@@ -23,6 +23,7 @@ from derived_brackets.polygeo import (
 from derived_brackets.sampling import (
     fixture_vdata,
     gauge_safe_data,
+    random_base_poly,
     random_coiso_poisson,
     random_fixture_pair,
     random_form,
@@ -74,6 +75,17 @@ def assert_exact(value):
 
 
 # -- (a) integral inputs stay integral ------------------------------------------------
+
+
+def test_random_base_poly_returns_ints():
+    # the raw dict reaches the suites and the benchmark's samplers without an
+    # element's normalization, so it must follow the rule itself
+    for seed in range(3):
+        rng = random.Random(seed)
+        for dims, degree, fiber_degree in (((2, 0), 2, 0), ((1, 2), 2, 2), ((3, 0), 3, 0)):
+            for _ in range(10):
+                poly = random_base_poly(rng, dims, degree, fiber_degree)
+                assert all(type(c) is int for c in poly.values()), poly
 
 
 @pytest.mark.parametrize("dims", [(3, 0), (1, 2)])
