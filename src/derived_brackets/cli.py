@@ -344,7 +344,8 @@ COMMANDS = {
                    cmd_verify_gla),
     "derived": ("evaluate one derived bracket", _derived_arguments, cmd_derived),
     "mc": ("Maurer-Cartan residual of an element", _mc_arguments, cmd_mc),
-    "twist": ("twist a quadruple by a Maurer-Cartan pair", _twist_arguments, cmd_twist),
+    "twist": ("twist a quadruple by a Maurer-Cartan pair; projection_samples projects "
+              "its whole sample basis", _twist_arguments, cmd_twist),
     "gauge": ("gauge vector field at a twisted-Poisson point", _gauge_arguments, cmd_gauge),
     "flow": ("symbolic flow curve through a twisted-Poisson point", _flow_arguments, cmd_flow),
     "suite": ("run a named property suite", _suite_arguments, cmd_suite),

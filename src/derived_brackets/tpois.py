@@ -27,11 +27,13 @@ Z^{(B,X)}|_{(H,pi)} = (-d(i_X H + B), wedge2(pi)(B) - [X, pi]) with the exact
 correspondence Z^{(B + i_X H, -X)} = Y^{(B,X)} on Maurer-Cartan points.
 
 The group acts through B-fields and affine diffeomorphisms (Severa-Weinstein,
-math/0107133).  Every affine map x -> M x + c, rational (AffineDiffeo) or
-polynomial in the flow time t (TimeAffine), is its homogeneous matrix
-[[1, 0], [c, M]] acting on the column (1, x): maps compose by a matrix product
-and invert by a matrix inverse, and the flow of a field A x + b is exp(t G)
-for the nilpotent generator G = [[0, 0], [b, A]].
+math/0107133).  An affine map x -> M x + c is one AffineDiffeo: its
+homogeneous matrix [[1, 0], [c, M]] acting on the column (1, x), with
+constant entries for a rational map and entries polynomial in the flow time t
+for a flow.  Maps compose by a matrix product and invert by adj / det, both
+from the Berkowitz and Cayley-Hamilton routines the graph transform uses, and
+the flow of a field A x + b is exp(t G) for the nilpotent generator
+G = [[0, 0], [b, A]].
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add
 
 from .graded import DirectSum, as_fraction, direct_sum_grading, settle
 from .linfty import LInftyOne, homogeneous_combinations
@@ -481,37 +483,13 @@ def e_b_pi(b: PolyForm, pi: PolyMultivector) -> PolyMultivector:
 # the module docstring), so no routine writes its own formula for c.
 
 
-@dataclass(frozen=True)
-class TimeAffine:
-    """x -> M(t) x + c(t) as the homogeneous rows [[1, 0], [c(t), M(t)]],
-    entries Curves with constant coefficients: the flow of an affine vector
-    field, or an AffineDiffeo as the t^0 case."""
-
-    rows: Matrix
-
-    @property
-    def matrix(self) -> Matrix:
-        return [row[1:] for row in self.rows[1:]]
-
-    def transposed(self) -> Matrix:
-        return [list(column) for column in zip(*self.matrix)]
-
-
-def _coordinate_images(phi: TimeAffine) -> list[Curve]:
-    """The substitution x_i -> sum_j M_ij(t) x_j + c_i(t), one Curve per x_i,
-    for :func:`transport`: the pull-back by phi passes these images and
-    phi.matrix as legs; the push-forward by phi passes the images of its
-    inverse and phi.transposed()."""
-    m = len(phi.rows) - 1
-    # the rows (c | M) times the column (1, x_1, .., x_m): each image starts from c
-    column = [[{0: {(0,) * m: 1}}]]
-    column += [[{0: {tuple(int(v == j) for v in range(m)): 1}}] for j in range(m)]
-    return [image for image, in _mat_mul(phi.rows[1:], column)]
-
-
 class AffineDiffeo:
-    """x -> A x + b with an invertible rational matrix A, stored as the
-    homogeneous matrix [[1, 0], [b, A]]."""
+    """x -> M x + c as its homogeneous rows [[1, 0], [c, M]] of Curves: the
+    entries are constants for a rational map and polynomials in the flow time
+    t for a flow (:func:`_flow`).  Maps compose by a matrix product and invert
+    by adj / det, the adjugate from Berkowitz's coefficients through
+    Cayley-Hamilton; every map built here has a nonzero constant determinant,
+    1 for a flow."""
 
     __slots__ = ("rows",)
 
@@ -521,14 +499,16 @@ class AffineDiffeo:
         n = len(matrix)
         if any(len(row) != n for row in matrix) or len(translation) != n:
             raise ValueError("inconsistent affine data")
-        self.rows = ((1,) + (0,) * n,) + tuple((c, *row) for c, row in zip(translation, matrix))
-        _rational_inverse(self.rows)  # raises unless A is invertible
+        unit = (0,) * n
+        entries = [[1] + [0] * n] + [[c, *row] for c, row in zip(translation, matrix)]
+        self.rows = [[{0: {unit: e}} if e else {} for e in row] for row in entries]
+        self._charpoly_and_det()  # raises unless M is invertible
 
     @staticmethod
-    def _of(rows) -> "AffineDiffeo":
-        """The map of a homogeneous matrix known to be invertible."""
+    def _of(rows: Matrix) -> "AffineDiffeo":
+        """The map of homogeneous rows known to be invertible."""
         new = AffineDiffeo.__new__(AffineDiffeo)
-        new.rows = tuple(tuple(as_fraction(e) for e in row) for row in rows)
+        new.rows = rows
         return new
 
     @staticmethod
@@ -541,51 +521,62 @@ class AffineDiffeo:
     def dim(self) -> int:
         return len(self.rows) - 1
 
+    @property
+    def matrix(self) -> Matrix:
+        return [row[1:] for row in self.rows[1:]]
+
+    def transposed(self) -> Matrix:
+        return [list(column) for column in zip(*self.matrix)]
+
+    def _charpoly_and_det(self) -> tuple[list[Curve], int | Fraction]:
+        """Berkowitz's coefficients of the rows and their determinant, which
+        must be a nonzero constant."""
+        n = len(self.rows)
+        coeffs = _charpoly(self.rows, {0: {(0,) * self.dim: 1}})
+        det = _neg(coeffs[n]) if n % 2 else coeffs[n]
+        if set(det) != {0}:
+            raise ValueError("affine map must be invertible")
+        (value,) = det[0].values()
+        return coeffs, value
+
     def inverse(self) -> "AffineDiffeo":
-        return AffineDiffeo._of(_rational_inverse(self.rows))
+        """adj / det: Cayley-Hamilton applied to the identity over det."""
+        coeffs, det = self._charpoly_and_det()
+        n = len(self.rows)
+        over_det = {0: {(0,) * self.dim: as_fraction(Fraction(1, det))}}
+        scaled = [[over_det if i == j else {} for j in range(n)] for i in range(n)]
+        return AffineDiffeo._of(_adjugate_times(self.rows, coeffs, scaled))
 
     def compose(self, other: "AffineDiffeo") -> "AffineDiffeo":
         """self after other."""
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        columns = list(zip(*other.rows))
-        return AffineDiffeo._of([[sum(map(mul, row, col)) for col in columns] for row in self.rows])
+        return AffineDiffeo._of(_mat_mul(self.rows, other.rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AffineDiffeo) and self.rows == other.rows
 
-    def _at_t0(self) -> TimeAffine:
-        unit = (0,) * self.dim
-        return TimeAffine([[{0: {unit: e}} if e else {} for e in row] for row in self.rows])
-
     def pullback_form(self, w: PolyForm) -> PolyForm:
-        """phi^* w: coefficients at phi(x), legs dx_i -> sum_j A_ij dx_j."""
-        phi = self._at_t0()
-        return transport({0: w}, _coordinate_images(phi), phi.matrix).get(0, PolyForm.zero(w.dims))
+        """phi^* w: coefficients at phi(x), legs dx_i -> sum_j M_ij dx_j."""
+        moved = transport({0: w}, _coordinate_images(self), self.matrix)
+        return moved.get(0, PolyForm.zero(w.dims))
 
     def pushforward_mv(self, u: PolyMultivector) -> PolyMultivector:
-        """phi_* u: coefficients at phi^{-1}(x), legs d_i -> sum_j A_ji d_j."""
-        images = _coordinate_images(self.inverse()._at_t0())
-        moved = transport({0: u}, images, self._at_t0().transposed())
+        """phi_* u: coefficients at phi^{-1}(x), legs d_i -> sum_j M_ji d_j."""
+        moved = transport({0: u}, _coordinate_images(self.inverse()), self.transposed())
         return moved.get(0, PolyMultivector.zero(u.dims))
 
 
-def _rational_inverse(matrix):
-    n = len(matrix)
-    rows = [list(map(Fraction, row)) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("affine map must be invertible")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        scale = rows[col][col]
-        rows[col] = [e / scale for e in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return tuple(tuple(row[n:]) for row in rows)
+def _coordinate_images(phi: AffineDiffeo) -> list[Curve]:
+    """The substitution x_i -> sum_j M_ij x_j + c_i, one Curve per x_i, for
+    :func:`transport`: the pull-back by phi passes these images and
+    phi.matrix as legs; the push-forward by phi passes the images of its
+    inverse and phi.transposed()."""
+    m = phi.dim
+    # the rows (c | M) times the column (1, x_1, .., x_m): each image starts from c
+    column = [[{0: {(0,) * m: 1}}]]
+    column += [[{0: {tuple(int(v == j) for v in range(m)): 1}}] for j in range(m)]
+    return [image for image, in _mat_mul(phi.rows[1:], column)]
 
 
 def group_mul(
@@ -611,7 +602,7 @@ class UnsupportedVectorFieldError(ValueError):
     pass
 
 
-def _flow(x_field: PolyMultivector, time_sign: int) -> TimeAffine:
+def _flow(x_field: PolyMultivector, time_sign: int) -> AffineDiffeo:
     """The time-(sign * t) flow of a vector field A x + b: exp(sign t G) for
     its generator G = [[0, 0], [b, A]], summed as sum_k (sign t G)^k / k!.
     G is nilpotent exactly when A is; error beyond affine or when G^{m+1} is
@@ -641,10 +632,10 @@ def _flow(x_field: PolyMultivector, time_sign: int) -> TimeAffine:
                 if curve:
                     entry[k] = {unit: as_fraction(curve[k][unit] * scale)}
         power, k = _mat_mul(power, step), k + 1
-    return TimeAffine(rows)
+    return AffineDiffeo._of(rows)
 
 
-def _reversed(phi: TimeAffine) -> TimeAffine:
+def _reversed(phi: AffineDiffeo) -> AffineDiffeo:
     """phi with t -> -t: the odd powers of every entry negate, so the time-t
     flow comes from the time-(-t) one."""
 
@@ -654,7 +645,7 @@ def _reversed(phi: TimeAffine) -> TimeAffine:
             for k, poly in curve.items()
         }
 
-    return TimeAffine([[flip(entry) for entry in row] for row in phi.rows])
+    return AffineDiffeo._of([[flip(entry) for entry in row] for row in phi.rows])
 
 
 def _gauge_form_curve(
@@ -681,9 +672,7 @@ class FlowCurve:
     numerator curve over a t-polynomial determinant."""
 
     dims: tuple[int, int]
-    b_form: PolyForm
     x_field: PolyMultivector
-    h_form: PolyForm
     form_curve: dict[int, PolyForm]
     e_curve: dict[int, PolyForm]
     mv_numerator: dict[int, PolyMultivector]
@@ -802,9 +791,7 @@ def flow_curve(
 
     return FlowCurve(
         dims=dims,
-        b_form=b,
         x_field=x_field,
-        h_form=h,
         form_curve=form_curve,
         e_curve=e_curve,
         mv_numerator=pushed,

@@ -816,7 +816,8 @@ COMMAND_HELP = {
     "verify-gla": "validate a structure-constant algebra file",
     "derived": "evaluate one derived bracket",
     "mc": "Maurer-Cartan residual of an element",
-    "twist": "twist a quadruple by a Maurer-Cartan pair",
+    "twist": "twist a quadruple by a Maurer-Cartan pair; projection_samples projects "
+             "its whole sample basis",
     "gauge": "gauge vector field at a twisted-Poisson point",
     "flow": "symbolic flow curve through a twisted-Poisson point",
     "suite": "run a named property suite",

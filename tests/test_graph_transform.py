@@ -1,44 +1,43 @@
-"""The e^B graph transform: the sparse Curve-matrix kernel, the Berkowitz
-determinant, the Cayley-Hamilton adjugate, the support block, the affine
-transport and the flow curves' tangency check.
+"""The e^B graph transform, the affine maps and the flows, checked by sympy.
 
-The dense Curve arithmetic and the Leibniz expansion below are the former
-implementation (a copying sum and product per entry, m! products for the
-determinant, m^2 minors for the adjugate), kept here only as an exact oracle,
-with the scalar polynomial helpers they were built on;
-so are the graph transform on the full m x m matrix, the transport that
-substitutes term by term, the tangency check that contracts once per
-ordered pair of powers of t, and the affine maps that wrote out their
-translation by hand (the flow's as an integral of the field).
+sympy, exact over Q, is the oracle.  The sparse Curve-matrix product, the
+Berkowitz characteristic polynomial and the Cayley-Hamilton adjugate are
+compared with ``DomainMatrix`` products, ``charpoly`` and ``adjugate`` over
+Q[x_1..x_m, t]; the support-block transform and ``e_b_pi`` with
+pi^sharp (1 + B^flat pi^sharp)^{-1} over the rational-function field;
+``transport`` with substitution into the coefficients and the minors of the
+leg matrix; the affine maps with sympy's rational inverse and product; the
+flows with their defining ODE dPhi/dt = +-G Phi, Phi(0) = 1; and the flow
+curves' tangency check with its matrix form over Q[x, t].  Each check runs on
+seeded draws whose coverage the test asserts.
 """
 
+import functools
 import itertools
-import math
 import os
 import random
 from dataclasses import replace
 from fractions import Fraction
-from operator import add
 
 import pytest
+from sympy import symbols
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from derived_brackets import polygeo, tpois
-from derived_brackets.graded import add_terms, as_fraction, scale_terms, settle
+from derived_brackets.graded import as_fraction
 from derived_brackets.linfty import relations_residual
 from derived_brackets.polygeo import (
-    Mono,
     PolyForm,
     PolyMultivector,
     TermExplosionError,
-    _check_size,
     _mul,
     _neg,
+    _settled,
     contract_form,
     de_rham,
     form,
-    multi_sharp,
     mv,
-    schouten,
     transport,
 )
 from derived_brackets.sampling import (
@@ -52,18 +51,14 @@ from derived_brackets.tpois import (
     GraphTransformError,
     UnsupportedVectorFieldError,
     _adjugate_times,
-    _bivector_from_sharp,
     _charpoly,
     _coordinate_images,
     _flow,
     _graph_transform,
     _mat_mul,
-    _rational_inverse,
     _reversed,
-    _t_ddt,
     _t_mac,
     _t_settled,
-    _wedge2_matrix,
     e_b_pi,
     flow_curve,
     gauge_Y,
@@ -73,99 +68,147 @@ from derived_brackets.tpois import (
     tpois_linfty,
 )
 
-# -- the dense oracle ---------------------------------------------------------------------
+# -- exact data as sympy ring elements ------------------------------------------------------
 
 
-def poly_add(a: dict[Mono, Fraction], b: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
-    return add_terms(dict(a), b)
+@functools.lru_cache(maxsize=None)
+def ring(m):
+    """Q[x_1, .., x_m, t] as a sympy domain; t is the last generator."""
+    return QQ[symbols(f"x1:{m + 1}") + symbols("t,")]
 
 
-def poly_scale(a: dict[Mono, Fraction], c) -> dict[Mono, Fraction]:
-    c = as_fraction(c)
-    if c == 0:
-        return {}
-    return scale_terms(a, c)
+def to_qq(c):
+    """An int or Fraction as an element of sympy's QQ."""
+    return QQ(*c.as_integer_ratio())
 
 
-def poly_mul(a: dict[Mono, Fraction], b: dict[Mono, Fraction]) -> dict[Mono, Fraction]:
-    out: dict[Mono, Fraction] = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            mono = tuple(map(add, ma, mb))
-            out[mono] = out.get(mono, 0) + ca * cb
-    return _check_size(settle(out))
+def poly_of(curve, K):
+    """A Curve {t_power: {mono: coef}} as an element of K = Q[x, t]."""
+    return K.ring({mono + (p,): to_qq(c) for p, poly in curve.items() for mono, c in poly.items()})
 
 
-def c_add(a, b):
-    out = {k: dict(v) for k, v in a.items()}
-    for power, poly in b.items():
-        merged = poly_add(out.get(power, {}), poly)
-        if merged:
-            out[power] = merged
-        else:
-            out.pop(power, None)
-    return out
+def scalar_poly(curve, K):
+    """A scalar curve {t_power: coef}, such as a determinant, in Q[x, t]."""
+    m = K.ngens - 1
+    return poly_of({p: {(0,) * m: s} for p, s in curve.items()}, K)
 
 
-def c_mul(a, b):
+def dm(matrix, K):
+    """A matrix of Curves as a DomainMatrix over K."""
+    rows = [[poly_of(entry, K) for entry in row] for row in matrix]
+    return DomainMatrix(rows, (len(rows), len(rows[0])), K)
+
+
+def element_polys(curve, K):
+    """A curve of forms or multivectors as {wedge: coefficient in Q[x, t]}."""
     out = {}
-    for pa, qa in a.items():
-        for pb, qb in b.items():
-            out = c_add(out, {pa + pb: poly_mul(qa, qb)})
-    return out
+    for p, element in curve.items():
+        for (mono, wedge), c in element.terms.items():
+            out.setdefault(wedge, {})[mono + (p,)] = to_qq(c)
+    return {wedge: K.ring(terms) for wedge, terms in out.items()}
 
 
-def c_scale(a, s):
-    return {p: poly_scale(q, s) for p, q in a.items()} if s else {}
+def wedge2_matrix(curve, K):
+    """The antisymmetric matrix over Q[x, t] of a curve of bivectors or
+    2-forms: entry (a, c) is the coefficient of e_a ^ e_c."""
+    m = K.ngens - 1
+    out = {}
+    for (a, c), f in element_polys(curve, K).items():
+        out.setdefault(a, {})[c] = f
+        out.setdefault(c, {})[a] = -f
+    return DomainMatrix(out, (m, m), K)
 
 
-def leibniz_det(matrix):
-    n = len(matrix)
-    total = {}
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = None
-        for i in range(n):
-            entry = matrix[i][perm[i]]
-            prod = entry if prod is None else c_mul(prod, entry)
-            if not prod:
-                break
-        if prod:
-            total = c_add(total, c_scale(prod, Fraction(sign)))
-    return total
+def settled(coefs):
+    """Every coefficient nonzero, an int or a non-integral Fraction."""
+    return all(c and (type(c) is int or c.denominator != 1) for c in coefs)
 
 
-def leibniz_adjugate(matrix, one):
-    n = len(matrix)
-    if n == 1:
-        return [[one]]
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [matrix[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = leibniz_det(minor)
-            if (i + j) % 2:
-                cof = c_scale(cof, Fraction(-1))
-            out[j][i] = cof  # adj = transpose of cofactors
-    return out
+def is_settled_element(element):
+    return bool(element.terms) and settled(element.terms.values())
 
 
-def plain_mat_mul(a, b):
-    """The dense product of a p x q and a q x n matrix, q >= 1."""
-    out = [[{} for _ in b[0]] for _ in a]
-    for i, row in enumerate(a):
-        for j in range(len(b[0])):
-            for k, x in enumerate(row):
-                out[i][j] = c_add(out[i][j], c_mul(x, b[k][j]))
-    return out
+def assert_settled(matrix):
+    """Every entry is a settled Curve: no empty polynomial and settled
+    coefficients."""
+    for row in matrix:
+        for entry in row:
+            for poly in entry.values():
+                assert poly and settled(poly.values()), poly
+
+
+def unit(m):
+    return {0: {(0,) * m: 1}}
+
+
+# -- the sparse kernel ----------------------------------------------------------------------
+
+
+def kernel_entry(rng, m):
+    """Zero (one draw in five) or a sum of up to three terms over few
+    monomials, with halves and twos, so that products cancel and integral
+    Fractions appear."""
+    acc = {}
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        mono = tuple(rng.randint(0, 1) for _ in range(m))
+        coef = rng.choice([-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2)])
+        poly = acc.setdefault(rng.randint(0, 1), {})
+        poly[mono] = poly.get(mono, 0) + coef
+    return _settled(acc)
+
+
+def kernel_matrix(rng, rows, cols, m=2):
+    """A random matrix with, where the shape allows, one empty row and one
+    empty column."""
+    mat = [[kernel_entry(rng, m) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1:
+        mat[rng.randrange(rows)] = [{} for _ in range(cols)]
+    if cols > 1:
+        j = rng.randrange(cols)
+        for row in mat:
+            row[j] = {}
+    return mat
+
+
+def test_sparse_mat_mul_matches_the_dense_product():
+    rng = random.Random(52)
+    K = ring(2)
+    seen = {"cancelled": 0, "fraction_to_int": 0}
+    # square products, and the slices _charpoly multiplies: row R (1 x s) by
+    # column C (s x 1), rest A (s x s) by C, and the Toeplitz part (s+1 x s)
+    shapes = [(n, n, n) for n in (1, 2, 3, 4)]
+    shapes += [shape for s in (1, 2, 3, 4) for shape in [(1, s, 1), (s, s, 1), (s + 1, s, 1)]]
+    for rows, inner, cols in shapes * 10:
+        a = kernel_matrix(rng, rows, inner)
+        b = kernel_matrix(rng, inner, cols)
+        product = dm(a, K) * dm(b, K)
+        got = _mat_mul(a, b)
+        assert dm(got, K) == product
+        assert_settled(got)
+        # with the + c R addend
+        c = kernel_entry(rng, 2) or unit(2)
+        r = kernel_matrix(rng, rows, cols)
+        with_addend = _mat_mul(a, b, c, r)
+        assert dm(with_addend, K) == product + dm(r, K) * poly_of(c, K)
+        assert_settled(with_addend)
+        for i, row in enumerate(a):
+            for j in range(cols):
+                terms = set().union(*(
+                    (poly_of(x, K) * poly_of(b[k][j], K)).keys() for k, x in enumerate(row)
+                ))
+                seen["cancelled"] += bool(terms - product[i, j].element.keys())
+                seen["fraction_to_int"] += any(
+                    type(v) is int for q in got[i][j].values() for v in q.values()
+                ) and any(type(v) is Fraction for x in row for q in x.values() for v in q.values())
+    # the draw really cancels terms and turns Fraction products into ints
+    assert min(seen.values()) >= 3, seen
+    # a whole entry cancels; empty factors give empty products
+    e, f = unit(2), kernel_entry(random.Random(1), 2) or unit(2)
+    minus_f = _neg(f)
+    assert _mat_mul([[e, e]], [[f], [minus_f]]) == [[{}]]
+    assert _mat_mul([[e]], [[f]], e, [[minus_f]]) == [[{}]]
+    assert _mat_mul([], [[f]]) == []
+    assert _mat_mul([[{}]], [[f]]) == [[{}]]
 
 
 # -- random matrices over Q[x_1..x_m][t] ---------------------------------------------------
@@ -178,8 +221,8 @@ def random_entry(rng, m, density, t_power, x_degree):
     mono = [0] * m
     for _ in range(rng.randint(0, x_degree)):
         mono[rng.randrange(m)] += 1
-    coef = as_fraction(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2])))
-    return {rng.randint(0, t_power): {tuple(mono): coef}}
+    coef = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
+    return _settled({rng.randint(0, t_power): {tuple(mono): coef}})
 
 
 def random_matrix(rng, m, kind):
@@ -201,123 +244,43 @@ def random_matrix(rng, m, kind):
         else:
             j = rng.choice([r for r in range(m) if r != i])
             factor = random_entry(rng, m, 1.0, 1, 1)
-            mat[i] = [c_mul(factor, entry) for entry in mat[j]]
+            mat[i] = [_mul(factor, entry) for entry in mat[j]]
     return mat
 
 
-def unit(m):
-    return {0: {(0,) * m: 1}}
+def sympy_adjugate(matrix):
+    """adj(N) by cofactors, each minor's determinant from sympy.  (In sympy
+    1.14 ``DomainMatrix.adjugate`` over a polynomial ring fails when a
+    characteristic coefficient vanishes: it multiplies the zero polynomial by
+    a matrix and gets a polynomial.)"""
+    n = matrix.shape[0]
+    rest = [[r for r in range(n) if r != k] for k in range(n)]
+    entries = [[matrix.extract(rest[j], rest[i]).det() * (-1) ** (i + j) for j in range(n)]
+               for i in range(n)]
+    return DomainMatrix(entries, (n, n), matrix.domain)
 
 
-# -- the sparse kernel ----------------------------------------------------------------------
-
-
-def assert_settled(matrix):
-    """Every entry is a settled Curve: no empty polynomial, no zero
-    coefficient and no integral Fraction."""
-    for row in matrix:
-        for entry in row:
-            for poly in entry.values():
-                assert poly
-                for coef in poly.values():
-                    assert type(coef) is int or (
-                        type(coef) is Fraction and coef.denominator != 1
-                    ), coef
-                    assert coef != 0
-
-
-def kernel_entry(rng, m):
-    """Zero (one draw in five) or a sum of up to three terms over few
-    monomials, with halves and twos, so that products cancel and integral
-    Fractions appear."""
-    entry = {}
-    for _ in range(rng.choice([0, 1, 1, 2, 3])):
-        mono = tuple(rng.randint(0, 1) for _ in range(m))
-        coef = rng.choice([-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2)])
-        entry = c_add(entry, {rng.randint(0, 1): {mono: coef}})
-    return entry
-
-
-def kernel_matrix(rng, rows, cols, m=2):
-    """A random matrix with, where the shape allows, one empty row and one
-    empty column."""
-    mat = [[kernel_entry(rng, m) for _ in range(cols)] for _ in range(rows)]
-    if rows > 1:
-        mat[rng.randrange(rows)] = [{} for _ in range(cols)]
-    if cols > 1:
-        j = rng.randrange(cols)
-        for row in mat:
-            row[j] = {}
-    return mat
-
-
-def test_sparse_mat_mul_matches_the_dense_product():
-    rng = random.Random(52)
-    seen = {"cancelled": 0, "fraction_to_int": 0}
-    # square products, and the slices _charpoly multiplies: row R (1 x s) by
-    # column C (s x 1), rest A (s x s) by C, and the Toeplitz part (s+1 x s)
-    shapes = [(n, n, n) for n in (1, 2, 3, 4)]
-    shapes += [shape for s in (1, 2, 3, 4) for shape in [(1, s, 1), (s, s, 1), (s + 1, s, 1)]]
-    for rows, inner, cols in shapes * 10:
-        a = kernel_matrix(rng, rows, inner)
-        b = kernel_matrix(rng, inner, cols)
-        expected = plain_mat_mul(a, b)
-        got = _mat_mul(a, b)
-        assert got == expected
-        assert_settled(got)
-        # with the + c R addend
-        c = kernel_entry(rng, 2) or unit(2)
-        r = kernel_matrix(rng, rows, cols)
-        with_addend = [
-            [c_add(x, c_mul(c, y)) for x, y in zip(row, r_row)]
-            for row, r_row in zip(expected, r)
-        ]
-        got = _mat_mul(a, b, c, r)
-        assert got == with_addend
-        assert_settled(got)
-        for i, row in enumerate(a):
-            for j in range(cols):
-                terms = {(p, mono) for k, x in enumerate(row) if x and b[k][j]
-                         for p, q in c_mul(x, b[k][j]).items() for mono in q}
-                entry = expected[i][j]
-                seen["cancelled"] += any(mono not in entry.get(p, {}) for p, mono in terms)
-                seen["fraction_to_int"] += any(
-                    type(v) is int for q in entry.values() for v in q.values()
-                ) and any(type(v) is Fraction for k, x in enumerate(row)
-                          for q in x.values() for v in q.values())
-    # the draw really cancels terms and turns Fraction products into ints
-    assert min(seen.values()) >= 3, seen
-    # a whole entry cancels; empty factors give empty products
-    e, f = unit(2), kernel_entry(random.Random(1), 2) or unit(2)
-    minus_f = c_scale(f, -1)
-    assert _mat_mul([[e, e]], [[f], [minus_f]]) == [[{}]]
-    assert _mat_mul([[e]], [[f]], e, [[minus_f]]) == [[{}]]
-    assert _mat_mul([], [[f]]) == []
-    assert _mat_mul([[{}]], [[f]]) == [[{}]]
-
-
-def test_berkowitz_and_cayley_hamilton_match_leibniz():
+def test_berkowitz_and_cayley_hamilton_match_sympy():
     rng = random.Random(41)
     seen = {"zero": 0, "x": 0, "t": 0}
     kinds = ["sparse", "t", "x", "singular"]
-    # at m = 6 only sparse matrices keep both expansions cheap
     for m, draws in [(1, kinds * 2), (2, kinds * 2), (3, kinds * 2), (4, kinds * 2),
                      (5, kinds), (6, ["sparse", "sparse"])]:
+        K = ring(m)
         for kind in draws:
             n_mat = random_matrix(rng, m, kind)
             rhs = random_matrix(rng, m, "sparse")
             coeffs = _charpoly(n_mat, unit(m))
-            assert len(coeffs) == m + 1 and coeffs[0] == unit(m)
             assert_settled([coeffs])
-            det = c_scale(coeffs[m], Fraction((-1) ** m))
-            assert det == leibniz_det(n_mat)
-            expected = plain_mat_mul(leibniz_adjugate(n_mat, unit(m)), rhs)
+            expected = dm(n_mat, K)
+            assert [poly_of(c, K) for c in coeffs] == expected.charpoly()
             adjugate = _adjugate_times(n_mat, coeffs, rhs)
-            assert adjugate == expected
+            assert dm(adjugate, K) == sympy_adjugate(expected) * dm(rhs, K)
             assert_settled(adjugate)
+            det = expected.det()
             seen["zero"] += not det
-            seen["x"] += any(set(p) - {(0,) * m} for p in det.values())
-            seen["t"] += any(power > 0 for power in det)
+            seen["x"] += any(any(mono[:-1]) for mono in det.keys())
+            seen["t"] += any(mono[-1] for mono in det.keys())
     # the draw really covers singular, spatially varying and t-dependent cases
     assert min(seen.values()) >= 3, seen
 
@@ -334,34 +297,43 @@ def test_empty_matrix_has_unit_determinant():
 # -- the support block ----------------------------------------------------------------------
 
 
-def full_matrix_graph_transform(b_curve, pi_curve, m):
-    """The graph transform on the full m x m matrix N = 1 + pi^sharp B^flat,
-    with the same checks and messages; the oracle for the support block."""
-    sharp = _wedge2_matrix(pi_curve, m)
-    unit_mono = (0,) * m
-    one = {0: {unit_mono: 1}}
-    identity = [[one if i == j else {} for j in range(m)] for i in range(m)]
-    augmented = [i_row + s_row for i_row, s_row in zip(identity, sharp)]
-    n_mat = _mat_mul(augmented, identity + _wedge2_matrix(b_curve, m))
-    coeffs = _charpoly(n_mat, one)
-    det = _neg(coeffs[m]) if m % 2 else coeffs[m]
+def sympy_transform(b_curve, pi_curve, m):
+    """What sympy gives for e^{B_t} pi_t on R^m: the error message the
+    library states, or (det, S, 1 + F S) for the sharp matrix S of pi, the
+    flat matrix F of B and det = det(1 + S F); then
+    rho = S (1 + F S)^{-1}, that is pi^sharp (1 + B^flat pi^sharp)^{-1}, is
+    the one matrix over the rational-function field with rho (1 + F S) = S.
+    (sympy's characteristic polynomial gives det: its Bareiss ``det`` costs
+    three times as much on these draws.)"""
+    K = ring(m)
+    sharp, flat = wedge2_matrix(pi_curve, K), wedge2_matrix(b_curve, K)
+    one = DomainMatrix.eye(m, K)
+    coeffs = (one + sharp * flat).charpoly()
+    det = -coeffs[m] if m % 2 else coeffs[m]
     if not det:
-        raise GraphTransformError("sheared graph is not a graph (determinant vanishes)")
-    if any(set(poly) - {unit_mono} for poly in det.values()):
-        raise GraphTransformError(
-            "graph transform leaves the polynomial category "
-            "(determinant depends on the spatial variables)"
-        )
-    rho = _adjugate_times(n_mat, coeffs, sharp)
-    return _bivector_from_sharp(rho, m), {p: poly[unit_mono] for p, poly in det.items()}
+        return "sheared graph is not a graph (determinant vanishes)"
+    if any(any(mono[:-1]) for mono in det.keys()):
+        return ("graph transform leaves the polynomial category "
+                "(determinant depends on the spatial variables)")
+    return det, sharp, one + flat * sharp
 
 
-def outcome(transform, b_curve, pi_curve, m):
+def checked_transform(b_curve, pi_curve, m):
+    """_graph_transform's outcome, its error message or (numerator, det),
+    once it matches sympy's: the same det, and numerator / det = rho."""
+    expected = sympy_transform(b_curve, pi_curve, m)
     try:
-        numerator, det = transform(b_curve, pi_curve, m)
+        numerator, det = _graph_transform(b_curve, pi_curve, m)
     except GraphTransformError as exc:
-        return str(exc)
-    return numerator, det, [type(s) for s in det.values()]
+        assert str(exc) == expected
+        return expected
+    assert not isinstance(expected, str), expected
+    sympy_det, sharp, shear = expected
+    K = ring(m)
+    assert settled(det.values())
+    assert scalar_poly(det, K) == sympy_det
+    assert wedge2_matrix(numerator, K) * shear == sharp * sympy_det
+    return numerator, det
 
 
 def random_wedge_curve(rng, make, m, pairs, t_power, x_degree, terms):
@@ -407,26 +379,34 @@ def supports(rng, m):
 
 def test_support_block_matches_the_full_matrix():
     rng = random.Random(54)
-    seen = {"empty": 0, "gap": 0, "rank4": 0, "full": 0, "t": 0, "x": 0, "x_raise": 0}
+    seen = {"empty": 0, "gap": 0, "rank4": 0, "full": 0, "t": 0, "x": 0, "x_raise": 0,
+            "static": 0}
     all_pairs = {m: list(itertools.combinations(range(m), 2)) for m in range(2, 8)}
     for m in range(2, 8):
+        dims = (m, 0)
         for support in supports(rng, m):
             for t_power, x_degree in [(0, 0), (2, 0), (0, 1), (1, 1)]:
                 pi = support_pi(rng, m, support, t_power, x_degree)
                 b = random_wedge_curve(rng, form, m, all_pairs[m], t_power, x_degree, 2 * m)
-                expected = outcome(full_matrix_graph_transform, b, pi, m)
-                assert outcome(_graph_transform, b, pi, m) == expected
+                got = checked_transform(b, pi, m)
+                if set(b) | set(pi) <= {0} and not isinstance(got, str):
+                    # the static transform e^B pi is the t^0 numerator over det
+                    zero_b, zero_pi = PolyForm.zero(dims), PolyMultivector.zero(dims)
+                    static = e_b_pi(b.get(0, zero_b), pi.get(0, zero_pi))
+                    _, sharp, shear = sympy_transform(b, pi, m)
+                    assert wedge2_matrix({0: static}, ring(m)) * shear == sharp
+                    seen["static"] += 1
                 r = len(support)
                 seen["empty"] += r == 0
                 seen["gap"] += r > 0 and support[-1] - support[0] >= r
                 seen["rank4"] += r == 4 and m > 4
                 seen["full"] += r == m and m % 2 == 0
-                if isinstance(expected, str):
-                    seen["x_raise"] += "spatial" in expected
+                if isinstance(got, str):
+                    seen["x_raise"] += "spatial" in got
                 else:
-                    seen["t"] += len(expected[1]) > 1
+                    seen["t"] += len(got[1]) > 1
                     seen["x"] += x_degree and any(
-                        any(mono) for e in expected[0].values() for mono, _ in e.terms
+                        any(mono) for e in got[0].values() for mono, _ in e.terms
                     )
     assert min(seen.values()) >= 3, seen
 
@@ -440,7 +420,7 @@ def test_support_block_keeps_the_determinant_errors():
     # det = (1 - 2 x1)^2
     spatial = ({0: form(dims, 1, (1, 0, 0, 0, 0), (1, 3))}, {0: pi}, 5)
     for args, message in [(singular, "determinant vanishes"), (spatial, "spatial variables")]:
-        expected = outcome(full_matrix_graph_transform, *args)
+        expected = sympy_transform(*args)
         assert message in expected
         with pytest.raises(GraphTransformError) as info:
             _graph_transform(*args)
@@ -449,40 +429,38 @@ def test_support_block_keeps_the_determinant_errors():
     dims = (4, 0)
     pi = {0: mv(dims, 1, None, (0, 1)) + mv(dims, 1, None, (2, 3))}
     b = {0: form(dims, 1, (0, 0, 0, 1), (0, 2)), 1: form(dims, 2, (1, 0, 0, 0), (0, 3))}
-    numerator, det = _graph_transform(b, pi, 4)
-    assert (numerator, det) == full_matrix_graph_transform(b, pi, 4)
+    numerator, det = checked_transform(b, pi, 4)
     assert det == {0: 1} and any(any(mono) for e in numerator.values() for mono, _ in e.terms)
 
 
 # -- the affine transport -------------------------------------------------------------------
 
 
-def per_term_transport(curve, phi, legs):
-    """The transport that substitutes each term from scratch: the coefficient
-    as a one-term curve, times each coordinate image once per exponent, times
-    each chosen leg; the oracle for the memoized transport."""
-    m = len(legs)
-    images = _coordinate_images(phi)
-    raw = {}
-    for power, u in curve.items():
-        kind = type(u)
-        for (mono, wedge), coef in u.terms.items():
-            value = {power: {(0,) * m: coef}}
-            for var, e in enumerate(mono):
-                for _ in range(e):
-                    value = _mul(value, images[var])
-            choices = [
-                [(j, entry) for j, entry in enumerate(legs[leg]) if entry] for leg in wedge
+def images_of(rows, K):
+    """x_i -> c_i + sum_j M_ij x_j from the homogeneous rows [[1, 0], [c, M]],
+    entries in K."""
+    xs = K.gens[:-1]
+    return [row[0] + sum((a * x for a, x in zip(row[1:], xs)), K.zero) for row in rows[1:]]
+
+
+def transported(curve, images, legs, K):
+    """transport by sympy: each coefficient f(x) t^p becomes f(images) t^p,
+    and each wedge e_I becomes sum_J det(legs[I, J]) e_J over increasing J."""
+    xs = K.gens[:-1]
+    minors = {}
+    out = {}
+    for wedge, f in element_polys(curve, K).items():
+        if wedge not in minors:
+            k = len(wedge)
+            minors[wedge] = [
+                (J, DomainMatrix([[legs[i][j] for j in J] for i in wedge], (k, k), K).det())
+                for J in itertools.combinations(range(len(xs)), k)
             ]
-            for choice in itertools.product(*choices):
-                product = value
-                for _, entry in choice:
-                    product = _mul(product, entry)
-                new_wedge = tuple(j for j, _ in choice)
-                for p, poly in product.items():
-                    raw.setdefault(p, []).extend((c, mo, new_wedge) for mo, c in poly.items())
-    moved = {p: kind._from_raw((m, 0), terms) for p, terms in raw.items()}
-    return {p: e for p, e in moved.items() if not e.is_zero()}
+        value = f.compose(list(zip(xs, images)))
+        for target, minor in minors[wedge]:
+            if minor:
+                out[target] = out.get(target, K.zero) + value * minor
+    return {wedge: f for wedge, f in out.items() if f}
 
 
 def random_element_curve(rng, m):
@@ -514,6 +492,7 @@ def test_transport_matches_the_per_term_substitution():
     rng = random.Random(55)
     seen = {"identity_legs": 0, "nontrivial_legs": 0}
     for m in (2, 3, 4, 5):
+        K = ring(m)
         for linear in (False, True):
             for _ in range(4):
                 x = random_field(rng, m, linear)
@@ -524,15 +503,17 @@ def test_transport_matches_the_per_term_substitution():
                     phi = AffineDiffeo(matrix, [rng.randint(-2, 2) for _ in range(m)])
                 except ValueError:
                     phi = AffineDiffeo.identity(m)
-                static, inverse = phi._at_t0(), phi.inverse()._at_t0()
                 curve = random_element_curve(rng, m)
                 # pull-backs pass the map and its matrix, push-forwards the
                 # inverse map and the transposed matrix
                 for affine, legs in [(minus, minus.matrix), (plus, minus.transposed()),
-                                     (static, static.matrix), (inverse, static.transposed())]:
-                    expected = per_term_transport(curve, affine, legs)
+                                     (phi, phi.matrix), (phi.inverse(), phi.transposed())]:
+                    rows = [[poly_of(e, K) for e in row] for row in affine.rows]
+                    legs_k = [[poly_of(e, K) for e in row] for row in legs]
                     got = transport(curve, _coordinate_images(affine), legs)
-                    assert got == expected and list(got) == list(expected)
+                    assert element_polys(got, K) == transported(
+                        curve, images_of(rows, K), legs_k, K)
+                    assert all(is_settled_element(e) for e in got.values())
                 seen["identity_legs"] += not linear
                 seen["nontrivial_legs"] += any(
                     entry and i != j for i, row in enumerate(minus.matrix)
@@ -544,95 +525,35 @@ def test_transport_matches_the_per_term_substitution():
 # -- affine maps in homogeneous coordinates ---------------------------------------------------
 
 
-def parent_flow(x_field, time_sign):
-    """The former _flow, as (matrix, translation) of Curves: the powers of A
-    on rational lists, exp(sign t A) with 1/k! built per entry, and the
-    translation as the integral of exp(sign u A) b from 0 to sign t."""
+def coefficient_matrices(phi):
+    """[Phi_0, .., Phi_top] over Q for a map Phi = sum_k Phi_k t^k whose
+    entries are free of the spatial variables."""
+    n = len(phi.rows)
+    unit = (0,) * (n - 1)
+    top = max((p for row in phi.rows for entry in row for p in entry), default=0)
+    out = [[[QQ.zero] * n for _ in range(n)] for _ in range(top + 1)]
+    for i, row in enumerate(phi.rows):
+        for j, entry in enumerate(row):
+            for p, poly in entry.items():
+                assert set(poly) == {unit}
+                out[p][i][j] = to_qq(poly[unit])
+    return [DomainMatrix(c, (n, n), QQ).to_sparse() for c in out]
+
+
+def generator(x_field):
+    """G = [[0, 0], [b, A]] over Q for the field X = A x + b, with b = X(0)
+    and A_ij = dX_i / dx_j."""
     m = x_field.dims[0]
-    a_mat = [[0] * m for _ in range(m)]
-    const = [0] * m
-    for (mono, wedge), coef in x_field.terms.items():
-        if len(wedge) != 1:
-            raise UnsupportedVectorFieldError("flow directions must be vector fields")
-        i = wedge[0]
-        total = sum(mono)
-        if total == 0:
-            const[i] += coef
-        elif total == 1:
-            j = next(v for v, e in enumerate(mono) if e)
-            a_mat[i][j] += coef
-        else:
-            raise UnsupportedVectorFieldError(
-                "flow directions must be constant or linear with nilpotent matrix part"
-            )
-    powers = [[[int(i == j) for j in range(m)] for i in range(m)]]
-    while True:
-        last = powers[-1]
-        power = [
-            [sum(last[i][r] * a_mat[r][j] for r in range(m)) for j in range(m)]
-            for i in range(m)
-        ]
-        if all(e == 0 for row in power for e in row):
-            break
-        if len(powers) == m:
-            raise UnsupportedVectorFieldError("matrix part of the flow is not nilpotent")
-        powers.append(power)
-    unit = (0,) * m
-    matrix = [
-        [
-            {
-                k: {unit: as_fraction(Fraction(time_sign**k, math.factorial(k)) * a_k[i][j])}
-                for k, a_k in enumerate(powers)
-                if a_k[i][j]
-            }
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    translation = [{} for _ in range(m)]
-    for k, a_k in enumerate(powers):
-        for i in range(m):
-            value = sum(a_k[i][r] * const[r] for r in range(m))
-            if value:
-                coef = Fraction(time_sign ** (k + 1), math.factorial(k + 1))
-                translation[i][k + 1] = {unit: as_fraction(coef * value)}
-    return matrix, translation
-
-
-class ParentAffine:
-    """The former AffineDiffeo's data, inverse and composition: a rational
-    (matrix, translation) pair with the translation written out by hand."""
-
-    def __init__(self, matrix, translation):
-        self.matrix = tuple(tuple(as_fraction(e) for e in row) for row in matrix)
-        self.translation = tuple(as_fraction(e) for e in translation)
-
-    def inverse(self):
-        inv = _rational_inverse(self.matrix)
-        n = len(self.matrix)
-        trans = tuple(
-            -sum(inv[i][j] * self.translation[j] for j in range(n)) for i in range(n)
-        )
-        return ParentAffine(inv, trans)
-
-    def compose(self, other):
-        n = len(self.matrix)
-        matrix = [
-            [sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        trans = [
-            sum(self.matrix[i][k] * other.translation[k] for k in range(n))
-            + self.translation[i]
-            for i in range(n)
-        ]
-        return ParentAffine(matrix, trans)
-
-    def homogeneous(self):
-        n = len(self.matrix)
-        return ((1,) + (0,) * n,) + tuple(
-            (c, *row) for c, row in zip(self.translation, self.matrix)
-        )
+    K = ring(m)
+    g = {}
+    for (i,), f in element_polys({0: x_field}, K).items():
+        g[i + 1] = {0: f.const()}
+        for j in range(m):
+            slope = f.diff(K.gens[j])
+            assert slope.is_ground
+            g[i + 1][j + 1] = slope.const()
+    return DomainMatrix({i: {j: c for j, c in row.items() if c} for i, row in g.items()},
+                        (m + 1, m + 1), QQ)
 
 
 def oracle_field(rng, m, kind):
@@ -658,145 +579,163 @@ def oracle_field(rng, m, kind):
     return x
 
 
-def test_flow_matches_the_translation_integral():
+def test_flow_solves_its_defining_ode():
+    """Phi = sum_k Phi_k t^k solves dPhi/dt = sign G Phi with Phi(0) = 1
+    exactly when Phi_0 = 1, (k + 1) Phi_{k+1} = sign G Phi_k and
+    sign G Phi_top = 0: one product over Q per power of t."""
     rng = random.Random(59)
     indices = set()
-    fields = 0
+    fields = inverted = 0
     for m in range(1, 9):
-        for kind in ("zero", "constant", "linear", "linear"):
+        one = DomainMatrix.eye(m + 1, QQ)
+        zero = DomainMatrix.zeros((m + 1, m + 1), QQ).to_sparse()
+        for kind, invert in (("zero", False), ("constant", True), ("linear", True),
+                             ("linear", False)):
             for _ in range(10):
                 x = oracle_field(rng, m, kind)
+                g = generator(x)
+                flows = {}
                 for sign in (-1, 1):
-                    matrix, translation = parent_flow(x, sign)
-                    phi = _flow(x, sign)
-                    got = (phi.matrix, [row[0] for row in phi.rows[1:]])
-                    assert got == (matrix, translation)
-                    assert repr(got) == repr((matrix, translation))
-                    assert repr(phi.rows[0]) == repr([{0: {(0,) * m: 1}}] + [{}] * m)
-                    assert phi.transposed() == [list(c) for c in zip(*matrix)]
+                    phi = flows[sign] = _flow(x, sign)
+                    assert_settled(phi.rows)
+                    powers = coefficient_matrices(phi) + [zero]
+                    assert powers[0] == one
+                    slope = g if sign > 0 else -g
+                    for k in range(len(powers) - 1):
+                        assert slope * powers[k] == powers[k + 1] * QQ(k + 1)
+                # the one inverse on t-polynomial maps
+                if invert:
+                    assert flows[-1].inverse() == flows[1] == _reversed(flows[-1])
+                    inverted += 1
                 # the nilpotency index of A: one more than the top power of t
+                matrix = flows[1].matrix
                 indices.add(1 + max((max(e) for row in matrix for e in row if e), default=0))
                 fields += 1
-    assert fields >= 300 and {1, 2, 3, 4} <= indices, (fields, indices)
-    # both reject a matrix part that is not nilpotent, and a field beyond affine
+    assert fields >= 300 and inverted == 160 and {1, 2, 3, 4} <= indices, (fields, indices)
+    # a matrix part that is not nilpotent, and a field beyond affine
     for m in (1, 2, 4):
         dims = (m, 0)
         x_0 = (1,) + (0,) * (m - 1)
-        rejected = [mv(dims, 1, x_0, (0,)), mv(dims, 2, (2,) + (0,) * (m - 1), (0,))]
+        rejected = [(mv(dims, 1, x_0, (0,)), "not nilpotent"),
+                    (mv(dims, 2, (2,) + (0,) * (m - 1), (0,)), "constant or linear")]
         if m > 1:  # a rotation
-            rejected.append(mv(dims, 1, x_0, (m - 1,)) + mv(dims, -1, x_0[::-1], (0,)))
-        for x in rejected:
-            with pytest.raises(UnsupportedVectorFieldError) as expected:
-                parent_flow(x, -1)
-            with pytest.raises(UnsupportedVectorFieldError) as got:
+            rejected.append(
+                (mv(dims, 1, x_0, (m - 1,)) + mv(dims, -1, x_0[::-1], (0,)), "not nilpotent"))
+        for x, message in rejected:
+            with pytest.raises(UnsupportedVectorFieldError, match=message):
                 _flow(x, -1)
-            assert str(got.value) == str(expected.value)
 
 
-def test_affine_maps_match_the_translation_formulas():
+def curve_rows(matrix):
+    """A DomainMatrix over Q as homogeneous rows of constant Curves."""
+    m = matrix.shape[0] - 1
+    return [[{0: {(0,) * m: as_fraction(Fraction(e.numerator, e.denominator))}} if e else {}
+             for e in row] for row in matrix.to_list()]
+
+
+def test_affine_maps_match_sympy_inverse_and_product():
     rng = random.Random(60)
     maps = 0
     fractional = 0
     for m in range(1, 6):
         dims = (m, 0)
+        K = ring(m)
         for _ in range(25):
             pair = []
             while len(pair) < 2:
                 matrix = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
                           for _ in range(m)]
                 translation = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]
+                rows = [[1] + [0] * m] + [[c, *row] for c, row in zip(translation, matrix)]
+                homogeneous = DomainMatrix([[to_qq(e) for e in row] for row in rows],
+                                           (m + 1, m + 1), QQ)
                 try:
-                    pair.append((AffineDiffeo(matrix, translation),
-                                 ParentAffine(matrix, translation)))
-                except ValueError:
+                    phi = AffineDiffeo(matrix, translation)
+                except ValueError as exc:
+                    assert str(exc) == "affine map must be invertible"
+                    assert not homogeneous.det()
                     continue
-            (p, p_old), (q, q_old) = pair
-            for got, expected in [(p.inverse(), p_old.inverse()),
-                                  (p.compose(q), p_old.compose(q_old)),
-                                  (q.inverse().compose(p), q_old.inverse().compose(p_old))]:
-                assert got.rows == expected.homogeneous()
-                assert repr(got.rows) == repr(expected.homogeneous())
-                assert got == AffineDiffeo(expected.matrix, expected.translation)
-            assert p.compose(p.inverse()) == AffineDiffeo.identity(m)
+                assert phi.rows == curve_rows(homogeneous)
+                pair.append((phi, homogeneous))
+            (p, p_sym), (q, q_sym) = pair
+            p_inverse, p_inv = p.inverse(), p_sym.inv()
+            for got, expected in [(p_inverse, p_inv), (p.compose(q), p_sym * q_sym),
+                                  (q.inverse().compose(p), q_sym.inv() * p_sym)]:
+                assert got.rows == curve_rows(expected)
+                assert_settled(got.rows)
+            assert p.compose(p_inverse) == AffineDiffeo.identity(m)
             b1 = random_form(rng, dims, min(2, m), 1)
             b2 = random_form(rng, dims, min(2, m), 1)
             b, phi = group_mul(b1, p, b2, q)
-            inverse = p_old.inverse()
-            expected = b1 + AffineDiffeo(inverse.matrix, inverse.translation).pullback_form(b2)
-            assert b == expected and repr(b) == repr(expected)
-            assert repr(phi.rows) == repr(p_old.compose(q_old).homogeneous())
+            # (B1 + (p^{-1})^* B2, p o q)
+            inv_rows = [[K.convert_from(e, QQ) for e in row] for row in p_inv.to_list()]
+            pulled = transported({0: b2}, images_of(inv_rows, K), [r[1:] for r in inv_rows[1:]], K)
+            expected = element_polys({0: b1}, K)
+            for wedge, f in pulled.items():
+                expected[wedge] = expected.get(wedge, K.zero) + f
+            assert element_polys({0: b}, K) == {w: f for w, f in expected.items() if f}
+            assert settled(b.terms.values())
+            assert phi.rows == curve_rows(p_sym * q_sym)
             maps += 2
-            fractional += any(type(c) is Fraction for c in p_old.inverse().translation)
+            fractional += any(row[0].denominator != 1 for row in p_inv.to_list())
     assert maps >= 200 and fractional >= 60, (maps, fractional)
 
 
 # -- the tangency check -----------------------------------------------------------------------
 
 
-def copying_t_add(a, b):
-    """The former sum of two curves of forms or multivectors: a copy of the
-    curve per addend."""
-    out = dict(a)
-    for p, v in b.items():
-        merged = out[p] + v if p in out else v
-        if merged.is_zero():
-            out.pop(p, None)
-        else:
-            out[p] = merged
-    return out
-
-
-def copying_t_scale(curve, scalar):
-    """The former product with a scalar curve: one copying sum per piece."""
-    out = {}
-    for p, v in curve.items():
-        for q, s in scalar.items():
-            out = copying_t_add(out, {p + q: v.scale(s)})
-    return out
-
-
-def ordered_pair_ode_residual(curve):
-    """The former FlowCurve.ode_residual: multi_sharp once per ordered pair of
-    numerator powers and per power of E_t, every piece added by copying."""
-    n_curve = curve.mv_numerator
-    minus_d = {p: -s for p, s in curve.denominator.items()}
-    residual = copying_t_add(
-        copying_t_scale(_t_ddt(n_curve), curve.denominator),
-        copying_t_scale(n_curve, _t_ddt(minus_d)),
-    )
-    bracket = {p: schouten(curve.x_field, e) for p, e in n_curve.items()}
-    residual = copying_t_add(residual, copying_t_scale(bracket, minus_d))
-    x, h, b = curve.x_field, curve.h_form, curve.b_form
-    e_curve = copying_t_add({0: b + contract_form(x, h)}, {1: -contract_form(x, de_rham(b))})
-    for p1, e1 in n_curve.items():
-        for p2, e2 in n_curve.items():
-            for p3, ef in e_curve.items():
-                piece = multi_sharp([e1, e2], ef).scale(Fraction(-1, 2))
-                residual = copying_t_add(residual, {p1 + p2 + p3: piece})
-    return residual
-
-
-def test_t_mac_matches_the_copy_per_piece_scaling():
+def test_t_mac_matches_sympy():
     rng = random.Random(57)
     seen = {"single": 0, "cancelled": 0, "fractional": 0}
     for m in (2, 3, 4):
+        K = ring(m)
+        t = K.gens[-1]
         for _ in range(12):
             curve = random_element_curve(rng, m)
             kind = type(next(iter(curve.values())))
+            polys = element_polys(curve, K)
             s1 = {q: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for q in range(rng.randint(1, 3))}
-            expected = copying_t_scale(curve, s1)
             acc = _t_mac({}, curve, s1)
-            assert _t_settled(acc, kind, (m, 0)) == expected
+            got = _t_settled(acc, kind, (m, 0))
+            total = sum((to_qq(s) * t**p for p, s in s1.items()), K.zero)
+            expected = {w: f * total for w, f in polys.items() if f * total}
+            assert element_polys(got, K) == expected
+            assert all(is_settled_element(e) for e in got.values())
             seen["single"] += bool(expected)
             seen["fractional"] += any(
-                type(c) is Fraction for e in expected.values() for c in e.terms.values()
+                type(c) is Fraction for e in got.values() for c in e.terms.values()
             )
             # a second product into the same accumulator, at times its negative
             s2 = {q: -s for q, s in s1.items()} if rng.randrange(2) else {1: 1, 2: -2}
-            expected = copying_t_add(expected, copying_t_scale(curve, s2))
-            assert _t_settled(_t_mac(acc, curve, s2), kind, (m, 0)) == expected
+            got = _t_settled(_t_mac(acc, curve, s2), kind, (m, 0))
+            total += sum((to_qq(s) * t**p for p, s in s2.items()), K.zero)
+            expected = {w: f * total for w, f in polys.items() if f * total}
+            assert element_polys(got, K) == expected
+            assert all(is_settled_element(e) for e in got.values())
             seen["cancelled"] += not expected
     assert min(seen.values()) >= 3, seen
+
+
+def sympy_ode_residual(curve):
+    """The tangency residual N' d - N d' - d L_X N + N E N as a matrix over
+    Q[x, t], for the sharp matrices N of the numerator curve and E of the
+    gauge form E_t, the determinant curve d, and the Lie derivative
+    (L_X N)_cd = X^k d_k N_cd - N_kd d_k X^c - N_ck d_k X^d; the last term is
+    -1/2 (N^sharp ^ N^sharp)(E_t) in matrix form."""
+    m = curve.dims[0]
+    K = ring(m)
+    xs, t = K.gens[:-1], K.gens[-1]
+    numerator = wedge2_matrix(curve.mv_numerator, K)
+    gauge_form = wedge2_matrix(curve.e_curve, K)
+    d = scalar_poly(curve.denominator, K)
+    field = [K.zero] * m
+    for (i,), f in element_polys({0: curve.x_field}, K).items():
+        field[i] = f
+    jacobian = DomainMatrix([[f.diff(x) for x in xs] for f in field], (m, m), K).to_sparse()
+    along = numerator.applyfunc(lambda e: sum((f * e.diff(x) for f, x in zip(field, xs)), K.zero))
+    lie = along - jacobian * numerator - numerator * jacobian.transpose()
+    return (numerator.applyfunc(lambda e: e.diff(t)) * d - numerator * d.diff(t) - lie * d
+            + numerator * gauge_form * numerator)
 
 
 def field_in_the_shear_plane(rng, m, linear):
@@ -814,7 +753,7 @@ def field_in_the_shear_plane(rng, m, linear):
     return x
 
 
-def test_ode_residual_matches_the_ordered_pair_loop():
+def test_ode_residual_matches_sympy():
     rng = random.Random(58)
     seen = dict.fromkeys(
         ["constant", "linear", "unsheared", "sheared", "t_determinant", "zero", "nonzero"], 0
@@ -840,9 +779,11 @@ def test_ode_residual_matches_the_ordered_pair_loop():
                     )
                     numerator = {p: e for p, e in numerator.items() if not e.is_zero()}
                     for each in (curve, replace(curve, mv_numerator=numerator)):
-                        expected = ordered_pair_ode_residual(each)
-                        assert each.ode_residual() == expected
-                        seen["nonzero" if expected else "zero"] += 1
+                        residual = each.ode_residual()
+                        expected = sympy_ode_residual(each)
+                        assert wedge2_matrix(residual, ring(m)) == expected
+                        assert all(is_settled_element(e) for e in residual.values())
+                        seen["nonzero" if residual else "zero"] += 1
                         curves += 1
                     seen["linear" if linear else "constant"] += 1
                     seen["sheared" if sheared else "unsheared"] += 1

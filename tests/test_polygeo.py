@@ -4,6 +4,8 @@ from fractions import Fraction
 from operator import add
 
 import pytest
+from sympy import symbols
+from sympy.polys.domains import QQ
 
 from derived_brackets.graded import add_terms, as_fraction, inversion_parity, scale_terms, settle
 from derived_brackets.polygeo import (
@@ -118,6 +120,40 @@ def test_schouten_preserves_polynomial_degree():
         if w.is_zero() or u.is_zero() or v.is_zero():
             continue
         assert w.pol_degree() <= u.pol_degree() + v.pol_degree()
+
+
+def test_schouten_of_bivectors_matches_the_coordinate_jacobiator():
+    """[pi, pi] = 2 sum_{i<j<k} J^{ijk} d_i ^ d_j ^ d_k with the Jacobiator
+    J^{ijk} = sum over the cyclic orders of (i, j, k) of pi^{il} d_l pi^{jk},
+    computed by sympy over Q[x_1..x_m] from the components
+    pi^{ab} = -pi^{ba} of pi = sum_{a<b} pi^{ab} d_a ^ d_b."""
+    rng = random.Random(5)
+    seen = {"zero": 0, "nonzero": 0}
+    for m in (3, 4, 5):
+        ring = QQ[symbols(f"x1:{m + 1}")]
+        xs = ring.gens
+        for _ in range(20):
+            pi = random_multivector(rng, (m, 0), 2, 2)
+            components = [[ring.zero] * m for _ in range(m)]
+            for (mono, (a, b)), coef in pi.terms.items():
+                f = ring.ring({mono: QQ(*coef.as_integer_ratio())})
+                components[a][b] += f
+                components[b][a] -= f
+            expected = {}
+            for i, j, k in itertools.combinations(range(m), 3):
+                jacobiator = sum(
+                    (components[a][l] * components[b][c].diff(xs[l])
+                     for a, b, c in [(i, j, k), (j, k, i), (k, i, j)] for l in range(m)),
+                    ring.zero,
+                )
+                if jacobiator:
+                    expected[(i, j, k)] = 2 * jacobiator
+            got = {}
+            for (mono, legs), coef in schouten(pi, pi).terms.items():
+                got.setdefault(legs, {})[mono] = QQ(*coef.as_integer_ratio())
+            assert {legs: ring.ring(terms) for legs, terms in got.items()} == expected
+            seen["nonzero" if expected else "zero"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 # -- de Rham ----------------------------------------------------------------------------
