@@ -298,7 +298,8 @@ def cmd_suite(args) -> int:
 #
 # name -> (one-line help, argument adder, command function).  ``main`` builds the
 # parser of the invoked command alone, so one call pays for that command's
-# arguments, not for every command's.
+# arguments, not for every command's; the top-level parser (``_top_parser``)
+# is built only when ``argv`` is not plainly ``[--json] COMMAND ...``.
 
 
 def _verify_gla_arguments(p: argparse.ArgumentParser) -> None:
@@ -352,10 +353,10 @@ COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run one ``dbrack`` command and return its exit code.  Two parsers are
-    built on every call: one that knows ``--json`` and the command names, then
-    one for the invoked command alone, given the rest of ``argv``."""
+def _top_parser() -> argparse.ArgumentParser:
+    """The parser that knows ``--json`` and the command names: it prints
+    ``dbrack --help`` and the usage errors, and reads every ``argv`` that
+    :func:`_command_line` does not split itself."""
     top = argparse.ArgumentParser(
         prog="dbrack",
         description="Exact derived-bracket homotopy algebras and twisted Poisson geometry",
@@ -367,7 +368,30 @@ def main(argv: list[str] | None = None) -> int:
     top.add_argument("command", choices=COMMANDS, help="one of the commands below")
     top.add_argument("arguments", nargs=argparse.REMAINDER,
                      help="the command's arguments (dbrack CMD --help)")
-    args = top.parse_args(argv)
+    return top
+
+
+def _command_line(argv: list[str]) -> argparse.Namespace:
+    """``json``, ``command`` and ``arguments`` of ``argv``, as the top-level
+    parser reads them.  ``COMMAND ...`` and ``--json COMMAND ...`` are split
+    directly: the parser's trailing ``arguments`` take every token after the
+    command name.  Any other ``argv`` (help, a usage error, an abbreviated or
+    repeated ``--json``) and any ``argv`` holding ``--``, which argparse drops
+    after the command name, go to :func:`_top_parser`."""
+    start = 1 if argv[:1] == ["--json"] else 0
+    if len(argv) > start and argv[start] in COMMANDS and "--" not in argv:
+        return argparse.Namespace(json=start == 1, command=argv[start],
+                                  arguments=argv[start + 1:])
+    return _top_parser().parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one ``dbrack`` command and return its exit code.  A well-formed
+    call (``[--json] COMMAND ...`` without ``--``) builds one parser, for the
+    invoked command alone, given the rest of ``argv``; any other call first
+    builds the top-level parser that knows ``--json`` and the command names
+    (:func:`_command_line`).  No parser outlives the call."""
+    args = _command_line(list(sys.argv[1:] if argv is None else argv))
     _help, add_arguments, run = COMMANDS[args.command]
     parser = argparse.ArgumentParser(prog=f"dbrack {args.command}")
     add_arguments(parser)

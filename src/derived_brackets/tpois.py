@@ -489,9 +489,11 @@ class AffineDiffeo:
     t for a flow (:func:`_flow`).  Maps compose by a matrix product and invert
     by adj / det, the adjugate from Berkowitz's coefficients through
     Cayley-Hamilton; every map built here has a nonzero constant determinant,
-    1 for a flow."""
+    1 for a flow.  Berkowitz's coefficients and the determinant are kept in
+    ``_coeffs_det`` once computed: the constructor computes them to reject a
+    singular map, and a map built by :meth:`_of` on first use."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_coeffs_det")
 
     def __init__(self, matrix, translation):
         matrix = [[as_fraction(e) for e in row] for row in matrix]
@@ -502,6 +504,7 @@ class AffineDiffeo:
         unit = (0,) * n
         entries = [[1] + [0] * n] + [[c, *row] for c, row in zip(translation, matrix)]
         self.rows = [[{0: {unit: e}} if e else {} for e in row] for row in entries]
+        self._coeffs_det = None
         self._charpoly_and_det()  # raises unless M is invertible
 
     @staticmethod
@@ -509,6 +512,7 @@ class AffineDiffeo:
         """The map of homogeneous rows known to be invertible."""
         new = AffineDiffeo.__new__(AffineDiffeo)
         new.rows = rows
+        new._coeffs_det = None
         return new
 
     @staticmethod
@@ -530,14 +534,16 @@ class AffineDiffeo:
 
     def _charpoly_and_det(self) -> tuple[list[Curve], int | Fraction]:
         """Berkowitz's coefficients of the rows and their determinant, which
-        must be a nonzero constant."""
-        n = len(self.rows)
-        coeffs = _charpoly(self.rows, {0: {(0,) * self.dim: 1}})
-        det = _neg(coeffs[n]) if n % 2 else coeffs[n]
-        if set(det) != {0}:
-            raise ValueError("affine map must be invertible")
-        (value,) = det[0].values()
-        return coeffs, value
+        must be a nonzero constant; computed once per map."""
+        if self._coeffs_det is None:
+            n = len(self.rows)
+            coeffs = _charpoly(self.rows, {0: {(0,) * self.dim: 1}})
+            det = _neg(coeffs[n]) if n % 2 else coeffs[n]
+            if set(det) != {0}:
+                raise ValueError("affine map must be invertible")
+            (value,) = det[0].values()
+            self._coeffs_det = coeffs, value
+        return self._coeffs_det
 
     def inverse(self) -> "AffineDiffeo":
         """adj / det: Cayley-Hamilton applied to the identity over det."""

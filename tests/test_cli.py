@@ -872,7 +872,9 @@ def test_usage_error_through_the_module_entry_point():
 
 def test_each_call_builds_its_own_parsers(monkeypatch, capsys):
     # a real dbrack builds its parsers once per process, so no call may reuse
-    # another's; and a call builds no parser for a command it does not run
+    # another's; a well-formed call builds the parser of its command alone,
+    # and the top-level parser is built only for help, usage errors and other
+    # argv that are not plainly [--json] COMMAND ...
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -881,12 +883,22 @@ def test_each_call_builds_its_own_parsers(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv in (["--json", "mc", _data("vdata_fixture.json"), _data("alpha_mc.json")],
-                 ["--json", "mc", _data("vdata_fixture.json"), _data("alpha_mc.json")],
-                 ["verify-gla", _data("vdata_fixture.json")]):
+    mc = ["mc", _data("vdata_fixture.json"), _data("alpha_mc.json")]
+    for argv, progs in ((["--json"] + mc, ["dbrack mc"]),
+                        (["--json"] + mc, ["dbrack mc"]),
+                        (mc, ["dbrack mc"]),
+                        (["verify-gla", _data("vdata_fixture.json")], ["dbrack verify-gla"]),
+                        (["--js"] + mc, ["dbrack", "dbrack mc"]),
+                        (["--json", "--json"] + mc, ["dbrack", "dbrack mc"]),
+                        (mc[:1] + ["--"] + mc[1:], ["dbrack", "dbrack mc"])):
         before = len(built)
         main(argv)
-        assert 1 <= len(built) - before <= 2, built[before:]
+        assert built[before:] == progs, argv
+    for argv in (["--help"], ["--json", "-h"]):
+        before = len(built)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built[before:] == ["dbrack"], argv
     capsys.readouterr()
 
 

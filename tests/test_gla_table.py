@@ -51,9 +51,9 @@ def oracle_bracket(algebra, x, y):
     return out
 
 
-def oracle_verify(algebra):
-    """The triple loop of verify_gla that rebuilds every generator and inner
-    bracket per triple."""
+def oracle_pair_violations(algebra):
+    """The degree, even-diagonal and input-conflict violations, in
+    verify_gla's order, from the stored table."""
     space = algebra.space
     violations = []
     names = space.names()
@@ -73,6 +73,15 @@ def oracle_verify(algebra):
             if not diag.is_zero():
                 violations.append(Violation("antisymmetry", (name, name), repr(diag)))
     violations.extend(getattr(algebra, "input_conflicts", ()))
+    return violations
+
+
+def oracle_verify(algebra):
+    """The triple loop of verify_gla that rebuilds every generator and inner
+    bracket per triple."""
+    space = algebra.space
+    violations = oracle_pair_violations(algebra)
+    names = space.names()
     for an in names:
         da = space.degree_of(an)
         a = space.gen(an)
@@ -290,6 +299,96 @@ def test_verify_gla_matches_the_triple_loop():
     assert not reports[0].ok and any(v.kind == "jacobi" for v in reports[0].violations)
     assert reports[1].ok
     assert not reports[3].ok
+
+
+# -- verify_gla's integer Jacobi check against the element path ------------------
+
+
+def element_path_verify(algebra):
+    """verify_gla with its Jacobi check on elements, as before the check read
+    the integer rows: each basis triple with a nonzero pair bracket is
+    bracketed as elements, and a nonzero residual is a violation."""
+    space = algebra.space
+    names = space.names()
+    gens = {n: space.gen(n) for n in names}
+    pairs = {(ln, rn): algebra.bracket(gens[ln], gens[rn]) for ln in names for rn in names}
+    violations = oracle_pair_violations(algebra)
+    for an in names:
+        for bn in names:
+            sign = -1 if space.degree_of(an) * space.degree_of(bn) % 2 else 1
+            for cn in names:
+                ab, bc, ac = pairs[(an, bn)], pairs[(bn, cn)], pairs[(an, cn)]
+                if ab.is_zero() and bc.is_zero() and ac.is_zero():
+                    continue
+                lhs = algebra.bracket(gens[an], bc)
+                first, second = algebra.bracket(ab, gens[cn]), algebra.bracket(gens[bn], ac)
+                rhs = first + second if sign == 1 else first - second
+                if lhs != rhs:
+                    violations.append(Violation("jacobi", (an, bn, cn), repr(lhs - rhs)))
+    return GlaReport(tuple(violations))
+
+
+def upper_triangular_gla(degrees):
+    """Strictly upper-triangular k x k matrices, k = len(degrees), under the
+    graded commutator [X, Y] = XY - (-1)^{|X||Y|} YX, where E_ij has degree
+    degrees[i] - degrees[j]: a graded Lie algebra of dimension k(k - 1)/2,
+    with odd elements when the degrees have mixed parity."""
+    k = len(degrees)
+    cells = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    name = {cell: f"e{cell[0]}_{cell[1]}" for cell in cells}
+    degree = {cell: degrees[cell[0]] - degrees[cell[1]] for cell in cells}
+    space = GradedSpace.of([(name[cell], degree[cell]) for cell in cells])
+    table = {}
+    for n, x in enumerate(cells):
+        for y in cells[n:]:
+            terms = {}
+            if x[1] == y[0]:  # E_ij E_jl = E_il
+                terms[name[(x[0], y[1])]] = 1
+            if y[1] == x[0]:  # -(-1)^{|X||Y|} E_ki E_ij = -(-1)^{|X||Y|} E_kj
+                terms[name[(y[0], x[1])]] = 1 if degree[x] * degree[y] % 2 else -1
+            if terms:
+                table[(name[x], name[y])] = space.element(terms)
+    return StructureGLA(space, table)
+
+
+def corrupted(rng, algebra):
+    """A copy of ``algebra`` with one table entry changed by one term, which
+    may break degree additivity, the even diagonal or graded Jacobi."""
+    space = algebra.space
+    names = space.names()
+    table = dict(algebra.table)
+    key = rng.choice(sorted(table)) if table and rng.randrange(3) else tuple(
+        sorted(rng.sample(names, 2), key=names.index))
+    change = space.gen(rng.choice(names), Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2)))
+    table[key] = table.get(key, space.zero()) + change
+    return StructureGLA(space, table)
+
+
+def test_verify_gla_integer_jacobi_matches_the_element_path():
+    rng = random.Random(30)
+    lie = [fixture_gla(), sample_gla()] + [
+        upper_triangular_gla([rng.randint(-2, 2) for _ in range(k)])
+        for k in (3, 3, 4, 4, 5, 5, 6, 6, 7, 8)
+    ]
+    assert [len(a.space.names()) for a in lie[-3:]] == [15, 21, 28]
+    for algebra in lie:
+        assert verify_gla(algebra).ok
+    clean = lie + [rational_gla()] + random_tables(31, 24)
+    algebras = clean + [corrupted(rng, a) for a in clean for _ in range(2)]
+    seen = {"jacobi": 0, "odd-odd jacobi": 0, "fraction": 0}
+    for algebra in algebras:
+        report = verify_gla(algebra)
+        want = element_path_verify(algebra)
+        assert report == want
+        assert report.as_dict() == want.as_dict()
+        space = algebra.space
+        for v in report.violations:
+            if v.kind == "jacobi":
+                seen["jacobi"] += 1
+                a, b = v.where[:2]
+                seen["odd-odd jacobi"] += space.degree_of(a) * space.degree_of(b) % 2
+        seen["fraction"] += algebra._den != 1
+    assert all(seen.values()), seen
 
 
 # -- the integer kernel against the Fraction-accumulating kernel ----------------

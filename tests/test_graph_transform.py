@@ -681,6 +681,36 @@ def test_affine_maps_match_sympy_inverse_and_product():
     assert maps >= 200 and fractional >= 60, (maps, fractional)
 
 
+def test_each_affine_map_runs_its_characteristic_polynomial_once(monkeypatch):
+    # the constructor's Berkowitz coefficients serve inverse(); a map built
+    # from rows (a flow, a product) computes them on its first inverse
+    calls = []
+    charpoly = tpois._charpoly
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return charpoly(*args)
+
+    monkeypatch.setattr(tpois, "_charpoly", counting)
+    phi = AffineDiffeo([[2, 1, 0], [0, 1, 0], [0, 1, 1]], [3, 0, 1])
+    assert calls == [4]
+    inverse = phi.inverse()
+    assert phi.inverse() == inverse and calls == [4]
+    assert phi.compose(inverse) == AffineDiffeo.identity(3)
+    del calls[:]
+    x = mv((3, 0), 1, (0, 1, 0), (0,)) + mv((3, 0), 2, (0, 0, 0), (2,))
+    flow = _flow(x, -1)
+    assert calls == []
+    assert flow.inverse() == _flow(x, +1) and calls == [4]
+    flow.inverse()
+    product = phi.compose(flow)
+    product.inverse()
+    product.inverse()
+    assert calls == [4, 4]
+    with pytest.raises(ValueError, match="affine map must be invertible"):
+        AffineDiffeo([[1, 2], [2, 4]], [0, 0])
+
+
 # -- the tangency check -----------------------------------------------------------------------
 
 
