@@ -872,9 +872,10 @@ def test_usage_error_through_the_module_entry_point():
 
 def test_each_call_builds_its_own_parsers(monkeypatch, capsys):
     # a real dbrack builds its parsers once per process, so no call may reuse
-    # another's; a well-formed call builds the parser of its command alone,
-    # and the top-level parser is built only for help, usage errors and other
-    # argv that are not plainly [--json] COMMAND ...
+    # another's; a well-formed call is read from the command table and builds
+    # no parser, and every other call builds the parsers it built before the
+    # table was read: the command's, and first the top-level parser for an
+    # argv that is not plainly [--json] COMMAND ...
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -883,22 +884,29 @@ def test_each_call_builds_its_own_parsers(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    mc = ["mc", _data("vdata_fixture.json"), _data("alpha_mc.json")]
-    for argv, progs in ((["--json"] + mc, ["dbrack mc"]),
-                        (["--json"] + mc, ["dbrack mc"]),
-                        (mc, ["dbrack mc"]),
-                        (["verify-gla", _data("vdata_fixture.json")], ["dbrack verify-gla"]),
+    fixture, pair = _data("vdata_fixture.json"), _data("pair_p.json")
+    mc = ["mc", fixture, _data("alpha_mc.json")]
+    verify = ["verify-gla", fixture]
+    for argv, progs in ((["--json"] + mc, []),
+                        (["--json"] + mc, []),
+                        (mc, []),
+                        (verify, []),
+                        (["--json"] + verify, []),
+                        (["derived", fixture, "--big", "--arg", pair, "--arg", pair], []),
+                        (["gauge", _data("tpois_gauge.json"), "--check-series"], []),
+                        (["suite", "jacobi", "--seed", "3", "--samples", "1"], []),
                         (["--js"] + mc, ["dbrack", "dbrack mc"]),
                         (["--json", "--json"] + mc, ["dbrack", "dbrack mc"]),
                         (mc[:1] + ["--"] + mc[1:], ["dbrack", "dbrack mc"])):
         before = len(built)
         main(argv)
         assert built[before:] == progs, argv
-    for argv in (["--help"], ["--json", "-h"]):
+    for argv, progs in ((["--help"], ["dbrack"]), (["--json", "-h"], ["dbrack"]),
+                        (mc + ["-h"], ["dbrack mc"])):
         before = len(built)
         with pytest.raises(SystemExit):
             main(argv)
-        assert built[before:] == ["dbrack"], argv
+        assert built[before:] == progs, argv
     capsys.readouterr()
 
 

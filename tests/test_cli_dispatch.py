@@ -1,4 +1,5 @@
-"""``cli._command_line`` against the top-level parser it stands in for.
+"""``cli._command_line`` and ``cli._read_arguments`` against the parsers they
+stand in for.
 
 ``main`` splits ``[--json] COMMAND ...`` itself and hands every other argv
 to the top-level parser.  For each argv below, the split must give the
@@ -8,14 +9,26 @@ help commands, the seeded mutant corpus of ``test_cli_mutants`` and a seeded
 product of the tokens that move argparse: ``--json``, the command names,
 ``--``, ``-h``, ``--help``, the abbreviation ``--js``, ``-``, ``--big`` and
 ``--arg``.
+
+A split call's arguments are then read from the command table without a
+parser where ``_read_arguments`` accepts them.  Its reference is each
+command's parser as the per-command argument adders built it before the
+table held the arguments as data (``_adder_parser``).  Where the reader
+accepts, its namespace must be that parser's; where it declines, it must
+leave the namespace as it was, and ``main`` must give the exit code, stdout
+and stderr of ``main`` with the reader off and the adders' parser.  The
+commands themselves are stubbed to print the namespace they get, so the
+comparison covers reading alone.
 """
 
+import argparse
 import contextlib
 import io
 import itertools
 import random
 
 from derived_brackets import cli
+from derived_brackets.suites import SUITE_NAMES
 from test_cli import COMMAND_HELP, GOLDEN
 from test_cli_mutants import MUTANTS, _mutants
 
@@ -67,9 +80,152 @@ def test_direct_split_matches_the_top_level_parser(monkeypatch):
     split = 0
     for argv in argvs:
         before = len(fallbacks)
-        got = _outcome(cli._command_line, argv)
-        split += len(fallbacks) == before
+        got = _outcome(lambda argv: cli._command_line(argv)[0], argv)
+        direct = len(fallbacks) == before
+        if got[0] == "parsed":  # the split reports whether it bypassed the parser
+            assert cli._command_line(list(argv))[1] == direct, argv
+        split += direct
         assert got == _outcome(_reference, argv), argv
     # every golden and mutant command is split directly, without a top parser
     assert split >= 2 * len(GOLDEN) + MUTANTS, (split, len(argvs))
     assert split < len(argvs)
+
+
+# -- the table reader against the adders' parsers ------------------------------------
+
+
+def _adder_parser(command):
+    p = argparse.ArgumentParser(prog=f"dbrack {command}")
+    if command == "verify-gla":
+        p.add_argument("file")
+    elif command in ("derived", "mc", "twist"):
+        p.add_argument("vdata")
+        if command == "derived":
+            p.add_argument("--big", action="store_true", default=False)
+            p.add_argument("--arg", action="append", default=[], help="element file (repeat)")
+        elif command == "mc":
+            p.add_argument("element")
+            p.add_argument("--big", action="store_true", default=False)
+        else:
+            p.add_argument("alpha")
+    elif command in ("flow", "gauge"):
+        p.add_argument("data", help="JSON with H, pi and optionally B, X literals")
+        if command == "gauge":
+            p.add_argument("--check-series", action="store_true")
+    else:
+        p.add_argument("name", choices=sorted(SUITE_NAMES))
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--samples", type=int, default=25)
+        p.add_argument("--max-arity", type=int, default=4)
+        p.add_argument("--max-degree", type=int, default=2)
+    return p
+
+
+def _command_tokens(command):
+    """Two positionals (a valid and an invalid choice for ``suite``), the
+    command's option strings, help, ``-``, a negative number, an
+    abbreviation, ``--opt=value``, an int, a word and the empty string."""
+    options = [name for name, _keywords in cli.COMMANDS[command][2] if name[0] == "-"]
+    files = ["jacobi", "flows"] if command == "suite" else ["A.json", "B.json"]
+    abbreviation = options[0][:4] if options else "--he"
+    return [*files, *options, "-h", "-", "-1", abbreviation, "--arg=X", "3", "x", ""]
+
+
+def _read(command, arguments):
+    """The reader's namespace for ``arguments``, or None where it declines;
+    a declining reader must leave the namespace as it was."""
+    args = argparse.Namespace(json=True, command=command, arguments=list(arguments))
+    before = dict(vars(args))
+    if cli._read_arguments(args):
+        return args
+    assert vars(args) == before, arguments
+    return None
+
+
+def _adders_read(command, arguments):
+    args = argparse.Namespace(json=True, command=command, arguments=list(arguments))
+    return _adder_parser(command).parse_args(list(arguments), namespace=args)
+
+
+def _stub(args):
+    print(sorted(vars(args).items()))
+    return 0
+
+
+def _main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _workload_shapes():
+    """The argv shapes of the benchmark's ``cli`` workload."""
+    pairs = [["--arg", f"p{i}.json"] for i in range(3)]
+    return [["verify-gla", "gla.json"],
+            ["derived", "vdata.json", "--big", *pairs[0], *pairs[1]],
+            ["derived", "vdata.json", "--big", *pairs[0], *pairs[1], *pairs[2]],
+            ["mc", "vdata.json", "phi.json"], ["mc", "coiso.json", "section.json"],
+            ["twist", "vdata.json", "alpha.json"],
+            ["gauge", "gauge.json", "--check-series"], ["flow", "flow.json"]]
+
+
+def test_table_reader_matches_the_adders_parsers(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, (help_line, _run, arguments) in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, name, (help_line, _stub, arguments))
+
+    def adders_main(argv):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_arguments", lambda args: False)
+            m.setattr(cli, "_command_parser", _adder_parser)
+            return _main_outcome(argv)
+
+    # the well-formed calls the reader must accept: the golden commands, the
+    # mutant corpus and the benchmark's cli workload
+    must_accept = [argv for _code, argv in GOLDEN.values()]
+    must_accept += [argv[:pos] + ["mutant.json"] + argv[pos + 1:]
+                    for _what, pos, argv, _doc in _mutants(MUTANTS, seed=22)]
+    must_accept += _workload_shapes()
+    for argv in must_accept:
+        got = _read(argv[0], argv[1:])
+        assert got is not None, argv
+        assert got == _adders_read(argv[0], argv[1:]), argv
+
+    # the split calls of the corpus above, and per command every argument
+    # list of up to 4 tokens and seeded longer ones; main runs on the corpus,
+    # on every accepted list and on a seeded share of the rest
+    cases = []
+    for argv in _corpus():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                args, direct = cli._command_line(list(argv))
+            except SystemExit:
+                continue
+        if direct:
+            cases.append((args.command, args.arguments, True))
+    rng = random.Random(29)
+    for command in cli.COMMANDS:
+        tokens = _command_tokens(command)
+        lists = [list(p) for length in range(5) for p in itertools.product(tokens, repeat=length)]
+        lists += [[rng.choice(tokens) for _ in range(rng.randint(5, 8))] for _ in range(400)]
+        cases += [(command, arguments, False) for arguments in lists]
+    accepted = compared = 0
+    for command, arguments, always in cases:
+        got = _read(command, arguments)
+        if got is not None:
+            accepted += 1
+            assert got == _adders_read(command, arguments), (command, arguments)
+        elif not always and len(arguments) > 2 and rng.random() > 0.01:
+            continue
+        compared += 1
+        argv = ["--json"] * (compared % 2) + [command, *arguments]
+        assert _main_outcome(argv) == adders_main(argv), argv
+    for argv in must_accept:
+        assert _main_outcome(["--json", *argv]) == adders_main(["--json", *argv]), argv
+    assert accepted > 500 and compared > 2 * accepted, (accepted, compared)
+    # neither the reader nor the parsers appended to the table's own default
+    assert dict(cli.COMMANDS["derived"][2])["--arg"]["default"] == []

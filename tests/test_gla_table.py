@@ -375,7 +375,7 @@ def test_verify_gla_integer_jacobi_matches_the_element_path():
         assert verify_gla(algebra).ok
     clean = lie + [rational_gla()] + random_tables(31, 24)
     algebras = clean + [corrupted(rng, a) for a in clean for _ in range(2)]
-    seen = {"jacobi": 0, "odd-odd jacobi": 0, "fraction": 0}
+    seen = {"degree": 0, "antisymmetry": 0, "jacobi": 0, "odd-odd jacobi": 0, "fraction": 0}
     for algebra in algebras:
         report = verify_gla(algebra)
         want = element_path_verify(algebra)
@@ -383,8 +383,8 @@ def test_verify_gla_integer_jacobi_matches_the_element_path():
         assert report.as_dict() == want.as_dict()
         space = algebra.space
         for v in report.violations:
+            seen[v.kind] += 1
             if v.kind == "jacobi":
-                seen["jacobi"] += 1
                 a, b = v.where[:2]
                 seen["odd-odd jacobi"] += space.degree_of(a) * space.degree_of(b) % 2
         seen["fraction"] += algebra._den != 1

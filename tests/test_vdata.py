@@ -647,6 +647,37 @@ def test_validate_reports_each_failure_kind(v, kind):
     assert kind in [k for k, _ in report["failures"]]
 
 
+def test_validate_brackets_each_nonzero_kernel_part_once(monkeypatch):
+    # P moves u to a and a to c (not idempotent), keeps v (outside a) and
+    # sends w to b, so the kernel parts u - a, a - c and w - b do not close.
+    # The failures, witnesses and order are those recorded before kernel
+    # parts were formed once per element; then the check formed all 36 pairs
+    # of the 6 sample elements, and validation made 43 gla brackets.
+    from derived_brackets.gla import StructureGLA
+
+    calls = []
+    bracket = StructureGLA.bracket
+
+    def counting(self, x, y):
+        calls.append(1)
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(StructureGLA, "bracket", counting)
+    v = _fixture_with({"a": "c", "c": "c", "b": "b", "u": "a", "v": "v", "w": "b"})
+    calls.clear()
+    report = validate_vdata(v)
+    assert report.failures == (
+        ("projection not idempotent", "u"),
+        ("projection image leaves the subalgebra", "v"),
+        ("kernel not closed under bracket", "[a, u]"),
+        ("kernel not closed under bracket", "[u, a]"),
+        ("kernel not closed under bracket", "[u, w]"),
+        ("kernel not closed under bracket", "[w, u]"),
+    )
+    # 6 subalgebra pairs, the 3 x 3 nonzero kernel parts and [Delta, Delta]
+    assert len(calls) == 6 + 9 + 1 < 43
+
+
 def _tied_subspace(x):
     # span(a, v + b, w): stable under D = [u, .], yet [a, v + b] = -b
     return set(x.terms) <= {"a", "v", "b", "w"} and x.terms.get("v", 0) == x.terms.get("b", 0)
