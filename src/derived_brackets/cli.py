@@ -298,9 +298,11 @@ def cmd_suite(args) -> int:
 #
 # name -> (one-line help, command function, arguments), each argument its name
 # and ``add_argument`` keywords: positionals, store-true flags, the repeatable
-# ``--arg``, suite's ``int`` options and NAME choices.  ``main`` reads a
-# well-formed call from this table alone (:func:`_read_arguments`) and builds
-# the command's parser (:func:`_command_parser`) only for any other call.
+# ``--arg``, suite's ``int`` options and NAME choices.  ``main`` builds the
+# parser of the invoked command alone from its entry (:func:`_command_parser`),
+# so one call pays for that command's arguments, not for every command's; the
+# top-level parser (``_top_parser``) is built only when ``argv`` is not plainly
+# ``[--json] COMMAND ...``.
 
 _DATA = ("data", {"help": "JSON with H, pi and optionally B, X literals"})
 _BIG = ("--big", {"action": "store_true", "default": False})
@@ -309,8 +311,7 @@ COMMANDS = {
     "verify-gla": ("validate a structure-constant algebra file", cmd_verify_gla,
                    (("file", {}),)),
     "derived": ("evaluate one derived bracket", cmd_derived, (
-        ("vdata", {}), _BIG,
-        ("--arg", {"action": "append", "default": [], "help": "element file (repeat)"}))),
+        ("vdata", {}), _BIG, ("--arg", {"action": "append", "help": "element file (repeat)"}))),
     "mc": ("Maurer-Cartan residual of an element", cmd_mc,
            (("vdata", {}), ("element", {}), _BIG)),
     "twist": ("twist a quadruple by a Maurer-Cartan pair; projection_samples projects "
@@ -326,45 +327,14 @@ COMMANDS = {
 
 
 def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command, built from its table entry.  A repeatable
+    option gets a new ``[]`` default here, so no call sees another's list."""
     parser = argparse.ArgumentParser(prog=f"dbrack {command}")
     for name, keywords in COMMANDS[command][2]:
+        if keywords.get("action") == "append":
+            keywords = {**keywords, "default": []}
         parser.add_argument(name, **keywords)
     return parser
-
-
-def _read_arguments(args: argparse.Namespace) -> bool:
-    """Set on ``args`` what its command's parser reads from ``args.arguments``,
-    by the table entry alone, and return True.  Return False, setting nothing,
-    unless every token is a positional or an exact option string (with a value,
-    unless a flag), no positional or value starts with ``-``, the positionals
-    are as many as the entry's, every ``int`` converts and every choice is
-    valid: help, ``--opt=value``, abbreviations and usage errors are the parser's."""
-    entry = dict(COMMANDS[args.command][2])
-    values = {name: keywords["default"] for name, keywords in entry.items() if name[0] == "-"}
-    positionals, tokens = [], iter(args.arguments)
-    for token in tokens:
-        action = entry[token].get("action") if token in values else None
-        if token[:1] != "-":
-            positionals.append(token)
-        elif action == "store_true":
-            values[token] = True
-        elif token not in values or (value := next(tokens, "-"))[:1] == "-":
-            return False
-        elif action == "append":
-            values[token] = [*values[token], value]
-        else:
-            try:
-                values[token] = entry[token]["type"](value)
-            except ValueError:
-                return False
-    names = [name for name in entry if name[0] != "-"]
-    if len(positionals) != len(names) or any(
-            value not in entry[name].get("choices", (value,))
-            for name, value in zip(names, positionals)):
-        return False
-    for name, value in [*values.items(), *zip(names, positionals)]:
-        setattr(args, name.lstrip("-").replace("-", "_"), value)
-    return True
 
 
 def _top_parser() -> argparse.ArgumentParser:
@@ -385,30 +355,29 @@ def _top_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _command_line(argv: list[str]) -> tuple[argparse.Namespace, bool]:
+def _command_line(argv: list[str]) -> argparse.Namespace:
     """``json``, ``command`` and ``arguments`` of ``argv``, as the top-level
-    parser reads them, and whether ``argv`` was split directly.
-    ``COMMAND ...`` and ``--json COMMAND ...`` are split directly: the
-    parser's trailing ``arguments`` take every token after the command name.
-    Any other ``argv`` (help, a usage error, an abbreviated or repeated
-    ``--json``) and any ``argv`` holding ``--``, which argparse drops after
-    the command name, go to :func:`_top_parser`."""
+    parser reads them.  ``COMMAND ...`` and ``--json COMMAND ...`` are split
+    directly: the parser's trailing ``arguments`` take every token after the
+    command name.  Any other ``argv`` (help, a usage error, an abbreviated or
+    repeated ``--json``) and any ``argv`` holding ``--``, which argparse drops
+    after the command name, go to :func:`_top_parser`."""
     start = 1 if argv[:1] == ["--json"] else 0
     if len(argv) > start and argv[start] in COMMANDS and "--" not in argv:
         return argparse.Namespace(json=start == 1, command=argv[start],
-                                  arguments=argv[start + 1:]), True
-    return _top_parser().parse_args(argv), False
+                                  arguments=argv[start + 1:])
+    return _top_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one ``dbrack`` command and return its exit code.  A well-formed call,
-    ``[--json] COMMAND ...`` split by :func:`_command_line` with arguments that
-    :func:`_read_arguments` accepts, builds no parser.  Any other call builds
-    the command's parser, and first the top-level parser if ``argv`` was not
-    split directly.  No parser outlives the call."""
-    args, split = _command_line(list(sys.argv[1:] if argv is None else argv))
-    if not (split and _read_arguments(args)):
-        _command_parser(args.command).parse_args(args.arguments, namespace=args)
+    """Run one ``dbrack`` command and return its exit code.  A well-formed
+    call (``[--json] COMMAND ...`` without ``--``) builds one parser, for the
+    invoked command alone, from its ``COMMANDS`` entry, given the rest of
+    ``argv``; any other call first builds the top-level parser that knows
+    ``--json`` and the command names (:func:`_command_line`).  No parser
+    outlives the call."""
+    args = _command_line(list(sys.argv[1:] if argv is None else argv))
+    _command_parser(args.command).parse_args(args.arguments, namespace=args)
     try:
         return COMMANDS[args.command][1](args)
     except (InputError, KeyError, ValueError, TypeError, OSError) as exc:

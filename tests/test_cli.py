@@ -872,10 +872,9 @@ def test_usage_error_through_the_module_entry_point():
 
 def test_each_call_builds_its_own_parsers(monkeypatch, capsys):
     # a real dbrack builds its parsers once per process, so no call may reuse
-    # another's; a well-formed call is read from the command table and builds
-    # no parser, and every other call builds the parsers it built before the
-    # table was read: the command's, and first the top-level parser for an
-    # argv that is not plainly [--json] COMMAND ...
+    # another's; a well-formed call builds the parser of its command alone,
+    # and the top-level parser is built first only for help, usage errors and
+    # other argv that are not plainly [--json] COMMAND ...
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -887,14 +886,15 @@ def test_each_call_builds_its_own_parsers(monkeypatch, capsys):
     fixture, pair = _data("vdata_fixture.json"), _data("pair_p.json")
     mc = ["mc", fixture, _data("alpha_mc.json")]
     verify = ["verify-gla", fixture]
-    for argv, progs in ((["--json"] + mc, []),
-                        (["--json"] + mc, []),
-                        (mc, []),
-                        (verify, []),
-                        (["--json"] + verify, []),
-                        (["derived", fixture, "--big", "--arg", pair, "--arg", pair], []),
-                        (["gauge", _data("tpois_gauge.json"), "--check-series"], []),
-                        (["suite", "jacobi", "--seed", "3", "--samples", "1"], []),
+    for argv, progs in ((["--json"] + mc, ["dbrack mc"]),
+                        (["--json"] + mc, ["dbrack mc"]),
+                        (mc, ["dbrack mc"]),
+                        (verify, ["dbrack verify-gla"]),
+                        (["--json"] + verify, ["dbrack verify-gla"]),
+                        (["derived", fixture, "--big", "--arg", pair, "--arg", pair],
+                         ["dbrack derived"]),
+                        (["gauge", _data("tpois_gauge.json"), "--check-series"], ["dbrack gauge"]),
+                        (["suite", "jacobi", "--seed", "3", "--samples", "1"], ["dbrack suite"]),
                         (["--js"] + mc, ["dbrack", "dbrack mc"]),
                         (["--json", "--json"] + mc, ["dbrack", "dbrack mc"]),
                         (mc[:1] + ["--"] + mc[1:], ["dbrack", "dbrack mc"])):

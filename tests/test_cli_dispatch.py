@@ -1,5 +1,5 @@
-"""``cli._command_line`` and ``cli._read_arguments`` against the parsers they
-stand in for.
+"""``cli._command_line`` and the command table's parsers against the parsers
+they stand in for.
 
 ``main`` splits ``[--json] COMMAND ...`` itself and hands every other argv
 to the top-level parser.  For each argv below, the split must give the
@@ -10,15 +10,12 @@ product of the tokens that move argparse: ``--json``, the command names,
 ``--``, ``-h``, ``--help``, the abbreviation ``--js``, ``-``, ``--big`` and
 ``--arg``.
 
-A split call's arguments are then read from the command table without a
-parser where ``_read_arguments`` accepts them.  Its reference is each
-command's parser as the per-command argument adders built it before the
-table held the arguments as data (``_adder_parser``).  Where the reader
-accepts, its namespace must be that parser's; where it declines, it must
-leave the namespace as it was, and ``main`` must give the exit code, stdout
-and stderr of ``main`` with the reader off and the adders' parser.  The
-commands themselves are stubbed to print the namespace they get, so the
-comparison covers reading alone.
+Each command's parser is built from its ``cli.COMMANDS`` entry.  Its
+reference is the parser that the per-command argument adders built before
+the table held the arguments as data (``_adder_parser``): on every argument
+list of up to 2 tokens over the command's own tokens, and 500 seeded lists
+of 3 to 8, both must give the same namespace, or the same exit code, stdout
+and stderr.
 """
 
 import argparse
@@ -80,18 +77,15 @@ def test_direct_split_matches_the_top_level_parser(monkeypatch):
     split = 0
     for argv in argvs:
         before = len(fallbacks)
-        got = _outcome(lambda argv: cli._command_line(argv)[0], argv)
-        direct = len(fallbacks) == before
-        if got[0] == "parsed":  # the split reports whether it bypassed the parser
-            assert cli._command_line(list(argv))[1] == direct, argv
-        split += direct
+        got = _outcome(cli._command_line, argv)
+        split += len(fallbacks) == before
         assert got == _outcome(_reference, argv), argv
     # every golden and mutant command is split directly, without a top parser
     assert split >= 2 * len(GOLDEN) + MUTANTS, (split, len(argvs))
     assert split < len(argvs)
 
 
-# -- the table reader against the adders' parsers ------------------------------------
+# -- the table's parsers against the adders' parsers ---------------------------------
 
 
 def _adder_parser(command):
@@ -131,101 +125,39 @@ def _command_tokens(command):
     return [*files, *options, "-h", "-", "-1", abbreviation, "--arg=X", "3", "x", ""]
 
 
-def _read(command, arguments):
-    """The reader's namespace for ``arguments``, or None where it declines;
-    a declining reader must leave the namespace as it was."""
-    args = argparse.Namespace(json=True, command=command, arguments=list(arguments))
-    before = dict(vars(args))
-    if cli._read_arguments(args):
-        return args
-    assert vars(args) == before, arguments
-    return None
-
-
-def _adders_read(command, arguments):
-    args = argparse.Namespace(json=True, command=command, arguments=list(arguments))
-    return _adder_parser(command).parse_args(list(arguments), namespace=args)
-
-
-def _stub(args):
-    print(sorted(vars(args).items()))
-    return 0
-
-
-def _main_outcome(argv):
+def _parsed(parser, arguments):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(list(argv))
+            return vars(parser.parse_args(list(arguments)))
         except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
 
 
-def _workload_shapes():
-    """The argv shapes of the benchmark's ``cli`` workload."""
-    pairs = [["--arg", f"p{i}.json"] for i in range(3)]
-    return [["verify-gla", "gla.json"],
-            ["derived", "vdata.json", "--big", *pairs[0], *pairs[1]],
-            ["derived", "vdata.json", "--big", *pairs[0], *pairs[1], *pairs[2]],
-            ["mc", "vdata.json", "phi.json"], ["mc", "coiso.json", "section.json"],
-            ["twist", "vdata.json", "alpha.json"],
-            ["gauge", "gauge.json", "--check-series"], ["flow", "flow.json"]]
-
-
-def test_table_reader_matches_the_adders_parsers(monkeypatch):
+def test_table_parsers_match_the_adders_parsers(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    for name, (help_line, _run, arguments) in list(cli.COMMANDS.items()):
-        monkeypatch.setitem(cli.COMMANDS, name, (help_line, _stub, arguments))
-
-    def adders_main(argv):
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_read_arguments", lambda args: False)
-            m.setattr(cli, "_command_parser", _adder_parser)
-            return _main_outcome(argv)
-
-    # the well-formed calls the reader must accept: the golden commands, the
-    # mutant corpus and the benchmark's cli workload
-    must_accept = [argv for _code, argv in GOLDEN.values()]
-    must_accept += [argv[:pos] + ["mutant.json"] + argv[pos + 1:]
-                    for _what, pos, argv, _doc in _mutants(MUTANTS, seed=22)]
-    must_accept += _workload_shapes()
-    for argv in must_accept:
-        got = _read(argv[0], argv[1:])
-        assert got is not None, argv
-        assert got == _adders_read(argv[0], argv[1:]), argv
-
-    # the split calls of the corpus above, and per command every argument
-    # list of up to 4 tokens and seeded longer ones; main runs on the corpus,
-    # on every accepted list and on a seeded share of the rest
-    cases = []
-    for argv in _corpus():
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                args, direct = cli._command_line(list(argv))
-            except SystemExit:
-                continue
-        if direct:
-            cases.append((args.command, args.arguments, True))
     rng = random.Random(29)
     for command in cli.COMMANDS:
+        table, adders = cli._command_parser(command), _adder_parser(command)
         tokens = _command_tokens(command)
-        lists = [list(p) for length in range(5) for p in itertools.product(tokens, repeat=length)]
-        lists += [[rng.choice(tokens) for _ in range(rng.randint(5, 8))] for _ in range(400)]
-        cases += [(command, arguments, False) for arguments in lists]
-    accepted = compared = 0
-    for command, arguments, always in cases:
-        got = _read(command, arguments)
-        if got is not None:
-            accepted += 1
-            assert got == _adders_read(command, arguments), (command, arguments)
-        elif not always and len(arguments) > 2 and rng.random() > 0.01:
-            continue
-        compared += 1
-        argv = ["--json"] * (compared % 2) + [command, *arguments]
-        assert _main_outcome(argv) == adders_main(argv), argv
-    for argv in must_accept:
-        assert _main_outcome(["--json", *argv]) == adders_main(["--json", *argv]), argv
-    assert accepted > 500 and compared > 2 * accepted, (accepted, compared)
-    # neither the reader nor the parsers appended to the table's own default
-    assert dict(cli.COMMANDS["derived"][2])["--arg"]["default"] == []
+        lists = [list(p) for length in range(3) for p in itertools.product(tokens, repeat=length)]
+        lists += [[rng.choice(tokens) for _ in range(rng.randint(3, 8))] for _ in range(500)]
+        for arguments in lists:
+            assert _parsed(table, arguments) == _parsed(adders, arguments), (command, arguments)
+
+
+def test_repeatable_option_starts_empty_on_every_call(monkeypatch):
+    # a command that appends to args.arg must not leave the value to the next call
+    seen = []
+
+    def appending(args):
+        seen.append(list(args.arg))
+        args.arg.append("leaked.json")
+        return 0
+
+    help_line, _run, arguments = cli.COMMANDS["derived"]
+    monkeypatch.setitem(cli.COMMANDS, "derived", (help_line, appending, arguments))
+    for argv in (["derived", "F"], ["--json", "derived", "F"], ["derived", "F", "--arg", "A"],
+                 ["--js", "derived", "F"]):
+        assert cli.main(argv) == 0, argv
+    assert seen == [[], [], ["A"], []]
