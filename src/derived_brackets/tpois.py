@@ -41,9 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
-from .graded import DirectSum, as_fraction, direct_sum_grading, settle
+from .graded import DirectSum, as_fraction, direct_sum_grading
 from .linfty import LInftyOne, homogeneous_combinations
 from .polygeo import (
     Curve,
@@ -54,7 +53,6 @@ from .polygeo import (
     _mac,
     _neg,
     _settled,
-    _without_leg,
     contract_form,
     de_rham,
     element_to_json,
@@ -249,32 +247,11 @@ def gauge_Y(
 # or multivectors, a scalar curve (exact scalar coefficients, such as a
 # determinant), or an entry of a graph-transform or homogeneous affine matrix
 # (a Curve, whose coefficients are spatial polynomials).  Static geometry is
-# the t^0 case of the same code.  The Curve ring and the substitution
-# ``transport`` live in polygeo; the helpers below handle curves of forms and
-# multivectors.
-
-
-def _t_mac(acc: dict, curve: dict, scalar: dict[int, Fraction]) -> dict:
-    """acc += curve * scalar in place, for a curve of forms or multivectors and
-    a scalar curve, on an unsettled accumulator of one term dict per power of
-    t (cf. :func:`_mac`); :func:`_t_settled` turns it into a curve."""
-    for p, v in curve.items():
-        for q, s in scalar.items():
-            out = acc.setdefault(p + q, {})
-            for key, coef in v.terms.items():
-                out[key] = out.get(key, 0) + coef * s
-    return acc
-
-
-def _t_settled(acc: dict, kind: type, dims: tuple[int, int]) -> dict:
-    """The curve of elements of ``kind`` of an accumulator: each power settled
-    and size-checked once, vanishing powers dropped."""
-    out = {}
-    for power, terms in acc.items():
-        terms = _check_size(settle(terms))
-        if terms:
-            out[power] = kind._of(dims, terms)
-    return out
+# the t^0 case of the same code.  Every product of t-polynomials runs through
+# polygeo's Curve ring, on the sharp matrices of bivector curves or on
+# homogeneous affine matrices; polygeo also holds the substitution
+# ``transport``.  The helpers below only differentiate, integrate and evaluate
+# curves of forms, multivectors or scalars.
 
 
 def _t_ddt(curve: dict) -> dict:
@@ -368,35 +345,47 @@ class GraphTransformError(ValueError):
     pass
 
 
-def _wedge2_matrix(curve: dict, m: int) -> Matrix:
-    """M[a][c]: the coefficient of e_c in the contraction of a curve of
-    bivectors or 2-forms with e_a, so pi^sharp(dx_a) = sum_c M[a][c] d_c and
-    i_{d_a} B = sum_c M[a][c] dx_c; antisymmetric by construction."""
-    out: Matrix = [[{} for _ in range(m)] for _ in range(m)]
+def _legs(*curves: dict) -> list[int]:
+    """The sorted legs of the terms of curves of forms or multivectors."""
+    return sorted(
+        {leg for curve in curves for e in curve.values() for _, wedge in e.terms for leg in wedge}
+    )
+
+
+def _wedge2_matrix(curve: dict, legs: list[int]) -> Matrix:
+    """The block on the sorted ``legs`` of the matrix M with M[a][c] the
+    coefficient of e_c in the contraction of a curve of bivectors or 2-forms
+    with e_a, so pi^sharp(dx_a) = sum_c M[a][c] d_c and
+    i_{d_a} B = sum_c M[a][c] dx_c; antisymmetric by construction.  Terms
+    with a leg off the block are left out."""
+    index = {leg: k for k, leg in enumerate(legs)}
+    out: Matrix = [[{} for _ in legs] for _ in legs]
     for power, element in curve.items():
         for (mono, wedge), coef in element.terms.items():
             if len(wedge) != 2:
                 raise ValueError("graph transforms apply to bivectors and 2-forms")
-            a, c = wedge  # each (power, mono) meets each entry at most once
-            out[a][c].setdefault(power, {})[mono] = coef
-            out[c][a].setdefault(power, {})[mono] = -coef
+            if wedge[0] in index and wedge[1] in index:
+                # each (power, mono) meets each entry at most once
+                a, c = index[wedge[0]], index[wedge[1]]
+                out[a][c].setdefault(power, {})[mono] = coef
+                out[c][a].setdefault(power, {})[mono] = -coef
     return out
 
 
-def _bivector_from_sharp(matrix: Matrix, m: int) -> dict[int, PolyMultivector]:
-    """Rebuild a bivector curve from its sharp matrix, asserting antisymmetry
-    entry by entry, with no sum built (a nonzero diagonal entry is not its
-    own negative)."""
+def _bivector_from_sharp(matrix: Matrix, legs: list[int], dims) -> dict[int, PolyMultivector]:
+    """Rebuild a bivector curve on R^m from its sharp matrix's block on the
+    sorted ``legs``, asserting antisymmetry entry by entry, with no sum built
+    (a nonzero diagonal entry is not its own negative)."""
     by_power: dict[int, dict] = {}
-    for j in range(m):
-        for b in range(j, m):
-            upper = matrix[j][b]
-            if matrix[b][j] != _neg(upper):
+    for j, a in enumerate(legs):
+        for k in range(j, len(legs)):
+            upper = matrix[j][k]
+            if matrix[k][j] != _neg(upper):
                 raise GraphTransformError("graph transform produced a non-antisymmetric matrix")
             for power, poly in upper.items():
                 for mono, coef in poly.items():
-                    by_power.setdefault(power, {})[(mono, (j, b))] = coef
-    return {p: PolyMultivector._of((m, 0), _check_size(t)) for p, t in by_power.items()}
+                    by_power.setdefault(power, {})[(mono, (a, legs[k]))] = coef
+    return {p: PolyMultivector._of(dims, _check_size(t)) for p, t in by_power.items()}
 
 
 def _graph_transform(
@@ -409,29 +398,29 @@ def _graph_transform(
     leaves the polynomial category) and not identically zero (else the
     sheared graph is not a graph).
 
-    Only the support of pi^sharp enters: let I be the rows of pi^sharp that
-    are nonzero at some power of t, and r = |I|.  Every other row of N is a
-    unit row, so N is block triangular: det N = det N_II with
-    N_II = 1 + pi^sharp_II B^flat_II (pi^sharp is antisymmetric, so its
-    nonzero columns lie in I too), and adj(N) pi^sharp is
-    adj(N_II) pi^sharp_II padded with zeros.  Both come from the
-    characteristic polynomial of N_II, in O(r^4) ring products; at r = 0
+    Only the support of pi^sharp enters: let I be the legs of the terms of
+    pi_t, which are the rows of pi^sharp nonzero at some power of t, and
+    r = |I|.  Every other row of N is a unit row, so N is block triangular:
+    det N = det N_II with N_II = 1 + pi^sharp_II B^flat_II (pi^sharp is
+    antisymmetric, so its nonzero columns lie in I too), and adj(N) pi^sharp
+    is adj(N_II) pi^sharp_II on the block and zero off it.  The sharp and
+    flat matrices are built on the block directly, the terms of B off it
+    left out, and both results come from the characteristic polynomial of
+    N_II, in O(r^4) ring products on r x r and r x 2r matrices; at r = 0
     (pi = 0, or m = 0) the determinant is 1 and the numerator 0.
     """
-    sharp = _wedge2_matrix(pi_curve, m)
-    flat = _wedge2_matrix(b_curve, m)
-    support = [i for i, row in enumerate(sharp) if any(row)]
-    r = len(support)
-    sharp_ii = [[sharp[i][j] for j in support] for i in support]
-    flat_ii = [[flat[i][j] for j in support] for i in support]
+    legs = _legs(pi_curve)
+    sharp = _wedge2_matrix(pi_curve, legs)
+    flat = _wedge2_matrix(b_curve, legs)
+    r = len(legs)
     unit_mono = (0,) * m
     one = {0: {unit_mono: 1}}
     # N_II[j][c] = delta_jc + sum_b sharp[j][b] flat[b][c] acting on
     # covectors, as (1 | sharp_II) times (1; flat_II), so that each entry
     # starts from the 1
     identity = [[one if i == j else {} for j in range(r)] for i in range(r)]
-    augmented = [i_row + s_row for i_row, s_row in zip(identity, sharp_ii)]
-    n_mat = _mat_mul(augmented, identity + flat_ii)
+    augmented = [i_row + s_row for i_row, s_row in zip(identity, sharp)]
+    n_mat = _mat_mul(augmented, identity + flat)
     coeffs = _charpoly(n_mat, one)
     det = _neg(coeffs[r]) if r % 2 else coeffs[r]
     if not det:
@@ -442,12 +431,9 @@ def _graph_transform(
             "(determinant depends on the spatial variables)"
         )
     # rho^sharp = pi^sharp o (N^{-1}) = adj(N) pi^sharp / det, no minors built
-    block = _adjugate_times(n_mat, coeffs, sharp_ii)
-    rho: Matrix = [[{} for _ in range(m)] for _ in range(m)]
-    for i, row in zip(support, block):
-        for j, entry in zip(support, row):
-            rho[i][j] = entry
-    return _bivector_from_sharp(rho, m), {p: poly[unit_mono] for p, poly in det.items()}
+    block = _adjugate_times(n_mat, coeffs, sharp)
+    numerator = _bivector_from_sharp(block, legs, (m, 0))
+    return numerator, {p: poly[unit_mono] for p, poly in det.items()}
 
 
 def _derivative_at_zero(
@@ -710,51 +696,29 @@ class FlowCurve:
 
         (N the numerator curve, d the determinant).  Empty dict iff satisfied.
 
-        The last term is formed in one pass.  For bivectors multi_sharp is
-        bilinear and symmetric, and vector fields anticommute, so on one term
-        f dx_a^dx_b of E_t
-
-            (N^sharp ^ N^sharp)(f dx_a^dx_b) = f (S_a ^ S_b - S_b ^ S_a)
-                                             = 2 f S_a ^ S_b,
-
-        with S_a(t) = i_{dx_a} N(t) = sum_p t^p i_{dx_a} N_p.  Hence
-        -1/2 (N^sharp ^ N^sharp)(E_t) = -sum f S_a ^ S_b over the terms of
-        E_t: one contraction per leg and one product S_a ^ S_b per wedge.
-        Every piece is accumulated into one term dict per power of t, and
-        each power is settled once."""
-        n_curve = self.mv_numerator
-        minus_d = {p: -s for p, s in self.denominator.items()}
-        bracket = {p: schouten(self.x_field, e) for p, e in n_curve.items()}
-        acc: dict[int, dict] = {}
-        _t_mac(acc, _t_ddt(n_curve), self.denominator)
-        _t_mac(acc, n_curve, _t_ddt(minus_d))
-        _t_mac(acc, bracket, minus_d)
-        by_wedge: dict[tuple[int, int], list] = {}
-        for p3, e in self.e_curve.items():
-            for (mono, legs), f in e.terms.items():
-                by_wedge.setdefault(legs, []).append((p3, mono, -f))
-        contractions: dict[int, dict[int, list]] = {}
-        for leg in {leg for legs in by_wedge for leg in legs}:
-            contractions[leg] = {p: _without_leg(n_p, leg) for p, n_p in n_curve.items()}
-        for (a, b), factors in by_wedge.items():
-            # S_a ^ S_b, one term dict per power of t
-            product: dict[int, dict] = {}
-            for p1, s_a in contractions[a].items():
-                for p2, s_b in contractions[b].items():
-                    out = product.setdefault(p1 + p2, {})
-                    for ca, ma, (la,) in s_a:
-                        for cb, mb, (lb,) in s_b:
-                            if la == lb:
-                                continue
-                            key = (tuple(map(add, ma, mb)), (la, lb) if la < lb else (lb, la))
-                            out[key] = out.get(key, 0) + (ca * cb if la < lb else -ca * cb)
-            for p3, f_mono, f in factors:
-                for p, terms in product.items():
-                    out = acc.setdefault(p + p3, {})
-                    for (mono, legs), coef in terms.items():
-                        key = (tuple(map(add, f_mono, mono)), legs)
-                        out[key] = out.get(key, 0) + f * coef
-        return _t_settled(acc, PolyMultivector, self.dims)
+        It is checked on sharp matrices, as S F S - d' S + d (N' - [X, N])^sharp
+        with S = N^sharp and F = E_t^flat.  The quadratic term is -S^T F S in
+        matrix form, and S^T = -S because N is a bivector, so it is S F S.
+        The whole identity is one Curve-matrix product with an addend, as
+        :func:`_charpoly` forms its Toeplitz step: (S F | -d' 1) times (S; S),
+        plus d times the sharp matrix of the drift N' - [X, N].  It runs on
+        the block of the legs of N and of the drift: a term of E_t off those
+        legs meets a zero row of S, so no m x m matrix is built."""
+        unit = (0,) * self.dims[0]
+        zero = PolyMultivector.zero(self.dims)
+        drift = _t_ddt(self.mv_numerator)
+        for p, n_p in self.mv_numerator.items():
+            drift[p] = drift.get(p, zero) - schouten(self.x_field, n_p)
+        legs = _legs(self.mv_numerator, drift)
+        sharp = _wedge2_matrix(self.mv_numerator, legs)
+        minus_d_prime = {p: {unit: -s} for p, s in _t_ddt(self.denominator).items()}
+        left = [
+            row + [minus_d_prime if j == i else {} for j in range(len(legs))]
+            for i, row in enumerate(_mat_mul(sharp, _wedge2_matrix(self.e_curve, legs)))
+        ]
+        d = {p: {unit: s} for p, s in self.denominator.items()}
+        residual = _mat_mul(left, sharp + sharp, d, _wedge2_matrix(drift, legs))
+        return _bivector_from_sharp(residual, legs, self.dims)
 
     def emit(self) -> dict:
         return {

@@ -76,30 +76,6 @@ def oracle_pair_violations(algebra):
     return violations
 
 
-def oracle_verify(algebra):
-    """The triple loop of verify_gla that rebuilds every generator and inner
-    bracket per triple."""
-    space = algebra.space
-    violations = oracle_pair_violations(algebra)
-    names = space.names()
-    for an in names:
-        da = space.degree_of(an)
-        a = space.gen(an)
-        for bn in names:
-            db = space.degree_of(bn)
-            b = space.gen(bn)
-            for cn in names:
-                c = space.gen(cn)
-                lhs = algebra.bracket(a, algebra.bracket(b, c))
-                rhs = algebra.bracket(algebra.bracket(a, b), c) + algebra.bracket(
-                    b, algebra.bracket(a, c)
-                ).scale(Fraction(-1) ** ((da * db) % 2))
-                residual = lhs - rhs
-                if not residual.is_zero():
-                    violations.append(Violation("jacobi", (an, bn, cn), repr(residual)))
-    return GlaReport(violations=tuple(violations))
-
-
 def assert_same(got, want):
     assert got == want
     assert repr(got) == repr(want)
@@ -283,24 +259,6 @@ def test_fixture_draws_share_the_algebra_space():
     assert alpha.x.space is space and alpha.a.space is space
 
 
-def test_verify_gla_matches_the_triple_loop():
-    space = GradedSpace.of([("x", 0), ("y", 0), ("z", 0)])
-    cyclic = StructureGLA(
-        space,
-        {("x", "y"): space.gen("x"), ("y", "z"): space.gen("y"), ("x", "z"): space.gen("z", -1)},
-    )
-    algebras = [cyclic, fixture_gla(), sample_gla()] + random_tables(15, 3)
-    reports = []
-    for algebra in algebras:
-        report = verify_gla(algebra)
-        assert report == oracle_verify(algebra)
-        assert report.as_dict() == oracle_verify(algebra).as_dict()
-        reports.append(report)
-    assert not reports[0].ok and any(v.kind == "jacobi" for v in reports[0].violations)
-    assert reports[1].ok
-    assert not reports[3].ok
-
-
 # -- verify_gla's integer Jacobi check against the element path ------------------
 
 
@@ -374,13 +332,21 @@ def test_verify_gla_integer_jacobi_matches_the_element_path():
     for algebra in lie:
         assert verify_gla(algebra).ok
     clean = lie + [rational_gla()] + random_tables(31, 24)
-    algebras = clean + [corrupted(rng, a) for a in clean for _ in range(2)]
+    space = GradedSpace.of([("x", 0), ("y", 0), ("z", 0)])
+    cyclic = StructureGLA(
+        space,
+        {("x", "y"): space.gen("x"), ("y", "z"): space.gen("y"), ("x", "z"): space.gen("z", -1)},
+    )
+    broken = [cyclic] + random_tables(15, 3)
+    algebras = clean + [corrupted(rng, a) for a in clean for _ in range(2)] + broken
     seen = {"degree": 0, "antisymmetry": 0, "jacobi": 0, "odd-odd jacobi": 0, "fraction": 0}
+    reports = []
     for algebra in algebras:
         report = verify_gla(algebra)
         want = element_path_verify(algebra)
         assert report == want
         assert report.as_dict() == want.as_dict()
+        reports.append(report)
         space = algebra.space
         for v in report.violations:
             seen[v.kind] += 1
@@ -389,6 +355,10 @@ def test_verify_gla_integer_jacobi_matches_the_element_path():
                 seen["odd-odd jacobi"] += space.degree_of(a) * space.degree_of(b) % 2
         seen["fraction"] += algebra._den != 1
     assert all(seen.values()), seen
+    assert reports[0].ok  # the fixture
+    cyclic_report, table_report = reports[-4], reports[-3]
+    assert not cyclic_report.ok and any(v.kind == "jacobi" for v in cyclic_report.violations)
+    assert not table_report.ok
 
 
 # -- the integer kernel against the Fraction-accumulating kernel ----------------
