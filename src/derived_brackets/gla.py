@@ -211,14 +211,17 @@ def verify_gla(algebra: StructureGLA) -> GlaReport:
 
     violations.extend(algebra.input_conflicts)
 
-    for an in names:
+    # a name without a row brackets to zero with every element, so each
+    # triple that contains one has a zero residual
+    active = [name for name in names if name in rows]
+    for an in active:
         da = space.degree_of(an)
-        row_a = rows.get(an, empty)
-        for bn in names:
+        row_a = rows[an]
+        for bn in active:
             sign = -1 if da * space.degree_of(bn) % 2 else 1
-            row_b = rows.get(bn, empty)
+            row_b = rows[bn]
             ab = row_a.get(bn, ())
-            for cn in names:
+            for cn in active:
                 bc, ac = row_b.get(cn, ()), row_a.get(cn, ())
                 if not (ab or bc or ac):
                     continue  # each term of the residual brackets with zero

@@ -337,6 +337,13 @@ def gauge_safe_data(
     transported 2-form enters the determinant: choosing X in span(d_1, d_2)
     and B without a spatially varying dx1^dx2 part keeps it constant.
 
+    With ``allow_constant_shear=False`` every graph transform along these
+    draws is the identity: B has no dx1^dx2 part, and neither has any 2-form
+    the flow builds from it, since contracting with X in span(d_1, d_2)
+    removes leg 1 or 2 and the flow of a constant X is a translation, which
+    keeps every leg.  So B never meets the support {1, 2} of pi on a pair of
+    legs, the determinant is 1 and e^B pi = pi.
+
     H is a random 3-form, closed for m <= 3 only: from m = 4 on, dH = 0
     fails on many draws, and (H, pi) is then not Maurer-Cartan (ROADMAP,
     Known defects and item 9)."""

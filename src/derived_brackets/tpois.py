@@ -401,28 +401,42 @@ def _graph_transform(
     Only the support of pi^sharp enters: let I be the legs of the terms of
     pi_t, which are the rows of pi^sharp nonzero at some power of t, and
     r = |I|.  Every other row of N is a unit row, so N is block triangular:
-    det N = det N_II with N_II = 1 + pi^sharp_II B^flat_II (pi^sharp is
-    antisymmetric, so its nonzero columns lie in I too), and adj(N) pi^sharp
-    is adj(N_II) pi^sharp_II on the block and zero off it.  The sharp and
-    flat matrices are built on the block directly, the terms of B off it
-    left out, and both results come from the characteristic polynomial of
-    N_II, in O(r^4) ring products on r x r and r x 2r matrices; at r = 0
-    (pi = 0, or m = 0) the determinant is 1 and the numerator 0.
+    det N = det N_II with N_II = 1 + S F for S = pi^sharp_II and
+    F = B^flat_II (pi^sharp is antisymmetric, so its nonzero columns lie in
+    I too), and adj(N) pi^sharp is adj(N_II) S on the block and zero off it.
+
+    Within I, only the legs J of the terms of B with both legs on I enter the
+    determinant: F is zero outside its J x J block, so every column of N_II
+    off J is a unit column.  With O = I - J and in (J, O) order,
+    N_II = [[N_JJ, 0], [S_OJ F_JJ, 1]] is block lower triangular, so
+    det N = det N_JJ and
+
+        adj(N_II) S = [adj(N_JJ) S_J ; det S_O - S_OJ F_JJ adj(N_JJ) S_J]
+
+    on the rows J and O.  Both rows come from the characteristic polynomial
+    of the q x q block N_JJ, q = |J|, in O(q^3 r + q r^2) ring products; at
+    q = 0 (B misses I) the determinant is 1 and the numerator is pi, and at
+    r = 0 (pi = 0, or m = 0) the numerator is 0.  The sharp and flat matrices
+    are built on I directly, the terms of B off it left out.
     """
     legs = _legs(pi_curve)
     sharp = _wedge2_matrix(pi_curve, legs)
     flat = _wedge2_matrix(b_curve, legs)
-    r = len(legs)
+    joint = [k for k, row in enumerate(flat) if any(row)]
+    rest = [k for k, row in enumerate(flat) if not any(row)]
+    q = len(joint)
     unit_mono = (0,) * m
     one = {0: {unit_mono: 1}}
-    # N_II[j][c] = delta_jc + sum_b sharp[j][b] flat[b][c] acting on
-    # covectors, as (1 | sharp_II) times (1; flat_II), so that each entry
-    # starts from the 1
-    identity = [[one if i == j else {} for j in range(r)] for i in range(r)]
-    augmented = [i_row + s_row for i_row, s_row in zip(identity, sharp)]
-    n_mat = _mat_mul(augmented, identity + flat)
+    identity = [[one if i == j else {} for j in range(q)] for i in range(q)]
+    # the columns J of N_II, as (1 | S_JJ) on the rows J and (0 | -S_OJ) on
+    # the rows O times (1; F_JJ), so that each diagonal entry starts from the
+    # 1 and the rows O come out negated
+    left = [i_row + [sharp[a][c] for c in joint] for i_row, a in zip(identity, joint)]
+    left += [[{}] * q + [_neg(sharp[o][c]) for c in joint] for o in rest]
+    columns = _mat_mul(left, identity + [[flat[a][c] for c in joint] for a in joint])
+    n_mat = columns[:q]
     coeffs = _charpoly(n_mat, one)
-    det = _neg(coeffs[r]) if r % 2 else coeffs[r]
+    det = _neg(coeffs[q]) if q % 2 else coeffs[q]
     if not det:
         raise GraphTransformError("sheared graph is not a graph (determinant vanishes)")
     if any(set(poly) - {unit_mono} for poly in det.values()):
@@ -431,7 +445,11 @@ def _graph_transform(
             "(determinant depends on the spatial variables)"
         )
     # rho^sharp = pi^sharp o (N^{-1}) = adj(N) pi^sharp / det, no minors built
-    block = _adjugate_times(n_mat, coeffs, sharp)
+    rows = _adjugate_times(n_mat, coeffs, [sharp[a] for a in joint])
+    rows += _mat_mul(columns[q:], rows, det, [sharp[o] for o in rest])
+    block = [[]] * len(legs)
+    for k, row in zip(joint + rest, rows):
+        block[k] = row
     numerator = _bivector_from_sharp(block, legs, (m, 0))
     return numerator, {p: poly[unit_mono] for p, poly in det.items()}
 
@@ -452,12 +470,16 @@ def e_b_pi(b: PolyForm, pi: PolyMultivector) -> PolyMultivector:
 
     Well-defined in the polynomial category only when det(1 + B^flat pi^sharp)
     is a nonzero rational constant.  The rows of N = 1 + pi^sharp B^flat
-    outside the r nonzero rows of pi^sharp are unit rows, so N is block
-    triangular and both the determinant and adj(N) pi^sharp come from the
-    r x r block on the support of pi^sharp.  The determinant is Berkowitz's,
-    and the inverse is adj / det with adj(N) pi^sharp applied through
-    Cayley-Hamilton, in O(r^4) ring products; antisymmetry of the result is
-    asserted.
+    outside the r nonzero rows of pi^sharp are unit rows, and within those
+    rows the columns outside the q legs where B meets them are unit columns,
+    so N is block triangular twice over: the determinant is that of the
+    q x q joint block, and adj(N) pi^sharp is the joint block's adjugate on
+    its rows of pi^sharp, with the other rows det pi^sharp minus one product
+    (see :func:`_graph_transform`).  The determinant is Berkowitz's, and the
+    inverse is adj / det with the adjugate applied through Cayley-Hamilton,
+    in O(q^3 r + q r^2) ring products; a B that misses the support of pi
+    (q = 0) costs no Berkowitz step and gives pi.  Antisymmetry of the
+    result is asserted.
     """
     numerator, det = _graph_transform({0: b}, {0: pi}, pi.dims[0])
     return numerator.get(0, PolyMultivector.zero(pi.dims)).scale(Fraction(1, det[0]))

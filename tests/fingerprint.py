@@ -18,20 +18,30 @@ Sections:
   seed draws ``DRAWS`` objects from one ``random.Random(seed)``.  The line
   after them prints the next 32 random bits, so a changed number or order
   of ``rng`` calls shows even where the objects agree.
+- ``geometry``: the e^B graph transform ``e_b_pi``, ``flow_curve`` (its
+  numerator and denominator curves, ``ode_residual()`` and ``at(1/2)``) and
+  the ``generator_match`` report, at seeds 0-2 and m = 3..6.  The inputs are
+  ``gauge_safe_data`` draws, with and without constant shears, and constant
+  bivectors pi on a support I with B meeting I on none, part or all of it,
+  or making the determinant vanish or depend on x.  An error prints as its
+  type and message.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import random
 import sys
+from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from derived_brackets import sampling as S  # noqa: E402
+from derived_brackets import tpois as T  # noqa: E402
 from derived_brackets.graded import DirectSum, SparseCombination  # noqa: E402
-from derived_brackets.polygeo import PolyMultivector  # noqa: E402
+from derived_brackets.polygeo import PolyForm, PolyMultivector, form, mv  # noqa: E402
 from derived_brackets.suites import _coiso_a_sampler  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -39,8 +49,12 @@ DRAWS = 4
 
 
 def describe(value) -> str:
-    """``repr`` plus coefficient types of an element, a direct sum or a
-    tuple of them."""
+    """``repr`` plus coefficient types of an element, a direct sum, a scalar,
+    or a tuple or a dict (by sorted key, such as a curve in t) of them."""
+    if isinstance(value, (int, Fraction)):
+        return repr(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {describe(v)}" for k, v in sorted(value.items())) + "}"
     if isinstance(value, tuple):
         return "(" + ", ".join(describe(v) for v in value) + ")"
     if isinstance(value, DirectSum):
@@ -145,7 +159,91 @@ def section_sampling():
             yield f"{label} seed={seed} next: {rng.getrandbits(32)}"
 
 
-SECTIONS = {"sampling": section_sampling}
+GEOMETRY_DIMS = (3, 4, 5, 6)
+OVERLAPS = ("empty", "part", "full", "singular", "spatial")
+
+
+def _outcome(compute) -> str:
+    try:
+        return describe(compute())
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _chain(rng, dims, legs, make, coefs=None):
+    """Constant terms on the consecutive pairs of ``legs`` (at least two), so
+    that every leg is on some term."""
+    terms = [make(dims, coefs[k] if coefs else S._nonzero_coef(rng), None, pair)
+             for k, pair in enumerate(zip(legs, legs[1:]))]
+    return sum(terms[1:], terms[0])
+
+
+def _overlap_data(rng, m, kind):
+    """(H, pi, B, X) with H = 0, a constant pi on a support I of 2..m legs, X a
+    constant field on one leg, and B of the given kind on I plus spatially
+    varying terms with a leg off I.  On I, B is zero (``empty``), constant on
+    a strict subset J of I when |I| > 2 (``part``), constant on all of I
+    (``full``), or c^-1 dx_a^dx_b (``singular``) or x_k dx_a^dx_b
+    (``spatial``) on the first pair c d_a^d_b of pi, so that the determinant
+    (1 - c B_ab)^2 vanishes or depends on x."""
+    dims = (m, 0)
+    support = rng.sample(range(m), rng.randint(2, m))
+    coefs = [S._nonzero_coef(rng) for _ in support[1:]]
+    pi = _chain(rng, dims, support, mv, coefs)
+    if kind == "part":
+        b = _chain(rng, dims, support[:max(2, len(support) - 1)], form)
+    elif kind == "full":
+        b = _chain(rng, dims, support, form)
+    elif kind == "singular":
+        b = form(dims, Fraction(1, coefs[0]), None, tuple(support[:2]))
+    elif kind == "spatial":
+        mono = [0] * m
+        mono[rng.randrange(m)] = 1
+        b = form(dims, 1, mono, tuple(support[:2]))
+    else:
+        b = PolyForm.zero(dims)
+    off = [pair for pair in itertools.combinations(range(m), 2) if not set(pair) <= set(support)]
+    if off:
+        b = b + PolyForm.from_terms(dims, S.random_terms(rng, dims, off, 2, 1))
+    x = mv(dims, S._nonzero_coef(rng), None, (rng.randrange(m),))
+    return PolyForm.zero(dims), pi, b, x
+
+
+def _geometry_lines(h, pi, b, x):
+    yield f"e_b_pi: {_outcome(lambda: T.e_b_pi(b, pi))}"
+    try:
+        curve = T.flow_curve(b, x, h, pi)
+    except ValueError as exc:
+        yield f"flow_curve: {type(exc).__name__}: {exc}"
+    else:
+        yield f"flow mv_numerator: {describe(curve.mv_numerator)}"
+        yield f"flow denominator: {describe(curve.denominator)}"
+        yield f"flow ode_residual: {describe(curve.ode_residual())}"
+        yield f"flow at(1/2): {_outcome(lambda: curve.at(Fraction(1, 2)))}"
+    try:
+        report = T.generator_match(b, x, h, pi)
+    except ValueError as exc:
+        yield f"generator_match: {type(exc).__name__}: {exc}"
+    else:
+        yield (f"generator_match: {describe((report.gauge, report.generator))} "
+               f"{report.symbolic_matches_closed_form} {report.identity_holds}")
+
+
+def section_geometry():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for m in GEOMETRY_DIMS:
+            draws = [(f"gauge_safe_data(shear={shear}) #{i}",
+                      S.gauge_safe_data(rng, m, 2, allow_constant_shear=shear))
+                     for shear in (True, False) for i in range(2)]
+            draws += [(f"overlap {kind}", _overlap_data(rng, m, kind)) for kind in OVERLAPS]
+            for label, data in draws:
+                for line in _geometry_lines(*data):
+                    yield f"m={m} seed={seed} {label} {line}"
+        yield f"geometry seed={seed} next: {rng.getrandbits(32)}"
+
+
+SECTIONS = {"sampling": section_sampling, "geometry": section_geometry}
 
 
 def digest(name: str) -> str:

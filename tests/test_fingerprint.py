@@ -14,6 +14,7 @@ import fingerprint  # noqa: E402
 
 PINS = {
     "sampling": "8e1a661606881dce0a95043b1f3661b0cb7772a0a682ab2e8b6b7bca0cb70739",
+    "geometry": "c8624f677e9e36d952f3e549edc8dd99354c2f1f4e61dd7fdb514ed81cf3aa97",
 }
 
 

@@ -3,7 +3,7 @@
 sympy, exact over Q, is the oracle.  The sparse Curve-matrix product, the
 Berkowitz characteristic polynomial and the Cayley-Hamilton adjugate are
 compared with ``DomainMatrix`` products, ``charpoly`` and ``adjugate`` over
-Q[x_1..x_m, t]; the support-block transform and ``e_b_pi`` with
+Q[x_1..x_m, t]; the support-block and joint-block transform and ``e_b_pi`` with
 pi^sharp (1 + B^flat pi^sharp)^{-1} over the rational-function field;
 ``transport`` with substitution into the coefficients and the minors of the
 leg matrix; the affine maps with sympy's rational inverse and product; the
@@ -406,6 +406,70 @@ def test_support_block_matches_the_full_matrix():
                     seen["x"] += x_degree and any(
                         any(mono) for e in got[0].values() for mono, _ in e.terms
                     )
+    assert min(seen.values()) >= 3, seen
+
+
+def joint_draw(rng, m, support, overlap, t_power, x_degree):
+    """pi on the support I, a constant chain c_k d_k ^ d_{k+1} along it plus
+    random terms within it; B with terms on I only on legs J within I, and
+    random terms with a leg off I.  J is empty, a strict subset of I or all
+    of I, or, for ``singular``, the first pair (a, b) of the chain with
+    B_ab = 1/c the only term there and no other term of pi on (a, b), so that
+    det = (1 - c B_ab)^2 = 0."""
+    chain = list(zip(support, support[1:]))
+    pi = {0: PolyMultivector.zero((m, 0))}
+    for pair in chain:
+        pi[0] = pi[0] + mv((m, 0), rng.choice([-2, -1, 1, 3]), None, pair)
+    inner = [pair for pair in itertools.combinations(support, 2) if pair != chain[0]]
+    if inner:
+        for p, e in random_wedge_curve(rng, mv, m, inner, t_power, x_degree,
+                                       rng.randint(0, 3)).items():
+            pi[p] = pi[p] + e if p in pi else e
+    if overlap == "singular":
+        c = pi[0].terms[((0,) * m, chain[0])]
+        b = {0: form((m, 0), Fraction(1) / c, None, chain[0])}
+    else:
+        if overlap == "part":
+            joint = sorted(rng.sample(support, rng.randint(2, len(support) - 1)))
+        else:
+            joint = support if overlap == "full" else []
+        pairs = list(itertools.combinations(joint, 2))
+        b = (random_wedge_curve(rng, form, m, pairs, t_power, x_degree, 2 * len(joint))
+             if pairs else {})
+    off = [pair for pair in itertools.combinations(range(m), 2) if not set(pair) <= set(support)]
+    if off:
+        for p, e in random_wedge_curve(rng, form, m, off, t_power, 1, rng.randint(1, 3)).items():
+            b[p] = b[p] + e if p in b else e
+    return b, {p: e for p, e in pi.items() if not e.is_zero()}
+
+
+def test_joint_block_matches_the_full_matrix():
+    """B meets the support I of pi on legs J, so the columns of N = 1 + S F
+    off J are unit columns and only N_JJ enters Berkowitz; the transform
+    still matches the full m x m matrix, with J empty, a strict subset of I
+    or all of it."""
+    rng = random.Random(55)
+    seen = {"empty": 0, "part": 0, "full": 0, "static": 0, "t": 0, "x": 0, "vanishes": 0,
+            "spatial": 0}
+    for m in range(2, 8):
+        for _ in range(2):
+            support = sorted(rng.sample(range(m), rng.randint(3 if m > 2 else 2, m)))
+            overlaps = ["empty", "full", "singular"] + ["part"] * (len(support) > 2)
+            for overlap in overlaps:
+                for t_power, x_degree in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+                    b, pi = joint_draw(rng, m, support, overlap, t_power, x_degree)
+                    got = checked_transform(b, pi, m)
+                    if isinstance(got, str):
+                        seen["vanishes" if "vanishes" in got else "spatial"] += 1
+                        continue
+                    seen[overlap] += 1
+                    seen["t"] += len(got[1]) > 1
+                    seen["x"] += any(any(mono) for e in got[0].values() for mono, _ in e.terms)
+                    if set(b) | set(pi) <= {0}:
+                        static = e_b_pi(b.get(0, PolyForm.zero((m, 0))), pi[0])
+                        _, sharp, shear = sympy_transform(b, pi, m)
+                        assert wedge2_matrix({0: static}, ring(m)) * shear == sharp
+                        seen["static"] += 1
     assert min(seen.values()) >= 3, seen
 
 
@@ -870,12 +934,18 @@ def test_graph_transform_cost_is_polynomial(monkeypatch):
     along B and a constant X on the support pass the Curve-matrix product no
     operand with more than 2 r rows or columns: neither builds an 8 x 8
     matrix.  Counting products would not show one, since the product skips
-    zero entries."""
+    zero entries.
+
+    Berkowitz gets the block of N on the legs where B meets the support: the
+    r x r block for the dense B, a 2 x 2 one when B's terms on the support lie
+    on two legs of it, and a 0 x 0 one when every term of B has a leg off the
+    support."""
     m = 8
     dims = (m, 0)
     calls = [0]
     widths = []
-    mac, mat_mul = tpois._mac, tpois._mat_mul
+    sizes = []
+    mac, mat_mul, charpoly = tpois._mac, tpois._mat_mul, tpois._charpoly
 
     def counting_mac(acc, x, y):
         calls[0] += 1
@@ -885,25 +955,40 @@ def test_graph_transform_cost_is_polynomial(monkeypatch):
         widths.extend(n for x in (a, b, r) if x for n in (len(x), len(x[0])))
         return mat_mul(a, b, c, r)
 
+    def recording_charpoly(matrix, one):
+        sizes.append(len(matrix))
+        return charpoly(matrix, one)
+
     for support in (range(m), (0, 1), (1, 3, 4, 6)):
         rng = random.Random(50)
         r = len(support)
         pi = PolyMultivector.zero(dims)
-        b = PolyForm.zero(dims)
+        b = off = PolyForm.zero(dims)
         for legs in itertools.combinations(range(m), 2):
             if set(legs) <= set(support):
                 pi = pi + mv(dims, rng.randint(1, 5), None, legs)
-            b = b + form(dims, rng.randint(1, 5), None, legs)
+            term = form(dims, rng.randint(1, 5), None, legs)
+            if not set(legs) <= set(support):
+                off = off + term
+            b = b + term
         curve = flow_curve(b, mv(dims, 1, None, (support[0],)), PolyForm.zero(dims), pi)
         calls[0] = 0
         widths.clear()
+        sizes.clear()
         with monkeypatch.context() as patch:
             patch.setattr(tpois, "_mac", counting_mac)
             patch.setattr(tpois, "_mat_mul", recording_mat_mul)
+            patch.setattr(tpois, "_charpoly", recording_charpoly)
             numerator, det = _graph_transform({0: b}, {0: pi}, m)
             assert det[0] != 0 and numerator
             assert 0 < calls[0] <= 2 * r ** 4, (support, calls[0])
+            assert sizes == [r], (support, sizes)
             assert curve.ode_residual() == {} and len(curve.denominator) > 1
+            two = off + form(dims, 3, None, (support[0], support[1]))
+            for b_part, size in ((two, 2), (off, 0)):
+                sizes.clear()
+                assert _graph_transform({0: b_part}, {0: pi}, m)[1][0] != 0
+                assert sizes == [size], (support, size, sizes)
         assert 0 < max(widths) <= 2 * r, (support, max(widths))
 
 
