@@ -257,9 +257,18 @@ class SparseCombination:
     of different ambients.  Sums, negatives, scalings and components of
     valid elements are valid, so they are built by :meth:`_of` without that
     check.  Elements of different subclasses are never equal.
+
+    Elements are immutable, so each is graded at most once: the ``_grading``
+    slot is None until the first :meth:`components` (or ``degree``,
+    ``is_homogeneous``, ``arities``, ``form_degrees``) fills it with the int
+    degree of a homogeneous nonzero element, the tuple of (degree, part)
+    pairs of an inhomogeneous one, or ``()`` for zero.  A homogeneous element
+    stores its degree rather than a pair holding itself, so no reference
+    cycle forms, and neither it nor zero allocates anything for its slot.
+    Every constructor, each ``__init__`` and each ``_of``, sets it to None.
     """
 
-    __slots__ = ("ambient", "terms")
+    __slots__ = ("ambient", "terms", "_grading")
     _mismatch = "ambient space mismatch"
 
     @classmethod
@@ -267,6 +276,7 @@ class SparseCombination:
         new = object.__new__(cls)
         new.ambient = ambient
         new.terms = terms
+        new._grading = None
         return new
 
     def _check_ambient(self, other: "SparseCombination") -> None:
@@ -278,23 +288,47 @@ class SparseCombination:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _graded(self) -> int | tuple:
+        """The ``_grading`` slot, filled on first use: each key's degree is
+        read once per element."""
+        grading = self._grading
+        if grading is not None:
+            return grading
+        degrees = list(map(self._key_degree, self.terms))
+        if len(set(degrees)) <= 1:
+            grading = degrees[0] if degrees else ()
+        else:
+            by_degree: dict[int, dict] = {}
+            for (key, coef), d in zip(self.terms.items(), degrees):
+                by_degree.setdefault(d, {})[key] = coef
+            parts = []
+            for d, t in sorted(by_degree.items()):
+                part = self._of(self.ambient, t)
+                part._grading = d
+                parts.append((d, part))
+            grading = tuple(parts)
+        self._grading = grading
+        return grading
+
+    def _degree_set(self) -> set[int]:
+        """The degrees of the element's terms."""
+        grading = self._graded()
+        return {grading} if type(grading) is int else {d for d, _ in grading}
+
     def is_homogeneous(self) -> bool:
-        return len(self.components()) <= 1
+        grading = self._graded()
+        return type(grading) is int or not grading
 
     def degree(self) -> int | None:
         """Degree if homogeneous and nonzero, else None."""
-        return degree_of(self.components())
+        grading = self._graded()
+        return grading if type(grading) is int else None
 
     def components(self) -> list:
         """(degree, homogeneous part) pairs by ascending degree; a homogeneous
         element is its own one part, and zero has none."""
-        degrees = list(map(self._key_degree, self.terms))
-        if len(set(degrees)) <= 1:
-            return [(degrees[0], self)] if degrees else []
-        by_degree: dict[int, dict] = {}
-        for (key, coef), d in zip(self.terms.items(), degrees):
-            by_degree.setdefault(d, {})[key] = coef
-        return [(d, self._of(self.ambient, t)) for d, t in sorted(by_degree.items())]
+        grading = self._graded()
+        return [(grading, self)] if type(grading) is int else list(grading)
 
     def __add__(self, other):
         self._check_ambient(other)
@@ -361,6 +395,7 @@ class HomElt(SparseCombination):
                 clean[name] = coef
         self.space = space
         self.terms = clean
+        self._grading = None
         self._int_form = None
 
     @classmethod
@@ -368,6 +403,7 @@ class HomElt(SparseCombination):
         new = object.__new__(cls)
         new.space = space
         new.terms = terms
+        new._grading = None
         new._int_form = int_form
         return new
 
@@ -385,20 +421,26 @@ class DirectSum:
     two slots and may validate in their own ``__init__``; sums, negatives and
     scalings of valid elements are valid, so they are built by :meth:`_of`
     without that check.  Elements of different subclasses are never equal.
-    The grading comes from :func:`direct_sum_grading`.
+    The grading comes from :func:`direct_sum_grading`, which keeps it in the
+    ``_grading`` slot together with the grader that computed it: one class
+    of sums can be graded in more than one way (the Courant model's
+    super-polynomials sit two degrees down), so a grader never reads another
+    grader's entry.  Every constructor sets the slot to None.
     """
 
-    __slots__ = ("first", "second")
+    __slots__ = ("first", "second", "_grading")
 
     def __init__(self, first, second):
         self.first = first
         self.second = second
+        self._grading = None
 
     @classmethod
     def _of(cls, first, second) -> "DirectSum":
         new = object.__new__(cls)
         new.first = first
         new.second = second
+        new._grading = None
         return new
 
     def is_zero(self) -> bool:
@@ -439,20 +481,52 @@ def direct_sum_grading(cls: type, first: tuple, second: tuple):
     lists (degree, homogeneous element) by ascending degree.  A homogeneous
     element is its own one part and zero has none; otherwise a part is paired
     with the zero of the other part's space where only one part has that
-    degree.
+    degree.  Each element is graded once per grading: its ``_grading`` slot
+    holds ``(grader, grading)``, with the int degree of a homogeneous
+    nonzero element, the tuple of (degree, part) pairs of an inhomogeneous
+    one, or ``()`` for zero, and an entry of another grader is recomputed.
+    The grader is the tuple of this function's arguments, not the closure,
+    so that algebras built afresh on the same parts (a twisted quadruple's
+    big algebra, say) share their entries and no element keeps a dropped
+    algebra's closure alive.  The entry of a degree, and of zero, is one
+    object shared by every element that has it.
     """
     (comps1, off1), (comps2, off2) = first, second
+    grader = (cls, first, second)
+    shared: dict = {}
 
-    def components(e: DirectSum) -> list[tuple[int, DirectSum]]:
+    def entry(grading) -> tuple:
+        if type(grading) is int or not grading:
+            found = shared.get(grading)
+            if found is None:
+                found = shared[grading] = (grader, grading)
+            return found
+        return (grader, grading)
+
+    def grade(e: DirectSum) -> int | tuple:
         parts1, parts2 = comps1(e.first), comps2(e.second)
         degrees = {d + off1 for d, _ in parts1} | {d + off2 for d, _ in parts2}
         if len(degrees) <= 1:
-            return [(degrees.pop(), e)] if degrees else []
+            return degrees.pop() if degrees else ()
         by: dict[int, list] = {}
         for d, part in parts1:
             by[d + off1] = [part, e.second.scale(0)]
         for d, part in parts2:
             by.setdefault(d + off2, [e.first.scale(0), None])[1] = part
-        return [(d, cls._of(p, q)) for d, (p, q) in sorted(by.items())]
+        parts = []
+        for d, (p, q) in sorted(by.items()):
+            part = cls._of(p, q)
+            part._grading = entry(d)
+            parts.append((d, part))
+        return tuple(parts)
+
+    def components(e: DirectSum) -> list[tuple[int, DirectSum]]:
+        found = e._grading
+        if found is not None and (found[0] is grader or found[0] == grader):
+            grading = found[1]
+        else:
+            grading = grade(e)
+            e._grading = entry(grading)
+        return [(grading, e)] if type(grading) is int else list(grading)
 
     return components

@@ -217,6 +217,7 @@ class _WedgeElement(SparseCombination):
             clean[(mono, wedge)] = coef
         self.dims = (m, k)
         self.terms = _check_size(clean)
+        self._grading = None
 
     # construction helpers ----------------------------------------------------
 
@@ -277,7 +278,7 @@ class PolyMultivector(_WedgeElement):
         return len(key[1]) - 1
 
     def arities(self) -> set[int]:
-        return {len(w) for (_, w) in self.terms}
+        return {d + 1 for d in self._degree_set()}
 
     def arity_part(self, arity: int) -> "PolyMultivector":
         return self._of(self.dims, self._parts_of_arity(arity))
@@ -306,7 +307,7 @@ class PolyForm(_WedgeElement):
         return len(key[1])
 
     def form_degrees(self) -> set[int]:
-        return {len(w) for (_, w) in self.terms}
+        return self._degree_set()
 
     def degree_part(self, q: int) -> "PolyForm":
         return self._of(self.dims, self._parts_of_arity(q))

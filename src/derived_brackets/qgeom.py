@@ -104,6 +104,7 @@ class SuperPoly(SparseCombination):
             clean[key] = coef
         self.dim = dim
         self.terms = clean
+        self._grading = None
 
     # -- ring structure ---------------------------------------------------------
 

@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import DirectSum, as_fraction, direct_sum_grading
+from .graded import DirectSum, add_terms, as_fraction, direct_sum_grading
 from .linfty import LInftyOne, homogeneous_combinations
 from .polygeo import (
     Curve,
@@ -114,61 +114,64 @@ def tpois_bracket(n: int, args: tuple[TPoisElement, ...]) -> TPoisElement:
     Arguments may be inhomogeneous; the value is computed multilinearly.
     Vanishing patterns (two or more forms at arity >= 3, three or more
     multivectors with no form, form-degree mismatches) return zero rather
-    than raising.
+    than raising.  At arity >= 2 every live pattern has a multivector value,
+    so the terms of all of them are summed into one dict and the value is
+    built once, with a zero form part.
     """
     if len(args) != n or n < 1:
         raise ValueError(f"expected {n} >= 1 arguments")
-    m = args[0].dims[0]
-    zero = TPoisElement.zero(m)
+    dims = (args[0].dims[0], 0)
     for arg in args:
-        if arg.dims != (m, 0):
+        if arg.dims != dims:
             raise ValueError("ambient space mismatch")
     if n == 1:
-        return TPoisElement.of_form(-de_rham(args[0].form_part))
-    total = zero
+        return TPoisElement._of(-de_rham(args[0].form_part), PolyMultivector._of(dims, {}))
+    terms: dict = {}
     for combo, degrees in homogeneous_combinations(args, _components):
-        total = total + _bracket_homogeneous(combo, degrees)
-    return total
+        _bracket_homogeneous(combo, degrees, terms)
+    return TPoisElement._of(PolyForm._of(dims, {}), PolyMultivector._of(dims, _check_size(terms)))
 
 
-def _bracket_homogeneous(combo: tuple[TPoisElement, ...], degrees: list[int]) -> TPoisElement:
-    """Bracket of n >= 2 homogeneous elements of the given degrees; each slot
-    may still hold both a form and a multivector of that degree, so a
-    nonzero form part has form degree d + 3 and a nonzero multivector part
-    arity d + 2.
+def _bracket_homogeneous(combo: tuple[TPoisElement, ...], degrees: list[int], terms: dict) -> None:
+    """Add the multivector terms of the bracket of n >= 2 homogeneous
+    elements of the given degrees into ``terms``; each slot may still hold
+    both a form and a multivector of that degree, so a nonzero form part has
+    form degree d + 3 and a nonzero multivector part arity d + 2.
 
     Only the live patterns are built, in the order of the full (form,
     multivector) enumeration: the form of slot ``pos`` with the multivectors
     of every other slot (family c), for each pos, then at n = 2 the two
     multivectors (family b).  Every other pattern has two forms, or three or
-    more multivectors and no form, and vanishes.
+    more multivectors and no form, and vanishes.  A slot that repeats its
+    left neighbour (as in m_n(alpha, .., alpha, z)) has the same form and the
+    same other multivectors, so it reuses that neighbour's value; only its
+    Koszul sign is new.
     """
     n = len(combo)
-    total = TPoisElement.zero(combo[0].dims[0])
     mvs = [e.mv_part for e in combo]
     mv_zero = [u.is_zero() for u in mvs]
     n_zero = sum(mv_zero)
+    prefix = 0  # the degrees before pos
     for pos, e in enumerate(combo):
-        h = e.form_part
-        # c) {H, pi_1, .., pi_{n-1}} needs a form of degree n - 1 at pos,
-        # multivectors of arity >= 1 elsewhere (functions contract to zero)
-        if h.is_zero() or n_zero > mv_zero[pos] or degrees[pos] + 3 != n - 1:
-            continue
-        arities = [d + 2 for d in degrees[:pos] + degrees[pos + 1:]]
-        if 0 in arities:
-            continue
-        pis = mvs[:pos] + mvs[pos + 1:]
-        exponent = sum(a * (n - 1 - i) for i, a in enumerate(arities, start=1))
-        # and the Koszul sign for moving the form to the front of the tuple
-        exponent += degrees[pos] % 2 * sum(degrees[:pos])
-        value = multi_sharp(pis, h)
-        if not value.is_zero():
-            total = total + TPoisElement.of_mv(value.scale(-1 if exponent % 2 else 1))
+        if not (pos and e is combo[pos - 1]):
+            value = None
+            h = e.form_part
+            # c) {H, pi_1, .., pi_{n-1}} needs a form of degree n - 1 at pos,
+            # multivectors of arity >= 1 elsewhere (functions contract to zero)
+            if not h.is_zero() and n_zero <= mv_zero[pos] and degrees[pos] + 3 == n - 1:
+                arities = [d + 2 for d in degrees[:pos] + degrees[pos + 1:]]
+                if 0 not in arities:
+                    value = multi_sharp(mvs[:pos] + mvs[pos + 1:], h)
+                    base = sum(a * (n - 1 - i) for i, a in enumerate(arities, start=1))
+        if value is not None and not value.is_zero():
+            # and the Koszul sign for moving the form to the front of the tuple
+            exponent = base + degrees[pos] % 2 * prefix
+            add_terms(terms, (-value if exponent % 2 else value).terms)
+        prefix += degrees[pos]
     if n == 2 and not n_zero:
         # b) {pi1, pi2} = [pi1, pi2] (-1)^{a1 + 1}
-        sign = 1 if degrees[0] % 2 == 1 else -1
-        total = total + TPoisElement.of_mv(schouten(mvs[0], mvs[1]).scale(sign))
-    return total
+        value = schouten(mvs[0], mvs[1])
+        add_terms(terms, (value if degrees[0] % 2 == 1 else -value).terms)
 
 
 def tpois_linfty(m: int) -> LInftyOne:
@@ -585,12 +588,21 @@ def _coordinate_images(phi: AffineDiffeo) -> list[Curve]:
     """The substitution x_i -> sum_j M_ij x_j + c_i, one Curve per x_i, for
     :func:`transport`: the pull-back by phi passes these images and
     phi.matrix as legs; the push-forward by phi passes the images of its
-    inverse and phi.transposed()."""
+    inverse and phi.transposed().
+
+    The entries of the rows (c | M) are constant in x, so each image is read
+    off its row: at each power of t, c_i on the monomial 1 and M_ij on x_j."""
     m = phi.dim
-    # the rows (c | M) times the column (1, x_1, .., x_m): each image starts from c
-    column = [[{0: {(0,) * m: 1}}]]
-    column += [[{0: {tuple(int(v == j) for v in range(m)): 1}}] for j in range(m)]
-    return [image for image, in _mat_mul(phi.rows[1:], column)]
+    monos = [(0,) * m] + [tuple(int(v == j) for v in range(m)) for j in range(m)]
+    images = []
+    for row in phi.rows[1:]:
+        image: Curve = {}
+        for mono, entry in zip(monos, row):
+            for power, poly in entry.items():
+                (coef,) = poly.values()
+                image.setdefault(power, {})[mono] = coef
+        images.append(image)
+    return images
 
 
 def group_mul(

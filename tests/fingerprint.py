@@ -25,6 +25,15 @@ Sections:
   bivectors pi on a support I with B meeting I on none, part or all of it,
   or making the determinant vanish or depend on x.  An error prints as its
   type and message.
+- ``algebras``: the small and the big ``m`` at arities 1-4 on the fixture
+  quadruple, a deformed fixture (P_phi for a small Maurer-Cartan phi),
+  coisotropic (1,2) and (2,2) quadruples and the Courant model on R^2, at
+  seeds 0-2.  Each arity takes
+  independent draws, one element repeated in its leading slots, and
+  inhomogeneous arguments (sums of draws of two degrees), repeated too.
+- ``tpois``: ``tpois_bracket`` and ``oracle_bracket`` at m = 2, 3 on the
+  same three kinds of argument tuples, and ``gauge_field`` of
+  ``tpois_linfty(3)`` at (H, pi) in the direction (B, X), at seeds 0-2.
 """
 
 from __future__ import annotations
@@ -38,9 +47,13 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+from derived_brackets import polygeo as P  # noqa: E402
+from derived_brackets import qgeom as Q  # noqa: E402
 from derived_brackets import sampling as S  # noqa: E402
 from derived_brackets import tpois as T  # noqa: E402
+from derived_brackets import vdata as V  # noqa: E402
 from derived_brackets.graded import DirectSum, SparseCombination  # noqa: E402
+from derived_brackets.linfty import gauge_field  # noqa: E402
 from derived_brackets.polygeo import PolyForm, PolyMultivector, form, mv  # noqa: E402
 from derived_brackets.suites import _coiso_a_sampler  # noqa: E402
 
@@ -243,7 +256,163 @@ def section_geometry():
         yield f"geometry seed={seed} next: {rng.getrandbits(32)}"
 
 
-SECTIONS = {"sampling": section_sampling, "geometry": section_geometry}
+ARITIES = (1, 2, 3, 4)
+SHAPES = 3  # argument tuples of each shape per arity
+
+
+def _tuples(rng, n, draw, mixed):
+    """(label, args) at arity n: independent draws, one draw repeated in the
+    leading n - 1 slots (the same object), and an inhomogeneous argument
+    ``mixed(rng, n)`` in the first slot and repeated in the second.  ``draw``
+    and ``mixed`` take the arity, so that they can aim at its live
+    patterns."""
+    for i in range(SHAPES):
+        yield f"independent #{i}", tuple(draw(rng, n) for _ in range(n))
+        same = draw(rng, n)
+        tail = tuple(draw(rng, n) for _ in range(min(n - 1, 1)))
+        yield f"repeated #{i}", (same,) * max(n - 1, 1) + tail
+        mix = mixed(rng, n)
+        yield f"inhomogeneous #{i}", (mix,) * min(n, 2) + tuple(draw(rng, n) for _ in range(n - 2))
+
+
+def _fixture_draws():
+    def pair(rng, n):
+        return S.random_fixture_pair(rng, rng.choice([-1, 0, 1]))
+
+    def a_element(rng, n):
+        return S.random_fixture_a_element(rng, rng.choice([0, 1]))
+
+    def mixed_pair(rng, n):
+        return S.random_fixture_pair(rng, -1) + S.random_fixture_pair(rng, 0)
+
+    def mixed_a(rng, n):
+        return S.random_fixture_a_element(rng, 0) + S.random_fixture_a_element(rng, 1)
+
+    return (a_element, mixed_a), (pair, mixed_pair)
+
+
+def _coiso_draws(dims):
+    def a_element(rng, n):
+        return _coiso_a_sampler(rng, dims, 2)
+
+    def pair(rng, n):
+        degree = rng.choice([-1, 0])
+        x = S.random_multivector(rng, dims, degree + 2, 1)
+        return V.BigElt(x, _coiso_a_sampler(rng, dims, 1, arity=degree + 1))
+
+    def mixed_a(rng, n):
+        return _coiso_a_sampler(rng, dims, 1, arity=1) + _coiso_a_sampler(rng, dims, 1, arity=2)
+
+    def mixed_pair(rng, n):
+        x = S.random_multivector(rng, dims, 1, 1) + S.random_multivector(rng, dims, 2, 1)
+        return V.BigElt(x, mixed_a(rng, n))
+
+    return (a_element, mixed_a), (pair, mixed_pair)
+
+
+def _courant_draws(v):
+    """Sums of two sample monomials, which are often inhomogeneous, scaled."""
+    def combination(rng, basis):
+        return sum(rng.sample(basis, 2), v.zero).scale(rng.randint(-3, 3) or 1)
+
+    def a_element(rng, n):
+        return combination(rng, v.a_basis)
+
+    def pair(rng, n):
+        return V.BigElt(combination(rng, v.sample_basis), a_element(rng, n))
+
+    def mixed_a(rng, n):
+        x, p = v.a_basis[0], v.a_basis[1]  # degrees 0 and 1
+        return x.scale(rng.randint(1, 3)) + p.scale(rng.randint(1, 3))
+
+    def mixed_pair(rng, n):
+        return V.BigElt(combination(rng, v.sample_basis), mixed_a(rng, n))
+
+    return (a_element, mixed_a), (pair, mixed_pair)
+
+
+def _quadruples(rng):
+    """(label, quadruple, small draws, big draws)."""
+    v = S.fixture_vdata()
+    fixture = _fixture_draws()
+    yield ("fixture", v, *fixture)
+    yield ("deformed fixture", V.deform_vdata(v, S.fixture_mc_small(rng)), *fixture)
+    for dims in ((1, 2), (2, 2)):
+        pi = S.random_coiso_poisson(rng, dims, 2, require_flat=True)
+        yield (f"coiso{dims}", P.coiso_vdata(pi), *_coiso_draws(dims))
+    courant = Q.standard_courant_vdata(2)
+    yield ("courant(2)", courant, *_courant_draws(courant))
+
+
+def section_algebras():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for label, v, small_draws, big_draws in _quadruples(rng):
+            for kind, algebra, draws in (("small", V.small_algebra(v), small_draws),
+                                         ("big", V.big_algebra(v), big_draws)):
+                for n in ARITIES:
+                    for shape, args in _tuples(rng, n, *draws):
+                        value = _outcome(lambda: algebra.m(n, args))
+                        yield f"{label} seed={seed} {kind} m_{n} {shape}: {value}"
+        yield f"algebras seed={seed} next: {rng.getrandbits(32)}"
+
+
+def _tpois_draws(m):
+    """Elements whose form has degree n - 1 or whose multivector has arity 1
+    or 2, the slots of the live patterns at arity n >= 2."""
+    def degree(rng, n):
+        return rng.choice([max(n - 4, -2), -1, 0])
+
+    def element(rng, n):
+        return S.random_tpois_element(rng, m, degree(rng, n), 1)
+
+    def mixed(rng, n):
+        return (S.random_tpois_element(rng, m, max(n - 4, -2), 1)
+                + S.random_tpois_element(rng, m, rng.choice([-1, 0]), 1))
+
+    return element, mixed
+
+
+def _oracle_draws(m):
+    dims = (m, 0)
+
+    def part(rng, n):
+        if rng.randrange(3) == 0:
+            return S.random_form(rng, dims, max(1, min(n - 1, m)), 1)
+        return S.random_multivector(rng, dims, rng.randint(1, 2), 1)
+
+    def mixed(rng, n):
+        return S.random_multivector(rng, dims, 1, 1) + S.random_multivector(rng, dims, 2, 1)
+
+    return part, mixed
+
+
+def section_tpois():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for m in (2, 3):
+            for n in range(1, m + 2):
+                for shape, args in _tuples(rng, n, *_tpois_draws(m)):
+                    value = _outcome(lambda: T.tpois_bracket(n, args))
+                    yield f"m={m} seed={seed} tpois_bracket_{n} {shape}: {value}"
+                for shape, args in _tuples(rng, n, *_oracle_draws(m)):
+                    value = _outcome(lambda: Q.oracle_bracket(m, list(args)))
+                    yield f"m={m} seed={seed} oracle_bracket_{n} {shape}: {value}"
+        algebra = T.tpois_linfty(3)
+        for i in range(DRAWS):
+            h, pi = S.random_twisted_pair(rng, 3, 1, flavor="positive")
+            b, x = S.random_gauge_direction(rng, 3, 1, constant_field=bool(i % 2))
+            value = gauge_field(algebra, T.TPoisElement(b, x), T.TPoisElement(h, pi))
+            yield f"seed={seed} gauge_field #{i}: {describe(value)}"
+        yield f"tpois seed={seed} next: {rng.getrandbits(32)}"
+
+
+SECTIONS = {
+    "sampling": section_sampling,
+    "geometry": section_geometry,
+    "algebras": section_algebras,
+    "tpois": section_tpois,
+}
 
 
 def digest(name: str) -> str:

@@ -15,6 +15,8 @@ import fingerprint  # noqa: E402
 PINS = {
     "sampling": "8e1a661606881dce0a95043b1f3661b0cb7772a0a682ab2e8b6b7bca0cb70739",
     "geometry": "c8624f677e9e36d952f3e549edc8dd99354c2f1f4e61dd7fdb514ed81cf3aa97",
+    "algebras": "1c179a56291ccb2e135bd2a4012afdde01b1f9cfa2499892f17c6b9ced974b9d",
+    "tpois": "95f7f73cd02ad6c65d12652ac189fd18a0557d72ffdb878236eb648cd848d03a",
 }
 
 

@@ -5,12 +5,17 @@ The handles' ``degree`` and ``components`` are checked against a reference
 that states the grading twice, the way direct sums were graded before: a
 ``degree`` and a ``components`` closure per sum, over part gradings read
 straight off the keys.  The evaluators grade each distinct argument once;
-the ``_key_degree`` pins below count that on fixed seeds.
+the ``_key_degree`` pins below count that on fixed seeds.  Elements keep
+their grading in a slot, filled once: the tests below count the key reads,
+check that no element refers to itself through it, and that a direct sum
+graded two ways reads each grader's own answer.
 """
 
 import random
+import sys
+from fractions import Fraction
 
-from derived_brackets.graded import HomElt
+from derived_brackets.graded import HomElt, SparseCombination, direct_sum_grading
 from derived_brackets.linfty import LInfty, from_antisymmetric, relations_residual
 from derived_brackets.polygeo import PolyForm, PolyMultivector, coiso_vdata
 from derived_brackets.qgeom import SuperPoly, standard_courant_vdata
@@ -18,7 +23,9 @@ from derived_brackets.sampling import (
     fixture_gla,
     fixture_vdata,
     random_coiso_poisson,
+    random_fixture_element,
     random_fixture_pair,
+    random_form,
     random_multivector,
     random_tpois_element,
 )
@@ -73,6 +80,14 @@ def _two_closure_grading(cls, first, second):
 def _pair_reference(cls, off1, off2):
     part = (_part_degree, _part_components)
     return _two_closure_grading(cls, (*part, off1), (*part, off2))
+
+
+def _super_poly(rng, dim):
+    x = tuple(rng.randint(0, 1) for _ in range(dim))
+    big_p = tuple(rng.randint(0, 1) for _ in range(dim))
+    p = tuple(sorted(rng.sample(range(dim), rng.randint(0, dim))))
+    v = tuple(sorted(rng.sample(range(dim), rng.randint(0, dim))))
+    return SuperPoly.monomial(dim, rng.randint(1, 3), x, big_p, p, v)
 
 
 def _random_part(rng, draw):
@@ -138,11 +153,7 @@ def test_every_handle_grades_as_the_two_closure_reference():
     courant = big_algebra(standard_courant_vdata(dim))
 
     def super_poly():
-        x = tuple(rng.randint(0, 1) for _ in range(dim))
-        big_p = tuple(rng.randint(0, 1) for _ in range(dim))
-        p = tuple(sorted(rng.sample(range(dim), rng.randint(0, dim))))
-        v = tuple(sorted(rng.sample(range(dim), rng.randint(0, dim))))
-        return SuperPoly.monomial(dim, rng.randint(1, 3), x, big_p, p, v)
+        return _super_poly(rng, dim)
 
     pairs = [BigElt(_random_part(rng, super_poly), _random_part(rng, super_poly))
              for _ in range(80)]
@@ -203,7 +214,8 @@ def test_relations_grade_each_argument_once(monkeypatch):
     # deterministic counts on fixed seeds: 40 fixture big-algebra relations
     # and 30 twisted-Poisson ones.  Grading every slot of every combination
     # again (a degree call per slot beside the decomposition) read 3,412 and
-    # 1,661 here.
+    # 1,661 here; grading each argument once per call, with no slot to keep
+    # the grading across calls, read 2,163 and 760.
     calls = _count_key_degree(monkeypatch)
     rng = random.Random(1)
     big = big_algebra(fixture_vdata())
@@ -211,7 +223,7 @@ def test_relations_grade_each_argument_once(monkeypatch):
         n = k % 4 + 1
         args = tuple(random_fixture_pair(rng, rng.choice([-1, 0, 1])) for _ in range(n))
         assert relations_residual(big, n, args).is_zero()
-    assert calls[0] == 2163
+    assert calls[0] == 493
     calls[0] = 0
     rng = random.Random(2)
     tpois = tpois_linfty(3)
@@ -219,4 +231,122 @@ def test_relations_grade_each_argument_once(monkeypatch):
         n = k % 3 + 1
         args = tuple(random_tpois_element(rng, 3, rng.choice([-1, 0, 1]), 1) for _ in range(n))
         assert relations_residual(tpois, n, args).is_zero()
-    assert calls[0] == 760
+    assert calls[0] == 255
+
+
+def _graded_elements(rng):
+    """Zero, homogeneous and inhomogeneous elements of the three key-graded
+    classes, freshly built and not yet graded."""
+    dims = (3, 0)
+    space = fixture_vdata().zero.space
+    return [
+        space.zero(),
+        random_fixture_element(rng, 1),
+        random_fixture_element(rng, 0) + random_fixture_element(rng, 1),
+        PolyForm.zero(dims),
+        random_form(rng, dims, 2, 2),
+        random_form(rng, dims, 1, 2) + random_form(rng, dims, 2, 1) + random_form(rng, dims, 3, 1),
+        PolyMultivector.zero(dims),
+        random_multivector(rng, dims, 1, 2),
+        random_multivector(rng, dims, 0, 1) + random_multivector(rng, dims, 2, 2),
+    ]
+
+
+def _read_grading(x):
+    x.components()
+    x.degree()
+    x.is_homogeneous()
+    if isinstance(x, PolyMultivector):
+        x.arities()
+    if isinstance(x, PolyForm):
+        x.form_degrees()
+
+
+def test_grading_reads_each_key_once(monkeypatch):
+    elements = _graded_elements(random.Random(5))
+    calls = _count_key_degree(monkeypatch)
+    kinds = set()
+    for x in elements:
+        calls[0] = 0
+        for _ in range(3):
+            _read_grading(x)
+            for _, part in x.components():
+                _read_grading(part)
+        assert calls[0] == len(x.terms), x
+        kinds.add(len(x.components()))
+    assert {0, 1} < kinds and max(kinds) >= 2
+    # the readers agree with the keys
+    for x in elements:
+        degrees = {x._key_degree(key) for key in x.terms}
+        assert [d for d, _ in x.components()] == sorted(degrees)
+        assert x.degree() == (_part_degree(x) if x.terms else None)
+        assert x.is_homogeneous() == (len(degrees) <= 1)
+        if isinstance(x, PolyMultivector):
+            assert x.arities() == {len(w) for _, w in x.terms}
+        if isinstance(x, PolyForm):
+            assert x.form_degrees() == {len(w) for _, w in x.terms}
+
+
+def test_graded_homogeneous_element_holds_no_reference_to_itself():
+    rng = random.Random(6)
+    big = big_algebra(fixture_vdata())
+    tpois = tpois_linfty(3)
+    cases = [
+        (random_fixture_element(rng, 1), HomElt.components),
+        (random_multivector(rng, (3, 0), 2, 1), PolyMultivector.components),
+        (random_fixture_pair(rng, 0), big.components),
+        (random_tpois_element(rng, 3, 0, 1), tpois.components),
+    ]
+    for x, grade in cases:
+        assert not x.is_zero()
+        before = sys.getrefcount(x)
+        (graded,) = grade(x)
+        assert graded[1] is x
+        del graded
+        assert sys.getrefcount(x) == before
+        assert len(grade(x)) == 1  # read back from the slot
+
+
+def test_direct_sum_slot_keeps_each_graders_answer():
+    # the Courant quadruple grades super-polynomials two degrees down, so its
+    # big algebra puts a BigElt of them three and two below the plain sum's
+    dim = 2
+    courant = big_algebra(standard_courant_vdata(dim)).components
+    plain = direct_sum_grading(BigElt, (SuperPoly.components, 0), (SuperPoly.components, 0))
+    references = {
+        courant: _pair_reference(BigElt, -3, -2),
+        plain: _pair_reference(BigElt, 0, 0),
+    }
+    rng = random.Random(7)
+
+    def super_poly():
+        return _super_poly(rng, dim)
+
+    differ = 0
+    for _ in range(60):
+        e = BigElt(_random_part(rng, super_poly), _random_part(rng, super_poly))
+        answers = {}
+        for grade in (courant, plain, courant, plain, courant):
+            got = [(d, repr(p)) for d, p in grade(e)]
+            want = [(d, repr(p)) for d, p in references[grade][1](e)]
+            assert got == want
+            answers[grade] = got
+        differ += answers[courant] != answers[plain]
+    assert differ >= 40
+
+
+def test_scaled_and_negated_elements_are_graded_afresh():
+    rng = random.Random(8)
+    big = big_algebra(fixture_vdata())
+    tpois = tpois_linfty(3)
+    elements = [(x, type(x).components) for x in _graded_elements(rng)]
+    elements += [(random_fixture_pair(rng, d), big.components) for d in (-1, 0, 1)]
+    elements += [(random_tpois_element(rng, 3, d, 1), tpois.components) for d in (-1, 0)]
+    for x, grade in elements:
+        want = [d for d, _ in grade(x)]
+        assert grade(x.scale(0)) == []
+        for y in (x.scale(3), -x, x.scale(Fraction(1, 2))):
+            assert [d for d, _ in grade(y)] == want
+        if isinstance(x, SparseCombination):
+            zero = x.scale(0)
+            assert zero.degree() is None and zero.is_homogeneous()

@@ -370,6 +370,36 @@ def test_gauge_series_equals_closed_form():
         assert series.form_part == gf and series.mv_part == gm
 
 
+def test_gauge_field_sharps_each_distinct_pair_once(monkeypatch):
+    # m_4(alpha, alpha, alpha, z) contracts alpha's 3-form with the same
+    # multivectors (pi, pi, X) in each of its first three slots: the slots
+    # that repeat their left neighbour reuse its multi_sharp value
+    import derived_brackets.tpois as tpois_module
+
+    calls = []
+
+    def counted(pis, w):
+        calls.append((tuple(pis), w))
+        return multi_sharp(pis, w)
+
+    monkeypatch.setattr(tpois_module, "multi_sharp", counted)
+    rng = random.Random(8)
+    algebra = tpois_linfty(3)
+    reused = 0
+    for _ in range(10):
+        h, pi = random_twisted_pair(rng, 3, 2, flavor="positive")
+        b, x = random_gauge_direction(rng, 3, 2, constant_field=False)
+        z, at = TPoisElement(b, x), TPoisElement(h, pi)
+        calls.clear()
+        gauge_field(algebra, z, at)
+        assert len(calls) == len(set(calls))
+        calls.clear()
+        tpois_bracket(4, (at, at, at, z))
+        assert len(calls) == (not h.is_zero() and not x.is_zero() and not pi.is_zero())
+        reused += len(calls)
+    assert reused >= 8
+
+
 def test_gauge_tangency():
     rng = random.Random(8)
     for _ in range(10):
