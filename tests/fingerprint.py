@@ -34,12 +34,26 @@ Sections:
 - ``tpois``: ``tpois_bracket`` and ``oracle_bracket`` at m = 2, 3 on the
   same three kinds of argument tuples, and ``gauge_field`` of
   ``tpois_linfty(3)`` at (H, pi) in the direction (B, X), at seeds 0-2.
+- ``series``: on the fixture quadruple and coisotropic (1,2) and (2,2)
+  quadruples, at seeds 0-2: ``mc_residual`` reports of the small and big
+  algebras at engineered Maurer-Cartan elements and at random ones (and of
+  curved coisotropic small algebras), the curvature and brackets of
+  ``twist`` with and without its check, ``twist_vdata`` (the twisted Delta
+  and the twisted quadruple's big brackets) and ``machine_check``.  An
+  MCError prints with its residual.
+- ``json``: ``gla_to_json`` and ``gla_from_json`` on the fixture, the
+  sample algebra and random tables, ``element_from_json`` and
+  ``element_to_json`` on entries whose coefficients add, and polynomial
+  literals of multivectors and forms read back by ``mv_from_json`` and
+  ``form_from_json`` from int, "p/q" and [num, den] coefficients, at seeds
+  0-2.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import os
 import random
 import sys
@@ -51,9 +65,11 @@ from derived_brackets import polygeo as P  # noqa: E402
 from derived_brackets import qgeom as Q  # noqa: E402
 from derived_brackets import sampling as S  # noqa: E402
 from derived_brackets import tpois as T  # noqa: E402
+from derived_brackets import gla as G  # noqa: E402
+from derived_brackets import linfty as L  # noqa: E402
 from derived_brackets import vdata as V  # noqa: E402
 from derived_brackets.graded import DirectSum, SparseCombination  # noqa: E402
-from derived_brackets.linfty import gauge_field  # noqa: E402
+from derived_brackets.linfty import MCError, gauge_field  # noqa: E402
 from derived_brackets.polygeo import PolyForm, PolyMultivector, form, mv  # noqa: E402
 from derived_brackets.suites import _coiso_a_sampler  # noqa: E402
 
@@ -407,11 +423,204 @@ def section_tpois():
         yield f"tpois seed={seed} next: {rng.getrandbits(32)}"
 
 
+def _mc_error(exc) -> str:
+    residual = "" if exc.residual is None else f" residual {describe(exc.residual)}"
+    return f"{type(exc).__name__}: {exc}{residual}"
+
+
+def _report(report) -> str:
+    return f"{describe(report.residual)} terms={report.terms_evaluated} by={report.terminated_by}"
+
+
+def _twisted_lines(algebra, alpha, arities, draws, rng, check=True):
+    """The twisted algebra's curvature, then its brackets on ``_tuples`` of
+    the given arities; an MCError prints with its residual."""
+    try:
+        twisted = L.twist(algebra, alpha, check=check)
+    except MCError as exc:
+        yield f"twist: {_mc_error(exc)}"
+        return
+    yield f"twist curved={twisted.curved} m_0: {describe(twisted.m(0, ())) if twisted.curved else '-'}"
+    for n in arities:
+        for shape, args in _tuples(rng, n, *draws):
+            yield f"twist m_{n} {shape}: {_outcome(lambda: twisted.m(n, args))}"
+
+
+def _twist_vdata_lines(v, alpha, rng, draws):
+    """``twist_vdata`` at alpha: the twisted Delta and the big brackets of the
+    twisted quadruple, or the MCError with its residual."""
+    try:
+        twisted = V.twist_vdata(v, alpha)
+    except MCError as exc:
+        yield f"twist_vdata: {_mc_error(exc)}"
+        return
+    yield f"twist_vdata delta: {describe(twisted.delta)} curved={twisted.curved}"
+    big = V.big_algebra(twisted)
+    for n in (1, 2):
+        for shape, args in _tuples(rng, n, *draws):
+            yield f"twist_vdata big m_{n} {shape}: {_outcome(lambda: big.m(n, args))}"
+
+
+def _machine_line(v, phi, dtilde, ptilde) -> str:
+    try:
+        report = V.machine_check(v, phi, dtilde, ptilde)
+    except MCError as exc:
+        return _mc_error(exc)
+    return (f"{describe((report.bracket_square, report.exponential_residual))} "
+            f"{describe(report.big_mc_residual)} {sorted(report.as_dict().items())}")
+
+
+def _fixture_series(rng):
+    """(label, line) of the series checks on the fixture quadruple."""
+    v = S.fixture_vdata()
+    small, big = V.small_algebra(v), V.big_algebra(v)
+    a_elements, pairs = _fixture_draws()
+    for i in range(2):
+        for label, phi in (("mc", S.fixture_mc_small(rng)),
+                           ("random", S.random_fixture_a_element(rng, 0))):
+            yield f"small mc_residual {label} #{i}", _report(L.mc_residual(small, phi))
+            for line in _twisted_lines(small, phi, (1, 2), a_elements, rng, check=False):
+                yield f"small {label} #{i}", line
+        for label, alpha in (("mc", S.fixture_mc_big(rng)),
+                             ("random", V.BigElt(S.random_fixture_element(rng, 1),
+                                                 S.random_fixture_a_element(rng, 0)))):
+            yield f"big mc_residual {label} #{i}", _report(L.mc_residual(big, alpha))
+            for check in (True, False):
+                for line in _twisted_lines(big, alpha, (1, 2, 3), pairs, rng, check=check):
+                    yield f"big {label} #{i} check={check}", line
+            for line in _twist_vdata_lines(v, alpha, rng, pairs):
+                yield f"{label} #{i}", line
+        phi = S.fixture_mc_small(rng)
+        dtilde, ptilde = S.random_fixture_element(rng, 1), S.random_fixture_a_element(rng, 0)
+        yield f"machine_check random #{i}", _machine_line(v, phi, dtilde, ptilde)
+        alpha = S.fixture_mc_big(rng)
+        yield f"machine_check engineered #{i}", _machine_line(v, v.zero, alpha.x, alpha.a)
+        yield f"machine_check non-mc phi #{i}", _machine_line(
+            v, S.random_fixture_a_element(rng, 0), dtilde, ptilde)
+
+
+def _coiso_series(rng, dims):
+    """(label, line) of the series checks on coisotropic quadruples."""
+    base = S.random_coiso_poisson(rng, dims, 2, require_flat=True)
+    cv = P.coiso_vdata(base)
+    small, big = V.small_algebra(cv), V.big_algebra(cv)
+    zero = PolyMultivector.zero(dims)
+    pairs = _coiso_draws(dims)[1]
+    for i in range(2):
+        pi = S.random_coiso_poisson(rng, dims, 2)
+        phi = S.random_vertical_section(rng, dims, 1)
+        yield (f"curved small mc_residual #{i}",
+               _report(L.mc_residual(V.small_algebra(P.coiso_vdata(pi)), phi)))
+        engineered = S.engineered_coiso_mc(rng, base, 1)
+        random_pair = S.random_multivector(rng, dims, 2, 1), S.random_vertical_section(rng, dims, 1)
+        for label, (dtilde, ptilde) in (("engineered", engineered), ("random", random_pair)):
+            yield f"small mc_residual {label} #{i}", _report(L.mc_residual(small, ptilde))
+            alpha = V.BigElt(dtilde, ptilde)
+            yield f"big mc_residual {label} #{i}", _report(L.mc_residual(big, alpha))
+            for line in _twisted_lines(big, alpha, (1, 2), pairs, rng, check=False):
+                yield f"big {label} #{i}", line
+            for line in _twist_vdata_lines(cv, alpha, rng, pairs):
+                yield f"{label} #{i}", line
+            yield f"machine_check {label} #{i}", _machine_line(cv, zero, dtilde, ptilde)
+
+
+def section_series():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for label, line in _fixture_series(rng):
+            yield f"fixture seed={seed} {label} {line}"
+        for dims in ((1, 2), (2, 2)):
+            for label, line in _coiso_series(rng, dims):
+                yield f"coiso{dims} seed={seed} {label} {line}"
+        yield f"series seed={seed} next: {rng.getrandbits(32)}"
+
+
+def _table_json(rng) -> dict:
+    """A random structure-constant table as ``gla_from_json`` reads it: 3-5
+    basis names of degrees -1..2 and distinct ordered pairs with one to three
+    (coef_num, coef_den) entries each, a name repeated in some (so that its
+    coefficients add, sometimes to an integer or to zero)."""
+    names = [f"e{i}" for i in range(rng.randint(3, 5))]
+    pairs = rng.sample(list(itertools.product(names, repeat=2)), rng.randint(2, len(names) + 2))
+    return {
+        "basis": [{"name": name, "degree": rng.randint(-1, 2)} for name in names],
+        "brackets": [
+            {"left": left, "right": right, "result": [
+                {"coef_num": rng.randint(-3, 3), "coef_den": rng.randint(1, 3),
+                 "basis": rng.choice(names)} for _ in range(rng.randint(1, 3))]}
+            for left, right in pairs
+        ],
+    }
+
+
+def _gla_lines(algebra, rng):
+    """The table's JSON, each entry it reads back, whether a second round trip
+    is the identity, and JSON round trips of seeded elements of its space."""
+    data = G.gla_to_json(algebra)
+    yield f"gla_to_json: {json.dumps(data, sort_keys=True)}"
+    back = G.gla_from_json(json.loads(json.dumps(data)))
+    for key, value in sorted(back.table.items()):
+        yield f"entry {key}: {describe(value)}"
+    yield f"round trip: {G.gla_to_json(back) == data}"
+    names = algebra.space.names()
+    for i in range(DRAWS):
+        raw = [{"coef_num": rng.randint(-4, 4), "coef_den": rng.randint(1, 4),
+                "basis": rng.choice(names)} for _ in range(rng.randint(1, 4))]
+        x = G.element_from_json(algebra.space, raw)
+        yield f"element #{i} {json.dumps(raw)}: {describe(x)} -> {json.dumps(G.element_to_json(x))}"
+
+
+def _literal(rng, u) -> dict:
+    """``element_to_json(u)`` with each coefficient written as an int, a
+    "p/q" string or a [num, den] pair (an integral one sometimes as n/1)."""
+    data = P.element_to_json(u)
+    for term, coef in zip(data["terms"], (u.terms[k] for k in sorted(u.terms))):
+        c = Fraction(coef)
+        style = rng.randrange(3)
+        if style == 1:
+            term["coef"] = f"{c.numerator}/{c.denominator}"
+        elif style == 2:
+            term["coef"] = [2 * c.numerator, 2 * c.denominator]
+    return data
+
+
+def _poly_lines(rng):
+    """Polynomial literals of multivectors and forms: the JSON of a seeded
+    element scaled by a fraction, and what ``mv_from_json`` or
+    ``form_from_json`` reads back from it in mixed coefficient styles."""
+    for dims in ((1, 2), (2, 2), (2, 0), (3, 0)):
+        n = sum(dims)
+        for kind, draw, read in (("mv", S.random_multivector, P.mv_from_json),
+                                 ("form", S.random_form, P.form_from_json)):
+            for arity in range(min(n, 3) + 1):
+                u = draw(rng, dims, arity, rng.randint(0, 2)).scale(
+                    Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+                data = _literal(rng, u)
+                back = read(json.loads(json.dumps(data)))
+                yield (f"{kind}{dims} arity={arity}: {json.dumps(P.element_to_json(u), sort_keys=True)} "
+                       f"read {describe(back)} equal={back == u}")
+
+
+def section_json():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        algebras = [("fixture_gla", S.fixture_gla()), ("sample_gla", G.sample_gla())]
+        algebras += [(f"table #{i}", G.gla_from_json(_table_json(rng))) for i in range(DRAWS)]
+        for label, algebra in algebras:
+            for line in _gla_lines(algebra, rng):
+                yield f"{label} seed={seed} {line}"
+        for line in _poly_lines(rng):
+            yield f"seed={seed} {line}"
+        yield f"json seed={seed} next: {rng.getrandbits(32)}"
+
+
 SECTIONS = {
     "sampling": section_sampling,
     "geometry": section_geometry,
     "algebras": section_algebras,
     "tpois": section_tpois,
+    "series": section_series,
+    "json": section_json,
 }
 
 

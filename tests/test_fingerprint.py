@@ -17,6 +17,8 @@ PINS = {
     "geometry": "c8624f677e9e36d952f3e549edc8dd99354c2f1f4e61dd7fdb514ed81cf3aa97",
     "algebras": "1c179a56291ccb2e135bd2a4012afdde01b1f9cfa2499892f17c6b9ced974b9d",
     "tpois": "95f7f73cd02ad6c65d12652ac189fd18a0557d72ffdb878236eb648cd848d03a",
+    "series": "289b18ac9b8a0c9a926557422190647277069c73c83596b086e890e3f61e833c",
+    "json": "0f10daebe761641c7c9506f98308be2a657bb1859f3c4d5f9c4b3e5791448bab",
 }
 
 
