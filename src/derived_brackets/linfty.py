@@ -22,7 +22,10 @@ equality.  The algebra handle supplies one grading, ``components`` (the
 homogeneous decomposition); an element's degree is read from it
 (:func:`~derived_brackets.graded.degree_of`), so the same machinery runs
 over structure-constant algebras, polynomial multivector fields,
-super-polynomial oracles and direct sums thereof.
+super-polynomial oracles and direct sums thereof.  :func:`add_slot_chains`
+sums values by their ``terms``, so the parts it reads are
+:class:`~derived_brackets.graded.SparseCombination` elements (``HomElt``,
+``PolyMultivector``, ``PolyForm``, ``SuperPoly``).
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .graded import decalage_sign, degree_of, koszul_sign, unshuffles
+from .graded import add_terms, decalage_sign, degree_of, koszul_sign, unshuffles
 
 Elt = Any
 
@@ -125,6 +128,36 @@ def homogeneous_combinations(args: tuple, components: Callable):
         graded.append(comps)
     for combo in itertools.product(*graded):
         yield tuple(p for _, p in combo), [d for d, _ in combo]
+
+
+def add_slot_chains(combo: tuple, degrees: list[int], heads: list, tails: list,
+                    chain: Callable, acc: dict) -> bool:
+    """Add the one-head patterns of a homogeneous combination into ``acc``.
+
+    Slot pos of ``combo`` has degree ``degrees[pos]`` and two parts,
+    ``heads[pos]`` and ``tails[pos]``.  For each pos with a nonzero head and
+    no zero among the other tails, ``chain(degrees, pos, head, other tails)``
+    (None where the pattern vanishes) is added times the Koszul sign
+    (-1)^{|e_pos|(|e_1| + .. + |e_{pos-1}|)} of moving the head to the front.
+    A slot that is the same object as its left neighbour (as in
+    m_n(phi, .., phi)) reuses that neighbour's value; only its sign is new.
+    Returns whether every tail is nonzero, the condition of the all-tails
+    pattern, which the caller adds.
+    """
+    zero = [t.is_zero() for t in tails]
+    n_zero = sum(zero)
+    if n_zero > 1:
+        return False
+    prefix = 0  # the degrees before pos
+    for pos, e in enumerate(combo):
+        if not (pos and e is combo[pos - 1]):
+            value = None
+            if n_zero <= zero[pos] and not heads[pos].is_zero():
+                value = chain(degrees, pos, heads[pos], tails[:pos] + tails[pos + 1:])
+        if value is not None and not value.is_zero():
+            add_terms(acc, (-value).terms if degrees[pos] % 2 and prefix % 2 else value.terms)
+        prefix += degrees[pos]
+    return not n_zero
 
 
 def _require_homogeneous(algebra: LInftyOne, args: tuple) -> list[int]:

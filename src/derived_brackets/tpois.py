@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graded import DirectSum, add_terms, as_fraction, direct_sum_grading
-from .linfty import LInftyOne, homogeneous_combinations
+from .linfty import LInftyOne, add_slot_chains, homogeneous_combinations
 from .polygeo import (
     Curve,
     Matrix,
@@ -116,7 +116,11 @@ def tpois_bracket(n: int, args: tuple[TPoisElement, ...]) -> TPoisElement:
     multivectors with no form, form-degree mismatches) return zero rather
     than raising.  At arity >= 2 every live pattern has a multivector value,
     so the terms of all of them are summed into one dict and the value is
-    built once, with a zero form part.
+    built once, with a zero form part: for each pos, the form of slot pos
+    with the multivectors of every other slot (family c, through
+    :func:`~derived_brackets.linfty.add_slot_chains`), then at n = 2 the two
+    multivectors (family b).  A slot of degree d may hold both a form (of
+    form degree d + 3) and a multivector (of arity d + 2).
     """
     if len(args) != n or n < 1:
         raise ValueError(f"expected {n} >= 1 arguments")
@@ -128,50 +132,28 @@ def tpois_bracket(n: int, args: tuple[TPoisElement, ...]) -> TPoisElement:
         return TPoisElement._of(-de_rham(args[0].form_part), PolyMultivector._of(dims, {}))
     terms: dict = {}
     for combo, degrees in homogeneous_combinations(args, _components):
-        _bracket_homogeneous(combo, degrees, terms)
+        mvs = [e.mv_part for e in combo]
+        forms = [e.form_part for e in combo]
+        if add_slot_chains(combo, degrees, forms, mvs, _family_c, terms) and n == 2:
+            # b) {pi1, pi2} = [pi1, pi2] (-1)^{a1 + 1}
+            value = schouten(mvs[0], mvs[1])
+            add_terms(terms, (value if degrees[0] % 2 == 1 else -value).terms)
     return TPoisElement._of(PolyForm._of(dims, {}), PolyMultivector._of(dims, _check_size(terms)))
 
 
-def _bracket_homogeneous(combo: tuple[TPoisElement, ...], degrees: list[int], terms: dict) -> None:
-    """Add the multivector terms of the bracket of n >= 2 homogeneous
-    elements of the given degrees into ``terms``; each slot may still hold
-    both a form and a multivector of that degree, so a nonzero form part has
-    form degree d + 3 and a nonzero multivector part arity d + 2.
-
-    Only the live patterns are built, in the order of the full (form,
-    multivector) enumeration: the form of slot ``pos`` with the multivectors
-    of every other slot (family c), for each pos, then at n = 2 the two
-    multivectors (family b).  Every other pattern has two forms, or three or
-    more multivectors and no form, and vanishes.  A slot that repeats its
-    left neighbour (as in m_n(alpha, .., alpha, z)) has the same form and the
-    same other multivectors, so it reuses that neighbour's value; only its
-    Koszul sign is new.
-    """
-    n = len(combo)
-    mvs = [e.mv_part for e in combo]
-    mv_zero = [u.is_zero() for u in mvs]
-    n_zero = sum(mv_zero)
-    prefix = 0  # the degrees before pos
-    for pos, e in enumerate(combo):
-        if not (pos and e is combo[pos - 1]):
-            value = None
-            h = e.form_part
-            # c) {H, pi_1, .., pi_{n-1}} needs a form of degree n - 1 at pos,
-            # multivectors of arity >= 1 elsewhere (functions contract to zero)
-            if not h.is_zero() and n_zero <= mv_zero[pos] and degrees[pos] + 3 == n - 1:
-                arities = [d + 2 for d in degrees[:pos] + degrees[pos + 1:]]
-                if 0 not in arities:
-                    value = multi_sharp(mvs[:pos] + mvs[pos + 1:], h)
-                    base = sum(a * (n - 1 - i) for i, a in enumerate(arities, start=1))
-        if value is not None and not value.is_zero():
-            # and the Koszul sign for moving the form to the front of the tuple
-            exponent = base + degrees[pos] % 2 * prefix
-            add_terms(terms, (-value if exponent % 2 else value).terms)
-        prefix += degrees[pos]
-    if n == 2 and not n_zero:
-        # b) {pi1, pi2} = [pi1, pi2] (-1)^{a1 + 1}
-        value = schouten(mvs[0], mvs[1])
-        add_terms(terms, (value if degrees[0] % 2 == 1 else -value).terms)
+def _family_c(degrees: list[int], pos: int, h: PolyForm, mvs: list) -> PolyMultivector | None:
+    """c) {H, pi_1, .., pi_{n-1}} = (-1)^{sum a_i (n-1-i)} (pi_1^sharp ^..) H
+    for the form H of slot ``pos`` and the multivectors ``mvs`` of the other
+    slots.  It needs a form of degree n - 1 and multivectors of arity >= 1
+    (functions contract to zero); None for any other pattern."""
+    n = len(degrees)
+    if degrees[pos] + 3 != n - 1:
+        return None
+    arities = [d + 2 for d in degrees[:pos] + degrees[pos + 1:]]
+    if 0 in arities:
+        return None
+    value = multi_sharp(mvs, h)
+    return -value if sum(a * (n - 1 - i) for i, a in enumerate(arities, start=1)) % 2 else value
 
 
 def tpois_linfty(m: int) -> LInftyOne:

@@ -58,11 +58,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .graded import DirectSum, degree_of, direct_sum_grading
+from .graded import DirectSum, add_terms, degree_of, direct_sum_grading
 from .linfty import (
     LInftyOne,
     MCError,
     NonTerminatingSeriesError,
+    add_slot_chains,
     check_mc_candidate,
     checked_mc_residual,
     homogeneous_combinations,
@@ -114,7 +115,9 @@ class VData:
 
     ``curved`` is not an argument: it is computed once from the data, as
     P(Delta) != 0, so ``dataclasses.replace`` (a new projection or Delta)
-    recomputes it.
+    recomputes it.  The big algebra sums by ``terms``, so elements of L are
+    :class:`~derived_brackets.graded.SparseCombination` (``HomElt``,
+    ``PolyMultivector``, ``SuperPoly``).
     """
 
     bracket: Callable[[Elt, Elt], Elt]
@@ -342,17 +345,17 @@ class BigElt(DirectSum):
 def big_algebra(v: VData) -> LInftyOne:
     """The derived-bracket algebra on L[1] (+) a.  Requires Delta in Ker(P).
 
-    ``m_k`` splits its arguments into homogeneous pairs (x[1], a) and sums
-    over which component each slot contributes.  Only the patterns that can
-    be nonzero are built: at k = 1 the L[1] part and the a part; at k = 2
-    the (L[1], L[1]) pattern; one L[1] entry at each position with the
-    a parts elsewhere; and the all-a pattern.  Every other pattern has two
-    or more L[1] entries at arity >= 3, and the construction (the brackets
-    listed in the module docstring) sets those brackets to zero, so the
-    cost is O(k) chains instead of 2^k patterns.  The live terms are summed
-    in the order of the full enumeration, so results are identical term for
-    term.  Within one call a slot that repeats its left neighbour (as in
-    m_n(phi, .., phi)) reuses that neighbour's projected chain.
+    m_1 is d(x[1], a) = (-(D x)[1], P(x + D a)) on the whole argument.  At
+    k >= 2, ``m_k`` splits its arguments into homogeneous pairs (x[1], a)
+    and builds only the patterns that can be nonzero: at k = 2 the
+    (L[1], L[1]) pattern; one L[1] entry at each position with the a parts
+    elsewhere (:func:`~derived_brackets.linfty.add_slot_chains`); and the
+    all-a pattern.  Every other pattern has two or more L[1] entries at
+    arity >= 3, and the construction (the brackets listed in the module
+    docstring) sets those brackets to zero, so the cost is O(k) chains
+    instead of 2^k patterns.  The terms of all patterns are added into one
+    dict per part, and each part is built once, by one ``+`` onto zero, so a
+    backend's term cap applies to it.
 
     Its closed Maurer-Cartan residual at alpha = (x[1], phi) is
 
@@ -373,59 +376,39 @@ def big_algebra(v: VData) -> LInftyOne:
     if v.curved:
         raise ValueError("the big construction needs a genuine (non-curved) quadruple")
 
-    zero_pair = BigElt(v.zero, v.zero)
     # x[1] sits one degree below x; the a part keeps its degree
     components = direct_sum_grading(BigElt, (v.components, -1), (v.components, 0))
+
+    def chain(degrees, pos, x, rest):
+        return _projected_chain(v, x, rest)
+
+    def part(terms: dict) -> Elt:
+        return v.zero + v.zero._of(v.zero.ambient, terms) if terms else v.zero
 
     def m(k: int, args: tuple) -> BigElt:
         if k == 0:
             raise ValueError("the big construction is never curved")
-        total = zero_pair
+        if k == 1:
+            x, a = args[0].x, args[0].a
+            return BigElt(-v.adjoint_delta(x), v.project(x + v.adjoint_delta(a)))
+        x_terms: dict = {}
+        a_terms: dict = {}
         for combo, degrees in homogeneous_combinations(args, components):
-            if k == 1:
-                x, a = combo[0].x, combo[0].a
-                if not x.is_zero():
-                    total = total + BigElt(-v.adjoint_delta(x), v.project(x))
-                if not a.is_zero():
-                    total = total + BigElt(v.zero, v.project(v.adjoint_delta(a)))
-                continue
             if k == 2:
                 x, y = combo[0].x, combo[1].x
                 if not x.is_zero() and not y.is_zero():
+                    # (-1)^{|x|}, where |x| = degrees[0] + 1
                     crochet = v.bracket(x, y)
-                    if not crochet.is_zero():
-                        # (-1)^{|x|}, where |x| = degrees[0] + 1
-                        sign = -1 if degrees[0] % 2 == 0 else 1
-                        total = total + BigElt(crochet.scale(sign), v.zero)
-            a_parts = [e.a for e in combo]
-            a_zero = [a.is_zero() for a in a_parts]
-            n_zero = sum(a_zero)
-            if n_zero > 1:
-                continue
-            # one L[1] entry at pos, subalgebra entries in every other slot
-            prefix = 0
-            for pos, e in enumerate(combo):
-                # a slot repeating its left neighbour has identical chain
-                # inputs, so it reuses that chain; only its sign is new
-                if not (pos and e is combo[pos - 1]):
-                    value = None
-                    if not e.x.is_zero() and (n_zero == 0 or a_zero[pos]):
-                        value = _projected_chain(v, e.x, a_parts[:pos] + a_parts[pos + 1:])
-                if value is not None and not value.is_zero():
-                    sign = -1 if degrees[pos] % 2 == 1 and prefix % 2 == 1 else 1
-                    total = total + BigElt(v.zero, value.scale(sign))
-                prefix += degrees[pos]
-            if n_zero == 0:
-                first = v.adjoint_delta(a_parts[0])
-                value = _projected_chain(v, first, a_parts[1:])
-                if not value.is_zero():
-                    total = total + BigElt(v.zero, value)
-        return total
+                    add_terms(x_terms, (crochet if degrees[0] % 2 else -crochet).terms)
+            tails = [e.a for e in combo]
+            if add_slot_chains(combo, degrees, [e.x for e in combo], tails, chain, a_terms):
+                add_terms(a_terms, _projected_chain(v, v.adjoint_delta(tails[0]), tails[1:]).terms)
+        return BigElt(part(x_terms), part(a_terms))
 
     return LInftyOne(
         components=components,
         m=m,
-        zero=zero_pair,
+        zero=BigElt(v.zero, v.zero),
         curved=False,
         arity_bound=_arity_bound(v, big=True),
         name=f"big({v.name})" if v.name else "big",

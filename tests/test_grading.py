@@ -215,7 +215,9 @@ def test_relations_grade_each_argument_once(monkeypatch):
     # and 30 twisted-Poisson ones.  Grading every slot of every combination
     # again (a degree call per slot beside the decomposition) read 3,412 and
     # 1,661 here; grading each argument once per call, with no slot to keep
-    # the grading across calls, read 2,163 and 760.
+    # the grading across calls, read 2,163 and 760.  The slot brought them
+    # to 493 and 255; m_1 of the big algebra applied to the whole argument,
+    # not to each of its homogeneous parts, grades no argument: 471.
     calls = _count_key_degree(monkeypatch)
     rng = random.Random(1)
     big = big_algebra(fixture_vdata())
@@ -223,7 +225,7 @@ def test_relations_grade_each_argument_once(monkeypatch):
         n = k % 4 + 1
         args = tuple(random_fixture_pair(rng, rng.choice([-1, 0, 1])) for _ in range(n))
         assert relations_residual(big, n, args).is_zero()
-    assert calls[0] == 493
+    assert calls[0] == 471
     calls[0] = 0
     rng = random.Random(2)
     tpois = tpois_linfty(3)

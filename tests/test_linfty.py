@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from derived_brackets.gla import sample_gla
-from derived_brackets.graded import koszul_sign, Permutation
+from derived_brackets.graded import GradedSpace, koszul_sign, Permutation
 from derived_brackets.linfty import (
     MAX_RELATION_ARITY,
     LInfty,
     LInftyOne,
     MCError,
     NonTerminatingSeriesError,
+    add_slot_chains,
     from_antisymmetric,
     gauge_field,
     mc_residual,
@@ -343,6 +344,75 @@ def test_antisymmetric_round_trip_of_a_shifted_algebra_is_identity():
             )
             assert round_tripped.m(arity, args) == shifted.m(arity, args)
             assert round_tripped.degree(args[0]) == shifted.degree(args[0])
+
+
+# -- the one-head patterns -------------------------------------------------------------
+
+_SLOTS = GradedSpace.of([(name, 0) for name in ("h", "t", "p0", "p1", "p2", "p3")])
+_H, _T, _ZERO = _SLOTS.gen("h"), _SLOTS.gen("t"), _SLOTS.zero()
+
+
+def _slot_chains(combo, degrees, heads, tails):
+    """Run add_slot_chains with a chain that records its calls and returns
+    the basis element p<pos>, so the sum shows each pattern's sign."""
+    calls = []
+
+    def chain(degrees_seen, pos, head, rest):
+        assert degrees_seen is degrees and head is heads[pos]
+        calls.append((pos, rest))
+        return _SLOTS.gen(f"p{pos}")
+
+    acc: dict = {}
+    every_tail = add_slot_chains(combo, degrees, heads, tails, chain, acc)
+    return acc, calls, every_tail
+
+
+def test_slot_chains_sign_each_head_by_its_prefix():
+    # (-1)^{|e_pos| (|e_1| + .. + |e_{pos-1}|)}: an even degree at an odd
+    # prefix (pos 1), an odd one at an odd prefix (pos 2) and at an even
+    # prefix (pos 3)
+    combo = tuple(object() for _ in range(4))
+    tails = [_T.scale(i + 1) for i in range(4)]
+    acc, calls, every_tail = _slot_chains(combo, [1, 0, 1, 1], [_H] * 4, tails)
+    assert acc == {"p0": 1, "p1": 1, "p2": -1, "p3": 1}
+    assert calls == [(pos, tails[:pos] + tails[pos + 1:]) for pos in range(4)]
+    assert every_tail is True
+
+
+def test_slot_chains_skip_zero_heads_and_zero_tails():
+    combo = tuple(object() for _ in range(3))
+    # a zero head drops its own pattern only
+    acc, calls, every_tail = _slot_chains(combo, [1, 1, 1], [_H, _ZERO, _H], [_T] * 3)
+    assert acc == {"p0": 1, "p2": 1} and [pos for pos, _ in calls] == [0, 2] and every_tail
+    # one zero tail leaves the pattern with the head in that slot, and no
+    # all-tails pattern
+    acc, calls, every_tail = _slot_chains(combo, [1, 1, 1], [_H] * 3, [_T, _ZERO, _T])
+    assert acc == {"p1": -1} and [pos for pos, _ in calls] == [1] and every_tail is False
+    # two zero tails leave nothing
+    acc, calls, every_tail = _slot_chains(combo, [1, 1, 1], [_H] * 3, [_ZERO, _T, _ZERO])
+    assert acc == {} and calls == [] and every_tail is False
+    # a chain may report a vanishing pattern as None or as zero
+    acc = {"p0": 3}
+    assert add_slot_chains(combo[:2], [0, 0], [_H, _H], [_T, _T],
+                           lambda d, pos, h, rest: None if pos else _ZERO, acc)
+    assert acc == {"p0": 3}
+
+
+def test_slot_chains_reuse_the_left_neighbour_with_a_new_sign():
+    f, e = object(), object()
+    # slots 1..3 repeat e: one chain call, signed -, +, - at prefixes 1, 2, 3
+    acc, calls, _ = _slot_chains((f, e, e, e), [1, 1, 1, 1], [_H] * 4, [_T] * 4)
+    assert [pos for pos, _ in calls] == [0, 1]
+    assert acc == {"p0": 1, "p1": -1}
+    # two repeated odd slots cancel, as graded antisymmetry demands; even
+    # ones add up
+    acc, calls, _ = _slot_chains((e, e), [1, 1], [_H] * 2, [_T] * 2)
+    assert acc == {} and len(calls) == 1
+    acc, calls, _ = _slot_chains((e, e), [0, 0], [_H] * 2, [_T] * 2)
+    assert acc == {"p0": 2} and len(calls) == 1
+    # a slot holding a different object is evaluated afresh
+    acc, calls, _ = _slot_chains((f, object()), [1, 1], [_H] * 2, [_T] * 2)
+    assert acc == {"p0": 1, "p1": -1} and len(calls) == 2
 
 
 # -- input checks ---------------------------------------------------------------------

@@ -569,6 +569,27 @@ def test_big_m_matches_full_enumeration_on_coisotropic():
     _assert_matches_reference(cv, _oracle_argument_lists(rng, pair, cv.zero))
 
 
+def test_big_m_caps_each_summed_part(monkeypatch):
+    # every pattern of m_2 has three terms, their sum six: the cap holds on
+    # the summed part, as on a sum of parts
+    from derived_brackets import polygeo
+
+    dims = (1, 1)
+    v = coiso_vdata(mv(dims, 1, None, (0, 1)))
+    p_dp = mv(dims, 1, (0, 1), (1,))
+    low, high = (sum((mv(dims, 1, (e, 0), (1,)) for e in exps), v.zero)
+                 for exps in ((0, 1, 2), (3, 4, 5)))
+    args = (BigElt(p_dp, low), BigElt(p_dp, high))
+    big = big_algebra(v)
+    monkeypatch.setattr(polygeo, "_term_cap", 5)
+    assert len(big.m(2, (args[0], BigElt(p_dp, v.zero))).a.terms) == 3
+    assert len(big.m(2, (BigElt(p_dp, v.zero), args[1])).a.terms) == 3
+    with pytest.raises(polygeo.TermExplosionError):
+        big.m(2, args)
+    monkeypatch.setattr(polygeo, "_term_cap", 6)
+    assert len(big.m(2, args).a.terms) == 6
+
+
 # -- the derived arity bound of the coisotropic big algebra ---------------------------
 
 
