@@ -354,8 +354,8 @@ def big_algebra(v: VData) -> LInftyOne:
     arity >= 3, and the construction (the brackets listed in the module
     docstring) sets those brackets to zero, so the cost is O(k) chains
     instead of 2^k patterns.  The terms of all patterns are added into one
-    dict per part, and each part is built once, by one ``+`` onto zero, so a
-    backend's term cap applies to it.
+    dict per part, and a nonzero part is built once, by one ``+`` onto zero,
+    so a backend's term cap applies to it.
 
     Its closed Maurer-Cartan residual at alpha = (x[1], phi) is
 
