@@ -131,7 +131,7 @@ def homogeneous_combinations(args: tuple, components: Callable):
 
 
 def add_slot_chains(combo: tuple, degrees: list[int], heads: list, tails: list,
-                    chain: Callable, acc: dict) -> bool:
+                    chain: Callable, acc: dict) -> None:
     """Add the one-head patterns of a homogeneous combination into ``acc``.
 
     Slot pos of ``combo`` has degree ``degrees[pos]`` and two parts,
@@ -141,13 +141,12 @@ def add_slot_chains(combo: tuple, degrees: list[int], heads: list, tails: list,
     (-1)^{|e_pos|(|e_1| + .. + |e_{pos-1}|)} of moving the head to the front.
     A slot that is the same object as its left neighbour (as in
     m_n(phi, .., phi)) reuses that neighbour's value; only its sign is new.
-    Returns whether every tail is nonzero, the condition of the all-tails
-    pattern, which the caller adds.
+    The caller adds any other pattern (the all-tails one, a pair of heads).
     """
     zero = [t.is_zero() for t in tails]
     n_zero = sum(zero)
     if n_zero > 1:
-        return False
+        return
     prefix = 0  # the degrees before pos
     for pos, e in enumerate(combo):
         if not (pos and e is combo[pos - 1]):
@@ -157,7 +156,6 @@ def add_slot_chains(combo: tuple, degrees: list[int], heads: list, tails: list,
         if value is not None and not value.is_zero():
             add_terms(acc, (-value).terms if degrees[pos] % 2 and prefix % 2 else value.terms)
         prefix += degrees[pos]
-    return not n_zero
 
 
 def _require_homogeneous(algebra: LInftyOne, args: tuple) -> list[int]:

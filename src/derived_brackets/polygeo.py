@@ -193,7 +193,7 @@ class _WedgeElement(SparseCombination):
     """Polynomial-coefficient wedge of coordinate directions: the shared
     validation, trusted construction and term cap of multivectors and forms.
     A key is (monomial, ascending wedge); ``_leg`` prefixes a wedge leg's
-    variable name in the ``repr``."""
+    variable name in the ``repr``.  ``__init__`` and ``_of`` both apply the cap."""
 
     __slots__ = ()
     dims = SparseCombination.ambient
@@ -222,10 +222,18 @@ class _WedgeElement(SparseCombination):
     # construction helpers ----------------------------------------------------
 
     @classmethod
+    def _of(cls, dims: tuple[int, int], terms: dict) -> "_WedgeElement":
+        new = object.__new__(cls)
+        new.dims = dims
+        new.terms = _check_size(terms)
+        new._grading = None
+        return new
+
+    @classmethod
     def _from_raw(cls, dims: tuple[int, int], raw) -> "_WedgeElement":
         """Collect (coef, mono, wedge) triples built from the keys of valid
         elements: each wedge is sorted with its sign, repeated legs and
-        cancelled terms drop, and only the term count is checked."""
+        cancelled terms drop, and :meth:`_of` checks only the term count."""
         acc: dict[tuple[Mono, Wedge], Fraction] = {}
         for coef, mono, wedge in raw:
             if len(wedge) > 1:
@@ -237,7 +245,7 @@ class _WedgeElement(SparseCombination):
                     coef = -coef
             key = (mono, wedge)
             acc[key] = acc.get(key, 0) + coef
-        return cls._of(dims, _check_size(settle(acc)))
+        return cls._of(dims, settle(acc))
 
     @classmethod
     def zero(cls, dims):
@@ -250,11 +258,6 @@ class _WedgeElement(SparseCombination):
             dims, [(as_fraction(c), tuple(mono), tuple(wedge)) for c, mono, wedge in raw]
         )
         return cls(dims, collected.terms)
-
-    def __add__(self, other):
-        total = super().__add__(other)
-        _check_size(total.terms)
-        return total
 
     def _key_body(self, key: tuple[Mono, Wedge]) -> str:
         mono, wedge = key
@@ -484,7 +487,7 @@ def multi_sharp(pis: list[PolyMultivector], w: PolyForm) -> PolyMultivector:
             for mono, coef in poly.items():
                 key = (tuple(map(add, mono, cmono)), cwedge)
                 acc[key] = acc.get(key, 0) + coef * ccoef
-    return PolyMultivector._of(dims, _check_size(settle(acc)))
+    return PolyMultivector._of(dims, settle(acc))
 
 
 # -- coisotropic model C = {p = 0} in R^m x R^k ----------------------------------
@@ -492,7 +495,7 @@ def multi_sharp(pis: list[PolyMultivector], w: PolyForm) -> PolyMultivector:
 
 def coiso_projection(u: PolyMultivector) -> PolyMultivector:
     """Restrict to C (set p = 0 in coefficients) and keep only terms whose
-    wedge factors are all fiber directions."""
+    wedge factors are all fiber directions (a subset of u's valid terms)."""
     m, k = u.dims
     terms = {}
     for (mono, wedge), coef in u.terms.items():
@@ -501,7 +504,7 @@ def coiso_projection(u: PolyMultivector) -> PolyMultivector:
         if any(w < m for w in wedge):
             continue
         terms[(mono, wedge)] = coef
-    return PolyMultivector(u.dims, terms)
+    return PolyMultivector._of(u.dims, terms)
 
 
 def is_vertical_section(phi: PolyMultivector) -> bool:

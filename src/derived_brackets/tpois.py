@@ -42,14 +42,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import DirectSum, add_terms, as_fraction, direct_sum_grading
+from .graded import DirectSum, add_terms, as_fraction, decalage_sign, direct_sum_grading
 from .linfty import LInftyOne, add_slot_chains, homogeneous_combinations
 from .polygeo import (
     Curve,
     Matrix,
     PolyForm,
     PolyMultivector,
-    _check_size,
     _mac,
     _neg,
     _settled,
@@ -134,11 +133,12 @@ def tpois_bracket(n: int, args: tuple[TPoisElement, ...]) -> TPoisElement:
     for combo, degrees in homogeneous_combinations(args, _components):
         mvs = [e.mv_part for e in combo]
         forms = [e.form_part for e in combo]
-        if add_slot_chains(combo, degrees, forms, mvs, _family_c, terms) and n == 2:
+        add_slot_chains(combo, degrees, forms, mvs, _family_c, terms)
+        if n == 2 and not mvs[0].is_zero() and not mvs[1].is_zero():
             # b) {pi1, pi2} = [pi1, pi2] (-1)^{a1 + 1}
             value = schouten(mvs[0], mvs[1])
             add_terms(terms, (value if degrees[0] % 2 == 1 else -value).terms)
-    return TPoisElement._of(PolyForm._of(dims, {}), PolyMultivector._of(dims, _check_size(terms)))
+    return TPoisElement._of(PolyForm._of(dims, {}), PolyMultivector._of(dims, terms))
 
 
 def _family_c(degrees: list[int], pos: int, h: PolyForm, mvs: list) -> PolyMultivector | None:
@@ -146,14 +146,13 @@ def _family_c(degrees: list[int], pos: int, h: PolyForm, mvs: list) -> PolyMulti
     for the form H of slot ``pos`` and the multivectors ``mvs`` of the other
     slots.  It needs a form of degree n - 1 and multivectors of arity >= 1
     (functions contract to zero); None for any other pattern."""
-    n = len(degrees)
-    if degrees[pos] + 3 != n - 1:
+    if degrees[pos] + 3 != len(degrees) - 1:
         return None
     arities = [d + 2 for d in degrees[:pos] + degrees[pos + 1:]]
     if 0 in arities:
         return None
     value = multi_sharp(mvs, h)
-    return -value if sum(a * (n - 1 - i) for i, a in enumerate(arities, start=1)) % 2 else value
+    return -value if decalage_sign(arities) < 0 else value
 
 
 def tpois_linfty(m: int) -> LInftyOne:
@@ -370,7 +369,7 @@ def _bivector_from_sharp(matrix: Matrix, legs: list[int], dims) -> dict[int, Pol
             for power, poly in upper.items():
                 for mono, coef in poly.items():
                     by_power.setdefault(power, {})[(mono, (a, legs[k]))] = coef
-    return {p: PolyMultivector._of(dims, _check_size(t)) for p, t in by_power.items()}
+    return {p: PolyMultivector._of(dims, t) for p, t in by_power.items()}
 
 
 def _graph_transform(
@@ -610,14 +609,14 @@ class UnsupportedVectorFieldError(ValueError):
     pass
 
 
-def _flow(x_field: PolyMultivector, time_sign: int) -> AffineDiffeo:
-    """The time-(sign * t) flow of a vector field A x + b: exp(sign t G) for
-    its generator G = [[0, 0], [b, A]], summed as sum_k (sign t G)^k / k!.
-    G is nilpotent exactly when A is; error beyond affine or when G^{m+1} is
-    not zero (the flow would leave the polynomial world)."""
+def _flow(x_field: PolyMultivector) -> AffineDiffeo:
+    """The time-(-t) flow of a vector field A x + b: exp(-t G) for its
+    generator G = [[0, 0], [b, A]], summed as sum_k (-t G)^k / k!.  G is
+    nilpotent exactly when A is; error beyond affine or when G^{m+1} is not
+    zero (the flow would leave the polynomial world)."""
     m = x_field.dims[0]
     unit = (0,) * m
-    # sign t G: column 0 holds b, column j + 1 the coefficients of x_j
+    # -t G: column 0 holds b, column j + 1 the coefficients of x_j
     step: Matrix = [[{} for _ in range(m + 1)] for _ in range(m + 1)]
     for (mono, wedge), coef in x_field.terms.items():
         if len(wedge) != 1:
@@ -627,13 +626,13 @@ def _flow(x_field: PolyMultivector, time_sign: int) -> AffineDiffeo:
             raise UnsupportedVectorFieldError(
                 "flow directions must be constant or linear with nilpotent matrix part"
             )
-        step[wedge[0] + 1][mono.index(1) + 1 if total else 0] = {1: {unit: time_sign * coef}}
+        step[wedge[0] + 1][mono.index(1) + 1 if total else 0] = {1: {unit: -coef}}
     rows = [[{0: {unit: 1}} if i == j else {} for j in range(m + 1)] for i in range(m + 1)]
     power, k = step, 1
     while any(any(row) for row in power):
         if k > m:
             raise UnsupportedVectorFieldError("matrix part of the flow is not nilpotent")
-        # (sign t G)^k lives at t^k alone: add its entries over k!
+        # (-t G)^k lives at t^k alone: add its entries over k!
         scale = Fraction(1, math.factorial(k))
         for row, power_row in zip(rows, power):
             for entry, curve in zip(row, power_row):
@@ -762,7 +761,7 @@ def flow_curve(
         raise ValueError("flow starts at a 3-form / bivector pair")
     if not pi.is_zero() and pi.arities() != {2}:
         raise ValueError("flow starts at a 3-form / bivector pair")
-    flow_minus = _flow(x_field, -1)
+    flow_minus = _flow(x_field)
     flow_plus = _reversed(flow_minus)
 
     db = de_rham(b)
@@ -801,7 +800,7 @@ def action_generator(
 ) -> tuple[PolyForm, PolyMultivector]:
     """d/dt at 0 of (tB, flow_t of X) . (H, pi), computed symbolically in t."""
     dims = pi.dims
-    flow_minus = _flow(x_field, -1)
+    flow_minus = _flow(x_field)
     flow_plus = _reversed(flow_minus)
     # form component: (flow_t^{-1})^* H - t dB
     minus_images = _coordinate_images(flow_minus)

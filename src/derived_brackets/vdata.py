@@ -141,7 +141,7 @@ class VData:
         return degree_of(self.components(x))
 
     def adjoint_delta(self, x: Elt) -> Elt:
-        return self.bracket(self.delta, x)
+        return x if x.is_zero() else self.bracket(self.delta, x)
 
 
 @dataclass(frozen=True)
@@ -346,16 +346,15 @@ def big_algebra(v: VData) -> LInftyOne:
     """The derived-bracket algebra on L[1] (+) a.  Requires Delta in Ker(P).
 
     m_1 is d(x[1], a) = (-(D x)[1], P(x + D a)) on the whole argument.  At
-    k >= 2, ``m_k`` splits its arguments into homogeneous pairs (x[1], a)
-    and builds only the patterns that can be nonzero: at k = 2 the
-    (L[1], L[1]) pattern; one L[1] entry at each position with the a parts
-    elsewhere (:func:`~derived_brackets.linfty.add_slot_chains`); and the
-    all-a pattern.  Every other pattern has two or more L[1] entries at
-    arity >= 3, and the construction (the brackets listed in the module
-    docstring) sets those brackets to zero, so the cost is O(k) chains
+    k >= 2, ``m_k`` builds only the patterns that can be nonzero: once, the
+    unsigned all-a pattern P [..[Delta, a_1], .., a_k] (the small m_k on the
+    whole a parts); per homogeneous combination of pairs (x[1], a), the
+    (L[1], L[1]) pattern at k = 2 and one L[1] entry at each position with
+    the a parts elsewhere (:func:`~derived_brackets.linfty.add_slot_chains`).
+    Every other pattern has two or more L[1] entries at arity >= 3, where
+    the construction sets the bracket to zero, so the cost is O(k) chains
     instead of 2^k patterns.  The terms of all patterns are added into one
-    dict per part, and a nonzero part is built once, by one ``+`` onto zero,
-    so a backend's term cap applies to it.
+    dict per part, and each part is built once by the backend's ``_of``.
 
     Its closed Maurer-Cartan residual at alpha = (x[1], phi) is
 
@@ -382,8 +381,7 @@ def big_algebra(v: VData) -> LInftyOne:
     def chain(degrees, pos, x, rest):
         return _projected_chain(v, x, rest)
 
-    def part(terms: dict) -> Elt:
-        return v.zero + v.zero._of(v.zero.ambient, terms) if terms else v.zero
+    part = functools.partial(v.zero._of, v.zero.ambient)
 
     def m(k: int, args: tuple) -> BigElt:
         if k == 0:
@@ -400,9 +398,10 @@ def big_algebra(v: VData) -> LInftyOne:
                     # (-1)^{|x|}, where |x| = degrees[0] + 1
                     crochet = v.bracket(x, y)
                     add_terms(x_terms, (crochet if degrees[0] % 2 else -crochet).terms)
-            tails = [e.a for e in combo]
-            if add_slot_chains(combo, degrees, [e.x for e in combo], tails, chain, a_terms):
-                add_terms(a_terms, _projected_chain(v, v.adjoint_delta(tails[0]), tails[1:]).terms)
+            add_slot_chains(combo, degrees, [e.x for e in combo], [e.a for e in combo], chain,
+                            a_terms)
+        if not any(e.a.is_zero() for e in args):
+            add_terms(a_terms, _projected_chain(v, v.delta, [e.a for e in args]).terms)
         return BigElt(part(x_terms), part(a_terms))
 
     return LInftyOne(

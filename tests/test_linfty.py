@@ -363,8 +363,8 @@ def _slot_chains(combo, degrees, heads, tails):
         return _SLOTS.gen(f"p{pos}")
 
     acc: dict = {}
-    every_tail = add_slot_chains(combo, degrees, heads, tails, chain, acc)
-    return acc, calls, every_tail
+    returned = add_slot_chains(combo, degrees, heads, tails, chain, acc)
+    return acc, calls, returned
 
 
 def test_slot_chains_sign_each_head_by_its_prefix():
@@ -373,28 +373,28 @@ def test_slot_chains_sign_each_head_by_its_prefix():
     # prefix (pos 3)
     combo = tuple(object() for _ in range(4))
     tails = [_T.scale(i + 1) for i in range(4)]
-    acc, calls, every_tail = _slot_chains(combo, [1, 0, 1, 1], [_H] * 4, tails)
+    acc, calls, returned = _slot_chains(combo, [1, 0, 1, 1], [_H] * 4, tails)
     assert acc == {"p0": 1, "p1": 1, "p2": -1, "p3": 1}
     assert calls == [(pos, tails[:pos] + tails[pos + 1:]) for pos in range(4)]
-    assert every_tail is True
+    assert returned is None
 
 
 def test_slot_chains_skip_zero_heads_and_zero_tails():
     combo = tuple(object() for _ in range(3))
     # a zero head drops its own pattern only
-    acc, calls, every_tail = _slot_chains(combo, [1, 1, 1], [_H, _ZERO, _H], [_T] * 3)
-    assert acc == {"p0": 1, "p2": 1} and [pos for pos, _ in calls] == [0, 2] and every_tail
-    # one zero tail leaves the pattern with the head in that slot, and no
-    # all-tails pattern
-    acc, calls, every_tail = _slot_chains(combo, [1, 1, 1], [_H] * 3, [_T, _ZERO, _T])
-    assert acc == {"p1": -1} and [pos for pos, _ in calls] == [1] and every_tail is False
+    acc, calls, returned = _slot_chains(combo, [1, 1, 1], [_H, _ZERO, _H], [_T] * 3)
+    assert acc == {"p0": 1, "p2": 1} and [pos for pos, _ in calls] == [0, 2]
+    assert returned is None
+    # one zero tail leaves the pattern with the head in that slot
+    acc, calls, returned = _slot_chains(combo, [1, 1, 1], [_H] * 3, [_T, _ZERO, _T])
+    assert acc == {"p1": -1} and [pos for pos, _ in calls] == [1] and returned is None
     # two zero tails leave nothing
-    acc, calls, every_tail = _slot_chains(combo, [1, 1, 1], [_H] * 3, [_ZERO, _T, _ZERO])
-    assert acc == {} and calls == [] and every_tail is False
+    acc, calls, returned = _slot_chains(combo, [1, 1, 1], [_H] * 3, [_ZERO, _T, _ZERO])
+    assert acc == {} and calls == [] and returned is None
     # a chain may report a vanishing pattern as None or as zero
     acc = {"p0": 3}
     assert add_slot_chains(combo[:2], [0, 0], [_H, _H], [_T, _T],
-                           lambda d, pos, h, rest: None if pos else _ZERO, acc)
+                           lambda d, pos, h, rest: None if pos else _ZERO, acc) is None
     assert acc == {"p0": 3}
 
 

@@ -521,6 +521,34 @@ def test_term_cap_guard(monkeypatch):
         _mul(big_curve, {0: {(0, i, 0): Fraction(1) for i in range(4)}})
 
 
+def test_trusted_construction_applies_the_term_cap(monkeypatch):
+    # the cap sits in _of, so a sum, a negation and a bracket value built
+    # from elements under the cap are checked where they are built
+    from derived_brackets import polygeo
+    from derived_brackets.polygeo import TermExplosionError
+    from derived_brackets.tpois import TPoisElement, tpois_bracket
+
+    dims = (2, 0)
+    x = mv(dims, 1, None, (0,)) + mv(dims, 1, None, (1,))
+    f, y = mv(dims, 1, (2, 1)), mv(dims, 1, (1, 1), (0,))
+    u, w = f + y, mv(dims, 1, (3, 0)) + mv(dims, 1, (0, 3))
+    four = u + w
+    args = (TPoisElement.of_mv(x), TPoisElement.of_mv(u))
+    assert len(four.terms) == len(tpois_bracket(2, args).mv_part.terms) == 4
+    monkeypatch.setattr(polygeo, "_term_cap", 3)
+    with pytest.raises(TermExplosionError):
+        PolyMultivector._of(dims, dict(four.terms))
+    with pytest.raises(TermExplosionError):
+        u + w
+    with pytest.raises(TermExplosionError):
+        -four
+    # each pattern of the bracket has two terms, their sum four
+    for part in (f, y):
+        assert len(tpois_bracket(2, (args[0], TPoisElement.of_mv(part))).mv_part.terms) == 2
+    with pytest.raises(TermExplosionError):
+        tpois_bracket(2, args)
+
+
 # -- input checks ---------------------------------------------------------------------
 
 _P2 = mv((2, 0), 1, None, (0, 1))

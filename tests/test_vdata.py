@@ -229,6 +229,27 @@ def test_big_binary_reproduces_bracket_with_shift_sign():
     assert value.a.is_zero()
 
 
+def test_big_unary_brackets_delta_once_per_nonzero_part():
+    # m_1(x[1], a) = (-(D x)[1], P(x + D a)): D of a zero part is zero
+    # without a bracket, so each argument with one zero part brackets once
+    v = fixture_vdata()
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return v.bracket(x, y)
+
+    big = big_algebra(dataclasses.replace(v, bracket=counting))
+    space = v.zero.space
+    x, a = space.gen("v"), space.gen("a")
+    for arg, dx, da in ((BigElt(x, space.zero()), space.gen("w"), space.zero()),
+                        (BigElt(space.zero(), a), space.zero(), space.element({"b": 1, "v": 1}))):
+        calls.clear()
+        value = big.m(1, (arg,))
+        assert calls == [(v.delta, x if da.is_zero() else a)]
+        assert value == BigElt(-dx, v.project(arg.x + da))
+
+
 def test_small_is_the_subalgebra_family_of_big():
     rng = random.Random(3)
     v = fixture_vdata()
