@@ -674,9 +674,9 @@ class FlowCurve:
 
         t |-> ( H - t dB , pushforward by the time-(-t) flow of e^{C_t} pi )
 
-    with C_t = int_0^t (flow_{-s})^* E_s ds and E_s = B + i_X H - s i_X dB
-    (``e_curve``).  The multivector component is stored as a polynomial
-    numerator curve over a t-polynomial determinant."""
+    with C_t = int_0^t (flow_{-s})^* E_s ds on the legs of pi and the whole
+    E_s = B + i_X H - s i_X dB (``e_curve``).  The multivector component is
+    stored as a polynomial numerator curve over a t-polynomial determinant."""
 
     dims: tuple[int, int]
     x_field: PolyMultivector
@@ -755,7 +755,10 @@ def flow_curve(
 
     The flow direction must be constant or linear with nilpotent matrix part so
     that everything stays polynomial; invertibility of the graph transform is
-    checked symbolically (determinant free of the spatial variables)."""
+    checked symbolically (determinant free of the spatial variables).  Every
+    term of E_t must be a 2-form, but C_t is built on the legs I of pi only,
+    the block the graph transform reads: the terms of E_t whose every leg
+    reaches I under the flow are pulled back, with their leg choices on I."""
     dims = pi.dims
     if not h.is_zero() and h.form_degrees() != {3}:
         raise ValueError("flow starts at a 3-form / bivector pair")
@@ -766,7 +769,19 @@ def flow_curve(
 
     db = de_rham(b)
     e_curve = _gauge_form_curve(b, x_field, h, db)
-    c_curve = _t_integrate(transport(e_curve, _coordinate_images(flow_minus), flow_minus.matrix))
+    if any(len(wedge) != 2 for e in e_curve.values() for _, wedge in e.terms):
+        raise ValueError("graph transforms apply to bivectors and 2-forms")
+    on_pi = _legs({0: pi})
+    block = [[{}] * dims[0] for _ in range(dims[0])]
+    for i, row in enumerate(flow_minus.rows[1:]):
+        for j in on_pi:
+            block[i][j] = row[j + 1]
+    reach = {i for i, row in enumerate(block) if any(row[j] for j in on_pi)}
+    e_block = {
+        p: PolyForm._of(e.dims, {k: c for k, c in e.terms.items() if reach.issuperset(k[1])})
+        for p, e in e_curve.items()
+    }
+    c_curve = _t_integrate(transport(e_block, _coordinate_images(flow_minus), block))
     numerator, det = _graph_transform(c_curve, {0: pi}, dims[0])
     pushed = transport(numerator, _coordinate_images(flow_plus), flow_minus.transposed())
 

@@ -1028,6 +1028,24 @@ def test_flow_of_a_high_power_needs_no_deep_stack(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["form"][1][1]["terms"][0]["coef"] == -300
 
 
+def test_flow_of_x1_to_the_2000_reads_only_the_block_of_pi(tmp_path, capsys):
+    # the B term x1 dx2^dx3 of tpois_flow.json raised to x1^2000: its legs
+    # never reach pi's legs d1, d2 under the flow, so the flow pulls back no
+    # (x1 - t x3)^2000; the output is the one recorded before that, when it
+    # took about 11 s
+    with open(_data("tpois_flow.json"), encoding="utf-8") as fh:
+        point = json.load(fh)
+    point["B"]["terms"][1]["monomial"] = {"x1": 2000}
+    path = _written(tmp_path, "flow_x1_2000.json", point)
+    start = time.perf_counter()
+    code = main(["--json", "flow", path])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    with open(os.path.join(DATA, "golden", "flow_x1_2000.json"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert elapsed < 2, f"took {elapsed:.2f} s"
+
+
 def test_descriptor_with_base_dims_2000_exits_at_once(tmp_path, capsys):
     # the coisotropic quadruple builds its validation bases only when they
     # are read, so the dims mismatch is reported before any basis exists;

@@ -23,13 +23,11 @@ from test_cli import DATA, GOLDEN
 MUTANTS = 600
 
 # The exponent-2000 mutants of these monomials are left out, because each
-# runs from seconds to minutes before it exits: a p^2000 term lets the
-# coisotropic series run to arity 2002, and the flow builds (x1 - t x3)^2000
-# one factor at a time.  (file, path of the monomial)
+# runs for seconds before it exits: a p^2000 term lets the coisotropic series
+# run to arity 2002.  (file, path of the monomial)
 SLOW = {
     ("coiso_pair.json", ("x", "terms", 0, "monomial")),
     ("vdata_coiso.json", ("pi", "terms", 0, "monomial")),
-    ("tpois_flow.json", ("B", "terms", 1, "monomial")),
 }
 
 

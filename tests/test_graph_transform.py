@@ -873,6 +873,138 @@ def test_flow_curve_builds_its_gauge_form_once(monkeypatch):
     assert curve.e_curve == {0: b + contract_form(x, h), 1: -contract_form(x, de_rham(b))}
 
 
+# -- the pullback on the legs of pi ----------------------------------------------------------
+
+
+def full_pullback_flow_curve(b, x_field, h, pi):
+    """flow_curve with the whole gauge form E_t pulled back through the
+    time-(-t) flow, every leg choice kept: the reference for the pullback on
+    the legs of pi, the only block of C_t that the graph transform reads."""
+    flow_minus = _flow(x_field)
+    db = de_rham(b)
+    e_curve = tpois._gauge_form_curve(b, x_field, h, db)
+    pulled = transport(e_curve, _coordinate_images(flow_minus), flow_minus.matrix)
+    numerator, det = _graph_transform(tpois._t_integrate(pulled), {0: pi}, pi.dims[0])
+    images = _coordinate_images(_reversed(flow_minus))
+    pushed = transport(numerator, images, flow_minus.transposed())
+    form_curve = {0: h} if db.is_zero() else {0: h, 1: -db}
+    return tpois.FlowCurve(pi.dims, x_field, form_curve, e_curve, pushed, det)
+
+
+def block_draw(rng, m):
+    """(H, pi, B, X) on R^m with pi on a random set I of at least two legs,
+    constant or polynomial; X zero, constant or linear with a nilpotent
+    matrix part (the terms x_j d_i follow a random order of the legs), which
+    where it can carries a leg i off I onto a leg j on I; H zero or a
+    3-form; B with terms on I and terms with a leg off it, mostly constant."""
+    dims = (m, 0)
+    on = sorted(rng.sample(range(m), rng.randint(2, m)))
+    off = [i for i in range(m) if i not in on]
+    pairs = list(itertools.combinations(on, 2))
+    pi = random_wedge_curve(rng, mv, m, pairs, 0, rng.choice([0, 0, 1]), rng.randint(1, 3))
+    pi = pi.get(0, mv(dims, 1, None, pairs[0]))
+    x = PolyMultivector.zero(dims)
+    kind = rng.choice(["zero", "constant", "linear", "linear"])
+    if kind != "zero":
+        for i in rng.sample(range(m), rng.randint(1, m)):
+            x = x + mv(dims, rng.choice([-2, -1, 1, 3]), None, (i,))
+    if kind == "linear":
+        order = rng.sample(range(m), m)
+        moves = [(i, j) for i in range(m) for j in range(m) if order.index(i) < order.index(j)]
+        carried = [(i, j) for i, j in moves if i in off and j in on]
+        chosen = rng.sample(moves, rng.randint(1, min(3, len(moves))))
+        for i, j in chosen + rng.sample(carried, min(1, len(carried))):
+            x_j = tuple(int(v == j) for v in range(m))
+            x = x + mv(dims, rng.choice([-2, -1, 1, 2]), x_j, (i,))
+    h = PolyForm.zero(dims)
+    if m >= 3 and rng.randrange(2):
+        h = random_form(rng, dims, 3, rng.randint(0, 1))
+    b = PolyForm.zero(dims)
+    others = [pair for pair in itertools.combinations(range(m), 2) if pair not in pairs]
+    for legs, count in ((pairs, rng.randint(0, 2)), (others, rng.randint(0, 3))):
+        if legs and count:
+            drawn = random_wedge_curve(rng, form, m, legs, 0, rng.choice([0, 0, 1]), count)
+            b = b + drawn.get(0, PolyForm.zero(dims))
+    return h, pi, b, x
+
+
+def flow_or_error(build, b, x, h, pi):
+    try:
+        return build(b, x, h, pi)
+    except GraphTransformError as exc:
+        return str(exc)
+
+
+def test_block_pullback_matches_the_full_pullback():
+    """flow_curve pulls back only the terms of E_t whose every leg reaches
+    the legs I of pi under the flow's leg matrix, and only their choices of
+    legs on I.  Every field of the curve and its tangency residual equal the
+    full pullback's, and so does every error.  The draws include flows that
+    carry a leg off I onto I (a term with a leg off I still enters) and flows
+    that spread a leg on I off it (leg choices off I are dropped)."""
+    rng = random.Random(62)
+    seen = dict.fromkeys(["constant_x", "carried", "spread", "b_on", "b_off",
+                          "t_determinant", "polynomial_pi", "error"], 0)
+    curves = 0
+    for m in range(2, 7):
+        for _ in range(70):
+            h, pi, b, x = block_draw(rng, m)
+            got = flow_or_error(flow_curve, b, x, h, pi)
+            full = flow_or_error(full_pullback_flow_curve, b, x, h, pi)
+            if isinstance(full, str):
+                assert got == full
+                seen["error"] += 1
+                continue
+            assert not isinstance(got, str), got
+            for field in ("mv_numerator", "denominator", "form_curve", "e_curve"):
+                assert getattr(got, field) == getattr(full, field), field
+            assert got.ode_residual() == full.ode_residual()
+            curves += 1
+            on = {leg for _, wedge in pi.terms for leg in wedge}
+            rows = _flow(x).matrix
+            reach = {i for i, row in enumerate(rows) if any(row[j] for j in on)}
+            e_legs = [set(wedge) for e in got.e_curve.values() for _, wedge in e.terms]
+            seen["constant_x"] += not x.is_zero() and not any(
+                any(mono) for mono, _ in x.terms)
+            seen["carried"] += any(not legs <= on and legs <= reach for legs in e_legs)
+            seen["spread"] += any(rows[i][j] for i in on for j in range(m) if j not in on)
+            seen["b_on"] += any(set(wedge) <= on for _, wedge in b.terms)
+            seen["b_off"] += any(not set(wedge) <= on for _, wedge in b.terms)
+            seen["t_determinant"] += len(got.denominator) > 1
+            seen["polynomial_pi"] += any(any(mono) for mono, _ in pi.terms)
+    assert curves >= 200 and min(seen.values()) >= 10, (curves, seen)
+
+
+def test_flow_curve_pulls_back_only_the_block(monkeypatch):
+    """The pullback inside flow_curve gets a leg matrix with no entry off the
+    legs of pi and no term of E_t with a leg whose row misses them: not the
+    B term x1 dx2^dx3 of tests/data/tpois_flow.json raised to x1^2000, nor
+    the terms of a gauge_safe_data draw at m = 6 off d1 ^ d2."""
+    received = []
+    real = tpois.transport
+
+    def recording(curve, images, legs):
+        received.append((curve, legs))
+        return real(curve, images, legs)
+
+    d3 = (3, 0)
+    high = (form(d3, 1, None, (0, 1)) + form(d3, 1, (2000, 0, 0), (1, 2)),
+            mv(d3, 1, (0, 0, 1), (0,)) + mv(d3, 3, None, (1,)),
+            form(d3, 1, None, (0, 1, 2)), mv(d3, 2, None, (0, 1)))
+    h, pi, b, x = gauge_safe_data(random.Random(63), 6, 2)
+    monkeypatch.setattr(tpois, "transport", recording)
+    for b, x, h, pi in (high, (b, x, h, pi)):
+        received.clear()
+        curve = flow_curve(b, x, h, pi)
+        (pulled, legs), _ = received
+        on = {leg for _, wedge in pi.terms for leg in wedge}
+        assert not any(row[j] for row in legs for j in range(len(row)) if j not in on)
+        reach = {i for i, row in enumerate(legs) if any(row)}
+        assert all(set(wedge) <= reach for e in pulled.values() for _, wedge in e.terms)
+        assert all(max(mono) < 2000 for e in pulled.values() for mono, _ in e.terms)
+        assert any(not set(wedge) <= reach for e in curve.e_curve.values() for _, wedge in e.terms)
+
+
 # -- wider verified dimensions ---------------------------------------------------------------
 
 

@@ -8,42 +8,96 @@ every top-level function and class of the package must be referenced outside
 its own definition, in the package, the tests or the demos, and every method
 of a package class must be read as an attribute outside its own body, so that
 helpers whose last caller has gone are deleted with it.
+
+Each directory is parsed once per test run and each tree walked once: the
+scans read the nodes of the kinds they need from ``_index``, which records
+every node with its enclosing definitions.  Neither is ever written, so no
+scan can change what another sees.
 """
 
 import ast
+import functools
 import os
+import types
 
 import derived_brackets
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(derived_brackets.__file__))
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(TESTS_DIR)
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@functools.cache
+def _parsed(directory: str) -> types.MappingProxyType:
+    """``dir/file.py`` -> tree of each module of the directory, read-only."""
+    out = {}
+    for filename in sorted(f for f in os.listdir(directory) if f.endswith(".py")):
+        path = os.path.join(directory, filename)
+        with open(path, encoding="utf-8") as fh:
+            out[os.path.relpath(path, os.path.dirname(directory))] = ast.parse(fh.read(), path)
+    return types.MappingProxyType(out)
+
+
+@functools.cache
+def _index(tree: ast.Module) -> types.MappingProxyType:
+    """Node type -> (node, top, functions, scope) for every node below the
+    module, in depth-first preorder: ``top`` names the enclosing top-level
+    function or class (None outside one), ``functions`` is the tuple of the
+    enclosing function definitions, outermost first, and ``scope`` is the
+    innermost enclosing function or class definition (None at module
+    level).  The one walk of the tree that every scan shares."""
+    out: dict[type, list] = {}
+    stack = [(top, top.name if isinstance(top, _DEFS) else None, (), None)
+             for top in reversed(tree.body)]
+    while stack:
+        record = stack.pop()
+        node, top, functions, scope = record
+        out.setdefault(type(node), []).append(record)
+        if isinstance(node, _DEFS):
+            scope = node
+            if isinstance(node, _FUNCTIONS):
+                functions += (node,)
+        stack.extend((child, top, functions, scope)
+                     for child in reversed(list(ast.iter_child_nodes(node))))
+    return types.MappingProxyType({kind: tuple(nodes) for kind, nodes in out.items()})
+
+
+def _nodes(tree: ast.Module, *kinds: type) -> list:
+    """The index records of the nodes of the given types, type by type."""
+    index = _index(tree)
+    return [record for kind in kinds for record in index.get(kind, ())]
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
     """Bound name -> line of every import in the module, ``__future__`` aside."""
     names = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                names[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+    for node, *_ in _nodes(tree, ast.Import):
+        for alias in node.names:
+            names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    for node, *_ in _nodes(tree, ast.ImportFrom):
+        if node.module != "__future__":
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
     return names
 
 
 def _annotations(tree: ast.Module):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+    for node, *_ in _nodes(tree, *_FUNCTIONS):
+        if node.returns:
             yield node.returns
-        elif isinstance(node, ast.arg) and node.annotation:
+    for node, *_ in _nodes(tree, ast.arg):
+        if node.annotation:
             yield node.annotation
-        elif isinstance(node, ast.AnnAssign):
-            yield node.annotation
+    for node, *_ in _nodes(tree, ast.AnnAssign):
+        yield node.annotation
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
     """Names loaded anywhere, including inside quoted annotations."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node, *_ in _nodes(tree, ast.Name)}
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -53,18 +107,16 @@ def _referenced_names(tree: ast.Module) -> set[str]:
 
 
 def test_no_unused_imports():
-    modules = sorted(
-        f for f in os.listdir(PACKAGE_DIR) if f.endswith(".py") and f != "__init__.py"
-    )
-    assert "graded.py" in modules and "qgeom.py" in modules
+    package = _parsed(PACKAGE_DIR)
+    assert "derived_brackets/graded.py" in package and "derived_brackets/qgeom.py" in package
     unused = []
-    for filename in modules:
-        with open(os.path.join(PACKAGE_DIR, filename), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename)
+    for module, tree in package.items():
+        if module.endswith("__init__.py"):
+            continue
         used = _referenced_names(tree)
         for name, line in sorted(_imported_names(tree).items()):
             if name not in used:
-                unused.append(f"{filename}:{line}: {name}")
+                unused.append(f"{module}:{line}: {name}")
     assert unused == []
 
 
@@ -78,44 +130,40 @@ def _is_terms(node) -> bool:
 def _terms_writes(tree: ast.Module):
     """(line, what) for every write to a ``.terms`` attribute or into the
     dict it holds, outside ``__init__`` and ``_of``."""
-    def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inside = node.name
+    kinds = (ast.Assign, ast.Delete, ast.AugAssign, ast.AnnAssign, ast.Call)
+    out = []
+    for node, _, functions, _ in _nodes(tree, *kinds):
+        if functions and functions[-1].name in ("__init__", "_of"):
+            continue
         targets = []
         if isinstance(node, (ast.Assign, ast.Delete)):
             targets = list(node.targets)
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             targets = [node.target]
-        if inside not in ("__init__", "_of"):
-            while targets:
-                target = targets.pop()
-                if isinstance(target, (ast.Tuple, ast.List)):
-                    targets.extend(target.elts)
-                elif _is_terms(target) or (
-                    isinstance(target, ast.Subscript) and _is_terms(target.value)
-                ):
-                    yield node.lineno, "assignment"
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _TERMS_MUTATORS
-                and _is_terms(node.func.value)
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets.extend(target.elts)
+            elif _is_terms(target) or (
+                isinstance(target, ast.Subscript) and _is_terms(target.value)
             ):
-                yield node.lineno, f".terms.{node.func.attr}()"
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, inside)
-
-    return list(visit(tree, None))
+                out.append((node.lineno, "assignment"))
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _TERMS_MUTATORS
+            and _is_terms(node.func.value)
+        ):
+            out.append((node.lineno, f".terms.{node.func.attr}()"))
+    return sorted(out)
 
 
 def test_elements_are_never_mutated():
     # an element's integer form (gla.integer_form) is kept beside its terms,
     # so the terms of a built element must never change
     offenders = []
-    for filename in sorted(f for f in os.listdir(PACKAGE_DIR) if f.endswith(".py")):
-        with open(os.path.join(PACKAGE_DIR, filename), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename)
-        offenders += [f"{filename}:{line}: {what}" for line, what in _terms_writes(tree)]
+    for module, tree in _parsed(PACKAGE_DIR).items():
+        offenders += [f"{module}:{line}: {what}" for line, what in _terms_writes(tree)]
     assert offenders == []
 
 
@@ -142,8 +190,6 @@ def test_the_terms_scan_sees_each_kind_of_write():
 
 # -- every top-level definition is used ----------------------------------------------------
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
 
 def _top_level_defs(tree: ast.Module) -> dict[str, int]:
     return {node.name: node.lineno for node in tree.body if isinstance(node, _DEFS)}
@@ -153,19 +199,15 @@ def _references(tree: ast.Module) -> set[tuple[str | None, str]]:
     """(enclosing top-level definition or None, name) for every name the
     module uses: loaded names, attributes, imported names and identifier
     strings (quoted annotations, ``monkeypatch.setattr(module, "name", ..)``)."""
-    out = set()
-    for top in tree.body:
-        owner = top.name if isinstance(top, _DEFS) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.add((owner, node.id))
-            elif isinstance(node, ast.Attribute):
-                out.add((owner, node.attr))
-            elif isinstance(node, ast.alias):
-                out.add((owner, node.name.rsplit(".", 1)[-1]))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if node.value.isidentifier():
-                    out.add((owner, node.value))
+    out = {(owner, node.id) for node, owner, *_ in _nodes(tree, ast.Name)}
+    out.update((owner, node.attr) for node, owner, *_ in _nodes(tree, ast.Attribute))
+    out.update(
+        (owner, node.name.rsplit(".", 1)[-1]) for node, owner, *_ in _nodes(tree, ast.alias)
+    )
+    out.update(
+        (owner, node.value) for node, owner, *_ in _nodes(tree, ast.Constant)
+        if isinstance(node.value, str) and node.value.isidentifier()
+    )
     return out
 
 
@@ -189,20 +231,9 @@ def _unreferenced(package: dict[str, ast.Module], others: dict[str, ast.Module])
     return missing
 
 
-def _parsed(directory: str) -> dict[str, ast.Module]:
-    out = {}
-    for filename in sorted(f for f in os.listdir(directory) if f.endswith(".py")):
-        path = os.path.join(directory, filename)
-        with open(path, encoding="utf-8") as fh:
-            out[os.path.relpath(path, os.path.dirname(directory))] = ast.parse(fh.read(), path)
-    return out
-
-
 def test_every_top_level_definition_is_referenced():
-    tests_dir = os.path.dirname(os.path.abspath(__file__))
-    demos_dir = os.path.join(os.path.dirname(tests_dir), "demos")
     package = _parsed(PACKAGE_DIR)
-    others = {**_parsed(tests_dir), **_parsed(demos_dir)}
+    others = {**_parsed(TESTS_DIR), **_parsed(os.path.join(ROOT, "demos"))}
     assert "derived_brackets/polygeo.py" in package and "demos/04_coisotropic.py" in others
     assert _unreferenced(package, others) == []
 
@@ -233,40 +264,31 @@ def _unread_methods(package: dict[str, ast.Module], others: dict[str, ast.Module
     """``file:line: Class.method`` of each non-dunder method of a class of a
     package module that no file reads as ``.method`` outside the method's
     own body (so a method that only calls itself is unread)."""
-    read: dict[str, list[set]] = {}  # name -> the defs enclosing each read
-
-    def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inside = inside | {id(node)}
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.setdefault(node.attr, []).append(inside)
-        for child in ast.iter_child_nodes(node):
-            visit(child, inside)
-
+    read: dict[str, list[tuple]] = {}  # name -> the defs enclosing each read
     for tree in (*package.values(), *others.values()):
-        visit(tree, frozenset())
+        for node, _, functions, _ in _nodes(tree, ast.Attribute):
+            if isinstance(node.ctx, ast.Load):
+                read.setdefault(node.attr, []).append(functions)
     unread = []
     for module, tree in package.items():
-        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for cls, *_ in _nodes(tree, ast.ClassDef):
             for method in cls.body:
-                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not isinstance(method, _FUNCTIONS):
                     continue
                 name = method.name
                 if name.startswith("__") and name.endswith("__"):
                     continue
-                if all(id(method) in inside for inside in read.get(name, ())):
+                if all(method in functions for functions in read.get(name, ())):
                     unread.append(f"{module}:{method.lineno}: {cls.name}.{name}")
     return unread
 
 
 def test_every_method_is_read():
-    tests_dir = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.dirname(tests_dir)
     package = _parsed(PACKAGE_DIR)
     others = {
-        **_parsed(tests_dir),
-        **_parsed(os.path.join(root, "demos")),
-        **_parsed(os.path.join(root, "perfbench")),
+        **_parsed(TESTS_DIR),
+        **_parsed(os.path.join(ROOT, "demos")),
+        **_parsed(os.path.join(ROOT, "perfbench")),
     }
     assert "derived_brackets/graded.py" in package and "perfbench/workloads.py" in others
     assert _unread_methods(package, others) == []
@@ -313,13 +335,13 @@ def _unread_fields(package: dict[str, ast.Module], others: dict[str, ast.Module]
     read = {
         node.attr
         for tree in (*package.values(), *others.values())
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        for node, *_ in _nodes(tree, ast.Attribute)
+        if isinstance(node.ctx, ast.Load)
     }
     unread = []
     for module, tree in package.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+        for node, *_ in _nodes(tree, ast.ClassDef):
+            if _is_dataclass(node):
                 unread += [
                     f"{module}:{field.lineno}: {node.name}.{field.target.id}"
                     for field in node.body
@@ -330,10 +352,8 @@ def _unread_fields(package: dict[str, ast.Module], others: dict[str, ast.Module]
 
 
 def test_every_dataclass_field_is_read():
-    tests_dir = os.path.dirname(os.path.abspath(__file__))
-    demos_dir = os.path.join(os.path.dirname(tests_dir), "demos")
     package = _parsed(PACKAGE_DIR)
-    others = {**_parsed(tests_dir), **_parsed(demos_dir)}
+    others = {**_parsed(TESTS_DIR), **_parsed(os.path.join(ROOT, "demos"))}
     assert "derived_brackets/tpois.py" in package and "tests/test_graph_transform.py" in others
     assert _unread_fields(package, others) == []
 
@@ -369,31 +389,23 @@ def _defaulted_parameters(package: dict[str, ast.Module]):
     method is called as ``obj.name`` with its first parameter bound, and an
     ``__init__`` through its class name; a keyword-only parameter has no
     position."""
-    def visit(node, owner, module):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from visit(child, child.name, module)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                static = any(
-                    isinstance(d, ast.Name) and d.id == "staticmethod"
-                    for d in child.decorator_list
-                )
-                bound = 1 if owner is not None and not static else 0
-                name = owner if child.name == "__init__" else child.name
-                args = child.args
-                positional = args.posonlyargs + args.args
-                first = len(positional) - len(args.defaults)
-                for index, arg in enumerate(positional[first:], first):
-                    yield module, arg.lineno, name, index - bound, arg.arg
-                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        yield module, arg.lineno, name, None, arg.arg
-                yield from visit(child, None, module)
-            else:
-                yield from visit(child, owner, module)
-
     for module, tree in package.items():
-        yield from visit(tree, None, module)
+        functions = sorted(_nodes(tree, *_FUNCTIONS), key=lambda record: record[0].lineno)
+        for node, _, _, scope in functions:
+            owner = scope.name if isinstance(scope, ast.ClassDef) else None
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            bound = 1 if owner is not None and not static else 0
+            name = owner if node.name == "__init__" else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], first):
+                yield module, arg.lineno, name, index - bound, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield module, arg.lineno, name, None, arg.arg
 
 
 def _unset_defaults(package: dict[str, ast.Module], others: dict[str, ast.Module]) -> list[str]:
@@ -407,9 +419,7 @@ def _unset_defaults(package: dict[str, ast.Module], others: dict[str, ast.Module
     as_value: set[str] = set()
     for tree in (*package.values(), *others.values()):
         callees = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node, *_ in _nodes(tree, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             callees.add(id(func))
@@ -420,13 +430,10 @@ def _unset_defaults(package: dict[str, ast.Module], others: dict[str, ast.Module
             positions[name] = max(positions.get(name, 0), count)
             for kw in node.keywords:
                 keywords.setdefault(name, set()).add(kw.arg)  # None: **kwargs
-        for node in ast.walk(tree):
-            if id(node) in callees or not isinstance(getattr(node, "ctx", None), ast.Load):
+        for node, *_ in _nodes(tree, ast.Name, ast.Attribute):
+            if id(node) in callees or not isinstance(node.ctx, ast.Load):
                 continue
-            if isinstance(node, ast.Name):
-                as_value.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                as_value.add(node.attr)
+            as_value.add(node.id if isinstance(node, ast.Name) else node.attr)
     unset = []
     for module, line, name, position, param in _defaulted_parameters(package):
         passed = (
@@ -441,13 +448,11 @@ def _unset_defaults(package: dict[str, ast.Module], others: dict[str, ast.Module
 
 def test_every_defaulted_parameter_is_set_somewhere():
     # a default that no caller overrides is a knob nobody turns: a constant
-    tests_dir = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.dirname(tests_dir)
     package = _parsed(PACKAGE_DIR)
     others = {
-        **_parsed(tests_dir),
-        **_parsed(os.path.join(root, "demos")),
-        **_parsed(os.path.join(root, "perfbench")),
+        **_parsed(TESTS_DIR),
+        **_parsed(os.path.join(ROOT, "demos")),
+        **_parsed(os.path.join(ROOT, "perfbench")),
     }
     assert "derived_brackets/sampling.py" in package and "perfbench/workloads.py" in others
     assert _unset_defaults(package, others) == []
@@ -480,3 +485,18 @@ def test_the_default_scan_flags_parameters_no_call_sets():
         "pkg/mod.py:12: C.unset",
         "pkg/mod.py:17: static.k",
     ]
+
+
+def test_no_scan_changes_a_tree():
+    # every scan of the test run reads the same cached trees, so none may
+    # write to them; each scan reads the package's trees
+    package = _parsed(PACKAGE_DIR)
+    before = {module: ast.dump(tree, include_attributes=True) for module, tree in package.items()}
+    others = {**_parsed(os.path.join(ROOT, "demos")), **_parsed(os.path.join(ROOT, "perfbench"))}
+    for scan in (_referenced_names, _imported_names, _terms_writes):
+        for tree in package.values():
+            scan(tree)
+    for scan in (_unreferenced, _unread_methods, _unread_fields, _unset_defaults):
+        scan(package, others)
+    assert {module: ast.dump(tree, include_attributes=True)
+            for module, tree in package.items()} == before

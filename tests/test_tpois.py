@@ -712,3 +712,23 @@ _X3 = mv(D3, 1, None, (0,))
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("pi", [mv(D3, 2, None, (0, 1)), PolyMultivector.zero(D3)],
+                         ids=["pi", "pi-zero"])
+@pytest.mark.parametrize("extra", [form(D3, 1, (0, 0, 1), ()), form(D3, 1, None, (2,)),
+                                   form(D3, 1, (1, 0, 0), (0, 1, 2))],
+                         ids=["0-form", "1-form", "3-form"])
+def test_flow_rejects_non_2_form_terms_off_the_legs_of_pi(extra, pi):
+    """A term of B that is not a 2-form raises in flow_curve even where the
+    graph transform never reads it (a leg off pi's legs d1, d2, no leg, or pi = 0),
+    after the pair check and the flow's own field checks."""
+    b = form(D3, 1, None, (0, 1)) + extra
+    x = mv(D3, 1, (0, 0, 1), (0,)) + mv(D3, 3, None, (1,))  # x3 d1 + 3 d2
+    quadratic = mv(D3, 1, (0, 0, 2), (0,))
+    with pytest.raises(ValueError, match="graph transforms apply to bivectors and 2-forms"):
+        flow_curve(b, x, _H3, pi)
+    with pytest.raises(UnsupportedVectorFieldError, match="constant or linear"):
+        flow_curve(b, quadratic, _H3, pi)
+    with pytest.raises(ValueError, match="flow starts at a 3-form / bivector pair"):
+        flow_curve(b, quadratic, _B3, pi)
